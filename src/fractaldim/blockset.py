@@ -8,14 +8,20 @@ from ``frees``).  Level-m grid cells are half-open [i*beta**-m,
 respects every forced zero, so cover counts are the exact integers
 sigma**X(m) with X(m) the number of free positions among the first m digits.
 
+Counts, digit roles and cut points come from one lazily grown table of
+cumulative block boundaries, so a count series over many levels costs one
+walk of the block sequences.
+
 Dimensions are reported as exact rationals X/m whenever sigma == beta;
 floats appear only at the reporting boundary.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
@@ -99,13 +105,6 @@ class DimReport:
     spread: float
     n_used: int
 
-    @property
-    def samples(self) -> list[tuple[int, object]]:
-        """All (m, local_dim) samples from both families, ordered by m."""
-        merged = [(m, v) for (_, m, _, v) in self.lower_samples]
-        merged += [(m, v) for (_, m, _, v) in self.upper_samples]
-        return sorted(merged, key=lambda pair: pair[0])
-
 
 @dataclass(frozen=True)
 class HsEstimate:
@@ -117,65 +116,100 @@ class HsEstimate:
 
 
 # ---------------------------------------------------------------------------
-# block walks
+# block boundaries
 
 
-def _block_iter(schedule: BlockSchedule) -> Iterator[tuple[str, int]]:
-    """Alternating (role, length) blocks, horizon-guarded."""
+def _block_iter(schedule: BlockSchedule) -> Iterator[int]:
+    """Block lengths, zero and free blocks alternating, horizon-guarded."""
     zit = seqgen._iter_terms(schedule.zeros)
     fit = seqgen._iter_terms(schedule.frees)
     for n in range(schedule.horizon + 1):
-        yield FORCED_ZERO, next(zit)
-        yield FREE, next(fit)
+        yield next(zit)
+        yield next(fit)
     raise HorizonExceededError(
         f"digit position walk ran past horizon {schedule.horizon}",
         index=schedule.horizon,
     )
 
 
+class _BlockTable:
+    """Cumulative block boundaries of one schedule, grown lazily by one walk.
+
+    ``ends[j]`` is the last digit position of block j (zero blocks at even j,
+    free blocks at odd j) and ``frees[j]`` the number of free positions among
+    1..ends[j].  A walk error is kept and raised by every later growth.
+    """
+
+    def __init__(self, schedule: BlockSchedule):
+        self.ends: list[int] = []
+        self.frees: list[int] = []
+        self._walk = _block_iter(schedule)
+        self._error: HorizonExceededError | None = None
+
+    def grow(self, blocks: int) -> None:
+        """Extend the table to at least ``blocks`` blocks."""
+        while len(self.ends) < blocks:
+            if self._error is not None:
+                raise self._error
+            try:
+                length = next(self._walk)
+            except HorizonExceededError as exc:
+                self._error = exc  # the finished walk would raise StopIteration next
+                raise
+            j = len(self.ends)
+            end, free = (self.ends[-1], self.frees[-1]) if j else (0, 0)
+            self.ends.append(end + length)
+            self.frees.append(free + length if j % 2 else free)
+
+    def block(self, m: int) -> int:
+        """Index of the first block ending at or after digit position ``m``."""
+        while not self.ends or self.ends[-1] < m:
+            self.grow(len(self.ends) + 1)
+        return bisect_left(self.ends, m)
+
+    def x_count(self, m: int) -> int:
+        if m == 0:
+            return 0
+        j = self.block(m)
+        # a free block holding m still has ends[j] - m positions to come
+        return self.frees[j] - (self.ends[j] - m if j % 2 else 0)
+
+    def free_positions(self, m: int) -> list[int]:
+        """Free digit positions among 1..m, ascending."""
+        out: list[int] = []
+        for j in range(1, self.block(m) + 1, 2):
+            out += range(self.ends[j - 1] + 1, min(self.ends[j], m) + 1)
+        return out
+
+
+def _check_position(schedule: BlockSchedule, m: int, first: int) -> None:
+    if m < first or m > schedule.m_cap:
+        raise OutOfRangeError(f"digit position {m} outside [{first}, {schedule.m_cap}]")
+
+
 def digit_role(schedule: BlockSchedule, m: int) -> str:
     """Role of 1-indexed digit position ``m``: forced zero or free."""
-    if m < 1 or m > schedule.m_cap:
-        raise OutOfRangeError(f"digit position {m} outside [1, {schedule.m_cap}]")
-    pos = 0
-    for role, length in _block_iter(schedule):
-        pos += length
-        if m <= pos:
-            return role
-    raise AssertionError("unreachable")
+    _check_position(schedule, m, 1)
+    return FREE if _BlockTable(schedule).block(m) % 2 else FORCED_ZERO
 
 
 def x_count(schedule: BlockSchedule, m: int) -> int:
     """Number of free digit positions among the first ``m``."""
-    if m < 0 or m > schedule.m_cap:
-        raise OutOfRangeError(f"digit position {m} outside [0, {schedule.m_cap}]")
-    if m == 0:
-        return 0
-    pos = free = 0
-    for role, length in _block_iter(schedule):
-        take = min(length, m - pos)
-        if role == FREE:
-            free += take
-        pos += take
-        if pos >= m:
-            return free
-    raise AssertionError("unreachable")
+    _check_position(schedule, m, 0)
+    return _BlockTable(schedule).x_count(m)
 
 
 def cut_points(schedule: BlockSchedule, n_max: int) -> list[CutPoint]:
     """Both cut families for block indices 0..n_max, ordered by position."""
     if n_max < 0:
         raise InputError("n_max must be >= 0")
-    za = seqgen.terms(schedule.zeros, n_max + 1)
-    fb = seqgen.terms(schedule.frees, n_max + 1)
-    out = []
-    sum_zeros = sum_frees = 0
-    for n in range(n_max + 1):
-        sum_zeros += za[n]
-        out.append(CutPoint(n, AFTER_ZEROS, sum_zeros + sum_frees, sum_frees))
-        sum_frees += fb[n]
-        out.append(CutPoint(n, AFTER_FREES, sum_zeros + sum_frees, sum_frees))
-    return out
+    table = _BlockTable(schedule)
+    table.grow(2 * n_max + 2)
+    kinds = (AFTER_ZEROS, AFTER_FREES)
+    return [
+        CutPoint(j // 2, kinds[j % 2], table.ends[j], table.frees[j])
+        for j in range(2 * n_max + 2)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +221,14 @@ def cover_count(schedule: BlockSchedule, m: int) -> int:
     return schedule.alphabet ** x_count(schedule, m)
 
 
+def _dim_value(schedule: BlockSchedule, x: int, m: int):
+    """X/m, scaled by log(sigma)/log(beta): an exact Fraction when sigma == beta."""
+    ratio = Fraction(x, m)
+    if schedule.alphabet == schedule.base:
+        return ratio
+    return float(ratio) * (math.log(schedule.alphabet) / math.log(schedule.base))
+
+
 def local_dim(schedule: BlockSchedule, m: int):
     """Scale-m dimension sample X(m)*log(sigma) / (m*log(beta)).
 
@@ -194,17 +236,25 @@ def local_dim(schedule: BlockSchedule, m: int):
     """
     if m < 1:
         raise OutOfRangeError("local dimension needs m >= 1")
-    ratio = Fraction(x_count(schedule, m), m)
-    if schedule.alphabet == schedule.base:
-        return ratio
-    return float(ratio) * (math.log(schedule.alphabet) / math.log(schedule.base))
+    return _dim_value(schedule, x_count(schedule, m), m)
 
 
-def _cut_value(schedule: BlockSchedule, cut: CutPoint):
-    ratio = Fraction(cut.x_count, cut.m)
-    if schedule.alphabet == schedule.base:
-        return ratio
-    return float(ratio) * (math.log(schedule.alphabet) / math.log(schedule.base))
+def _cut_table(schedule: BlockSchedule, n_max: int) -> tuple[_BlockTable, int, bool]:
+    """The table grown through block pair n, that n, and whether n < n_max.
+
+    n stops short at the horizon, or at the last pair walked before a digit cap.
+    """
+    if n_max < 2:
+        raise InputError("dim_bounds needs n_max >= 2")
+    table = _BlockTable(schedule)
+    n = min(n_max, schedule.horizon)
+    try:
+        table.grow(2 * n + 2)
+    except HorizonExceededError:
+        n = len(table.ends) // 2 - 1
+        if n < 0:
+            raise
+    return table, n, n < n_max
 
 
 def dim_bounds(schedule: BlockSchedule, n_max: int, tol: float = 1e-6) -> DimReport:
@@ -214,28 +264,14 @@ def dim_bounds(schedule: BlockSchedule, n_max: int, tol: float = 1e-6) -> DimRep
     If the horizon or digit cap runs out first, the report uses whatever cuts
     exist and ``converged`` is False.
     """
-    if n_max < 2:
-        raise InputError("dim_bounds needs n_max >= 2")
-    cuts: list[CutPoint] = []
-    truncated = False
-    try:
-        cuts = cut_points(schedule, min(n_max, schedule.horizon))
-        truncated = n_max > schedule.horizon
-    except HorizonExceededError as exc:
-        # digit cap hit mid-walk; retry with what fits
-        usable = (exc.index or 1) - 1
-        if usable < 0:
-            raise
-        cuts = cut_points(schedule, usable)
-        truncated = True
-    lower = tuple(
-        (c.n, c.m, c.x_count, _cut_value(schedule, c)) for c in cuts if c.kind == AFTER_ZEROS
-    )
-    upper = tuple(
-        (c.n, c.m, c.x_count, _cut_value(schedule, c)) for c in cuts if c.kind == AFTER_FREES
-    )
-    if not lower or not upper:
-        raise InputError("schedule yields no usable cut samples")
+    table, n, truncated = _cut_table(schedule, n_max)
+
+    def sample(k, j):
+        m, x = table.ends[j], table.frees[j]
+        return (k, m, x, _dim_value(schedule, x, m))
+
+    # both samples of a pair share one index object, which saves memory on long reports
+    lower, upper = zip(*((sample(k, 2 * k), sample(k, 2 * k + 1)) for k in range(n + 1)))
 
     def gap(samples):
         if len(samples) < 2:
@@ -251,17 +287,19 @@ def dim_bounds(schedule: BlockSchedule, n_max: int, tol: float = 1e-6) -> DimRep
         upper=upper[-1][3],
         converged=converged,
         spread=spread,
-        n_used=cuts[-1].n,
+        n_used=n,
     )
 
 
-def hausdorff_dim(schedule: BlockSchedule, n_max: int, tol: float = 1e-6):
+def hausdorff_dim(schedule: BlockSchedule, n_max: int):
     """Tail value along the after-zeros cuts, reported as the Hausdorff dimension.
 
     The after-zeros scales are where the efficient covers of a digit-block
-    set live; both cut families remain available through dim_bounds.
+    set live; both cut families remain available through dim_bounds.  Equal
+    to ``dim_bounds(schedule, n_max).lower``, computed for the last cut only.
     """
-    return dim_bounds(schedule, n_max, tol).lower
+    table, n, _ = _cut_table(schedule, n_max)
+    return _dim_value(schedule, table.frees[2 * n], table.ends[2 * n])
 
 
 def hs_measure_estimate(schedule: BlockSchedule, s, n_max: int) -> HsEstimate:
@@ -311,42 +349,30 @@ def sample_points(
         raise InputError("count must be >= 0")
     if m_digits < 0 or m_digits > schedule.m_cap:
         raise OutOfRangeError(f"m_digits outside [0, {schedule.m_cap}]")
-    pattern = _role_pattern(schedule, m_digits)
-    rng = random.Random(seed)
     beta, sigma = schedule.base, schedule.alphabet
+    places = [beta ** (m_digits - k) for k in _BlockTable(schedule).free_positions(m_digits)]
+    rng = random.Random(seed)
     denom = beta**m_digits
     points = []
     for _ in range(count):
-        value = 0
-        for role in pattern:
-            value *= beta
-            if role == FREE:
-                value += rng.randrange(sigma)
+        value = sum(rng.randrange(sigma) * place for place in places)
         points.append(Fraction(value, denom))
     return points
 
 
-def _role_pattern(schedule: BlockSchedule, m_digits: int) -> list[str]:
-    pattern: list[str] = []
-    for role, length in _block_iter(schedule):
-        take = min(length, m_digits - len(pattern))
-        pattern.extend([role] * take)
-        if len(pattern) >= m_digits:
-            return pattern
-    return pattern
-
-
 class BlockCellSource(CellSource):
-    """Level-m cell counting adapter for a digit-block set."""
+    """Level-m cell counting adapter; its one block table serves every level."""
 
     def __init__(self, schedule: BlockSchedule, cell_budget: int = 10**8):
         self.schedule = schedule
         self.base = schedule.base
         self.ambient_dim = 1
         self.cell_budget = cell_budget
+        self._table = _BlockTable(schedule)
 
     def count(self, m: int) -> int:
-        return cover_count(self.schedule, m)
+        _check_position(self.schedule, m, 0)
+        return self.schedule.alphabet ** self._table.x_count(m)
 
     def enumerate_cells(self, m: int) -> Iterator[tuple[int]]:
         """All admissible m-digit prefixes as cell indices, ascending."""
@@ -356,20 +382,11 @@ class BlockCellSource(CellSource):
                 f"level {m} needs {total} cells, over the budget of {self.cell_budget}",
                 level=m,
             )
-        pattern = _role_pattern(self.schedule, m)
         beta, sigma = self.schedule.base, self.schedule.alphabet
-
-        def rec(prefix: int, k: int) -> Iterator[tuple[int]]:
-            if k == len(pattern):
-                yield (prefix,)
-                return
-            if pattern[k] == FREE:
-                for d in range(sigma):
-                    yield from rec(prefix * beta + d, k + 1)
-            else:
-                yield from rec(prefix * beta, k + 1)
-
-        yield from rec(0, 0)
+        places = [beta ** (m - k) for k in self._table.free_positions(m)]
+        # the most significant free digit varies slowest, so cells come ascending
+        for digits in itertools.product(range(sigma), repeat=len(places)):
+            yield (sum(d * place for d, place in zip(digits, places)),)
 
 
 def cell_source(schedule: BlockSchedule, cell_budget: int = 10**8) -> BlockCellSource:

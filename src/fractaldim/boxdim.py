@@ -310,7 +310,7 @@ def critical_d(
     Counts must grow strictly; otherwise the slope value is returned with
     the ``degenerate`` flag set.
     """
-    if tol <= 0:
+    if not tol > 0:  # also rejects NaN, which would skip the bisection
         raise InputError("tol must be positive")
     counts = [e.n_cells for e in series.entries]
     if len(counts) < 3:
@@ -421,10 +421,14 @@ def count_series_from_csv(
         parts = ln.split(",")
         if len(parts) != 3:
             raise InputError(f"bad count series row: {ln!r}")
-        m = int(parts[0])
         num, _, den = parts[1].partition("/")
-        delta = Fraction(int(num), int(den or "1"))
-        entries.append(CountEntry(m=m, delta=delta, n_cells=int(parts[2])))
+        try:
+            m, delta, n_cells = int(parts[0]), Fraction(int(num), int(den or "1")), int(parts[2])
+        except (ValueError, ZeroDivisionError):
+            raise InputError(f"bad count series row: {ln!r}") from None
+        if delta <= 0:
+            raise InputError(f"delta must be positive in row {ln!r}")
+        entries.append(CountEntry(m=m, delta=delta, n_cells=n_cells))
     return CountSeries(tuple(entries), base=base, ambient_dim=ambient_dim)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +27,6 @@ _TABLE_SIGMAS = (2, 3, 4, 5)
 class RunConfig:
     """One parsed invocation: a single command with its output policy."""
 
-    command: str
     out: str | None
     precision: int
 
@@ -36,6 +36,19 @@ def _fr(value) -> Fraction:
         return Fraction(str(value))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"expected a number or p/q fraction, got {value!r}") from exc
+
+
+def _ratio(value) -> float:
+    """A ratio from a JSON number or numeric string; bools and non-finite values are refused."""
+    if not isinstance(value, bool):
+        try:
+            x = float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if math.isfinite(x):
+                return x
+    raise InputError(f"ratio must be a finite number, got {value!r}")
 
 
 def _fmt_fraction(f: Fraction) -> str:
@@ -115,12 +128,15 @@ def _parse_ratios(obj) -> selfsimilar.IfsRatios:
         values = obj["ratios"]
         if not isinstance(values, list):
             raise InputError("ratios must be a list")
-        return selfsimilar.IfsRatios(tuple(float(v) for v in values))
+        return selfsimilar.IfsRatios(tuple(_ratio(v) for v in values))
     if "ratio" in obj and "count" in obj:
         unknown = set(obj) - {"ratio", "count"}
         if unknown:
             raise InputError(f"unknown keys in ratio spec: {sorted(unknown)}")
-        return selfsimilar.IfsRatios(tuple([float(obj["ratio"])] * int(obj["count"])))
+        count = obj["count"]
+        if not isinstance(count, int) or isinstance(count, bool):
+            raise InputError(f"count must be an integer, got {count!r}")
+        return selfsimilar.IfsRatios(tuple([_ratio(obj["ratio"])] * count))
     raise InputError('ratio spec needs "ratios" or {"ratio", "count"}')
 
 
@@ -359,7 +375,7 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(max(2_000_000, sys.get_int_max_str_digits()))
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(command=args.command, out=args.out, precision=args.precision)
+    cfg = RunConfig(out=args.out, precision=args.precision)
     if cfg.precision < 1 or cfg.precision > 50:
         print("error: --precision must be in [1, 50]", file=sys.stderr)
         return 2

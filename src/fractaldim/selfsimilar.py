@@ -159,7 +159,7 @@ def moran_solve(ratios: IfsRatios, tol: float = 1e-12, max_iter: int = 200) -> M
     [0, log(n)/log(1/max C_i)].  A single ratio makes the equation C**s = 1,
     whose only root is s = 0; that case is flagged degenerate.
     """
-    if tol <= 0:
+    if not tol > 0:  # also rejects NaN, which would skip the bisection
         raise InputError("tol must be positive")
     cs = ratios.ratios
     if len(cs) == 1:

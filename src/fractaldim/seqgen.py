@@ -257,6 +257,8 @@ def tail_domination(spec: SequenceSpec, k: int, eps) -> bool:
     eps = Fraction(eps)
     if eps < 0:
         raise InputError("eps must be >= 0")
+    if k < 0:
+        raise InputError("k must be >= 0")
     ts = terms(spec, k + 1)
     total = sum(ts)
     # cross-multiplied: total <= (1+eps)*a_k

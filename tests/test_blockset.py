@@ -437,3 +437,127 @@ def test_dimension_zero_agreement_with_growth_criterion():
         sch = BlockSchedule(base=2, alphabet=2, zeros=spec)
         assert hausdorff_dim(sch, 12) > Fraction(1, 10)
         assert dimzero_criterion(spec, 1, 2, 12).status == VIOLATED
+
+
+# ---------------------------------------------------------------------------
+# the block-boundary table
+
+
+def _block_lengths(spec: SequenceSpec, count: int) -> list[int]:
+    if spec.kind == "explicit":
+        return list(spec.terms[:count])
+    if spec.kind == "arithmetic":
+        return [spec.first + spec.step * i for i in range(count)]
+    return [spec.first * spec.ratio**i for i in range(count)]
+
+
+def naive_roles(schedule: BlockSchedule, pairs: int) -> list[str]:
+    """Reference: the role of every digit position of the first ``pairs`` block pairs."""
+    roles = []
+    zeros = _block_lengths(schedule.zeros, pairs)
+    frees = _block_lengths(schedule.frees, pairs)
+    for z, f in zip(zeros, frees):
+        roles += [FORCED_ZERO] * z + [FREE] * f
+    return roles
+
+
+_table_spec_strategy = st.one_of(
+    st.lists(st.integers(1, 5), min_size=1, max_size=6).map(
+        lambda ts: SequenceSpec.explicit(ts, horizon=len(ts) - 1)
+    ),
+    st.builds(SequenceSpec.arithmetic, st.integers(1, 4), st.integers(0, 3)),
+    st.builds(SequenceSpec.geometric, st.integers(1, 3), st.integers(1, 3)),
+)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    base=st.integers(2, 4),
+    sigma=st.integers(2, 4),
+    zeros=_table_spec_strategy,
+    frees=st.one_of(st.none(), _table_spec_strategy),
+)
+def test_table_lookups_match_naive_expansion(base, sigma, zeros, frees):
+    sch = BlockSchedule(base=max(base, sigma), alphabet=sigma, zeros=zeros, frees=frees)
+    pairs = min(sch.horizon + 1, 7)
+    roles = naive_roles(sch, pairs)
+    # consecutive blocks differ in role, so each role change ends a block
+    ends = [i + 1 for i in range(len(roles)) if i + 1 == len(roles) or roles[i] != roles[i + 1]]
+    want_cuts = [
+        (j // 2, (AFTER_ZEROS, AFTER_FREES)[j % 2], m, roles[:m].count(FREE))
+        for j, m in enumerate(ends)
+    ]
+    cuts = cut_points(sch, pairs - 1)
+    assert [(c.n, c.kind, c.m, c.x_count) for c in cuts] == want_cuts
+    src = cell_source(sch)
+    # one source answers levels out of order from its one table; positions
+    # run through the first five block pairs
+    top = ends[min(len(ends), 10) - 1]
+    for m in list(range(top, -1, -1)) + list(range(top + 1)):
+        x = roles[:m].count(FREE)
+        assert x_count(sch, m) == x
+        assert cover_count(sch, m) == sigma**x
+        assert src.count(m) == sigma**x
+        if m:
+            assert digit_role(sch, m) == roles[m - 1]
+    # n_max past the horizon truncates both reports to the same last cut
+    for n_max in (2, 5, 6):
+        rep = dim_bounds(sch, n_max)
+        assert hausdorff_dim(sch, n_max) == rep.lower == rep.lower_samples[-1][3]
+        n_used = min(n_max, sch.horizon)
+        assert rep.n_used == n_used
+        want_lower = [c[2:] for c in want_cuts[0 : 2 * n_used + 2 : 2]]
+        assert [s[1:3] for s in rep.lower_samples] == want_lower
+
+
+class TestBlockTable:
+    def test_horizon_error_repeats(self):
+        sch = BlockSchedule(
+            base=2, alphabet=2, zeros=SequenceSpec.arithmetic(1, 0, horizon=3)
+        )
+        src = cell_source(sch)
+        errors = []
+        for m in (9, 12):  # blocks cover only 8 positions
+            with pytest.raises(HorizonExceededError) as exc:
+                src.count(m)
+            errors.append((str(exc.value), exc.value.index))
+        assert errors == [("digit position walk ran past horizon 3", 3)] * 2
+        assert src.count(8) == 2**4
+
+    def test_first_digit_cap_error_in_walk_order(self):
+        # zero and free blocks are walked in turn, so the free sequence's
+        # failure at index 1 comes before the zero sequence's at index 3
+        sch = BlockSchedule(
+            base=2,
+            alphabet=2,
+            zeros=SequenceSpec.explicit([1, 1, 1, 10**5], digit_cap=3),
+            frees=SequenceSpec.explicit([1, 10**4], digit_cap=3),
+        )
+        with pytest.raises(HorizonExceededError) as exc:
+            cut_points(sch, 4)
+        assert exc.value.index == 1
+        assert str(exc.value) == "term 1 exceeds the digit cap of 3 decimal digits"
+        rep = dim_bounds(sch, 4)
+        assert (rep.n_used, rep.converged) == (0, False)
+        assert hausdorff_dim(sch, 4) == rep.lower == 0
+
+    def test_count_series_walks_once(self, monkeypatch):
+        from fractaldim import seqgen
+        from fractaldim.boxdim import count_series
+
+        real = seqgen._iter_terms
+        drawn = 0
+
+        def counting(spec):
+            nonlocal drawn
+            for term in real(spec):
+                drawn += 1
+                yield term
+
+        monkeypatch.setattr(seqgen, "_iter_terms", counting)
+        sch = BlockSchedule(
+            base=2, alphabet=2, zeros=SequenceSpec.arithmetic(1, 0, horizon=5000)
+        )
+        series = count_series(cell_source(sch), list(range(1, 5001)))
+        assert series.entries[-1].n_cells == 2**2500
+        assert drawn <= 5002

@@ -287,3 +287,57 @@ class TestOutputPolicy:
             _, out, _ = run_cli(capsys, "dim-block", doubling_path, "--n-max", "8")
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+
+def assert_rejected(code, out, err):
+    """The documented outcome for bad input: exit 2, one error line, no stdout."""
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+class TestRejectedInput:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            '{"ratios": ["abc"]}',
+            '{"ratios": [true, 0.5]}',
+            '{"ratios": [0.5, Infinity]}',
+            '{"ratios": [0.5, NaN]}',
+            '{"ratio": 0.5, "count": "x"}',
+            '{"ratio": 0.5, "count": true}',
+            '{"ratio": 0.5, "count": 2.5}',
+            '{"ratio": "abc", "count": 2}',
+        ],
+    )
+    def test_bad_ratio_spec(self, capsys, tmp_path, spec):
+        path = tmp_path / "ratios.json"
+        path.write_text(spec)
+        assert_rejected(*run_cli(capsys, "dim-ifs", str(path)))
+
+    def test_dim_ifs_nan_tol(self, capsys, tmp_path):
+        path = tmp_path / "ratios.json"
+        path.write_text(json.dumps({"ratios": [0.5, 0.5]}))
+        assert_rejected(*run_cli(capsys, "dim-ifs", str(path), "--tol", "nan"))
+
+    def test_critical_d_nan_tol(self, capsys, tmp_path):
+        _, out, _ = run_cli(capsys, "counts", "--rule", "cantor", "--levels", "1", "30")
+        path = tmp_path / "counts.csv"
+        path.write_text(out)
+        assert_rejected(*run_cli(capsys, "critical-d", str(path), "--tol", "nan"))
+
+    @pytest.mark.parametrize(
+        "row",
+        ["2.5,1/9,4", "2,1/9,x", "2,1/0,4", "2,0/1,4", "2,-1/9,4"],
+        ids=["level", "count", "zero-denominator", "zero-delta", "negative-delta"],
+    )
+    def test_bad_count_csv_row(self, capsys, tmp_path, row):
+        path = tmp_path / "counts.csv"
+        path.write_text(f"m,delta,n_cells\n1,1/3,2\n{row}\n3,1/27,8\n")
+        assert_rejected(*run_cli(capsys, "critical-d", str(path)))
+
+    def test_negative_tail_k(self, capsys, tmp_path):
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps({"kind": "arithmetic", "first": 1, "step": 1}))
+        assert_rejected(*run_cli(capsys, "seq-check", str(path), "--tail-k", "-1"))
