@@ -22,7 +22,7 @@ import itertools
 import math
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -112,7 +112,6 @@ class HsEstimate:
 
     value: float
     trend: str
-    log_values: tuple[Fraction, ...] = field(repr=False, default=())
 
 
 # ---------------------------------------------------------------------------
@@ -305,36 +304,34 @@ def hausdorff_dim(schedule: BlockSchedule, n_max: int):
 def hs_measure_estimate(schedule: BlockSchedule, s, n_max: int) -> HsEstimate:
     """Tail of sigma**X(m) * beta**(-m*s) along the after-zeros cuts.
 
-    ``s`` may be a float or a Fraction; pass a Fraction when the exponent is
-    expected to cancel exactly (the trend is then judged without noise).
-    The value is the last sample, clamped to 0.0 / inf when its exponent
-    leaves the floating-point range.
+    When sigma == beta the trend is judged on the exact exponents X - s*m
+    (in units of ln beta), so pass ``s`` as a Fraction when they are expected
+    to cancel; otherwise the logs are floats and relative steps below 1e-9
+    count as flat.  The value is the last sample, clamped to 0.0 / inf when
+    its exponent leaves the floating-point range.
     """
     s = Fraction(s)
     if not 0 < s <= 1:
         raise InputError("s must lie in (0, 1]")
     cuts = [c for c in cut_points(schedule, n_max) if c.kind == AFTER_ZEROS]
-    ln_sigma = Fraction(math.log(schedule.alphabet))
-    ln_beta = Fraction(math.log(schedule.base))
-    logs = tuple(c.x_count * ln_sigma - s * c.m * ln_beta for c in cuts)
-    tail = logs[-1]
-    diffs = [b - a for a, b in zip(logs[-4:], logs[-4:][1:])]
-    flat = Fraction(1e-9) * (1 + abs(tail))
+    ln_beta = math.log(schedule.base)
+    if schedule.alphabet == schedule.base:
+        exps = [c.x_count - s * c.m for c in cuts]
+        tail, flat = float(exps[-1]) * ln_beta, 0
+    else:
+        ln_sigma = math.log(schedule.alphabet)
+        exps = [c.x_count * ln_sigma - float(s) * c.m * ln_beta for c in cuts]
+        tail = exps[-1]
+        flat = 1e-9 * (1 + abs(tail))
+    diffs = [b - a for a, b in zip(exps[-4:], exps[-4:][1:])]
     if diffs and all(d > flat for d in diffs):
         trend = DIVERGING
     elif diffs and all(d < -flat for d in diffs):
         trend = VANISHING
     else:
         trend = STABLE
-    return HsEstimate(value=_exp_guarded(tail), trend=trend, log_values=logs)
-
-
-def _exp_guarded(t: Fraction) -> float:
-    if t < -750:
-        return 0.0
-    if t > 709:
-        return math.inf
-    return math.exp(float(t))
+    # exp underflows to 0.0 on its own but raises on overflow
+    return HsEstimate(value=math.exp(tail) if tail <= 709 else math.inf, trend=trend)
 
 
 # ---------------------------------------------------------------------------

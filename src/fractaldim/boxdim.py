@@ -48,7 +48,7 @@ class CountEntry:
 
 @dataclass(frozen=True)
 class CountSeries:
-    """Pairs of grid scale and exact cover count, strictly increasing in level."""
+    """Pairs of grid scale and exact cover count; levels rise and scales fall strictly."""
 
     entries: tuple[CountEntry, ...]
     base: int | None = None
@@ -60,6 +60,9 @@ class CountSeries:
         levels = [e.m for e in self.entries]
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise InputError("levels must be strictly increasing")
+        deltas = [e.delta for e in self.entries]
+        if any(b >= a for a, b in zip(deltas, deltas[1:])):
+            raise InputError("deltas must be strictly decreasing")
         if any(e.n_cells < 0 for e in self.entries):
             raise InputError("cell counts must be >= 0")
 
@@ -161,6 +164,8 @@ def count_series(
         raise InputError("levels must be nonempty")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise InputError("levels must be strictly increasing")
+    if levels[0] < 0:
+        raise InputError("levels must be >= 0")
     entries = []
     for m in levels:
         n = source.count(m)
@@ -172,25 +177,17 @@ def count_series(
     return CountSeries(tuple(entries), base=source.base, ambient_dim=source.ambient_dim)
 
 
-def _log_scale(delta: Fraction) -> float:
-    """log(1/delta), safe for huge exact rationals."""
-    return math.log(delta.denominator) - math.log(delta.numerator)
-
-
 def _entry_slope(entry: CountEntry) -> float:
     if entry.n_cells <= 1:
         return 0.0
-    return math.log(entry.n_cells) / _log_scale(entry.delta)
+    return math.log(entry.n_cells) / -_log_fraction(entry.delta)
 
 
 def slope_dim(series: CountSeries, tail: int) -> tuple[float, float]:
     """Min/max of log(count)/log(1/delta) over the last ``tail`` entries."""
     if tail < 2 or len(series.entries) < tail:
         raise InputError("need series length >= tail >= 2")
-    window = series.entries[-tail:]
-    if all(e.n_cells <= 1 for e in window):
-        return (0.0, 0.0)
-    slopes = [_entry_slope(e) for e in window]
+    slopes = [_entry_slope(e) for e in series.entries[-tail:]]
     return (min(slopes), max(slopes))
 
 
@@ -245,6 +242,7 @@ def _reduced_log_ratio(num: Fraction, den: Fraction) -> float:
 
 
 def _log_fraction(f: Fraction) -> float:
+    """log(f), safe for huge exact rationals."""
     return math.log(f.numerator) - math.log(f.denominator)
 
 
@@ -274,8 +272,12 @@ def _g_values(entries, d: float) -> list[float]:
     for e in entries:
         if e.n_cells < 1:
             raise InputError("classification needs counts >= 1")
-        out.append(math.log(e.n_cells) - d * _log_scale(e.delta))
+        out.append(math.log(e.n_cells) + d * _log_fraction(e.delta))
     return out
+
+
+def _default_tail(n: int) -> int:
+    return max(3, n - n // 3)
 
 
 def classify_d(series: CountSeries, d: float, tail: int | None = None) -> str:
@@ -289,7 +291,7 @@ def classify_d(series: CountSeries, d: float, tail: int | None = None) -> str:
     if len(series.entries) < 3:
         raise InputError("classification needs at least 3 entries")
     if tail is None:
-        tail = max(3, len(series.entries) - len(series.entries) // 3)
+        tail = _default_tail(len(series.entries))
     if tail < 3 or tail > len(series.entries):
         raise InputError("need 3 <= tail <= series length")
     g = _g_values(series.entries[-tail:], d)
@@ -307,25 +309,30 @@ def critical_d(
 ) -> CriticalExponent:
     """Bisect for the exponent separating divergence from vanishing.
 
-    Counts must grow strictly; otherwise the slope value is returned with
-    the ``degenerate`` flag set.
+    Only the tail window that ``classify_d`` reads is used.  Counts must
+    grow strictly over it; otherwise the smallest slope over the window is
+    returned with the ``degenerate`` flag set.
     """
     if not tol > 0:  # also rejects NaN, which would skip the bisection
         raise InputError("tol must be positive")
-    counts = [e.n_cells for e in series.entries]
-    if len(counts) < 3:
+    if len(series.entries) < 3:
         raise InputError("critical exponent needs at least 3 entries")
+    tail = _default_tail(len(series.entries))
+    window = series.entries[-tail:]
+    counts = [e.n_cells for e in window]
     if any(b <= a for a, b in zip(counts, counts[1:])):
-        lower, _ = slope_dim(series, len(series.entries))
+        lower, _ = slope_dim(series, tail)
         return CriticalExponent(d=lower, lo=lower, hi=lower, degenerate=True)
+    if counts[0] < 1:
+        raise InputError("classification needs counts >= 1")
     if d_max is None:
         if series.ambient_dim is not None:
             d_max = float(series.ambient_dim)
         else:
             steps = [
                 _log_fraction(Fraction(b.n_cells, a.n_cells))
-                / (_log_scale(b.delta) - _log_scale(a.delta))
-                for a, b in zip(series.entries, series.entries[1:])
+                / (_log_fraction(a.delta) - _log_fraction(b.delta))
+                for a, b in zip(window, window[1:])
             ]
             d_max = max(steps) + 1.0
     lo, hi = 0.0, float(d_max)

@@ -250,22 +250,15 @@ def cmd_hyper_hsd(args, cfg: RunConfig) -> None:
 
 
 def cmd_fractal(args, cfg: RunConfig) -> None:
-    series_list = selfsimilar.geometry_catalog(args.name)
-    lines = ["quantity,unit,m,recurrence,closed_form,deviation"]
-    for series in series_list:
-        rec = series.values(args.m_max)
-        clo = series.closed_values(args.m_max)
-        for m, (a, b) in enumerate(zip(rec, clo)):
-            lines.append(
-                f"{series.quantity},{series.unit},{m},{_fmt_fraction(a)},"
-                f"{_fmt_fraction(b)},{_fmt_fraction(abs(a - b))}"
-            )
-    for report in selfsimilar.closed_form_check(args.name, args.m_max):
+    reports = selfsimilar.closed_form_check(args.name, args.m_max)
+    lines, checks = ["quantity,unit,m,recurrence,closed_form,deviation"], []
+    for report in reports:
+        for m, row in enumerate(report.rows):
+            cells = ",".join(_fmt_fraction(f) for f in row)
+            lines.append(f"{report.quantity},{report.unit},{m},{cells}")
         flag = "consistent" if report.consistent else "inconsistent"
-        lines.append(
-            f"check,{report.quantity},{flag},{_fmt_fraction(report.max_deviation)}"
-        )
-    _emit("\n".join(lines) + "\n", cfg)
+        checks.append(f"check,{report.quantity},{flag},{_fmt_fraction(report.max_deviation)}")
+    _emit("\n".join(lines + checks) + "\n", cfg)
 
 
 def cmd_seq_check(args, cfg: RunConfig) -> None:

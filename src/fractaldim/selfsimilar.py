@@ -4,9 +4,10 @@ Each catalog entry iterates by replacing every piece with ``pieces`` copies
 shrunk by ``scale``, so the stage-m canonical cover has pieces**m sets of
 diameter scale**-m and the similarity dimension is log(pieces)/log(scale).
 Perimeter/area/volume recurrences are evaluated in exact rational
-arithmetic and checked against their summed closed forms; quantities whose
-natural unit is irrational (triangle areas) carry the rational coefficient
-with the unit recorded separately, so consistency checks stay exact.
+arithmetic and checked against closed forms built from geometric-sum
+formulas; quantities whose natural unit is irrational (triangle areas) carry
+the rational coefficient with the unit recorded separately, so consistency
+checks stay exact.
 
 The recurrences are the source of truth.  One catalog entry is knowingly
 self-inconsistent: the triadic curve's perimeter closed form gives 5 at the
@@ -98,8 +99,12 @@ class GeometrySeries:
 
 @dataclass(frozen=True)
 class ConsistencyReport:
+    """Recurrence, closed form and exact deviation of one series at iterations 0..m."""
+
     name: str
     quantity: str
+    unit: str
+    rows: tuple[tuple[Fraction, Fraction, Fraction], ...]  # (recurrence, closed form, deviation)
     consistent: bool
     max_deviation: Fraction
     first_mismatch: int | None
@@ -207,8 +212,13 @@ def hausdorff_measure_at(rule: PieceRule, s, m: int) -> float:
 
 
 def _geom_sum(ratio: Fraction, k_lo: int, k_hi: int) -> Fraction:
-    """sum(ratio**k for k in k_lo..k_hi), exact."""
-    return sum((ratio**k for k in range(k_lo, k_hi + 1)), Fraction(0))
+    """sum(ratio**k for k in k_lo..k_hi), exact; 0 for an empty range.
+
+    No catalog ratio is 1, so the formula's division is always defined.
+    """
+    if k_hi < k_lo:
+        return Fraction(0)
+    return (ratio ** (k_hi + 1) - ratio**k_lo) / (ratio - 1)
 
 
 def _series(name, quantity, initial, step, closed, unit="1") -> GeometrySeries:
@@ -244,7 +254,7 @@ def _quadratic_koch_series() -> list[GeometrySeries]:
         QUANT_PERIMETER,
         4,
         lambda k, prev: prev + 4 * 8 ** (k - 1) * Fraction(4, 4**k),
-        lambda m: 4 * (1 + _geom_sum(Fraction(2), 0, m - 1)) if m else Fraction(4),
+        lambda m: 4 * (1 + _geom_sum(Fraction(2), 0, m - 1)),
     )
     # indentations remove exactly what the bumps add back
     area = _series(
@@ -264,9 +274,7 @@ def _gasket_series() -> list[GeometrySeries]:
         QUANT_PERIMETER,
         3,
         lambda k, prev: prev + 3 ** (k - 1) * 3 * Fraction(1, 2**k),
-        lambda m: 3 * (1 + Fraction(1, 2) * _geom_sum(Fraction(3, 2), 0, m - 1))
-        if m
-        else Fraction(3),
+        lambda m: 3 * (1 + Fraction(1, 2) * _geom_sum(Fraction(3, 2), 0, m - 1)),
     )
     area = _series(
         "sierpinski_gasket",
@@ -307,14 +315,8 @@ def _menger_series() -> list[GeometrySeries]:
         lambda m: 6
         * (
             1
-            + sum(
-                (
-                    Fraction(1, 5) * Fraction(20, 9) ** k
-                    - Fraction(1, 8) * Fraction(8, 9) ** k
-                    for k in range(1, m + 1)
-                ),
-                Fraction(0),
-            )
+            + Fraction(1, 5) * _geom_sum(Fraction(20, 9), 1, m)
+            - Fraction(1, 8) * _geom_sum(Fraction(8, 9), 1, m)
         ),
     )
     volume = _series(
@@ -363,23 +365,20 @@ def geometry_series(name: str, m: int) -> dict[str, list[Fraction]]:
     return {series.quantity: series.values(m) for series in geometry_catalog(name)}
 
 
-def closed_form_check(name: str, m_max: int, tol=Fraction(0)) -> list[ConsistencyReport]:
-    """Exact recurrence-vs-closed-form comparison for every quantity of ``name``."""
-    tol = Fraction(tol)
+def closed_form_check(name: str, m_max: int) -> list[ConsistencyReport]:
+    """Exact recurrence-vs-closed-form rows for every quantity of ``name``."""
+    if m_max < 0:
+        raise InputError("m_max must be >= 0")
     reports = []
     for series in geometry_catalog(name):
-        rec = series.values(m_max)
-        clo = series.closed_values(m_max)
-        deviations = [abs(a - b) for a, b in zip(rec, clo)]
-        worst = max(deviations)
-        first = next((k for k, d in enumerate(deviations) if d > tol), None)
+        pairs = zip(series.values(m_max), series.closed_values(m_max))
+        rows = tuple((a, b, abs(a - b)) for a, b in pairs)
+        first = next((m for m, (_, _, dev) in enumerate(rows) if dev), None)
+        worst = max(dev for _, _, dev in rows)
         reports.append(
             ConsistencyReport(
-                name=series.name,
-                quantity=series.quantity,
-                consistent=first is None,
-                max_deviation=worst,
-                first_mismatch=first,
+                series.name, series.quantity, series.unit, rows,
+                consistent=first is None, max_deviation=worst, first_mismatch=first,
             )
         )
     return reports

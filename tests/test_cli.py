@@ -193,6 +193,18 @@ class TestCriticalD:
         d_line = out.splitlines()[0]
         assert abs(float(d_line.split(",")[1]) - math.log(3) / math.log(5)) < 1e-6
 
+    def test_flat_early_step_outside_window(self, capsys, tmp_path):
+        # [1/3, 2/3] meets 2 cells at levels 1 and 2; the window classify_d
+        # reads starts later, so that flat step must not decide the result
+        _, out, _ = run_cli(capsys, "counts", "--interval", "1/3", "2/3", "--levels", "1", "30")
+        assert out.splitlines()[1:3] == ["1,1/2,2", "2,1/4,2"]
+        path = tmp_path / "counts.csv"
+        path.write_text(out)
+        code, out, _ = run_cli(capsys, "critical-d", str(path))
+        assert code == 0
+        assert "degenerate" not in out
+        assert abs(float(out.splitlines()[0].split(",")[1]) - 1) < 1e-6
+
 
 class TestHyperHsd:
     def test_documented_example(self, capsys, tmp_path):
@@ -237,6 +249,27 @@ class TestFractal:
     def test_unknown_name_exit_4(self, capsys):
         code, _, _ = run_cli(capsys, "fractal", "dragon", "--m-max", "3")
         assert code == 4
+
+    def test_each_series_evaluated_once(self, capsys, monkeypatch):
+        from fractaldim.selfsimilar import GeometrySeries
+
+        calls = []
+        for method in ("values", "closed_values"):
+            original = getattr(GeometrySeries, method)
+
+            def counted(self, m, _original=original, _method=method):
+                calls.append((self.quantity, _method))
+                return _original(self, m)
+
+            monkeypatch.setattr(GeometrySeries, method, counted)
+        code, _, _ = run_cli(capsys, "fractal", "menger_sponge", "--m-max", "4")
+        assert code == 0
+        assert sorted(calls) == [
+            ("surface_area", "closed_values"),
+            ("surface_area", "values"),
+            ("volume", "closed_values"),
+            ("volume", "values"),
+        ]
 
 
 class TestSeqCheck:
@@ -329,13 +362,24 @@ class TestRejectedInput:
 
     @pytest.mark.parametrize(
         "row",
-        ["2.5,1/9,4", "2,1/9,x", "2,1/0,4", "2,0/1,4", "2,-1/9,4"],
-        ids=["level", "count", "zero-denominator", "zero-delta", "negative-delta"],
+        ["2.5,1/9,4", "2,1/9,x", "2,1/0,4", "2,0/1,4", "2,-1/9,4", "2,1/3,4"],
+        ids=["level", "count", "zero-denominator", "zero-delta", "negative-delta", "repeated-delta"],
     )
     def test_bad_count_csv_row(self, capsys, tmp_path, row):
         path = tmp_path / "counts.csv"
         path.write_text(f"m,delta,n_cells\n1,1/3,2\n{row}\n3,1/27,8\n")
         assert_rejected(*run_cli(capsys, "critical-d", str(path)))
+
+    def test_zero_count_before_growth(self, capsys, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("m,delta,n_cells\n1,1/2,0\n2,1/4,1\n3,1/8,2\n")
+        assert_rejected(*run_cli(capsys, "critical-d", str(path)))
+
+    def test_negative_levels(self, capsys):
+        assert_rejected(*run_cli(capsys, "counts", "--interval", "0", "1", "--levels", "-2", "1"))
+
+    def test_negative_fractal_m_max(self, capsys):
+        assert_rejected(*run_cli(capsys, "fractal", "koch", "--m-max", "-1"))
 
     def test_negative_tail_k(self, capsys, tmp_path):
         path = tmp_path / "seq.json"

@@ -190,6 +190,18 @@ class TestClosedFormCheck:
         assert not perim.consistent
         assert perim.first_mismatch == 1  # recurrence 4 vs closed form 5
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.fractions(min_value=-4, max_value=4, max_denominator=50).filter(lambda r: r != 1),
+        st.integers(min_value=0, max_value=12),
+        st.integers(min_value=-1, max_value=12),
+    )
+    def test_geom_sum_matches_enumeration(self, ratio, k_lo, k_hi):
+        from fractaldim.selfsimilar import _geom_sum
+
+        expected = sum((ratio**k for k in range(k_lo, k_hi + 1)), Fraction(0))
+        assert _geom_sum(ratio, k_lo, k_hi) == expected
+
     def test_koch_mismatch_values(self):
         from fractaldim.selfsimilar import geometry_catalog
 
