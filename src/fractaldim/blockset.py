@@ -263,6 +263,8 @@ def dim_bounds(schedule: BlockSchedule, n_max: int, tol: float = 1e-6) -> DimRep
     If the horizon or digit cap runs out first, the report uses whatever cuts
     exist and ``converged`` is False.
     """
+    if not tol > 0:  # also rejects NaN, which would make every report unconverged
+        raise InputError("tol must be positive")
     table, n, truncated = _cut_table(schedule, n_max)
 
     def sample(k, j):

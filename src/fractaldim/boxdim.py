@@ -105,6 +105,8 @@ class IntervalSource(CellSource):
         a, b = Fraction(a), Fraction(b)
         if not 0 <= a <= b <= 1:
             raise InputError("need 0 <= a <= b <= 1")
+        if base < 2:
+            raise InputError("base must be >= 2")
         self.a, self.b = a, b
         self.base = base
         self.ambient_dim = 1
@@ -209,36 +211,22 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
-def _primitive_power(n: int) -> tuple[int, int]:
-    """Write n >= 2 as base**exp with maximal exp (base not a perfect power)."""
-    for e in range(n.bit_length() - 1, 1, -1):
-        r = _iroot(n, e)
-        if r**e == n:
-            return r, e
-    return n, 1
-
-
 def _reduced_log_ratio(num: Fraction, den: Fraction) -> float:
-    """log(num)/log(den) with common integer exponents cancelled exactly."""
+    """log(num)/log(den) with common integer exponents cancelled exactly.
 
-    def decompose(f: Fraction) -> tuple[Fraction, int]:
-        p, q = f.numerator, f.denominator
-        bp, ep = _primitive_power(p) if p > 1 else (p, 0)
-        bq, eq = _primitive_power(q) if q > 1 else (q, 0)
-        if ep and eq:
-            g = math.gcd(ep, eq)
-        else:
-            g = ep or eq
-        if g == 0:
-            return Fraction(1), 1
-        return Fraction(bp ** (ep // g), bq ** (eq // g)), g
+    The largest g for which every numerator and denominator above 1 is a
+    perfect g-th power is the gcd of their maximal exponents; taking g-th
+    roots first makes aligned grids return the rule's dimension bit-for-bit.
+    Sorted, the smallest integer bounds g and rejects most candidates.
+    """
+    xs = sorted(x for f in (num, den) for x in (f.numerator, f.denominator) if x > 1)
+    exponents = range(xs[0].bit_length() - 1, 1, -1)
+    g = next((e for e in exponents if all(_iroot(x, e) ** e == x for x in xs)), 1)
 
-    base_n, exp_n = decompose(num)
-    base_d, exp_d = decompose(den)
-    g = math.gcd(exp_n, exp_d)
-    top = base_n ** (exp_n // g)
-    bottom = base_d ** (exp_d // g)
-    return _log_fraction(top) / _log_fraction(bottom)
+    def root(f: Fraction) -> Fraction:
+        return Fraction(_iroot(f.numerator, g), _iroot(f.denominator, g))
+
+    return _log_fraction(root(num)) / _log_fraction(root(den))
 
 
 def _log_fraction(f: Fraction) -> float:
@@ -255,10 +243,7 @@ def two_grid_dim(n_h: int, n_k: int, h, k) -> TwoGridResult:
         raise InputError("need 0 < h < k < 1")
     if not n_h >= n_k >= 1:
         raise InputError("need n_h >= n_k >= 1")
-    ratio = Fraction(n_h, n_k)
-    if ratio == 1:
-        return TwoGridResult(h=h, k=k, n_h=n_h, n_k=n_k, d=0.0)
-    d = _reduced_log_ratio(ratio, k / h)
+    d = _reduced_log_ratio(Fraction(n_h, n_k), k / h)
     return TwoGridResult(h=h, k=k, n_h=n_h, n_k=n_k, d=d)
 
 
@@ -280,21 +265,17 @@ def _default_tail(n: int) -> int:
     return max(3, n - n // 3)
 
 
-def classify_d(series: CountSeries, d: float, tail: int | None = None) -> str:
+def classify_d(series: CountSeries, d: float) -> str:
     """Trend of count * delta**d over the series tail: diverges, vanishes, bounded.
 
     Early levels can carry transients (union counts, offsets) that mask the
-    exponent, so by default the first third of the entries is dropped.  A
+    exponent, so the first third of the entries is dropped.  A
     per-step tolerance absorbs float rounding so that series sitting exactly
     at their critical exponent classify as bounded.
     """
     if len(series.entries) < 3:
         raise InputError("classification needs at least 3 entries")
-    if tail is None:
-        tail = _default_tail(len(series.entries))
-    if tail < 3 or tail > len(series.entries):
-        raise InputError("need 3 <= tail <= series length")
-    g = _g_values(series.entries[-tail:], d)
+    g = _g_values(series.entries[-_default_tail(len(series.entries)):], d)
     tol = 1e-12 * max(1.0, max(abs(v) for v in g))
     diffs = [b - a for a, b in zip(g, g[1:])]
     if all(x > tol for x in diffs):
@@ -315,6 +296,8 @@ def critical_d(
     """
     if not tol > 0:  # also rejects NaN, which would skip the bisection
         raise InputError("tol must be positive")
+    if d_max is not None and not math.isfinite(d_max):
+        raise InputError(f"d_max must be finite, got {d_max}")
     if len(series.entries) < 3:
         raise InputError("critical exponent needs at least 3 entries")
     tail = _default_tail(len(series.entries))

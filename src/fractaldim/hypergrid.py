@@ -145,15 +145,16 @@ def _capacity(delta: Fraction, grid: HyperGrid) -> int:
 def _partition_cost(lengths: Sequence[int], s, N: int) -> float:
     """Canonical cost of a partition given its interval point counts.
 
-    All callers funnel through this one function (lengths sorted, fsum) so
-    that equal partitions cost bit-identically regardless of how they were
-    found; s = 1 takes an exact rational path, making the cost exactly
+    All callers funnel through this one function so that equal partitions
+    cost bit-identically regardless of how they were found: fsum is
+    correctly rounded, so its result does not depend on the order of the
+    lengths.  s = 1 takes an exact rational path, making the cost exactly
     card/N.
     """
     if s == 1:
         return float(Fraction(sum(lengths), N))
     s = float(s)
-    return math.fsum((c / N) ** s for c in sorted(lengths, reverse=True))
+    return math.fsum((c / N) ** s for c in lengths)
 
 
 def h_delta_s_greedy(

@@ -157,7 +157,10 @@ def dim_from_rule(rule: PieceRule) -> float:
 # Moran equation
 
 
-def moran_solve(ratios: IfsRatios, tol: float = 1e-12, max_iter: int = 200) -> MoranRoot:
+_MORAN_MAX_ITER = 200
+
+
+def moran_solve(ratios: IfsRatios, tol: float = 1e-12) -> MoranRoot:
     """Unique root of f(s) = sum(C_i**s) = 1 by bracketed bisection.
 
     f is strictly decreasing from len(ratios) at s=0, so the root lies in
@@ -176,7 +179,7 @@ def moran_solve(ratios: IfsRatios, tol: float = 1e-12, max_iter: int = 200) -> M
     hi = math.log(len(cs)) / -math.log(max(cs)) + 1e-9
     lo = 0.0
     iterations = 0
-    while hi - lo > tol and iterations < max_iter:
+    while hi - lo > tol and iterations < _MORAN_MAX_ITER:
         mid = 0.5 * (lo + hi)
         if f(mid) > 1.0:
             lo = mid

@@ -6,6 +6,7 @@ values by plain float evaluation of the defining quotient.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -187,6 +188,24 @@ class TestTwoGrid:
         with pytest.raises(InputError):
             two_grid_dim(2, 4, Fraction(1, 8), Fraction(1, 4))
 
+    def test_common_root_search_is_short(self, monkeypatch):
+        # a search over every exponent of each big count makes thousands of calls
+        calls = []
+        iroot = boxdim._iroot
+
+        def counted(n, k):
+            calls.append(k)
+            return iroot(n, k)
+
+        monkeypatch.setattr(boxdim, "_iroot", counted)
+        rng = random.Random(5)
+        n_h = rng.getrandbits(3000) | (1 << 2999) | 1
+        n_k = rng.getrandbits(2400) | (1 << 2399) | 1
+        res = two_grid_dim(n_h, n_k, Fraction(1, 2**20), Fraction(1, 2**9))
+        assert len(calls) <= 40
+        direct = (math.log(n_h) - math.log(n_k)) / math.log(2**11)
+        assert res.d == pytest.approx(direct, rel=1e-12)
+
     def test_json_fields(self):
         res = two_grid_dim(64, 8, Fraction(1, 9), Fraction(1, 3))
         payload = two_grid_result_to_json(res)
@@ -313,6 +332,42 @@ def test_two_grid_matches_rule_dimension(p, r, p1, span):
     p2 = p1 + span
     res = two_grid_dim(p**p2, p**p1, Fraction(1, r**p2), Fraction(1, r**p1))
     assert res.d == pytest.approx(math.log(p) / math.log(r), abs=1e-12)
+
+
+def _reference_root(x: int, g: int) -> int | None:
+    """The integer g-th root of x from a float seed and its neighbours, if x has one."""
+    seed = round(x ** (1 / g))
+    return next((r for r in (seed - 1, seed, seed + 1) if r >= 0 and r**g == x), None)
+
+
+def _reference_two_grid_d(num: Fraction, den: Fraction) -> float:
+    """log(num)/log(den) after taking the largest common integer root, found by trying every g."""
+    parts = [num.numerator, num.denominator, den.numerator, den.denominator]
+    for g in range(max(parts).bit_length(), 0, -1):
+        roots = [_reference_root(x, g) for x in parts]
+        if None not in roots:
+            break
+    a, b, c, d = roots
+    return (math.log(a) - math.log(b)) / (math.log(c) - math.log(d))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    num_base=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    den_base=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    common=st.integers(1, 4),
+    e_num=st.integers(0, 3),
+    e_den=st.integers(1, 3),
+    k_inv=st.integers(2, 5),
+)
+def test_two_grid_cancels_common_roots_exactly(num_base, den_base, common, e_num, e_den, k_inv):
+    # rational powers (a/b)**(t*e) over (c/d)**(t*f): all four integers share the root t
+    assume(den_base[0] != den_base[1])
+    num = Fraction(max(num_base), min(num_base)) ** (common * e_num)
+    den = Fraction(max(den_base), min(den_base)) ** (common * e_den)
+    k = Fraction(1, k_inv)
+    res = two_grid_dim(num.numerator, num.denominator, k / den, k)
+    assert res.d == _reference_two_grid_d(num, den)  # bitwise
 
 
 @settings(max_examples=120, derandomize=True, deadline=None)

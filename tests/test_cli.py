@@ -385,3 +385,20 @@ class TestRejectedInput:
         path = tmp_path / "seq.json"
         path.write_text(json.dumps({"kind": "arithmetic", "first": 1, "step": 1}))
         assert_rejected(*run_cli(capsys, "seq-check", str(path), "--tail-k", "-1"))
+
+    @pytest.mark.parametrize("base", ["0", "1"])
+    def test_interval_base_below_2(self, capsys, base):
+        assert_rejected(
+            *run_cli(capsys, "counts", "--interval", "0", "1", "--levels", "1", "3", "--base", base)
+        )
+
+    @pytest.mark.parametrize("d_max", ["nan", "inf"])
+    def test_critical_d_non_finite_d_max(self, capsys, tmp_path, d_max):
+        _, out, _ = run_cli(capsys, "counts", "--rule", "cantor", "--levels", "1", "30")
+        path = tmp_path / "counts.csv"
+        path.write_text(out)
+        assert_rejected(*run_cli(capsys, "critical-d", str(path), "--d-max", d_max))
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0"])
+    def test_dim_block_bad_tol(self, capsys, doubling_path, tol):
+        assert_rejected(*run_cli(capsys, "dim-block", doubling_path, "--n-max", "5", "--tol", tol))
