@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -65,6 +66,14 @@ class CountSeries:
             raise InputError("deltas must be strictly decreasing")
         if any(e.n_cells < 0 for e in self.entries):
             raise InputError("cell counts must be >= 0")
+
+    @cached_property
+    def _tail_logs(self) -> tuple[list[float], list[float]]:
+        """log(count) and log(delta) over the window ``classify_d`` reads, taken once."""
+        window = self.entries[-_default_tail(len(self.entries)):]
+        if any(e.n_cells < 1 for e in window):
+            raise InputError("classification needs counts >= 1")
+        return [math.log(e.n_cells) for e in window], [_log_fraction(e.delta) for e in window]
 
 
 @dataclass(frozen=True)
@@ -211,17 +220,43 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
+def _primes_below(n: int) -> list[int]:
+    """Primes p < n, for n >= 2, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(n - 1) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, n, i)))
+    return [i for i, flag in enumerate(sieve) if flag]
+
+
+def _perfect_roots(xs: list[int], p: int) -> list[int] | None:
+    """The p-th roots of xs if every one is a perfect p-th power, else None."""
+    roots = []
+    for x in xs:
+        r = _iroot(x, p)
+        if r**p != x:
+            return None
+        roots.append(r)
+    return roots
+
+
 def _reduced_log_ratio(num: Fraction, den: Fraction) -> float:
     """log(num)/log(den) with common integer exponents cancelled exactly.
 
     The largest g for which every numerator and denominator above 1 is a
     perfect g-th power is the gcd of their maximal exponents; taking g-th
     roots first makes aligned grids return the rule's dimension bit-for-bit.
-    Sorted, the smallest integer bounds g and rejects most candidates.
+    A perfect (p*q)-th power is a perfect p-th power, so g is found prime
+    by prime: take p-th roots of all the integers for as long as they are
+    all perfect p-th powers, and multiply those p into g.  Sorted, the
+    smallest integer bounds p and rejects most primes cheaply.
     """
     xs = sorted(x for f in (num, den) for x in (f.numerator, f.denominator) if x > 1)
-    exponents = range(xs[0].bit_length() - 1, 1, -1)
-    g = next((e for e in exponents if all(_iroot(x, e) ** e == x for x in xs)), 1)
+    g = 1
+    for p in _primes_below(xs[0].bit_length()):
+        while p < xs[0].bit_length() and (roots := _perfect_roots(xs, p)):
+            xs, g = roots, g * p
 
     def root(f: Fraction) -> Fraction:
         return Fraction(_iroot(f.numerator, g), _iroot(f.denominator, g))
@@ -251,16 +286,6 @@ def two_grid_dim(n_h: int, n_k: int, h, k) -> TwoGridResult:
 # dot-counting critical exponent
 
 
-def _g_values(entries, d: float) -> list[float]:
-    # g(m) = log(count) - d*log(1/delta): increasing means count*delta**d blows up
-    out = []
-    for e in entries:
-        if e.n_cells < 1:
-            raise InputError("classification needs counts >= 1")
-        out.append(math.log(e.n_cells) + d * _log_fraction(e.delta))
-    return out
-
-
 def _default_tail(n: int) -> int:
     return max(3, n - n // 3)
 
@@ -275,7 +300,9 @@ def classify_d(series: CountSeries, d: float) -> str:
     """
     if len(series.entries) < 3:
         raise InputError("classification needs at least 3 entries")
-    g = _g_values(series.entries[-_default_tail(len(series.entries)):], d)
+    # g(m) = log(count) - d*log(1/delta): increasing means count*delta**d blows up
+    log_counts, log_deltas = series._tail_logs
+    g = [a + d * b for a, b in zip(log_counts, log_deltas)]
     tol = 1e-12 * max(1.0, max(abs(v) for v in g))
     diffs = [b - a for a, b in zip(g, g[1:])]
     if all(x > tol for x in diffs):

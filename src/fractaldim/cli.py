@@ -133,10 +133,7 @@ def _parse_ratios(obj) -> selfsimilar.IfsRatios:
         unknown = set(obj) - {"ratio", "count"}
         if unknown:
             raise InputError(f"unknown keys in ratio spec: {sorted(unknown)}")
-        count = obj["count"]
-        if not isinstance(count, int) or isinstance(count, bool):
-            raise InputError(f"count must be an integer, got {count!r}")
-        return selfsimilar.IfsRatios(tuple([_ratio(obj["ratio"])] * count))
+        return selfsimilar.IfsRatios((_ratio(obj["ratio"]),), (obj["count"],))
     raise InputError('ratio spec needs "ratios" or {"ratio", "count"}')
 
 

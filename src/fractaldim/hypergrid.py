@@ -12,18 +12,29 @@ run of L points splits into floor(L/D) full intervals of D = floor(delta*N)
 points plus one remainder.  For 0 < s <= 1 the cost t -> t**s is concave,
 so the sum over a partition with the fewest, most unequal parts is minimal
 (Schur concavity; merging parts never increases the cost by
-subadditivity).  An exact dynamic program over each run is provided as the
-independent oracle for that claim.
+subadditivity).  The cost depends only on the multiset {point count:
+multiplicity} of the intervals, so the greedy partition is costed from
+{D: total full intervals, r: runs with remainder r} in time linear in the
+number of runs, and its intervals are built only when iterated.  An exact
+dynamic program over each run, within a fixed work budget, is provided as
+the independent oracle for that claim.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import chain
+from operator import add
+from typing import Collection, Iterator, Mapping, Sequence
 
-from .errors import InfeasibleDeltaError, InputError
+from ._fsum import copies
+from .errors import BudgetExceededError, InfeasibleDeltaError, InputError
+
+# cap on the DP oracle's cell updates, the sum over runs of L * min(L, D)
+_DP_BUDGET = 2 * 10**7
 
 
 @dataclass(frozen=True)
@@ -76,9 +87,31 @@ def merge_runs(pairs: Sequence[tuple[int, int]]) -> InternalSet:
 class DeltaPartition:
     """A partition of an internal set into intervals of diameter <= delta."""
 
-    intervals: tuple[tuple[int, int], ...]
+    intervals: Collection[tuple[int, int]]
     delta: Fraction
     cost: float
+
+
+class _GreedyIntervals:
+    """The greedy intervals of ``runs`` at capacity D, built on iteration.
+
+    Each run yields full intervals of D points from its start and one
+    shorter remainder; ``count`` is their total, so ``len`` is O(1).
+    """
+
+    __slots__ = ("runs", "D", "count")
+
+    def __init__(self, runs: tuple[tuple[int, int], ...], D: int, count: int):
+        self.runs, self.D, self.count = runs, D, count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        D = self.D
+        for i, j in self.runs:
+            for a in range(i, j + 1, D):
+                yield (a, min(a + D - 1, j))
 
 
 # ---------------------------------------------------------------------------
@@ -142,19 +175,20 @@ def _capacity(delta: Fraction, grid: HyperGrid) -> int:
     return D
 
 
-def _partition_cost(lengths: Sequence[int], s, N: int) -> float:
-    """Canonical cost of a partition given its interval point counts.
+def _partition_cost(counts: Mapping[int, int], s, N: int) -> float:
+    """Canonical cost of a partition from its multiset {point count: multiplicity}.
 
     All callers funnel through this one function so that equal partitions
-    cost bit-identically regardless of how they were found: fsum is
-    correctly rounded, so its result does not depend on the order of the
-    lengths.  s = 1 takes an exact rational path, making the cost exactly
-    card/N.
+    cost bit-identically regardless of how they were found.  fsum is
+    correctly rounded, so its result depends neither on the order of the
+    terms nor on whether k equal terms come as k copies or as the exact
+    pieces of ``copies``.  s = 1 takes an exact rational path, making the
+    cost exactly card/N.
     """
     if s == 1:
-        return float(Fraction(sum(lengths), N))
+        return float(Fraction(sum(c * k for c, k in counts.items()), N))
     s = float(s)
-    return math.fsum((c / N) ** s for c in lengths)
+    return math.fsum(chain.from_iterable(copies((c / N) ** s, k) for c, k in counts.items()))
 
 
 def h_delta_s_greedy(
@@ -165,46 +199,48 @@ def h_delta_s_greedy(
     delta = Fraction(delta)
     B.validate_on(grid)
     D = _capacity(delta, grid)
-    intervals: list[tuple[int, int]] = []
-    for i, j in B.runs:
-        length = j - i + 1
-        q, r = divmod(length, D)
-        pos = i
-        for _ in range(q):
-            intervals.append((pos, pos + D - 1))
-            pos += D
-        if r:
-            intervals.append((pos, j))
-    cost = _partition_cost([b - a + 1 for a, b in intervals], s, grid.N)
-    return DeltaPartition(tuple(intervals), delta, cost)
+    lengths = [j - i + 1 for i, j in B.runs]
+    counts = Counter(L % D for L in lengths)
+    del counts[0]  # runs that split into full intervals only
+    counts[D] = sum(L // D for L in lengths)
+    intervals = _GreedyIntervals(B.runs, D, counts.total())
+    return DeltaPartition(intervals, delta, _partition_cost(counts, s, grid.N))
 
 
 def h_delta_s_dp(B: InternalSet, delta, s, grid: HyperGrid) -> DeltaPartition:
-    """Exact minimum by dynamic programming over each run, O(L*D) per run.
+    """Exact minimum by dynamic programming over each run, O(L*min(L, D)) per run.
 
     Serves as the brute-force oracle for the greedy construction; both
-    report costs through the same canonical arithmetic.
+    report costs through the same canonical arithmetic.  Raises
+    BudgetExceededError, before any work, when the cell updates summed over
+    the runs exceed the fixed budget.
     """
     _check_s(s)
     delta = Fraction(delta)
     B.validate_on(grid)
     D = _capacity(delta, grid)
     N = grid.N
+    lengths = [j - i + 1 for i, j in B.runs]
+    work = sum(L * min(L, D) for L in lengths)
+    if work > _DP_BUDGET:
+        raise BudgetExceededError(
+            f"DP oracle needs {work} cell updates, over the budget of {_DP_BUDGET}"
+        )
     sf = float(s)
+    # w[c] is the cost of one interval of c points
+    w = [0.0] + [(c / N) ** sf for c in range(1, min(D, max(lengths, default=0)) + 1)]
     intervals: list[tuple[int, int]] = []
-    for i, j in B.runs:
-        length = j - i + 1
+    for (i, _), length in zip(B.runs, lengths):
         # dp[t] = minimal cost of partitioning the first t points of the run
         dp = [0.0] * (length + 1)
         choice = [0] * (length + 1)
         for t in range(1, length + 1):
-            best, best_c = math.inf, 0
-            for c in range(min(D, t), 0, -1):
-                cand = dp[t - c] + (c / N) ** sf
-                if cand < best:
-                    best, best_c = cand, c
+            k = min(D, t)
+            # candidates for c = k, k-1, .., 1; index() keeps the largest c on ties
+            cands = list(map(add, dp[t - k:t], w[k:0:-1]))
+            best = min(cands)
             dp[t] = best
-            choice[t] = best_c
+            choice[t] = k - cands.index(best)
         parts = []
         t = length
         while t > 0:
@@ -215,7 +251,7 @@ def h_delta_s_dp(B: InternalSet, delta, s, grid: HyperGrid) -> DeltaPartition:
         for c in parts:
             intervals.append((pos, pos + c - 1))
             pos += c
-    cost = _partition_cost([b - a + 1 for a, b in intervals], s, grid.N)
+    cost = _partition_cost(Counter(b - a + 1 for a, b in intervals), s, N)
     return DeltaPartition(tuple(intervals), delta, cost)
 
 

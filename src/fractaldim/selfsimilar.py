@@ -23,8 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Callable, Sequence
 
+from ._fsum import copies
 from .errors import InputError, UnknownCatalogError
 
 QUANT_PERIMETER = "perimeter"
@@ -49,15 +51,35 @@ class PieceRule:
 
 @dataclass(frozen=True)
 class IfsRatios:
-    """Contraction ratios of an iterated function system."""
+    """Contraction ratios of an iterated function system with their multiplicities.
+
+    ``counts[i]`` maps share ``ratios[i]``; empty counts mean one map each.
+    """
 
     ratios: tuple[float, ...]
+    counts: tuple[int, ...] = ()
 
     def __post_init__(self):
         if not self.ratios:
             raise InputError("ratio list must be nonempty")
         if any(not 0 < c < 1 for c in self.ratios):
             raise InputError("every ratio must lie strictly in (0, 1)")
+        if not self.counts:
+            object.__setattr__(self, "counts", (1,) * len(self.ratios))
+        if len(self.counts) != len(self.ratios):
+            raise InputError("need one count per ratio")
+        for k in self.counts:
+            if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+                raise InputError(f"ratio counts must be integers >= 1, got {k!r}")
+        try:
+            float(self.total)  # the Moran sum at s = 0
+        except OverflowError:
+            raise InputError("the Moran sum of this many maps overflows a float") from None
+
+    @property
+    def total(self) -> int:
+        """Number of maps, counted with multiplicity."""
+        return sum(self.counts)
 
 
 @dataclass(frozen=True)
@@ -163,20 +185,26 @@ _MORAN_MAX_ITER = 200
 def moran_solve(ratios: IfsRatios, tol: float = 1e-12) -> MoranRoot:
     """Unique root of f(s) = sum(C_i**s) = 1 by bracketed bisection.
 
-    f is strictly decreasing from len(ratios) at s=0, so the root lies in
-    [0, log(n)/log(1/max C_i)].  A single ratio makes the equation C**s = 1,
-    whose only root is s = 0; that case is flagged degenerate.
+    f is strictly decreasing from the number of maps n at s=0, so the root
+    lies in [0, log(n)/log(1/max C_i)].  A single map makes the equation
+    C**s = 1, whose only root is s = 0; that case is flagged degenerate.
+    A ratio of multiplicity k adds O(log k) exact terms per step (see
+    ``copies``), so f(s) is bit-identical to summing every map's term.
     """
     if not tol > 0:  # also rejects NaN, which would skip the bisection
         raise InputError("tol must be positive")
-    cs = ratios.ratios
-    if len(cs) == 1:
+    n = ratios.total
+    if n == 1:
         return MoranRoot(s=0.0, width=0.0, degenerate=True)
+    pairs = list(zip(ratios.ratios, ratios.counts))
+    singles = [c for c, k in pairs if k == 1]
+    repeated = [(c, k) for c, k in pairs if k > 1]
 
     def f(s: float) -> float:
-        return math.fsum(c**s for c in cs)
+        many = chain.from_iterable(copies(c**s, k) for c, k in repeated)
+        return math.fsum(chain(map(pow, singles, repeat(s)), many))
 
-    hi = math.log(len(cs)) / -math.log(max(cs)) + 1e-9
+    hi = math.log(n) / -math.log(max(ratios.ratios)) + 1e-9
     lo = 0.0
     iterations = 0
     while hi - lo > tol and iterations < _MORAN_MAX_ITER:

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fractaldim import blockset, boxdim
+from fractaldim import blockset, boxdim, selfsimilar
 from fractaldim.boxdim import (
     BOUNDED,
     DIVERGES,
@@ -205,6 +205,24 @@ class TestTwoGrid:
         assert len(calls) <= 40
         direct = (math.log(n_h) - math.log(n_k)) / math.log(2**11)
         assert res.d == pytest.approx(direct, rel=1e-12)
+
+    def test_common_root_search_tries_prime_exponents_only(self, monkeypatch):
+        # every integer above 1 is large, so no small one rejects exponents early;
+        # the 550 primes below 4,000 bound the calls, where trying every exponent made about 4,000
+        calls = []
+        iroot = boxdim._iroot
+
+        def counted(n, k):
+            calls.append(k)
+            return iroot(n, k)
+
+        monkeypatch.setattr(boxdim, "_iroot", counted)
+        rng = random.Random(6)
+        H = 2 * (rng.getrandbits(4000) | (1 << 3999) | 1)
+        n_h = rng.getrandbits(4500) | (1 << 4499)
+        res = two_grid_dim(n_h, 1, Fraction(1, H), Fraction(1, 2))
+        assert len(calls) <= 560
+        assert res.d == pytest.approx(math.log(n_h) / math.log(H // 2), rel=1e-12)
 
     def test_json_fields(self):
         res = two_grid_dim(64, 8, Fraction(1, 9), Fraction(1, 3))
@@ -417,3 +435,43 @@ def test_classify_monotone_around_critical(d_offset, sign):
         d = 0.0
     verdict = classify_d(series, d)
     assert verdict == (VANISHES if sign > 0 else DIVERGES)
+
+
+def _reference_critical_d(series, tol: float) -> float:
+    """The bisection of critical_d with every log taken afresh on each step."""
+    window = series.entries[-max(3, len(series.entries) - len(series.entries) // 3):]
+
+    def verdict(d):
+        g = [math.log(e.n_cells) + d * (math.log(e.delta.numerator) - math.log(e.delta.denominator))
+             for e in window]
+        bound = 1e-12 * max(1.0, max(abs(v) for v in g))
+        diffs = [b - a for a, b in zip(g, g[1:])]
+        if all(x > bound for x in diffs):
+            return DIVERGES
+        if all(x < -bound for x in diffs):
+            return VANISHES
+        return BOUNDED
+
+    lo, hi = 0.0, float(series.ambient_dim)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        v = verdict(mid)
+        if v == DIVERGES:
+            lo = mid
+        elif v == VANISHES:
+            hi = mid
+        else:
+            return mid
+    return 0.5 * (lo + hi)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    name=st.sampled_from(sorted(selfsimilar.RULES)),
+    first=st.integers(0, 40),
+    length=st.integers(3, 120),
+    tol=st.sampled_from([1e-6, 1e-9, 1e-12]),
+)
+def test_critical_d_matches_per_step_logs(name, first, length, tol):
+    series = count_series(RuleSource(rule(name)), list(range(first, first + length)))
+    assert critical_d(series, tol=tol).d == _reference_critical_d(series, tol)  # bitwise

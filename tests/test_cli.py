@@ -1,9 +1,11 @@
 """Command-line front end tests: outputs, determinism, exit codes."""
 
+import copy
 import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fractaldim.cli import main
 
@@ -103,6 +105,13 @@ class TestDimIfs:
         code, out, _ = run_cli(capsys, "dim-ifs", str(path))
         assert code == 0
         assert abs(float(out.split(",")[1]) - math.log(8) / math.log(3)) < 1e-9
+
+    def test_repeat_shorthand_beyond_index_range(self, capsys, tmp_path):
+        path = tmp_path / "ratios.json"
+        path.write_text(json.dumps({"ratio": 0.5, "count": 10**30}))
+        code, out, _ = run_cli(capsys, "dim-ifs", str(path))
+        assert code == 0
+        assert abs(float(out.split(",")[1]) - 30 * math.log2(10)) < 1e-9
 
 
 class TestTables:
@@ -225,6 +234,16 @@ class TestHyperHsd:
         assert code == 0
         assert "oracle_match,true" in out
 
+    def test_oracle_over_budget_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps({"N": 40000, "runs": [[0, 20000]]}))
+        code, out, err = run_cli(
+            capsys, "hyper-hsd", str(path), "--delta", "1000/40000", "--s", "1/2", "--oracle"
+        )
+        assert (code, out) == (3, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_infeasible_delta_exit_2(self, capsys, tmp_path):
         path = tmp_path / "set.json"
         path.write_text(json.dumps({"N": 10, "runs": [[0, 5]]}))
@@ -342,11 +361,18 @@ class TestRejectedInput:
             '{"ratio": 0.5, "count": true}',
             '{"ratio": 0.5, "count": 2.5}',
             '{"ratio": "abc", "count": 2}',
+            '{"ratio": 0.5, "count": 0}',
+            '{"ratio": 0.5, "count": -3}',
         ],
     )
     def test_bad_ratio_spec(self, capsys, tmp_path, spec):
         path = tmp_path / "ratios.json"
         path.write_text(spec)
+        assert_rejected(*run_cli(capsys, "dim-ifs", str(path)))
+
+    def test_count_overflowing_moran_sum(self, capsys, tmp_path):
+        path = tmp_path / "ratios.json"
+        path.write_text(json.dumps({"ratio": 0.5, "count": 10**400}))
         assert_rejected(*run_cli(capsys, "dim-ifs", str(path)))
 
     def test_dim_ifs_nan_tol(self, capsys, tmp_path):
@@ -402,3 +428,93 @@ class TestRejectedInput:
     @pytest.mark.parametrize("tol", ["nan", "-1", "0"])
     def test_dim_block_bad_tol(self, capsys, doubling_path, tol):
         assert_rejected(*run_cli(capsys, "dim-block", doubling_path, "--n-max", "5", "--tol", tol))
+
+
+# ---------------------------------------------------------------------------
+# input contract fuzz: mutated JSON gets an answer or one documented error
+
+# small integers keep every example cheap; the edge values probe validation,
+# overflow and the DP budget
+EDGE_VALUES = st.sampled_from(
+    [0, -1, 1, 10**9, 10**30, 10**400, -(10**20), True, None, "", "1/2", 1.5, 1e-320,
+     math.nan, math.inf, [], {}]
+)
+JSON_LEAVES = st.one_of(
+    st.integers(-3, 300),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    EDGE_VALUES,
+)
+JSON_VALUES = st.one_of(
+    EDGE_VALUES,
+    st.recursive(
+        JSON_LEAVES,
+        lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=2),
+        max_leaves=6,
+    ),
+)
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _mutated(data, doc):
+    """``doc`` with one or two values replaced or deleted, and maybe a key added."""
+    for _ in range(data.draw(st.integers(1, 2))):
+        # leaves first: hypothesis favours early entries, and the root path replaces everything
+        path = data.draw(st.sampled_from(list(_paths(doc))[::-1]))
+        if not path:
+            doc = data.draw(JSON_VALUES)
+            continue
+        doc = copy.deepcopy(doc)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        if data.draw(st.integers(0, 7)) == 0:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = data.draw(JSON_VALUES)
+        if isinstance(node, dict) and data.draw(st.integers(0, 7)) == 0:
+            node[data.draw(st.text(max_size=3))] = data.draw(JSON_VALUES)
+    return doc
+
+
+def assert_contract(code, out, err):
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+FUZZ = settings(
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@settings(FUZZ, max_examples=400)
+@given(data=st.data(), base=st.sampled_from([{"ratios": [0.5, 0.25, 0.3]}, {"ratio": 0.5, "count": 8}]))
+def test_dim_ifs_contract_on_mutated_json(capsys, tmp_path, data, base):
+    path = tmp_path / "ratios.json"
+    path.write_text(json.dumps(_mutated(data, base)))
+    assert_contract(*run_cli(capsys, "dim-ifs", str(path)))
+
+
+@settings(FUZZ, max_examples=200)
+@given(
+    data=st.data(),
+    delta=st.sampled_from(["1/16", "1/2", "1", "0", "2", "-1/4", "1/0", "abc"]),
+    s=st.sampled_from(["1/2", "1", "0.3", "0", "2", "x"]),
+)
+def test_hyper_hsd_oracle_contract_on_mutated_json(capsys, tmp_path, data, delta, s):
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(_mutated(data, {"N": 128, "runs": [[0, 30], [40, 90]]})))
+    assert_contract(
+        *run_cli(capsys, "hyper-hsd", str(path), f"--delta={delta}", f"--s={s}", "--oracle")
+    )

@@ -6,13 +6,15 @@ partitions cost bit-identically.  Lebesgue bounds are cross-checked by
 brute-force membership loops over all grid indices.
 """
 
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from fractaldim.errors import InfeasibleDeltaError, InputError
+from fractaldim.errors import BudgetExceededError, InfeasibleDeltaError, InputError
 from fractaldim.hypergrid import (
     HyperGrid,
     InternalSet,
@@ -221,6 +223,36 @@ class TestDpOracle:
         assert dp.cost <= best + 1e-15
 
 
+class TestLongRunsAndBudget:
+    def test_long_run_partition_is_lazy(self):
+        # 10**9 singleton intervals: counted and costed, never built
+        N = 10**9
+        tracemalloc.start()
+        try:
+            part = h_delta_s_greedy(InternalSet(((0, N - 1),)), Fraction(1, N), 0.5, HyperGrid(N))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert len(part.intervals) == N
+        assert list(itertools.islice(part.intervals, 3)) == [(0, 0), (1, 1), (2, 2)]
+        assert part.cost == float(N * Fraction((1 / N) ** 0.5))
+
+    def test_dp_over_budget_raises_before_work(self):
+        # one run of 20,001 points at D = 1000 needs 20,001,000 cell updates
+        grid = HyperGrid(40_000)
+        with pytest.raises(BudgetExceededError):
+            h_delta_s_dp(InternalSet(((0, 20_000),)), Fraction(1000, 40_000), 0.5, grid)
+
+    def test_dp_budget_counts_short_runs_by_their_length(self):
+        # L*D would be 10**10 here; L*min(L, D) is 10**6
+        runs = tuple((300 * k, 300 * k + 99) for k in range(100))
+        grid = HyperGrid(10**6)
+        B = InternalSet(runs)
+        dp = h_delta_s_dp(B, Fraction(1), 0.5, grid)
+        assert dp.cost == h_delta_s_greedy(B, Fraction(1), 0.5, grid).cost
+
+
 class TestTraceSuperset:
     def test_unit_interval_full_grid(self):
         iset = trace_superset([(0, 1)], HyperGrid(100))
@@ -381,3 +413,85 @@ def test_discrete_measure_bounds(gs):
     value = discrete_lebesgue(B, grid)
     assert 0 <= value <= 1
     assert value == Fraction(B.card, grid.N + 1)
+
+
+def explicit_greedy(B, D):
+    """Reference: the greedy intervals written out one by one."""
+    intervals = []
+    for i, j in B.runs:
+        q, r = divmod(j - i + 1, D)
+        pos = i
+        for _ in range(q):
+            intervals.append((pos, pos + D - 1))
+            pos += D
+        if r:
+            intervals.append((pos, j))
+    return intervals
+
+
+def scalar_dp(B, D, s, N):
+    """Reference: the DP with one scalar comparison per candidate, largest c on ties."""
+    intervals = []
+    for i, j in B.runs:
+        length = j - i + 1
+        dp, choice = [0.0] * (length + 1), [0] * (length + 1)
+        for t in range(1, length + 1):
+            best, best_c = math.inf, 0
+            for c in range(min(D, t), 0, -1):
+                cand = dp[t - c] + (c / N) ** s
+                if cand < best:
+                    best, best_c = cand, c
+            dp[t], choice[t] = best, best_c
+        parts, t = [], length
+        while t > 0:
+            parts.append(choice[t])
+            t -= choice[t]
+        pos = i
+        for c in reversed(parts):
+            intervals.append((pos, pos + c - 1))
+            pos += c
+    return intervals
+
+
+@st.composite
+def wide_grid_and_set(draw):
+    N = draw(st.integers(16, 20_000))
+    starts = sorted(draw(st.lists(st.integers(0, N), min_size=1, max_size=8, unique=True)))
+    runs = []
+    for a, nxt in zip(starts, starts[1:] + [N + 2]):
+        b = min(draw(st.integers(a, N)), nxt - 2)
+        if b >= a:
+            runs.append((a, b))
+    return HyperGrid(N), InternalSet(tuple(runs) or ((0, 0),))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(gs=wide_grid_and_set(), d=st.integers(1, 64),
+       s=st.one_of(st.sampled_from([1, Fraction(1, 3), 0.5]), st.floats(0.01, 1.0)))
+def test_greedy_matches_explicit_expansion(gs, d, s):
+    grid, B = gs
+    assume(d <= grid.N)
+    part = h_delta_s_greedy(B, Fraction(d, grid.N), s, grid)
+    expected = explicit_greedy(B, d)
+    assert len(part.intervals) == len(expected)
+    assert list(part.intervals) == expected
+    lengths = [b - a + 1 for a, b in expected]
+    if s == 1:
+        reference = float(Fraction(sum(lengths), grid.N))
+    else:
+        reference = math.fsum((c / grid.N) ** float(s) for c in lengths)
+    assert part.cost == reference
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(gs=grid_and_set(), d=st.integers(1, 32), s=st.sampled_from([0.3, 0.5, 1.0]))
+def test_dp_matches_scalar_reference(gs, d, s):
+    grid, B = gs
+    part = h_delta_s_dp(B, Fraction(d, grid.N), s, grid)
+    expected = scalar_dp(B, d, float(s), grid.N)
+    assert list(part.intervals) == expected
+    lengths = [b - a + 1 for a, b in expected]
+    if s == 1:
+        assert part.cost == float(Fraction(sum(lengths), grid.N))
+    else:
+        assert part.cost == math.fsum((c / grid.N) ** s for c in lengths)

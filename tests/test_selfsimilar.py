@@ -105,6 +105,18 @@ class TestMoran:
         with pytest.raises(InputError):
             IfsRatios((0.5, 0.0))
 
+    @pytest.mark.parametrize("counts", [(0,), (-1,), (True,), (2.0,), (1, 1)])
+    def test_count_validation(self, counts):
+        with pytest.raises(InputError):
+            IfsRatios((0.5,), counts)
+
+    def test_huge_multiplicity(self):
+        # 10**30 maps of ratio 1/2: n * 2**-s = 1 at s = log2(n), no n-long list
+        root = moran_solve(IfsRatios((0.5,), (10**30,)))
+        assert root.s == pytest.approx(30 * math.log2(10), abs=1e-9)
+        with pytest.raises(InputError):
+            IfsRatios((0.5,), (10**400,))  # the Moran sum at s = 0 overflows a float
+
 
 class TestHausdorffMeasureAt:
     def test_unit_at_dimension(self):
@@ -285,3 +297,17 @@ def test_moran_function_strictly_decreasing(ratios, probe):
 def test_measure_is_unit_at_rule_dimension(pieces, scale, m):
     r = PieceRule("synthetic", pieces, scale, 3)
     assert hausdorff_measure_at(r, dim_from_rule(r), m) == 1.0
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    pairs=st.lists(
+        st.tuples(st.floats(0.01, 0.95), st.integers(1, 300)), min_size=1, max_size=5
+    ),
+    tol=st.sampled_from([1e-12, 1e-9, 1e-6]),
+)
+def test_moran_multiplicities_match_flat_expansion(pairs, tol):
+    # each ratio listed once per map is the reference: same float, field for field
+    flat = tuple(c for c, k in pairs for _ in range(k))
+    counted = IfsRatios(tuple(c for c, _ in pairs), tuple(k for _, k in pairs))
+    assert moran_solve(counted, tol=tol) == moran_solve(IfsRatios(flat), tol=tol)
