@@ -410,7 +410,7 @@ def dim_report_csv(report: DimReport, precision: int = 12) -> str:
     rows.sort(key=lambda r: r[2])
     for kind, n, m, x, value in rows:
         lines.append(f"{kind},{n},{m},{x},{_format_value(value)},{float(value):.{precision}f}")
-    return "\n".join(lines) + "\n"
+    return "\n".join([*lines, ""])
 
 
 _SAME = "same_as_zeros"

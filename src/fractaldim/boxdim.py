@@ -19,6 +19,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from ._digits import decimal_column, fraction_column
 from .errors import BudgetExceededError, DegenerateGridError, InputError
 
 DIVERGES = "diverges"
@@ -178,13 +179,17 @@ def count_series(
     if levels[0] < 0:
         raise InputError("levels must be >= 0")
     entries = []
+    scale, m_prev = 1, 0
     for m in levels:
         n = source.count(m)
         if cell_budget is not None and n > cell_budget:
             raise BudgetExceededError(
                 f"level {m} needs {n} cells, over the budget of {cell_budget}", level=m
             )
-        entries.append(CountEntry(m=m, delta=Fraction(1, source.base**m), n_cells=n))
+        # scale is base**m, grown from the previous level's
+        scale *= source.base ** (m - m_prev)
+        m_prev = m
+        entries.append(CountEntry(m=m, delta=Fraction(1, scale), n_cells=n))
     return CountSeries(tuple(entries), base=source.base, ambient_dim=source.ambient_dim)
 
 
@@ -421,10 +426,13 @@ def closure_count_check(
 
 
 def count_series_to_csv(series: CountSeries) -> str:
+    entries = series.entries
+    deltas = fraction_column([e.delta for e in entries])
+    counts = decimal_column(e.n_cells for e in entries)
     lines = ["m,delta,n_cells"]
-    for e in series.entries:
-        lines.append(f"{e.m},{e.delta.numerator}/{e.delta.denominator},{e.n_cells}")
-    return "\n".join(lines) + "\n"
+    for e, delta, n in zip(entries, deltas, counts):
+        lines.append(f"{e.m},{delta},{n}")
+    return "\n".join([*lines, ""])
 
 
 def count_series_from_csv(

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import blockset, boxdim, hypergrid, selfsimilar, seqgen
+from ._digits import fraction_column
 from .errors import FractalDimError, HorizonExceededError, InputError
 
 _GEOM_TABLE_RATIOS = (1, 2, 3, 4, 5)
@@ -99,7 +100,7 @@ def cmd_dim_block(args, cfg: RunConfig) -> None:
         exact = _fmt_fraction(value) if isinstance(value, Fraction) else ""
         lines.append(f"{label},{exact},{_fmt(value, cfg.precision)}")
     lines.append(f"converged,{str(report.converged).lower()},{_fmt(report.spread, cfg.precision)}")
-    _emit("\n".join(lines) + "\n", cfg)
+    _emit("\n".join([*lines, ""]), cfg)
 
 
 def cmd_dim_ifs(args, cfg: RunConfig) -> None:
@@ -115,7 +116,7 @@ def cmd_dim_ifs(args, cfg: RunConfig) -> None:
     lines = [f"dimension,{_fmt(root.s, cfg.precision)}"]
     if root.degenerate:
         lines.append("degenerate,true")
-    _emit("\n".join(lines) + "\n", cfg)
+    _emit("\n".join([*lines, ""]), cfg)
 
 
 def _parse_ratios(obj) -> selfsimilar.IfsRatios:
@@ -168,7 +169,7 @@ def cmd_tables_ch6(args, cfg: RunConfig) -> None:
                 f"{_fmt_fraction(estimate)},{_fmt(estimate, cfg.precision)},"
                 f"{_fmt(hs, cfg.precision)}"
             )
-    _emit("\n".join(lines) + "\n", cfg)
+    _emit("\n".join([*lines, ""]), cfg)
 
 
 def _counts_source(args) -> boxdim.CellSource:
@@ -229,7 +230,7 @@ def cmd_critical_d(args, cfg: RunConfig) -> None:
     lines.append(f"bracket,{_fmt(result.lo, cfg.precision)},{_fmt(result.hi, cfg.precision)}")
     if result.degenerate:
         lines.append("degenerate,true")
-    _emit("\n".join(lines) + "\n", cfg)
+    _emit("\n".join([*lines, ""]), cfg)
 
 
 def cmd_hyper_hsd(args, cfg: RunConfig) -> None:
@@ -238,24 +239,25 @@ def cmd_hyper_hsd(args, cfg: RunConfig) -> None:
     s = _fr(args.s)
     part = hypergrid.h_delta_s_greedy(iset, delta, s, grid)
     lines = [f"cost,{_fmt(part.cost, cfg.precision)}"]
-    lines.append(f"intervals,{len(part.intervals)}")
+    lines.append(f"intervals,{part.count}")
     if args.oracle:
         oracle = hypergrid.h_delta_s_dp(iset, delta, s, grid)
         lines.append(f"oracle_cost,{_fmt(oracle.cost, cfg.precision)}")
         lines.append(f"oracle_match,{str(oracle.cost == part.cost).lower()}")
-    _emit("\n".join(lines) + "\n", cfg)
+    _emit("\n".join([*lines, ""]), cfg)
 
 
 def cmd_fractal(args, cfg: RunConfig) -> None:
     reports = selfsimilar.closed_form_check(args.name, args.m_max)
     lines, checks = ["quantity,unit,m,recurrence,closed_form,deviation"], []
     for report in reports:
-        for m, row in enumerate(report.rows):
-            cells = ",".join(_fmt_fraction(f) for f in row)
-            lines.append(f"{report.quantity},{report.unit},{m},{cells}")
+        # each column formatted from top to bottom, the rows zipped from the columns
+        columns = [fraction_column(values) for values in zip(*report.rows)]
+        for m, cells in enumerate(zip(*columns)):
+            lines.append(f"{report.quantity},{report.unit},{m},{','.join(cells)}")
         flag = "consistent" if report.consistent else "inconsistent"
         checks.append(f"check,{report.quantity},{flag},{_fmt_fraction(report.max_deviation)}")
-    _emit("\n".join(lines + checks) + "\n", cfg)
+    _emit("\n".join([*lines, *checks, ""]), cfg)
 
 
 def cmd_seq_check(args, cfg: RunConfig) -> None:
@@ -264,7 +266,7 @@ def cmd_seq_check(args, cfg: RunConfig) -> None:
         rows = seqgen.squared_sum_check(spec, args.squared_sum)
         lines = ["index,holds"]
         lines += [f"{i},{str(ok).lower()}" for i, ok in rows]
-        _emit("\n".join(lines) + "\n", cfg)
+        _emit("\n".join([*lines, ""]), cfg)
         return
     if args.tail_k is not None:
         ok = seqgen.tail_domination(spec, args.tail_k, _fr(args.eps))

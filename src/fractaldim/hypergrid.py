@@ -26,8 +26,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from operator import add
+from itertools import chain, islice, repeat
+from operator import add, gt, itemgetter, sub
 from typing import Collection, Iterator, Mapping, Sequence
 
 from ._fsum import copies
@@ -35,6 +35,8 @@ from .errors import BudgetExceededError, InfeasibleDeltaError, InputError
 
 # cap on the DP oracle's cell updates, the sum over runs of L * min(L, D)
 _DP_BUDGET = 2 * 10**7
+
+_START, _END = itemgetter(0), itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -55,12 +57,17 @@ class InternalSet:
     runs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        for i, j in self.runs:
-            if not 0 <= i <= j:
-                raise InputError(f"bad run [{i}, {j}]")
-        for (_, j1), (i2, _) in zip(self.runs, self.runs[1:]):
-            if i2 <= j1 + 1:
-                raise InputError("runs must be sorted with a gap of at least one index")
+        # C-level passes over the starts and ends, building no list; the
+        # Python loop runs only to name the first bad run
+        runs = self.runs
+        if min(map(_START, runs), default=0) < 0 or any(
+            map(gt, map(_START, runs), map(_END, runs))
+        ):
+            i, j = next((i, j) for i, j in runs if not 0 <= i <= j)
+            raise InputError(f"bad run [{i}, {j}]")
+        # the next run starts at least two indices after this one ends
+        if min(map(sub, map(_START, islice(runs, 1, None)), map(_END, runs)), default=2) < 2:
+            raise InputError("runs must be sorted with a gap of at least one index")
 
     @property
     def card(self) -> int:
@@ -85,11 +92,16 @@ def merge_runs(pairs: Sequence[tuple[int, int]]) -> InternalSet:
 
 @dataclass(frozen=True)
 class DeltaPartition:
-    """A partition of an internal set into intervals of diameter <= delta."""
+    """A partition of an internal set into intervals of diameter <= delta.
+
+    ``count`` is the number of intervals as a plain int; ``len(intervals)``
+    overflows above ``sys.maxsize`` intervals.
+    """
 
     intervals: Collection[tuple[int, int]]
     delta: Fraction
     cost: float
+    count: int
 
 
 class _GreedyIntervals:
@@ -203,8 +215,9 @@ def h_delta_s_greedy(
     counts = Counter(L % D for L in lengths)
     del counts[0]  # runs that split into full intervals only
     counts[D] = sum(L // D for L in lengths)
-    intervals = _GreedyIntervals(B.runs, D, counts.total())
-    return DeltaPartition(intervals, delta, _partition_cost(counts, s, grid.N))
+    total = counts.total()
+    intervals = _GreedyIntervals(B.runs, D, total)
+    return DeltaPartition(intervals, delta, _partition_cost(counts, s, grid.N), total)
 
 
 def h_delta_s_dp(B: InternalSet, delta, s, grid: HyperGrid) -> DeltaPartition:
@@ -252,7 +265,7 @@ def h_delta_s_dp(B: InternalSet, delta, s, grid: HyperGrid) -> DeltaPartition:
             intervals.append((pos, pos + c - 1))
             pos += c
     cost = _partition_cost(Counter(b - a + 1 for a, b in intervals), s, N)
-    return DeltaPartition(tuple(intervals), delta, cost)
+    return DeltaPartition(tuple(intervals), delta, cost, len(intervals))
 
 
 def _check_s(s) -> None:
@@ -342,13 +355,16 @@ def internal_set_from_json(obj: dict) -> tuple[HyperGrid, InternalSet]:
     if not isinstance(N, int) or isinstance(N, bool):
         raise InputError("N must be an integer")
     runs = obj["runs"]
-    if not isinstance(runs, list) or not all(
-        isinstance(r, list) and len(r) == 2 and all(isinstance(x, int) for x in r)
-        for r in runs
+    if (
+        not isinstance(runs, list)
+        or not all(map(isinstance, runs, repeat(list)))
+        or not set(map(len, runs)) <= {2}
     ):
         raise InputError("runs must be a list of [i, j] integer pairs")
+    if not all(map(isinstance, chain.from_iterable(runs), repeat(int))):
+        raise InputError("runs must be a list of [i, j] integer pairs")
     grid = HyperGrid(N)
-    iset = InternalSet(tuple((i, j) for i, j in runs))
+    iset = InternalSet(tuple(map(tuple, runs)))
     iset.validate_on(grid)
     return grid, iset
 
@@ -357,4 +373,4 @@ def measure_table_csv(rows: list[tuple[Fraction, float]], precision: int = 12) -
     lines = ["delta,cost"]
     for d, cost in rows:
         lines.append(f"{d.numerator}/{d.denominator},{cost:.{precision}f}")
-    return "\n".join(lines) + "\n"
+    return "\n".join([*lines, ""])

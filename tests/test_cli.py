@@ -7,6 +7,7 @@ import math
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from fractaldim._digits import DECIMAL_BASE_BITS
 from fractaldim.cli import main
 
 DOUBLING = {
@@ -160,6 +161,28 @@ class TestCounts:
             "1", "2", "2", "2", "4", "8",
         ]
 
+    def test_geometric_schedule_prints_as_str(self, capsys, tmp_path):
+        from fractaldim import blockset, boxdim
+
+        spec = {
+            "base": 10,
+            "alphabet": 7,
+            "zeros": {"kind": "geometric", "first": 1, "ratio": 2, "horizon": 64},
+            "frees": {"kind": "geometric", "first": 2, "ratio": 2, "horizon": 64},
+        }
+        path = tmp_path / "geo.json"
+        path.write_text(json.dumps(spec))
+        code, out, _ = run_cli(
+            capsys, "counts", "--schedule", str(path), "--levels", "3", "1500"
+        )
+        assert code == 0
+        source = blockset.cell_source(blockset.schedule_from_json(spec))
+        series = boxdim.count_series(source, range(3, 1501))
+        # both columns run past the size above which values are formatted from their predecessor
+        assert min(10**1500, series.entries[-1].n_cells) > 2**DECIMAL_BASE_BITS
+        rows = [f"{e.m},1/{10**e.m},{e.n_cells}" for e in series.entries]
+        assert out == "\n".join(["m,delta,n_cells", *rows, ""])
+
     def test_source_exclusivity(self, capsys, doubling_path):
         code, _, err = run_cli(
             capsys, "counts", "--rule", "cantor", "--schedule", doubling_path,
@@ -244,6 +267,15 @@ class TestHyperHsd:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    def test_interval_count_above_index_size(self, capsys, tmp_path):
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps({"N": 10**20, "runs": [[0, 10**20]]}))
+        code, out, _ = run_cli(
+            capsys, "hyper-hsd", str(path), "--delta", f"1/{10**20}", "--s", "1/2"
+        )
+        assert code == 0
+        assert "intervals,100000000000000000001" in out.splitlines()
+
     def test_infeasible_delta_exit_2(self, capsys, tmp_path):
         path = tmp_path / "set.json"
         path.write_text(json.dumps({"N": 10, "runs": [[0, 5]]}))
@@ -264,6 +296,22 @@ class TestFractal:
             if ln.startswith("perimeter,")
         ][:4]
         assert first_perims == ["3/1", "4/1", "16/3", "64/9"]
+
+    def test_menger_standard_prints_as_str(self, capsys):
+        from fractaldim.selfsimilar import closed_form_check
+
+        code, out, _ = run_cli(capsys, "fractal", "menger_standard", "--m-max", "800")
+        assert code == 0
+        lines, checks = ["quantity,unit,m,recurrence,closed_form,deviation"], []
+        for report in closed_form_check("menger_standard", 800):
+            for m, row in enumerate(report.rows):
+                cells = ",".join(f"{f.numerator}/{f.denominator}" for f in row)
+                lines.append(f"{report.quantity},{report.unit},{m},{cells}")
+            dev = report.max_deviation
+            flag = "consistent" if report.consistent else "inconsistent"
+            checks.append(f"check,{report.quantity},{flag},{dev.numerator}/{dev.denominator}")
+        assert 27**800 > 2**DECIMAL_BASE_BITS
+        assert out == "\n".join([*lines, *checks, ""])
 
     def test_unknown_name_exit_4(self, capsys):
         code, _, _ = run_cli(capsys, "fractal", "dragon", "--m-max", "3")
@@ -518,3 +566,19 @@ def test_hyper_hsd_oracle_contract_on_mutated_json(capsys, tmp_path, data, delta
     assert_contract(
         *run_cli(capsys, "hyper-hsd", str(path), f"--delta={delta}", f"--s={s}", "--oracle")
     )
+
+
+@settings(FUZZ, max_examples=300)
+@given(data=st.data())
+def test_counts_schedule_contract_on_mutated_json(capsys, tmp_path, data):
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps(_mutated(data, DOUBLING)))
+    assert_contract(*run_cli(capsys, "counts", "--schedule", str(path), "--levels", "1", "6"))
+
+
+@settings(FUZZ, max_examples=300)
+@given(data=st.data())
+def test_dim_block_contract_on_mutated_json(capsys, tmp_path, data):
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps(_mutated(data, DOUBLING)))
+    assert_contract(*run_cli(capsys, "dim-block", str(path), "--n-max", "6"))

@@ -75,6 +75,24 @@ class TestInternalSet:
         with pytest.raises(InputError):
             internal_set_from_json({"N": 10, "runs": [[0, 2]], "what": 1})
 
+    @pytest.mark.parametrize(
+        "runs, message",
+        [
+            ([[5, 6], [-3, -2]], "bad run [-3, -2]"),
+            ([[0, 1], [5, 3], [2, 2]], "bad run [5, 3]"),
+            ([[0, 3], [4, 6]], "runs must be sorted with a gap of at least one index"),
+            ([[0, 3], [8, 9], [2, 6]], "runs must be sorted with a gap of at least one index"),
+            ([[0, 3], [5]], "runs must be a list of [i, j] integer pairs"),
+            ([[0, 3], [5, 6.0]], "runs must be a list of [i, j] integer pairs"),
+            ([[0, 3], (5, 6)], "runs must be a list of [i, j] integer pairs"),
+            ([[0, 3], 5], "runs must be a list of [i, j] integer pairs"),
+        ],
+    )
+    def test_json_run_messages(self, runs, message):
+        with pytest.raises(InputError) as info:
+            internal_set_from_json({"N": 100, "runs": runs})
+        assert str(info.value) == message
+
 
 class TestDiscreteLebesgue:
     def test_full_grid(self):
@@ -182,6 +200,16 @@ class TestGreedyPartition:
     def test_infeasible_delta(self):
         with pytest.raises(InfeasibleDeltaError):
             h_delta_s_greedy(InternalSet(((0, 3),)), Fraction(1, 200), 1, HyperGrid(100))
+
+    def test_count_without_len(self):
+        small = InternalSet(((0, 30), (40, 45)))
+        for solve in (h_delta_s_greedy, h_delta_s_dp):
+            part = solve(small, Fraction(1, 16), 0.7, HyperGrid(100))
+            assert part.count == len(part.intervals) == 7
+        # more intervals than sys.maxsize: len() of them overflows, the count does not
+        N = 10**20
+        part = h_delta_s_greedy(InternalSet(((0, N),)), Fraction(1, N), 0.5, HyperGrid(N))
+        assert part.count == N + 1
 
     def test_s_validation(self):
         with pytest.raises(InputError):
