@@ -18,12 +18,13 @@ floats appear only at the reporting boundary.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate, cycle, islice, product
 from typing import Iterator
 
 from . import seqgen
@@ -88,22 +89,42 @@ class CutPoint:
 class DimReport:
     """Cut-family dimension samples and their tail values.
 
+    ``cut_m[j]`` and ``cut_x[j]`` are the digit position and free-digit
+    count X of cut j = 0..2n+1: after the zero block of pair j // 2 at even
+    j, after its free block at odd j.  ``scale`` is log(sigma)/log(beta), or
+    None when alphabet == base and the values are exact Fractions X/m.
     ``lower`` is the tail value along the after-zeros cuts, ``upper`` the
     tail along the after-frees cuts.  Coverings cut after a zero block are
     the efficient ones, so the lower family is what gets reported as the
-    Hausdorff dimension.  Values are exact Fractions when alphabet == base.
-    ``converged`` holds when the last two samples of each family differ by
-    less than the requested tolerance; ``spread`` is the larger of the two
-    achieved gaps.
+    Hausdorff dimension.  ``converged`` holds when the last two samples of
+    each family differ by less than the requested tolerance; ``spread`` is
+    the larger of the two achieved gaps.  The per-family sample tuples
+    (n, m, x_count, value) are built on first access.
     """
 
-    lower_samples: tuple[tuple[int, int, int, object], ...]  # (n, m, x_count, value)
-    upper_samples: tuple[tuple[int, int, int, object], ...]
+    cut_m: tuple[int, ...]
+    cut_x: tuple[int, ...]
+    scale: float | None
     lower: object
     upper: object
     converged: bool
     spread: float
     n_used: int
+
+    def _samples(self, first: int) -> tuple[tuple[int, int, int, object], ...]:
+        m, x, scale = self.cut_m, self.cut_x, self.scale
+        return tuple(
+            (j // 2, m[j], x[j], _dim_value(x[j], m[j], scale))
+            for j in range(first, len(m), 2)
+        )
+
+    @cached_property
+    def lower_samples(self) -> tuple[tuple[int, int, int, object], ...]:
+        return self._samples(0)
+
+    @cached_property
+    def upper_samples(self) -> tuple[tuple[int, int, int, object], ...]:
+        return self._samples(1)
 
 
 @dataclass(frozen=True)
@@ -122,9 +143,9 @@ def _block_iter(schedule: BlockSchedule) -> Iterator[int]:
     """Block lengths, zero and free blocks alternating, horizon-guarded."""
     zit = seqgen._iter_terms(schedule.zeros)
     fit = seqgen._iter_terms(schedule.frees)
-    for n in range(schedule.horizon + 1):
-        yield next(zit)
-        yield next(fit)
+    # one next() per block, so a zero block is still yielded when its free
+    # block fails; neither term iterator ever stops, they raise
+    yield from islice(map(next, cycle((zit, fit))), 2 * schedule.horizon + 2)
     raise HorizonExceededError(
         f"digit position walk ran past horizon {schedule.horizon}",
         index=schedule.horizon,
@@ -146,25 +167,40 @@ class _BlockTable:
         self._error: HorizonExceededError | None = None
 
     def grow(self, blocks: int) -> None:
-        """Extend the table to at least ``blocks`` blocks."""
-        while len(self.ends) < blocks:
-            if self._error is not None:
-                raise self._error
-            try:
-                length = next(self._walk)
-            except HorizonExceededError as exc:
-                self._error = exc  # the finished walk would raise StopIteration next
-                raise
-            j = len(self.ends)
+        """Extend the table to at least ``blocks`` blocks, in one batch."""
+        j = len(self.ends)
+        if j >= blocks:
+            return
+        if self._error is not None:
+            raise self._error
+        lengths: list[int] = []
+        try:
+            lengths.extend(islice(self._walk, blocks - j))
+        except HorizonExceededError as exc:
+            self._error = exc  # the finished walk would raise StopIteration next
+            raise
+        finally:
+            # the blocks walked before an error stay in the table
             end, free = (self.ends[-1], self.frees[-1]) if j else (0, 0)
-            self.ends.append(end + length)
-            self.frees.append(free + length if j % 2 else free)
+            self.ends += islice(accumulate(lengths, initial=end), 1, None)
+            # zero blocks sit at even table positions and add no free digit
+            lengths[j % 2::2] = [0] * len(range(j % 2, len(lengths), 2))
+            self.frees += islice(accumulate(lengths, initial=free), 1, None)
 
     def block(self, m: int) -> int:
-        """Index of the first block ending at or after digit position ``m``."""
-        while not self.ends or self.ends[-1] < m:
-            self.grow(len(self.ends) + 1)
-        return bisect_left(self.ends, m)
+        """Index of the first block ending at or after digit position ``m``.
+
+        Each growth at most doubles the table and adds no more blocks than
+        digits are missing, as every block is at least one digit long.
+        """
+        ends = self.ends
+        while not ends or ends[-1] < m:
+            try:
+                self.grow(len(ends) + (min(len(ends), m - ends[-1]) if ends else 1))
+            except HorizonExceededError:
+                if not ends or ends[-1] < m:
+                    raise
+        return bisect_left(ends, m)
 
     def x_count(self, m: int) -> int:
         if m == 0:
@@ -220,12 +256,17 @@ def cover_count(schedule: BlockSchedule, m: int) -> int:
     return schedule.alphabet ** x_count(schedule, m)
 
 
-def _dim_value(schedule: BlockSchedule, x: int, m: int):
-    """X/m, scaled by log(sigma)/log(beta): an exact Fraction when sigma == beta."""
-    ratio = Fraction(x, m)
+def _scale(schedule: BlockSchedule) -> float | None:
+    """log(sigma)/log(beta), or None when sigma == beta and X/m stays exact."""
     if schedule.alphabet == schedule.base:
-        return ratio
-    return float(ratio) * (math.log(schedule.alphabet) / math.log(schedule.base))
+        return None
+    return math.log(schedule.alphabet) / math.log(schedule.base)
+
+
+def _dim_value(x: int, m: int, scale: float | None):
+    """X/m, times ``scale`` = log(sigma)/log(beta) unless None: then an exact Fraction."""
+    # int / int is correctly rounded, as float(Fraction(x, m)) is
+    return Fraction(x, m) if scale is None else x / m * scale
 
 
 def local_dim(schedule: BlockSchedule, m: int):
@@ -235,7 +276,7 @@ def local_dim(schedule: BlockSchedule, m: int):
     """
     if m < 1:
         raise OutOfRangeError("local dimension needs m >= 1")
-    return _dim_value(schedule, x_count(schedule, m), m)
+    return _dim_value(x_count(schedule, m), m, _scale(schedule))
 
 
 def _cut_table(schedule: BlockSchedule, n_max: int) -> tuple[_BlockTable, int, bool]:
@@ -266,27 +307,24 @@ def dim_bounds(schedule: BlockSchedule, n_max: int, tol: float = 1e-6) -> DimRep
     if not tol > 0:  # also rejects NaN, which would make every report unconverged
         raise InputError("tol must be positive")
     table, n, truncated = _cut_table(schedule, n_max)
+    cuts = 2 * n + 2
+    cut_m, cut_x = tuple(table.ends[:cuts]), tuple(table.frees[:cuts])
+    scale = _scale(schedule)
 
-    def sample(k, j):
-        m, x = table.ends[j], table.frees[j]
-        return (k, m, x, _dim_value(schedule, x, m))
+    def as_float(j):  # float of cut j's sample, without reducing X/m
+        return cut_x[j] / cut_m[j] * (1.0 if scale is None else scale)
 
-    # both samples of a pair share one index object, which saves memory on long reports
-    lower, upper = zip(*((sample(k, 2 * k), sample(k, 2 * k + 1)) for k in range(n + 1)))
+    def gap(j):  # between the last two samples of the family of cut j
+        return abs(as_float(j) - as_float(j - 2)) if j >= 2 else math.inf
 
-    def gap(samples):
-        if len(samples) < 2:
-            return math.inf
-        return abs(float(samples[-1][3]) - float(samples[-2][3]))
-
-    spread = max(gap(lower), gap(upper))
-    converged = not truncated and spread < tol
+    spread = max(gap(cuts - 2), gap(cuts - 1))
     return DimReport(
-        lower_samples=lower,
-        upper_samples=upper,
-        lower=lower[-1][3],
-        upper=upper[-1][3],
-        converged=converged,
+        cut_m=cut_m,
+        cut_x=cut_x,
+        scale=scale,
+        lower=_dim_value(cut_x[cuts - 2], cut_m[cuts - 2], scale),
+        upper=_dim_value(cut_x[cuts - 1], cut_m[cuts - 1], scale),
+        converged=not truncated and spread < tol,
         spread=spread,
         n_used=n,
     )
@@ -300,7 +338,7 @@ def hausdorff_dim(schedule: BlockSchedule, n_max: int):
     to ``dim_bounds(schedule, n_max).lower``, computed for the last cut only.
     """
     table, n, _ = _cut_table(schedule, n_max)
-    return _dim_value(schedule, table.frees[2 * n], table.ends[2 * n])
+    return _dim_value(table.frees[2 * n], table.ends[2 * n], _scale(schedule))
 
 
 def hs_measure_estimate(schedule: BlockSchedule, s, n_max: int) -> HsEstimate:
@@ -368,10 +406,19 @@ class BlockCellSource(CellSource):
         self.ambient_dim = 1
         self.cell_budget = cell_budget
         self._table = _BlockTable(schedule)
+        self._last = (0, 0, 1)  # (m, X(m), count) of the latest level counted
 
     def count(self, m: int) -> int:
         _check_position(self.schedule, m, 0)
-        return self.schedule.alphabet ** self._table.x_count(m)
+        x = self._table.x_count(m)
+        m_prev, x_prev, n = self._last
+        # X never decreases, so a later level's count is a multiple of an earlier one's
+        if m >= m_prev:
+            n *= self.schedule.alphabet ** (x - x_prev)
+        else:
+            n = self.schedule.alphabet**x
+        self._last = (m, x, n)
+        return n
 
     def enumerate_cells(self, m: int) -> Iterator[tuple[int]]:
         """All admissible m-digit prefixes as cell indices, ascending."""
@@ -384,7 +431,7 @@ class BlockCellSource(CellSource):
         beta, sigma = self.schedule.base, self.schedule.alphabet
         places = [beta ** (m - k) for k in self._table.free_positions(m)]
         # the most significant free digit varies slowest, so cells come ascending
-        for digits in itertools.product(range(sigma), repeat=len(places)):
+        for digits in product(range(sigma), repeat=len(places)):
             yield (sum(d * place for d, place in zip(digits, places)),)
 
 
@@ -396,20 +443,29 @@ def cell_source(schedule: BlockSchedule, cell_budget: int = 10**8) -> BlockCellS
 # wire formats
 
 
-def _format_value(v) -> str:
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    return repr(v)
-
-
 def dim_report_csv(report: DimReport, precision: int = 12) -> str:
-    """CSV rows (kind, n, m, x_count, local_dim) with exact-rational values."""
+    """CSV rows (kind, n, m, x_count, local_dim) with exact-rational values.
+
+    Rows follow the cut table, which is already ordered by position m.
+    """
     lines = ["kind,n,m,x_count,local_dim,local_dim_decimal"]
-    rows = [(AFTER_ZEROS,) + s for s in report.lower_samples]
-    rows += [(AFTER_FREES,) + s for s in report.upper_samples]
-    rows.sort(key=lambda r: r[2])
-    for kind, n, m, x, value in rows:
-        lines.append(f"{kind},{n},{m},{x},{_format_value(value)},{float(value):.{precision}f}")
+    kinds, scale = (AFTER_ZEROS, AFTER_FREES), report.scale
+    # the last two cuts are the tail values, already reduced: on long blocks
+    # the gcd of the last cut costs as much as all the others together
+    tail = len(report.cut_m) - 2
+    for j, (m, x) in enumerate(zip(report.cut_m, report.cut_x)):
+        head = f"{kinds[j % 2]},{j // 2},{m},{x}"
+        if scale is not None:
+            value = _dim_value(x, m, scale)
+            lines.append(f"{head},{value!r},{value:.{precision}f}")
+            continue
+        if j < tail:
+            g = math.gcd(x, m)
+            num, den = x // g, m // g
+        else:
+            value = (report.lower, report.upper)[j - tail]
+            num, den = value.numerator, value.denominator
+        lines.append(f"{head},{num}/{den},{x / m:.{precision}f}")
     return "\n".join([*lines, ""])
 
 

@@ -33,7 +33,7 @@ from typing import Collection, Iterator, Mapping, Sequence
 from ._fsum import copies
 from .errors import BudgetExceededError, InfeasibleDeltaError, InputError
 
-# cap on the DP oracle's cell updates, the sum over runs of L * min(L, D)
+# cap on the DP oracle's cell updates, L * min(L, D) for the longest run L
 _DP_BUDGET = 2 * 10**7
 
 _START, _END = itemgetter(0), itemgetter(1)
@@ -221,12 +221,14 @@ def h_delta_s_greedy(
 
 
 def h_delta_s_dp(B: InternalSet, delta, s, grid: HyperGrid) -> DeltaPartition:
-    """Exact minimum by dynamic programming over each run, O(L*min(L, D)) per run.
+    """Exact minimum by dynamic programming, O(L*min(L, D)) for the longest run L.
 
-    Serves as the brute-force oracle for the greedy construction; both
-    report costs through the same canonical arithmetic.  Raises
-    BudgetExceededError, before any work, when the cell updates summed over
-    the runs exceed the fixed budget.
+    The optimal split of the first t points of a run depends on t alone, so
+    one table filled up to the longest run serves every run, each traced
+    back from its own length.  Serves as the brute-force oracle for the
+    greedy construction; both report costs through the same canonical
+    arithmetic.  Raises BudgetExceededError, before any work, when the cell
+    updates of that one table exceed the fixed budget.
     """
     _check_s(s)
     delta = Fraction(delta)
@@ -234,26 +236,28 @@ def h_delta_s_dp(B: InternalSet, delta, s, grid: HyperGrid) -> DeltaPartition:
     D = _capacity(delta, grid)
     N = grid.N
     lengths = [j - i + 1 for i, j in B.runs]
-    work = sum(L * min(L, D) for L in lengths)
+    longest = max(lengths, default=0)
+    work = longest * min(longest, D)
     if work > _DP_BUDGET:
         raise BudgetExceededError(
             f"DP oracle needs {work} cell updates, over the budget of {_DP_BUDGET}"
         )
     sf = float(s)
     # w[c] is the cost of one interval of c points
-    w = [0.0] + [(c / N) ** sf for c in range(1, min(D, max(lengths, default=0)) + 1)]
+    w = [0.0] + [(c / N) ** sf for c in range(1, min(D, longest) + 1)]
+    # dp[t] = minimal cost of partitioning t consecutive points; choice[t] is
+    # the size of the last interval of that partition
+    dp = [0.0] * (longest + 1)
+    choice = [0] * (longest + 1)
+    for t in range(1, longest + 1):
+        k = min(D, t)
+        # candidates for c = k, k-1, .., 1; index() keeps the largest c on ties
+        cands = list(map(add, dp[t - k:t], w[k:0:-1]))
+        best = min(cands)
+        dp[t] = best
+        choice[t] = k - cands.index(best)
     intervals: list[tuple[int, int]] = []
     for (i, _), length in zip(B.runs, lengths):
-        # dp[t] = minimal cost of partitioning the first t points of the run
-        dp = [0.0] * (length + 1)
-        choice = [0] * (length + 1)
-        for t in range(1, length + 1):
-            k = min(D, t)
-            # candidates for c = k, k-1, .., 1; index() keeps the largest c on ties
-            cands = list(map(add, dp[t - k:t], w[k:0:-1]))
-            best = min(cands)
-            dp[t] = best
-            choice[t] = k - cands.index(best)
         parts = []
         t = length
         while t > 0:

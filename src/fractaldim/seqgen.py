@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from itertools import accumulate, chain, islice, repeat
+from operator import mul
+from typing import Iterable, Iterator, Sequence
 
 from .errors import HorizonExceededError, InputError
 
@@ -138,13 +140,19 @@ class GrowthVerdict:
 # term generation
 
 
+_LOG10_2 = 0.30102999566398120
+
+#: largest chunk of an arithmetic or geometric sequence produced at once
+_CHUNK_MAX = 1024
+
+
 def _digits_exceed(value: int, cap: int) -> bool:
     bits = value.bit_length()
     # log10(2) bounds decide all but borderline cases without big-int work;
     # the exact fallback compares against 10**cap (digits > cap iff >= 10**cap)
-    if (bits - 1) * 0.30102999566398120 > cap:
+    if (bits - 1) * _LOG10_2 > cap:
         return True
-    if bits * 0.30102999566398120 + 1 < cap:
+    if bits * _LOG10_2 + 1 < cap:
         return False
     return value >= 10**cap
 
@@ -158,6 +166,49 @@ def _check_digits(value: int, cap: int, index: int) -> int:
     return value
 
 
+def _monotone_chunks(spec: SequenceSpec) -> Iterator[Iterable[int]]:
+    """Consecutive runs of an arithmetic or geometric sequence, doubling in size.
+
+    The terms never decrease, so a chunk whose last term is within the digit
+    cap is within it throughout.  An arithmetic chunk checks that last term;
+    a geometric one bounds its bit length before building anything.  From
+    the first chunk that might cross the cap on, the terms come one at a
+    time, each checked, so the error names the first term past the cap.
+    """
+    cap, step, ratio = spec.digit_cap, spec.step, spec.ratio
+    arithmetic = spec.kind == "arithmetic"
+    t, i, size = spec.first, 0, 1
+    while True:
+        if arithmetic:
+            last = t + (size - 1) * step
+            fits = not _digits_exceed(last, cap)
+        else:
+            # t * ratio**(size-1) < 2**bits, as ratio <= 2**(ratio-1).bit_length()
+            bits = t.bit_length() + (size - 1) * (ratio - 1).bit_length()
+            fits = bits * _LOG10_2 + 1 < cap
+        if not fits:
+            yield _stepped_terms(spec, t, i)
+            return
+        if arithmetic:
+            yield range(t, last + 1, step) if step else repeat(t, size)
+            t = last + step
+        else:
+            chunk = list(accumulate(repeat(ratio, size - 1), mul, initial=t))
+            yield chunk
+            t = chunk[-1] * ratio
+        i += size
+        size = min(2 * size, _CHUNK_MAX)
+
+
+def _stepped_terms(spec: SequenceSpec, t: int, i: int) -> Iterator[int]:
+    """Arithmetic or geometric terms from ``t`` at index ``i``, each checked."""
+    cap = spec.digit_cap
+    while True:
+        yield _check_digits(t, cap, i)
+        t = t + spec.step if spec.kind == "arithmetic" else t * spec.ratio
+        i += 1
+
+
 def _iter_terms(spec: SequenceSpec) -> Iterator[int]:
     cap = spec.digit_cap
     k = spec.kind
@@ -168,18 +219,8 @@ def _iter_terms(spec: SequenceSpec) -> Iterator[int]:
             f"explicit sequence has only {len(spec.terms)} terms",
             index=len(spec.terms),
         )
-    if k == "arithmetic":
-        t, i = spec.first, 0
-        while True:
-            yield _check_digits(t, cap, i)
-            t += spec.step
-            i += 1
-    if k == "geometric":
-        t, i = spec.first, 0
-        while True:
-            yield _check_digits(t, cap, i)
-            t *= spec.ratio
-            i += 1
+    if k in ("arithmetic", "geometric"):
+        yield from chain.from_iterable(_monotone_chunks(spec))
     if k == "double_exponential":
         b, i = spec.base, 0
         exponent = 1  # b**n at n = 0
@@ -225,11 +266,7 @@ def terms(spec: SequenceSpec, n: int) -> list[int]:
             f"requested term index {n - 1} is beyond horizon {spec.horizon}",
             index=spec.horizon,
         )
-    out = []
-    it = _iter_terms(spec)
-    for _ in range(n):
-        out.append(next(it))
-    return out
+    return list(islice(_iter_terms(spec), n))
 
 
 def prefix_sums(spec: SequenceSpec, n: int) -> list[int]:

@@ -541,6 +541,21 @@ class TestBlockTable:
         assert (rep.n_used, rep.converged) == (0, False)
         assert hausdorff_dim(sch, 4) == rep.lower == 0
 
+    def test_zero_block_counts_when_its_free_block_fails(self):
+        # blocks 1,1,2,1,3 cover positions 1..8; the third free block does not exist
+        sch = BlockSchedule(
+            base=3,
+            alphabet=3,
+            zeros=SequenceSpec.explicit([1, 2, 3, 4]),
+            frees=SequenceSpec.explicit([1, 1]),
+        )
+        src = cell_source(sch)
+        assert [src.count(m) for m in range(9)] == [1, 1, 3, 3, 3, 9, 9, 9, 9]
+        assert digit_role(sch, 8) == FORCED_ZERO
+        with pytest.raises(HorizonExceededError) as exc:
+            src.count(9)
+        assert (str(exc.value), exc.value.index) == ("explicit sequence has only 2 terms", 2)
+
     def test_count_series_walks_once(self, monkeypatch):
         from fractaldim import seqgen
         from fractaldim.boxdim import count_series
@@ -561,3 +576,92 @@ class TestBlockTable:
         series = count_series(cell_source(sch), list(range(1, 5001)))
         assert series.entries[-1].n_cells == 2**2500
         assert drawn <= 5002
+
+
+# ---------------------------------------------------------------------------
+# the report printed from the cut columns
+
+
+def _reference_report(sch: BlockSchedule, n_max: int, tol: float, precision: int):
+    """Samples, tail values and CSV built the direct way: one Fraction per cut, rows sorted by m."""
+    ends, xs = [], []
+    end = x = 0
+    for k in range(min(n_max, sch.horizon) + 1):
+        pair = []
+        for spec in (sch.zeros, sch.frees):
+            lengths = _block_lengths(spec, k + 1)
+            if len(lengths) <= k or len(str(lengths[k])) > spec.digit_cap:
+                break
+            pair.append(lengths[k])
+        if len(pair) < 2:
+            break
+        ends += [end + pair[0], end + sum(pair)]
+        xs += [x, x + pair[1]]
+        end, x = ends[-1], xs[-1]
+    n = len(ends) // 2 - 1
+
+    def value(j):
+        ratio = Fraction(xs[j], ends[j])
+        if sch.alphabet == sch.base:
+            return ratio
+        return float(ratio) * (math.log(sch.alphabet) / math.log(sch.base))
+
+    lower = tuple((k, ends[2 * k], xs[2 * k], value(2 * k)) for k in range(n + 1))
+    upper = tuple((k, ends[2 * k + 1], xs[2 * k + 1], value(2 * k + 1)) for k in range(n + 1))
+
+    def gap(samples):
+        return abs(float(samples[-1][3]) - float(samples[-2][3])) if len(samples) > 1 else math.inf
+
+    spread = max(gap(lower), gap(upper))
+    rows = sorted([(AFTER_ZEROS, *s) for s in lower] + [(AFTER_FREES, *s) for s in upper],
+                  key=lambda r: r[2])
+    lines = ["kind,n,m,x_count,local_dim,local_dim_decimal"]
+    for kind, k, m, xc, v in rows:
+        exact = f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else repr(v)
+        lines.append(f"{kind},{k},{m},{xc},{exact},{float(v):.{precision}f}")
+    return {
+        "lower_samples": lower,
+        "upper_samples": upper,
+        "lower": lower[-1][3],
+        "upper": upper[-1][3],
+        "spread": spread,
+        "converged": n == n_max and spread < tol,
+        "n_used": n,
+        "csv": "\n".join(lines) + "\n",
+    }
+
+
+_report_spec = st.builds(
+    lambda kind, first, growth, cap, horizon: (
+        SequenceSpec.arithmetic(first, growth - 1, digit_cap=cap, horizon=horizon)
+        if kind == "arithmetic"
+        else SequenceSpec.geometric(first, growth, digit_cap=cap, horizon=horizon)
+    ),
+    st.sampled_from(["arithmetic", "geometric"]),
+    st.integers(1, 9),
+    st.integers(1, 4),
+    st.sampled_from([1, 2, 3, 40]),
+    st.integers(2, 60),
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    beta=st.integers(2, 7),
+    sigma=st.integers(2, 7),
+    zeros=_report_spec,
+    frees=st.one_of(st.none(), _report_spec),
+    n_max=st.integers(2, 70),
+    tol=st.sampled_from([1e-6, 0.05, 1.0]),
+    precision=st.integers(1, 20),
+)
+def test_report_matches_per_sample_reference(beta, sigma, zeros, frees, n_max, tol, precision):
+    # sigma == beta gives exact Fractions, sigma < beta scaled floats; small
+    # horizons and digit caps truncate the report
+    sch = BlockSchedule(base=max(beta, sigma), alphabet=sigma, zeros=zeros, frees=frees)
+    want = _reference_report(sch, n_max, tol, precision)
+    rep = dim_bounds(sch, n_max, tol=tol)
+    got = {key: getattr(rep, key) for key in want if key != "csv"}
+    got["csv"] = dim_report_csv(rep, precision)
+    assert got == want
+    assert [type(s[3]) for s in rep.lower_samples] == [type(s[3]) for s in want["lower_samples"]]

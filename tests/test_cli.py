@@ -136,6 +136,31 @@ class TestTables:
         _, second, _ = run_cli(capsys, "tables-ch6")
         assert first == second
 
+    def test_one_estimate_per_family_row(self, capsys, monkeypatch):
+        # with alphabet == base the estimate X/m is the same for all four sigma
+        from fractaldim import blockset
+
+        real, calls = blockset.hausdorff_dim, []
+
+        def counting(schedule, n_max):
+            calls.append(schedule)
+            return real(schedule, n_max)
+
+        monkeypatch.setattr(blockset, "hausdorff_dim", counting)
+        code, out, _ = run_cli(capsys, "tables-ch6", "--n-max", "20")
+        assert code == 0 and len(out.splitlines()) == 41
+        assert len(calls) == 10
+        # each row's estimate is the exact X/m of its own schedule at every sigma
+        for line in out.splitlines()[1:]:
+            family, param, sigma, _, estimate, _, _ = line.split(",")
+            spec = {"kind": family, "first": 1, "horizon": 21}
+            spec["ratio" if family == "geometric" else "step"] = int(param)
+            sch = blockset.schedule_from_json(
+                {"base": int(sigma), "alphabet": int(sigma), "zeros": spec}
+            )
+            value = real(sch, 20)
+            assert estimate == f"{value.numerator}/{value.denominator}"
+
 
 class TestCounts:
     def test_rule_counts_csv(self, capsys):
@@ -531,12 +556,22 @@ def _mutated(data, doc):
     return doc
 
 
+def _csv_text(doc):
+    """CSV text of a mutated row list: list rows joined by commas, anything else as str()."""
+    rows = doc if isinstance(doc, list) else [doc]
+    return "".join(
+        (",".join(map(str, row)) if isinstance(row, list) else str(row)) + "\n" for row in rows
+    )
+
+
 def assert_contract(code, out, err):
     assert code in (0, 2, 3, 4)
     if code:
         assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+    else:
+        assert err == "" and out.endswith("\n")
 
 
 FUZZ = settings(
@@ -582,3 +617,41 @@ def test_dim_block_contract_on_mutated_json(capsys, tmp_path, data):
     path = tmp_path / "schedule.json"
     path.write_text(json.dumps(_mutated(data, DOUBLING)))
     assert_contract(*run_cli(capsys, "dim-block", str(path), "--n-max", "6"))
+
+
+# cantor counts at levels 1..8: 2**m cells of side 3**-m
+CANTOR_ROWS = [["m", "delta", "n_cells"]] + [[m, f"1/{3**m}", 2**m] for m in range(1, 9)]
+
+
+@settings(FUZZ, max_examples=300)
+@given(data=st.data())
+def test_critical_d_contract_on_mutated_csv(capsys, tmp_path, data):
+    path = tmp_path / "counts.csv"
+    path.write_text(_csv_text(_mutated(data, CANTOR_ROWS)))
+    assert_contract(*run_cli(capsys, "critical-d", str(path)))
+
+
+SEQ_SPECS = st.sampled_from(
+    [
+        {"kind": "geometric", "first": 1, "ratio": 3, "horizon": 20},
+        {"kind": "arithmetic", "first": 2, "step": 1, "horizon": 20, "digit_cap": 5},
+        {"kind": "explicit", "terms": [1, 2, 4, 9, 30], "horizon": 4},
+        {"kind": "squared_sum", "seed": 1, "horizon": 8},
+    ]
+)
+SEQ_CHECKS = st.sampled_from(
+    [
+        ["--K", "1", "--window", "1", "4"],
+        ["--K", "1/2", "--window", "0", "3"],
+        ["--squared-sum", "4"],
+        ["--tail-k", "3", "--eps", "1/10"],
+    ]
+)
+
+
+@settings(FUZZ, max_examples=300)
+@given(data=st.data(), base=SEQ_SPECS, check=SEQ_CHECKS)
+def test_seq_check_contract_on_mutated_json(capsys, tmp_path, data, base, check):
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(_mutated(data, base)))
+    assert_contract(*run_cli(capsys, "seq-check", str(path), *check))

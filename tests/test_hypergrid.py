@@ -280,6 +280,60 @@ class TestLongRunsAndBudget:
         dp = h_delta_s_dp(B, Fraction(1), 0.5, grid)
         assert dp.cost == h_delta_s_greedy(B, Fraction(1), 0.5, grid).cost
 
+    def test_dp_budget_charges_one_table_for_all_runs(self):
+        # 30 runs of 1,000 points at D = 1000: one table of 10**6 cell updates
+        # serves them all, where filling one per run would need 3 * 10**7
+        runs = tuple((2000 * k, 2000 * k + 999) for k in range(30))
+        grid = HyperGrid(60_000)
+        B = InternalSet(runs)
+        dp = h_delta_s_dp(B, Fraction(1000, 60_000), 0.5, grid)
+        assert dp.count == 30
+        assert dp.cost == h_delta_s_greedy(B, Fraction(1000, 60_000), 0.5, grid).cost
+
+
+def _reference_dp(B, D, s, N):
+    """The exact DP run afresh over each run; the cost summed exactly and rounded once."""
+    w = [0.0] + [(c / N) ** float(s) for c in range(1, D + 1)]
+    intervals = []
+    for i, j in B.runs:
+        length = j - i + 1
+        dp, choice = [0.0] * (length + 1), [0] * (length + 1)
+        for t in range(1, length + 1):
+            # the largest c wins a tie
+            best_c = max(range(1, min(D, t) + 1), key=lambda c: (-(dp[t - c] + w[c]), c))
+            dp[t], choice[t] = dp[t - best_c] + w[best_c], best_c
+        parts, t = [], length
+        while t:
+            parts.append(choice[t])
+            t -= choice[t]
+        pos = i
+        for c in reversed(parts):
+            intervals.append((pos, pos + c - 1))
+            pos += c
+    sizes = [b - a + 1 for a, b in intervals]
+    cost = float(Fraction(sum(sizes), N)) if s == 1 else math.fsum(w[c] for c in sizes)
+    return intervals, cost
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    gaps_lengths=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 40)), min_size=1, max_size=12),
+    d=st.integers(1, 12),
+    s=st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(3, 10), Fraction(9, 10)]),
+)
+def test_dp_one_table_matches_per_run_reference(gaps_lengths, d, s):
+    runs, pos = [], 0
+    for gap, length in gaps_lengths:
+        pos += gap
+        runs.append((pos, pos + length - 1))
+        pos += length
+    grid = HyperGrid(pos + 1)
+    B = InternalSet(tuple(runs))
+    part = h_delta_s_dp(B, Fraction(d, grid.N), s, grid)
+    intervals, cost = _reference_dp(B, d, s, grid.N)
+    assert list(part.intervals) == intervals
+    assert part.cost == cost and part.count == len(intervals)
+
 
 class TestTraceSuperset:
     def test_unit_interval_full_grid(self):

@@ -5,8 +5,10 @@ outputs of the brute-force oracles computed inline (direct big-integer
 addition and comparison).
 """
 
-import pytest
+import itertools
 from fractions import Fraction
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
@@ -285,3 +287,57 @@ def test_geometric_violates_for_all_K(b, k_num, k_den):
 @given(seed=st.integers(1, 50), n=st.integers(1, 6))
 def test_squared_sum_construction_invariant(seed, n):
     assert all(ok for _, ok in squared_sum_check(SequenceSpec.squared_sum(seed), n))
+
+
+def _reference_terms(spec: SequenceSpec, n: int) -> list[int]:
+    """Arithmetic or geometric terms one at a time, each checked against the digit cap."""
+    out, t = [], spec.first
+    for i in range(n):
+        if len(str(t)) > spec.digit_cap:
+            raise HorizonExceededError(
+                f"term {i} exceeds the digit cap of {spec.digit_cap} decimal digits", index=i
+            )
+        out.append(t)
+        t = t + spec.step if spec.kind == "arithmetic" else t * spec.ratio
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except HorizonExceededError as exc:
+        return ("error", str(exc), exc.index)
+
+
+_capped_spec = st.builds(
+    lambda kind, first, growth, cap, horizon: (
+        SequenceSpec.arithmetic(first, growth - 1, digit_cap=cap, horizon=horizon)
+        if kind == "arithmetic"
+        else SequenceSpec.geometric(first, growth, digit_cap=cap, horizon=horizon)
+    ),
+    st.sampled_from(["arithmetic", "geometric"]),
+    st.integers(1, 120),
+    st.integers(1, 12),
+    st.integers(1, 40),
+    st.integers(0, 2500),
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(spec=_capped_spec, data=st.data())
+def test_chunked_terms_match_per_term_reference(spec, data):
+    # chunks run up to seqgen._CHUNK_MAX terms; a horizon of 2500 reaches that size
+    n = data.draw(st.integers(0, spec.horizon + 1))
+    assert _outcome(terms, spec, n) == _outcome(_reference_terms, spec, n)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(spec=_capped_spec)
+def test_chunks_stay_small_and_within_the_cap(spec):
+    # sixteen chunks reach the largest chunk size; the per-term tail is a generator
+    for chunk in itertools.islice(seqgen._monotone_chunks(spec), 16):
+        if not isinstance(chunk, (list, range, itertools.repeat)):
+            break
+        chunk = list(chunk)
+        assert len(chunk) <= seqgen._CHUNK_MAX
+        assert all(len(str(t)) <= spec.digit_cap for t in chunk)
