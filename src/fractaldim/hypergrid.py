@@ -221,14 +221,15 @@ def h_delta_s_greedy(
 
 
 def h_delta_s_dp(B: InternalSet, delta, s, grid: HyperGrid) -> DeltaPartition:
-    """Exact minimum by dynamic programming, O(L*min(L, D)) for the longest run L.
+    """Exact minimum by dynamic programming, O(L*min(L, D) + card) for the longest run L.
 
     The optimal split of the first t points of a run depends on t alone, so
     one table filled up to the longest run serves every run, each traced
     back from its own length.  Serves as the brute-force oracle for the
     greedy construction; both report costs through the same canonical
     arithmetic.  Raises BudgetExceededError, before any work, when the cell
-    updates of that one table exceed the fixed budget.
+    updates of that one table, or the points traced back through it (card,
+    which bounds the intervals built), exceed the fixed budget.
     """
     _check_s(s)
     delta = Fraction(delta)
@@ -237,7 +238,9 @@ def h_delta_s_dp(B: InternalSet, delta, s, grid: HyperGrid) -> DeltaPartition:
     N = grid.N
     lengths = [j - i + 1 for i, j in B.runs]
     longest = max(lengths, default=0)
-    work = longest * min(longest, D)
+    # the traceback builds between card/D and card intervals; both terms are
+    # at most the sum of L*min(L, D) over the runs, one table per run
+    work = max(longest * min(longest, D), sum(lengths))
     if work > _DP_BUDGET:
         raise BudgetExceededError(
             f"DP oracle needs {work} cell updates, over the budget of {_DP_BUDGET}"

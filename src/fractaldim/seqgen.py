@@ -171,14 +171,16 @@ def _monotone_chunks(spec: SequenceSpec) -> Iterator[Iterable[int]]:
 
     The terms never decrease, so a chunk whose last term is within the digit
     cap is within it throughout.  An arithmetic chunk checks that last term;
-    a geometric one bounds its bit length before building anything.  From
-    the first chunk that might cross the cap on, the terms come one at a
-    time, each checked, so the error names the first term past the cap.
+    a geometric one bounds its bit length before building anything.  No
+    chunk reaches past the horizon, as no reader asks for those terms.  From
+    the first chunk that might cross the cap on, or past the horizon, the
+    terms come one at a time, each checked, so the error names the first
+    term past the cap.
     """
     cap, step, ratio = spec.digit_cap, spec.step, spec.ratio
     arithmetic = spec.kind == "arithmetic"
     t, i, size = spec.first, 0, 1
-    while True:
+    while i <= spec.horizon:
         if arithmetic:
             last = t + (size - 1) * step
             fits = not _digits_exceed(last, cap)
@@ -187,8 +189,7 @@ def _monotone_chunks(spec: SequenceSpec) -> Iterator[Iterable[int]]:
             bits = t.bit_length() + (size - 1) * (ratio - 1).bit_length()
             fits = bits * _LOG10_2 + 1 < cap
         if not fits:
-            yield _stepped_terms(spec, t, i)
-            return
+            break
         if arithmetic:
             yield range(t, last + 1, step) if step else repeat(t, size)
             t = last + step
@@ -197,7 +198,8 @@ def _monotone_chunks(spec: SequenceSpec) -> Iterator[Iterable[int]]:
             yield chunk
             t = chunk[-1] * ratio
         i += size
-        size = min(2 * size, _CHUNK_MAX)
+        size = min(2 * size, _CHUNK_MAX, spec.horizon + 1 - i)
+    yield _stepped_terms(spec, t, i)
 
 
 def _stepped_terms(spec: SequenceSpec, t: int, i: int) -> Iterator[int]:

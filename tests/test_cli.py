@@ -292,6 +292,18 @@ class TestHyperHsd:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    def test_oracle_many_long_runs_over_budget_exit_3(self, capsys, tmp_path):
+        # each run is within the table budget at D = 1; their 10**8 intervals are not
+        runs = [[2 * 10**7 * k, 2 * 10**7 * k + 10**7 - 1] for k in range(10)]
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps({"N": 2 * 10**8, "runs": runs}))
+        code, out, err = run_cli(
+            capsys, "hyper-hsd", str(path), "--delta", "1/200000000", "--s", "1/2", "--oracle"
+        )
+        assert (code, out) == (3, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_interval_count_above_index_size(self, capsys, tmp_path):
         path = tmp_path / "set.json"
         path.write_text(json.dumps({"N": 10**20, "runs": [[0, 10**20]]}))

@@ -290,6 +290,14 @@ class TestLongRunsAndBudget:
         assert dp.count == 30
         assert dp.cost == h_delta_s_greedy(B, Fraction(1000, 60_000), 0.5, grid).cost
 
+    def test_dp_budget_charges_the_traceback(self):
+        # ten runs of 10**7 points at D = 1: the table needs 10**7 cell
+        # updates, but the traceback would build 10**8 intervals
+        runs = tuple((2 * 10**7 * k, 2 * 10**7 * k + 10**7 - 1) for k in range(10))
+        grid = HyperGrid(2 * 10**8)
+        with pytest.raises(BudgetExceededError, match="100000000"):
+            h_delta_s_dp(InternalSet(runs), Fraction(1, 2 * 10**8), 0.5, grid)
+
 
 def _reference_dp(B, D, s, N):
     """The exact DP run afresh over each run; the cost summed exactly and rounded once."""

@@ -334,10 +334,23 @@ def test_chunked_terms_match_per_term_reference(spec, data):
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(spec=_capped_spec)
 def test_chunks_stay_small_and_within_the_cap(spec):
-    # sixteen chunks reach the largest chunk size; the per-term tail is a generator
-    for chunk in itertools.islice(seqgen._monotone_chunks(spec), 16):
+    # the per-term tail, near the cap or past the horizon, is a generator
+    index = 0
+    for chunk in seqgen._monotone_chunks(spec):
         if not isinstance(chunk, (list, range, itertools.repeat)):
             break
         chunk = list(chunk)
+        index += len(chunk)
         assert len(chunk) <= seqgen._CHUNK_MAX
+        assert index - 1 <= spec.horizon
         assert all(len(str(t)) <= spec.digit_cap for t in chunk)
+
+
+def test_chunks_stop_at_the_horizon():
+    # the bit bound lets indices 511..1022 through under this cap, though no
+    # reader asks for anything past index 600
+    spec = SequenceSpec.geometric(1, 2, digit_cap=400, horizon=600)
+    chunks = list(itertools.islice(seqgen._monotone_chunks(spec), 12))
+    built = [c for c in chunks if isinstance(c, list)]
+    assert sum(map(len, built)) == 601 and built[-1][-1] == 2**600
+    assert next(chunks[len(built)]) == 2**601
