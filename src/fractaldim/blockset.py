@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -144,8 +145,9 @@ def _block_iter(schedule: BlockSchedule) -> Iterator[int]:
     zit = seqgen._iter_terms(schedule.zeros)
     fit = seqgen._iter_terms(schedule.frees)
     # one next() per block, so a zero block is still yielded when its free
-    # block fails; neither term iterator ever stops, they raise
-    yield from islice(map(next, cycle((zit, fit))), 2 * schedule.horizon + 2)
+    # block fails; neither term iterator ever stops, they raise.  No walk
+    # draws sys.maxsize blocks, so that cap on a huge horizon changes nothing.
+    yield from islice(map(next, cycle((zit, fit))), min(2 * schedule.horizon + 2, sys.maxsize))
     raise HorizonExceededError(
         f"digit position walk ran past horizon {schedule.horizon}",
         index=schedule.horizon,
@@ -173,6 +175,8 @@ class _BlockTable:
             return
         if self._error is not None:
             raise self._error
+        if blocks > sys.maxsize:
+            raise InputError(f"block count must be <= {sys.maxsize}")
         lengths: list[int] = []
         try:
             lengths.extend(islice(self._walk, blocks - j))
@@ -279,24 +283,6 @@ def local_dim(schedule: BlockSchedule, m: int):
     return _dim_value(x_count(schedule, m), m, _scale(schedule))
 
 
-def _cut_table(schedule: BlockSchedule, n_max: int) -> tuple[_BlockTable, int, bool]:
-    """The table grown through block pair n, that n, and whether n < n_max.
-
-    n stops short at the horizon, or at the last pair walked before a digit cap.
-    """
-    if n_max < 2:
-        raise InputError("dim_bounds needs n_max >= 2")
-    table = _BlockTable(schedule)
-    n = min(n_max, schedule.horizon)
-    try:
-        table.grow(2 * n + 2)
-    except HorizonExceededError:
-        n = len(table.ends) // 2 - 1
-        if n < 0:
-            raise
-    return table, n, n < n_max
-
-
 def dim_bounds(schedule: BlockSchedule, n_max: int, tol: float = 1e-6) -> DimReport:
     """Lower/upper dimension from the two cut families through block n_max.
 
@@ -306,7 +292,17 @@ def dim_bounds(schedule: BlockSchedule, n_max: int, tol: float = 1e-6) -> DimRep
     """
     if not tol > 0:  # also rejects NaN, which would make every report unconverged
         raise InputError("tol must be positive")
-    table, n, truncated = _cut_table(schedule, n_max)
+    if n_max < 2:
+        raise InputError("dim_bounds needs n_max >= 2")
+    table = _BlockTable(schedule)
+    n = min(n_max, schedule.horizon)
+    try:
+        table.grow(2 * n + 2)
+    except HorizonExceededError:
+        # stop at the last block pair walked before the digit cap
+        n = len(table.ends) // 2 - 1
+        if n < 0:
+            raise
     cuts = 2 * n + 2
     cut_m, cut_x = tuple(table.ends[:cuts]), tuple(table.frees[:cuts])
     scale = _scale(schedule)
@@ -324,7 +320,7 @@ def dim_bounds(schedule: BlockSchedule, n_max: int, tol: float = 1e-6) -> DimRep
         scale=scale,
         lower=_dim_value(cut_x[cuts - 2], cut_m[cuts - 2], scale),
         upper=_dim_value(cut_x[cuts - 1], cut_m[cuts - 1], scale),
-        converged=not truncated and spread < tol,
+        converged=n == n_max and spread < tol,
         spread=spread,
         n_used=n,
     )
@@ -334,11 +330,9 @@ def hausdorff_dim(schedule: BlockSchedule, n_max: int):
     """Tail value along the after-zeros cuts, reported as the Hausdorff dimension.
 
     The after-zeros scales are where the efficient covers of a digit-block
-    set live; both cut families remain available through dim_bounds.  Equal
-    to ``dim_bounds(schedule, n_max).lower``, computed for the last cut only.
+    set live; both cut families remain available through dim_bounds.
     """
-    table, n, _ = _cut_table(schedule, n_max)
-    return _dim_value(table.frees[2 * n], table.ends[2 * n], _scale(schedule))
+    return dim_bounds(schedule, n_max).lower
 
 
 def hs_measure_estimate(schedule: BlockSchedule, s, n_max: int) -> HsEstimate:

@@ -11,11 +11,12 @@ terms: with the default cap the base-2 tower stops after index 5.)
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, count, islice, repeat
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import HorizonExceededError, InputError
 
@@ -142,9 +143,6 @@ class GrowthVerdict:
 
 _LOG10_2 = 0.30102999566398120
 
-#: largest chunk of an arithmetic or geometric sequence produced at once
-_CHUNK_MAX = 1024
-
 
 def _digits_exceed(value: int, cap: int) -> bool:
     bits = value.bit_length()
@@ -166,87 +164,83 @@ def _check_digits(value: int, cap: int, index: int) -> int:
     return value
 
 
-def _monotone_chunks(spec: SequenceSpec) -> Iterator[Iterable[int]]:
-    """Consecutive runs of an arithmetic or geometric sequence, doubling in size.
+def _raw_terms(spec: SequenceSpec) -> Iterator[int]:
+    """The terms a_0, a_1, .. without the digit cap; an explicit list ends in an error.
 
-    The terms never decrease, so a chunk whose last term is within the digit
-    cap is within it throughout.  An arithmetic chunk checks that last term;
-    a geometric one bounds its bit length before building anything.  No
-    chunk reaches past the horizon, as no reader asks for those terms.  From
-    the first chunk that might cross the cap on, or past the horizon, the
-    terms come one at a time, each checked, so the error names the first
-    term past the cap.
+    Arithmetic and geometric terms come straight from C iterators, with no
+    generator frame around them.  The other kinds refuse an exponent far
+    past the cap before raising anything to it.
     """
-    cap, step, ratio = spec.digit_cap, spec.step, spec.ratio
-    arithmetic = spec.kind == "arithmetic"
-    t, i, size = spec.first, 0, 1
-    while i <= spec.horizon:
-        if arithmetic:
-            last = t + (size - 1) * step
-            fits = not _digits_exceed(last, cap)
-        else:
-            # t * ratio**(size-1) < 2**bits, as ratio <= 2**(ratio-1).bit_length()
-            bits = t.bit_length() + (size - 1) * (ratio - 1).bit_length()
-            fits = bits * _LOG10_2 + 1 < cap
-        if not fits:
-            break
-        if arithmetic:
-            yield range(t, last + 1, step) if step else repeat(t, size)
-            t = last + step
-        else:
-            chunk = list(accumulate(repeat(ratio, size - 1), mul, initial=t))
-            yield chunk
-            t = chunk[-1] * ratio
-        i += size
-        size = min(2 * size, _CHUNK_MAX, spec.horizon + 1 - i)
-    yield _stepped_terms(spec, t, i)
+    if spec.kind == "arithmetic":
+        return count(spec.first, spec.step)
+    if spec.kind == "geometric":
+        return accumulate(repeat(spec.ratio), mul, initial=spec.first)
+    return _grown_terms(spec)
 
 
-def _stepped_terms(spec: SequenceSpec, t: int, i: int) -> Iterator[int]:
-    """Arithmetic or geometric terms from ``t`` at index ``i``, each checked."""
-    cap = spec.digit_cap
-    while True:
-        yield _check_digits(t, cap, i)
-        t = t + spec.step if spec.kind == "arithmetic" else t * spec.ratio
-        i += 1
-
-
-def _iter_terms(spec: SequenceSpec) -> Iterator[int]:
-    cap = spec.digit_cap
-    k = spec.kind
+def _grown_terms(spec: SequenceSpec) -> Iterator[int]:
+    cap, k = spec.digit_cap, spec.kind
     if k == "explicit":
-        for i, t in enumerate(spec.terms):
-            yield _check_digits(t, cap, i)
+        yield from spec.terms
         raise HorizonExceededError(
             f"explicit sequence has only {len(spec.terms)} terms",
             index=len(spec.terms),
         )
-    if k in ("arithmetic", "geometric"):
-        yield from chain.from_iterable(_monotone_chunks(spec))
     if k == "double_exponential":
         b, i = spec.base, 0
         exponent = 1  # b**n at n = 0
         while True:
             _guard_exponent(b, exponent, cap, i)
-            yield _check_digits(b**exponent, cap, i)
+            yield b**exponent
             exponent *= b
             i += 1
     if k == "power_tower":
         t, i = 1, 0
         while True:
             yield t
-            _guard_exponent(spec.base, t, cap, i + 1)
-            t = _check_digits(spec.base**t, cap, i + 1)
             i += 1
+            _guard_exponent(spec.base, t, cap, i)
+            t = spec.base**t
     if k == "squared_sum":
-        total, i = 0, 0
-        t = spec.seed
+        total, t = 0, spec.seed
         while True:
-            yield _check_digits(t, cap, i)
+            yield t
             total += t
             t = total * total
-            i += 1
     raise AssertionError(f"unhandled kind {k}")
+
+
+def _safe_prefix(spec: SequenceSpec) -> int:
+    """How many leading terms surely fit under the digit cap, at most horizon + 1.
+
+    Arithmetic and geometric terms never decrease.  An arithmetic prefix is
+    exact: everything through the horizon, or up to the first term reaching
+    10**cap.  A geometric one is all or nothing, from a bound on the bit
+    length of the term at the horizon.  Every other kind gets 0.
+    """
+    cap, n = spec.digit_cap, spec.horizon + 1
+    if spec.kind == "arithmetic":
+        first, step = spec.first, spec.step
+        if not _digits_exceed(first + spec.horizon * step, cap):
+            return n
+        # step > 0 here unless the first term is already too long
+        return max(0, -((first - 10**cap) // step)) if step else 0
+    if spec.kind == "geometric":
+        if spec.ratio == 1:
+            return 0 if _digits_exceed(spec.first, cap) else n
+        # a_horizon < 2**bits, as ratio <= 2**(ratio-1).bit_length(); and
+        # 2**bits < 10**cap when 10*bits <= 33*cap, as 2**33 < 10**10
+        bits = spec.first.bit_length() + spec.horizon * (spec.ratio - 1).bit_length()
+        return n if 10 * bits <= 33 * cap else 0
+    return 0
+
+
+def _iter_terms(spec: SequenceSpec) -> Iterator[int]:
+    """The terms a_0, a_1, .., each past the safe prefix checked against the digit cap."""
+    raw, known = _raw_terms(spec), _safe_prefix(spec)
+    yield from islice(raw, min(known, sys.maxsize))
+    for i, t in enumerate(raw, known):
+        yield _check_digits(t, spec.digit_cap, i)
 
 
 def _guard_exponent(base: int, exponent: int, cap: int, index: int) -> None:
@@ -268,6 +262,8 @@ def terms(spec: SequenceSpec, n: int) -> list[int]:
             f"requested term index {n - 1} is beyond horizon {spec.horizon}",
             index=spec.horizon,
         )
+    if n > sys.maxsize:
+        raise InputError(f"term count must be <= {sys.maxsize}")
     return list(islice(_iter_terms(spec), n))
 
 

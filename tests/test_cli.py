@@ -497,6 +497,41 @@ class TestRejectedInput:
         path.write_text(json.dumps({"kind": "arithmetic", "first": 1, "step": 1}))
         assert_rejected(*run_cli(capsys, "seq-check", str(path), "--tail-k", "-1"))
 
+    @pytest.mark.parametrize(
+        "command", [["counts", "--levels", "1", "6", "--schedule"], ["dim-block", "--n-max", "5"]]
+    )
+    def test_huge_horizon_walks_like_a_small_one(self, capsys, tmp_path, command):
+        outputs = []
+        for horizon in (10**6, 10**19):
+            spec = copy.deepcopy(DOUBLING)
+            spec["zeros"]["horizon"] = horizon
+            path = tmp_path / f"horizon{horizon}.json"
+            path.write_text(json.dumps(spec))
+            outputs.append(run_cli(capsys, *command, str(path)))
+        assert outputs[0][0] == 0 and outputs[0] == outputs[1]
+
+    def test_n_max_above_maxsize(self, capsys, tmp_path):
+        spec = copy.deepcopy(DOUBLING)
+        spec["zeros"]["horizon"] = 10**20
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps(spec))
+        assert_rejected(*run_cli(capsys, "dim-block", str(path), "--n-max", str(10**19)))
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            ["--squared-sum", str(10**19)],
+            ["--tail-k", str(10**19)],
+            ["--K", "1", "--window", "0", str(10**19)],
+        ],
+        ids=["squared-sum", "tail-k", "window"],
+    )
+    def test_term_count_above_maxsize(self, capsys, tmp_path, check):
+        path = tmp_path / "seq.json"
+        spec = {"kind": "arithmetic", "first": 1, "step": 1, "horizon": 10**20}
+        path.write_text(json.dumps(spec))
+        assert_rejected(*run_cli(capsys, "seq-check", str(path), *check))
+
     @pytest.mark.parametrize("base", ["0", "1"])
     def test_interval_base_below_2(self, capsys, base):
         assert_rejected(

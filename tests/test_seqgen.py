@@ -5,7 +5,6 @@ outputs of the brute-force oracles computed inline (direct big-integer
 addition and comparison).
 """
 
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -290,15 +289,28 @@ def test_squared_sum_construction_invariant(seed, n):
 
 
 def _reference_terms(spec: SequenceSpec, n: int) -> list[int]:
-    """Arithmetic or geometric terms one at a time, each checked against the digit cap."""
-    out, t = [], spec.first
+    """Terms built one at a time from each kind's rule, each checked against the digit cap."""
+    cap, out = spec.digit_cap, []
     for i in range(n):
-        if len(str(t)) > spec.digit_cap:
+        if spec.kind == "explicit":
+            if i == len(spec.terms):
+                raise HorizonExceededError(f"explicit sequence has only {i} terms", index=i)
+            t = spec.terms[i]
+        elif spec.kind == "arithmetic":
+            t = spec.first + i * spec.step
+        elif spec.kind == "geometric":
+            t = spec.first * spec.ratio**i
+        elif spec.kind == "squared_sum":
+            t = sum(out) ** 2 if out else spec.seed
+        else:
+            # base**e has more than cap digits once e > 4*cap; don't build it
+            e = spec.base**i if spec.kind == "double_exponential" else out[-1] if out else 0
+            t = spec.base**e if e <= 4 * cap else None
+        if t is None or len(str(t)) > cap:
             raise HorizonExceededError(
-                f"term {i} exceeds the digit cap of {spec.digit_cap} decimal digits", index=i
+                f"term {i} exceeds the digit cap of {cap} decimal digits", index=i
             )
         out.append(t)
-        t = t + spec.step if spec.kind == "arithmetic" else t * spec.ratio
     return out
 
 
@@ -309,48 +321,75 @@ def _outcome(fn, *args):
         return ("error", str(exc), exc.index)
 
 
-_capped_spec = st.builds(
-    lambda kind, first, growth, cap, horizon: (
-        SequenceSpec.arithmetic(first, growth - 1, digit_cap=cap, horizon=horizon)
-        if kind == "arithmetic"
-        else SequenceSpec.geometric(first, growth, digit_cap=cap, horizon=horizon)
+_CAP_AND_HORIZON = {"digit_cap": st.integers(1, 12), "horizon": st.integers(0, 2500)}
+_capped_spec = st.one_of(
+    st.builds(
+        SequenceSpec.explicit,
+        st.lists(st.integers(1, 10**12), min_size=1, max_size=30),
+        **_CAP_AND_HORIZON,
     ),
-    st.sampled_from(["arithmetic", "geometric"]),
-    st.integers(1, 120),
-    st.integers(1, 12),
-    st.integers(1, 40),
-    st.integers(0, 2500),
+    st.builds(SequenceSpec.arithmetic, st.integers(1, 120), st.integers(0, 120), **_CAP_AND_HORIZON),
+    st.builds(SequenceSpec.geometric, st.integers(1, 120), st.integers(1, 12), **_CAP_AND_HORIZON),
+    st.builds(SequenceSpec.double_exponential, st.integers(2, 12), **_CAP_AND_HORIZON),
+    st.builds(SequenceSpec.power_tower, st.integers(2, 12), **_CAP_AND_HORIZON),
+    st.builds(SequenceSpec.squared_sum, st.integers(1, 120), **_CAP_AND_HORIZON),
 )
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
+@settings(max_examples=300, derandomize=True, deadline=None)
 @given(spec=_capped_spec, data=st.data())
 def test_chunked_terms_match_per_term_reference(spec, data):
-    # chunks run up to seqgen._CHUNK_MAX terms; a horizon of 2500 reaches that size
+    # same terms, or the same error message at the same index, for all six kinds
     n = data.draw(st.integers(0, spec.horizon + 1))
     assert _outcome(terms, spec, n) == _outcome(_reference_terms, spec, n)
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
-@given(spec=_capped_spec)
-def test_chunks_stay_small_and_within_the_cap(spec):
-    # the per-term tail, near the cap or past the horizon, is a generator
-    index = 0
-    for chunk in seqgen._monotone_chunks(spec):
-        if not isinstance(chunk, (list, range, itertools.repeat)):
-            break
-        chunk = list(chunk)
-        index += len(chunk)
-        assert len(chunk) <= seqgen._CHUNK_MAX
-        assert index - 1 <= spec.horizon
-        assert all(len(str(t)) <= spec.digit_cap for t in chunk)
+def test_constant_geometric_at_the_cap_skips_the_per_term_check(monkeypatch):
+    # ratio 1 keeps every term at exactly the cap's 3 digits, so the whole
+    # horizon is known to fit before any term is drawn
+    calls = 0
+    real = seqgen._check_digits
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(seqgen, "_check_digits", counting)
+    spec = SequenceSpec.geometric(123, 1, digit_cap=3, horizon=200_000)
+    assert terms(spec, 200_001) == [123] * 200_001
+    assert calls == 0
 
 
-def test_chunks_stop_at_the_horizon():
-    # the bit bound lets indices 511..1022 through under this cap, though no
-    # reader asks for anything past index 600
-    spec = SequenceSpec.geometric(1, 2, digit_cap=400, horizon=600)
-    chunks = list(itertools.islice(seqgen._monotone_chunks(spec), 12))
-    built = [c for c in chunks if isinstance(c, list)]
-    assert sum(map(len, built)) == 601 and built[-1][-1] == 2**600
-    assert next(chunks[len(built)]) == 2**601
+@pytest.mark.parametrize(
+    "spec, head",
+    [
+        (SequenceSpec.arithmetic(1, 1, horizon=10**400), [1, 2, 3]),
+        (SequenceSpec.geometric(3, 2, horizon=10**400, digit_cap=10**400), [3, 6, 12]),
+        (SequenceSpec.geometric(3, 2, horizon=10**30, digit_cap=10**30), [3, 6, 12]),
+    ],
+)
+def test_huge_horizon_and_cap_give_terms(spec, head):
+    assert terms(spec, 3) == head
+
+
+def test_term_count_above_maxsize_is_refused():
+    with pytest.raises(InputError):
+        terms(SequenceSpec.arithmetic(1, 1, horizon=10**20), 10**19)
+
+
+@pytest.mark.parametrize(
+    "spec, known",
+    [
+        # 5 + 7*14 = 103 is the first term of three digits
+        (SequenceSpec.arithmetic(5, 7, digit_cap=2, horizon=100), 14),
+        (SequenceSpec.arithmetic(5, 7, digit_cap=2, horizon=13), 14),
+        (SequenceSpec.arithmetic(100, 0, digit_cap=2, horizon=100), 0),
+        (SequenceSpec.geometric(123, 1, digit_cap=3, horizon=100), 101),
+        (SequenceSpec.geometric(1, 2, digit_cap=400, horizon=600), 601),
+        (SequenceSpec.geometric(1, 2, digit_cap=100, horizon=600), 0),
+        (SequenceSpec.squared_sum(1), 0),
+    ],
+)
+def test_safe_prefix(spec, known):
+    assert seqgen._safe_prefix(spec) == known
