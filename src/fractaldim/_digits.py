@@ -1,7 +1,8 @@
-"""Decimal strings for columns of big integers in linear time per value."""
+"""Decimal strings for columns of big integers, and back, in linear time per value."""
 
 from __future__ import annotations
 
+import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Overflow, Rounded
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -14,6 +15,13 @@ DECIMAL_BASE_BITS = 2000
 
 # a quotient at most this many bits long is multiplied in libmpdec
 _QUOTIENT_BITS = 64
+# ... and adds at most this many digits, as 2**64 < 10**20
+_QUOTIENT_DIGITS = 20
+# leading digits of the row above that fix a quotient below 2**64 exactly, and
+# trailing digits compared before the exact check
+_LEAD_DIGITS = 24
+_TAIL_DIGITS = 18
+_TAIL_MOD = 10**_TAIL_DIGITS
 
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded, Overflow])
 
@@ -65,3 +73,82 @@ def fraction_column(values: Sequence[Fraction]) -> Iterator[str]:
     nums = decimal_column(f.numerator for f in values)
     dens = decimal_column(f.denominator for f in values)
     return map("{}/{}".format, nums, dens)
+
+
+class ColumnReader:
+    """``int(t)`` for the text t of each row of a column, read from the row above.
+
+    The reverse of ``decimal_column``, called once per row.  CPython's
+    str-to-int conversion is quadratic in the number of digits.  Here a text
+    equal to the one above returns the value above, and a text t of a
+    multiple p*q of the value p above, with p positive and longer than
+    ``DECIMAL_BASE_BITS`` and q below 2**64, is read in linear time: q is
+    the quotient of t's and p's leading digits, whose remainder must be
+    below q, t's last digits must match those of p*q, and then the Decimal
+    of p times q must print exactly as t.  That Decimal comes from p's text the first time, when that text is
+    plain ASCII digits, and from the last product after that.  Every other
+    text, including one longer than the interpreter's int-to-str digit
+    limit, goes through int(), so values and exceptions are int()'s.
+
+    Exactness: q only proposes a value.  A text accepted here is the str()
+    of an integral Decimal computed exactly in ``_EXACT``, so it is the
+    canonical decimal text of p*q, and int() of it would be p*q.
+    """
+
+    __slots__ = ("_value", "_text", "_base")
+
+    def __init__(self) -> None:
+        self._value: int | None = None
+        self._text: str | None = None
+        self._base: Decimal | None = None
+
+    def __call__(self, text: str) -> int:
+        p, above = self._value, self._text
+        if text == above:
+            return p
+        if (
+            p is not None
+            and p > 0
+            and p.bit_length() > DECIMAL_BASE_BITS
+            and len(above) <= len(text) <= len(above) + _QUOTIENT_DIGITS
+            and not 0 < _int_max_str_digits() < len(text)
+        ):
+            q = self._quotient(above, text)
+            if q is not None:
+                v = p * q
+                self._value, self._text = v, text
+                return v
+        v = int(text)
+        self._value, self._text, self._base = v, text, None
+        return v
+
+    def _quotient(self, above: str, text: str) -> int | None:
+        """q with ``text`` the decimal text of q times the value above, or None."""
+        # Cut the last s digits off p's text: p = P*10**s + x with x < 10**s.
+        # If text is p*q, the same cut of it leaves q*P + q*x // 10**s, and
+        # q*x // 10**s < q; as P >= 10**23 > 2**64 > q, divmod gives q.
+        lead = len(text) - len(above) + _LEAD_DIGITS
+        try:
+            q, r = divmod(int(text[:lead]), int(above[:_LEAD_DIGITS]))
+            if not r < q < 1 << _QUOTIENT_BITS or (
+                int(above[-_TAIL_DIGITS:]) * q - int(text[-_TAIL_DIGITS:])
+            ) % _TAIL_MOD:
+                return None
+        except (ValueError, ZeroDivisionError):  # texts int() may or may not read
+            return None
+        base = self._base
+        if base is None:
+            # ASCII digits only (str.isdigit also takes other scripts' digits)
+            if not (above.isascii() and above.encode().isdigit()):
+                return None
+            base = Decimal(above)
+        base = _EXACT.multiply(base, q)
+        if str(base) != text:
+            return None
+        self._base = base
+        return q
+
+
+def _int_max_str_digits() -> int:
+    """The interpreter's limit on digits for int() of a text; 0 for none."""
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0

@@ -45,6 +45,9 @@ FREE = "free"
 
 DEFAULT_M_CAP = 10_000_000
 
+# cap on the blocks one table walks; each block holds two table entries
+_BLOCK_BUDGET = 10**6
+
 #: trend labels for the H^s coefficient estimate
 DIVERGING = "diverging"
 VANISHING = "vanishing"
@@ -169,7 +172,10 @@ class _BlockTable:
         self._error: HorizonExceededError | None = None
 
     def grow(self, blocks: int) -> None:
-        """Extend the table to at least ``blocks`` blocks, in one batch."""
+        """Extend the table to at least ``blocks`` blocks, in one batch.
+
+        More than ``_BLOCK_BUDGET`` blocks are refused before any is drawn.
+        """
         j = len(self.ends)
         if j >= blocks:
             return
@@ -177,6 +183,10 @@ class _BlockTable:
             raise self._error
         if blocks > sys.maxsize:
             raise InputError(f"block count must be <= {sys.maxsize}")
+        if blocks > _BLOCK_BUDGET:
+            raise BudgetExceededError(
+                f"block walk asks for {blocks} blocks, over the budget of {_BLOCK_BUDGET}"
+            )
         lengths: list[int] = []
         try:
             lengths.extend(islice(self._walk, blocks - j))

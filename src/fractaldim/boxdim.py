@@ -17,9 +17,11 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import islice, repeat
+from operator import add, gt, lt, mul, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ._digits import decimal_column, fraction_column
+from ._digits import ColumnReader, decimal_column, fraction_column
 from .errors import BudgetExceededError, DegenerateGridError, InputError
 
 DIVERGES = "diverges"
@@ -269,6 +271,12 @@ def _reduced_log_ratio(num: Fraction, den: Fraction) -> float:
     return _log_fraction(root(num)) / _log_fraction(root(den))
 
 
+def _log_count_ratio(a: int, b: int) -> float:
+    """``_log_fraction(Fraction(b, a))``, without a gcd when a divides b."""
+    q, r = divmod(b, a)
+    return _log_fraction(Fraction(b, a)) if r else math.log(q)
+
+
 def _log_fraction(f: Fraction) -> float:
     """log(f), safe for huge exact rationals."""
     return math.log(f.numerator) - math.log(f.denominator)
@@ -307,12 +315,12 @@ def classify_d(series: CountSeries, d: float) -> str:
         raise InputError("classification needs at least 3 entries")
     # g(m) = log(count) - d*log(1/delta): increasing means count*delta**d blows up
     log_counts, log_deltas = series._tail_logs
-    g = [a + d * b for a, b in zip(log_counts, log_deltas)]
-    tol = 1e-12 * max(1.0, max(abs(v) for v in g))
-    diffs = [b - a for a, b in zip(g, g[1:])]
-    if all(x > tol for x in diffs):
+    g = list(map(add, log_counts, map(mul, repeat(d), log_deltas)))
+    tol = 1e-12 * max(1.0, max(map(abs, g)))
+    diffs = list(map(sub, islice(g, 1, None), g))
+    if all(map(gt, diffs, repeat(tol))):
         return DIVERGES
-    if all(x < -tol for x in diffs):
+    if all(map(lt, diffs, repeat(-tol))):
         return VANISHES
     return BOUNDED
 
@@ -344,10 +352,10 @@ def critical_d(
         if series.ambient_dim is not None:
             d_max = float(series.ambient_dim)
         else:
+            _, log_deltas = series._tail_logs
             steps = [
-                _log_fraction(Fraction(b.n_cells, a.n_cells))
-                / (_log_fraction(a.delta) - _log_fraction(b.delta))
-                for a, b in zip(window, window[1:])
+                _log_count_ratio(a, b) / (x - y)
+                for a, b, x, y in zip(counts, counts[1:], log_deltas, log_deltas[1:])
             ]
             d_max = max(steps) + 1.0
     lo, hi = 0.0, float(d_max)
@@ -438,9 +446,11 @@ def count_series_to_csv(series: CountSeries) -> str:
 def count_series_from_csv(
     text: str, base: int | None = None, ambient_dim: int | None = None
 ) -> CountSeries:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not lines or lines[0] != "m,delta,n_cells":
         raise InputError("count series CSV must start with header m,delta,n_cells")
+    # denominators and counts are read from the row above: see ColumnReader
+    dens, counts = ColumnReader(), ColumnReader()
     entries = []
     for ln in lines[1:]:
         parts = ln.split(",")
@@ -448,10 +458,11 @@ def count_series_from_csv(
             raise InputError(f"bad count series row: {ln!r}")
         num, _, den = parts[1].partition("/")
         try:
-            m, delta, n_cells = int(parts[0]), Fraction(int(num), int(den or "1")), int(parts[2])
+            m = int(parts[0])
+            delta, n_cells = Fraction(int(num), dens(den or "1")), counts(parts[2])
         except (ValueError, ZeroDivisionError):
             raise InputError(f"bad count series row: {ln!r}") from None
-        if delta <= 0:
+        if delta.numerator <= 0:  # a Fraction keeps its sign in the numerator
             raise InputError(f"delta must be positive in row {ln!r}")
         entries.append(CountEntry(m=m, delta=delta, n_cells=n_cells))
     return CountSeries(tuple(entries), base=base, ambient_dim=ambient_dim)

@@ -245,8 +245,11 @@ def _iter_terms(spec: SequenceSpec) -> Iterator[int]:
 
 def _guard_exponent(base: int, exponent: int, cap: int, index: int) -> None:
     # base**exponent has about exponent*log10(base) digits; refuse before
-    # materializing something astronomically past the cap.
-    if exponent > int(cap / math.log10(base)) + 2:
+    # materializing something astronomically past the cap.  The float
+    # log10(base) = num/den enters as its exact ratio, so a cap of any size
+    # compares in integers: exponent > floor(cap / log10(base)) + 2.
+    num, den = math.log10(base).as_integer_ratio()
+    if exponent > cap * den // num + 2:
         raise HorizonExceededError(
             f"term {index} exceeds the digit cap of {cap} decimal digits",
             index=index,

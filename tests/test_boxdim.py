@@ -105,6 +105,15 @@ class TestCountSeries:
         back = count_series_from_csv(text)
         assert back.entries == series.entries
         assert text.startswith("m,delta,n_cells\n1,1/3,2\n")
+        # rows past 2,000 bits, read from the row above where they are multiples of it
+        schedule = blockset.BlockSchedule(base=10, alphabet=10, zeros=SequenceSpec.geometric(1, 2))
+        for source, levels in (
+            (RuleSource(rule("menger")), range(1, 701)),
+            (IntervalSource(Fraction(1, 3), Fraction(2, 3)), range(1, 2501)),  # not multiples
+            (blockset.BlockCellSource(schedule), range(1, 2501)),  # runs of equal counts
+        ):
+            series = count_series(source, list(levels))
+            assert count_series_from_csv(count_series_to_csv(series)).entries == series.entries
 
 
 class TestSlopeDim:
@@ -475,3 +484,26 @@ def _reference_critical_d(series, tol: float) -> float:
 def test_critical_d_matches_per_step_logs(name, first, length, tol):
     series = count_series(RuleSource(rule(name)), list(range(first, first + length)))
     assert critical_d(series, tol=tol).d == _reference_critical_d(series, tol)  # bitwise
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        RuleSource(rule("menger")),  # each count divides the next
+        IntervalSource(Fraction(1, 3), Fraction(2, 3)),
+        IntervalSource(Fraction(1, 7), Fraction(5, 7), base=3),
+    ],
+)
+def test_critical_d_top_from_per_step_slopes(source):
+    # without an ambient dimension the bracket's top is the largest step slope plus 1
+    series = count_series_from_csv(count_series_to_csv(count_series(source, list(range(1, 300)))))
+    window = series.entries[-max(3, len(series.entries) - len(series.entries) // 3):]
+
+    def log(f):
+        return math.log(f.numerator) - math.log(f.denominator)
+
+    steps = [
+        log(Fraction(b.n_cells, a.n_cells)) / (log(a.delta) - log(b.delta))
+        for a, b in zip(window, window[1:])
+    ]
+    assert critical_d(series, tol=1e-9) == critical_d(series, tol=1e-9, d_max=max(steps) + 1.0)

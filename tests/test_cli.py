@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -402,6 +403,15 @@ class TestSeqCheck:
         assert code == 0
         assert out == "tail_domination,true\n"
 
+    @pytest.mark.parametrize("kind", ["double_exponential", "power_tower"])
+    def test_digit_cap_past_the_float_range(self, capsys, tmp_path, kind):
+        outputs = []
+        for cap in (10**300, 10**400):
+            path = tmp_path / f"cap{len(str(cap))}.json"
+            path.write_text(json.dumps({"kind": kind, "base": 2, "digit_cap": cap}))
+            outputs.append(run_cli(capsys, "seq-check", str(path), "--squared-sum", "3"))
+        assert outputs[1] == outputs[0] == (0, "index,holds\n0,true\n1,true\n2,false\n", "")
+
 
 class TestOutputPolicy:
     def test_out_flag_writes_file(self, capsys, tmp_path):
@@ -516,6 +526,22 @@ class TestRejectedInput:
         path = tmp_path / "schedule.json"
         path.write_text(json.dumps(spec))
         assert_rejected(*run_cli(capsys, "dim-block", str(path), "--n-max", str(10**19)))
+
+    def test_n_max_over_the_block_budget(self, capsys, tmp_path):
+        # blocks of one digit each: n_max 10**12 asks for 2 * 10**12 + 2 blocks
+        spec = {"base": 2, "alphabet": 2, "frees": "same_as_zeros",
+                "zeros": {"kind": "arithmetic", "first": 1, "step": 0, "horizon": 10**19}}
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps(spec))
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "dim-block", str(path), "--n-max", str(10**12))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (3, "")
+        assert err.startswith("error: block walk asks for 2000000000002 blocks, over the budget")
+        assert peak < 10**7  # refused before the walk drew a block
 
     @pytest.mark.parametrize(
         "check",
@@ -659,22 +685,26 @@ def test_counts_schedule_contract_on_mutated_json(capsys, tmp_path, data):
 
 
 @settings(FUZZ, max_examples=300)
-@given(data=st.data())
-def test_dim_block_contract_on_mutated_json(capsys, tmp_path, data):
+@given(data=st.data(), n_max=st.sampled_from(["6", str(10**12)]))
+def test_dim_block_contract_on_mutated_json(capsys, tmp_path, data, n_max):
     path = tmp_path / "schedule.json"
     path.write_text(json.dumps(_mutated(data, DOUBLING)))
-    assert_contract(*run_cli(capsys, "dim-block", str(path), "--n-max", "6"))
+    assert_contract(*run_cli(capsys, "dim-block", str(path), "--n-max", n_max))
 
 
 # cantor counts at levels 1..8: 2**m cells of side 3**-m
 CANTOR_ROWS = [["m", "delta", "n_cells"]] + [[m, f"1/{3**m}", 2**m] for m in range(1, 9)]
+# the same past 2,000 bits, where each count and denominator is read from the row above
+LONG_CANTOR_ROWS = [["m", "delta", "n_cells"]] + [
+    [m, f"1/{3**m}", 2**m] for m in range(DECIMAL_BASE_BITS, DECIMAL_BASE_BITS + 8)
+]
 
 
 @settings(FUZZ, max_examples=300)
-@given(data=st.data())
-def test_critical_d_contract_on_mutated_csv(capsys, tmp_path, data):
+@given(data=st.data(), base=st.sampled_from([CANTOR_ROWS, LONG_CANTOR_ROWS]))
+def test_critical_d_contract_on_mutated_csv(capsys, tmp_path, data, base):
     path = tmp_path / "counts.csv"
-    path.write_text(_csv_text(_mutated(data, CANTOR_ROWS)))
+    path.write_text(_csv_text(_mutated(data, base)))
     assert_contract(*run_cli(capsys, "critical-d", str(path)))
 
 

@@ -1,10 +1,14 @@
-"""Big-integer columns formatted from their predecessors must print as str() does."""
+"""Big-integer columns formatted from their predecessors must print as str() does,
+and read back from their predecessors as int() reads them."""
 
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from fractaldim._digits import DECIMAL_BASE_BITS, decimal_column, fraction_column
+from fractaldim._digits import DECIMAL_BASE_BITS, ColumnReader, decimal_column, fraction_column
 
 T = DECIMAL_BASE_BITS
 
@@ -47,3 +51,88 @@ def test_growing_powers_past_the_threshold():
 def test_fraction_column():
     fs = [Fraction(8**m, 27**m) for m in range(600)] + [Fraction(0), Fraction(-3, 2 ** 3000)]
     assert list(fraction_column(fs)) == [f"{f.numerator}/{f.denominator}" for f in fs]
+
+
+# texts int() may or may not read: each edit replaces one row's text
+EDITS = st.sampled_from(
+    [
+        lambda t: "0" + t,  # leading zero
+        lambda t: "00" + t[-2:],
+        lambda t: "+" + t,
+        lambda t: t[:1] + "_" + t[1:],
+        lambda t: t + "_",
+        lambda t: " " + t + "\n",
+        lambda t: "",
+        lambda t: t.replace("3", "\u0663"),  # ARABIC-INDIC DIGIT THREE, which int() reads
+        lambda t: t.replace("2", "\u00b2"),  # SUPERSCRIPT TWO, which it does not
+        lambda t: t[: len(t) // 2] + "9" + t[len(t) // 2 + 1 :],  # a middle digit
+        lambda t: t[:-1],
+        lambda t: t[:-1] + "x",
+        lambda t: t + "0",
+    ]
+)
+HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
+# int-to-str digit limits: none, the smallest allowed, one between the
+# lengths of values near the size threshold, and the interpreter's default
+LIMITS = st.sampled_from([0, 640, 700, 4300])
+
+
+@contextmanager
+def _int_max_str_digits(limit):
+    """The interpreter's int-to-str digit limit set to ``limit`` (0: none), where it has one."""
+    if not HAS_DIGIT_LIMIT:
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except Exception as exc:  # the type is compared, not the message
+        return type(exc)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    start=FRESH,
+    steps=st.lists(STEPS, max_size=30),
+    edits=st.lists(st.tuples(st.integers(0, 30), EDITS), max_size=4),
+    limit=LIMITS,
+)
+def test_column_reader_equals_int(start, steps, edits, limit):
+    with _int_max_str_digits(0):
+        texts = [str(x) for x in _column(start, steps)]
+    for i, edit in edits:
+        if i < len(texts):
+            texts[i] = edit(texts[i])
+    read = ColumnReader()
+    with _int_max_str_digits(limit):
+        assert [_outcome(read, t) for t in texts] == [_outcome(int, t) for t in texts]
+
+
+def test_column_reader_on_growing_powers():
+    with _int_max_str_digits(0):
+        texts = [str(7**k) for k in range(2000)] + ["0", "0", str(-(7**1000)), str(7**1999)]
+        # rows past the threshold whose first and last digits are those of a multiple
+        for k in range(1000, 2000, 10):
+            t = texts[k]
+            texts[k] = t[:300] + str((int(t[300]) + 1) % 10) + t[301:]
+        read = ColumnReader()
+        assert [read(t) for t in texts] == [int(t) for t in texts]
+
+
+@pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="no int-to-str digit limit")
+def test_column_reader_past_the_digit_limit():
+    with _int_max_str_digits(0):
+        texts = [str(10**k) for k in range(700, 4400, 7)]
+    read = ColumnReader()
+    with _int_max_str_digits(4300):
+        assert [_outcome(read, t) for t in texts] == [
+            10**k if k < 4300 else ValueError for k in range(700, 4400, 7)
+        ]

@@ -5,7 +5,12 @@ outputs of the brute-force oracles computed inline (direct big-integer
 addition and comparison).
 """
 
+import math
+import random
+from bisect import bisect_left
+from decimal import Context, Decimal
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -86,6 +91,86 @@ class TestTerms:
             SequenceSpec.double_exponential(1)
         with pytest.raises(InputError):
             SequenceSpec(kind="nope")
+
+
+class TestExponentGuard:
+    @pytest.mark.parametrize("kind", ["double_exponential", "power_tower"])
+    def test_cap_past_the_float_range(self, kind):
+        # a cap above about 10**308 used to overflow a float division
+        spec = SequenceSpec(kind=kind, base=2, digit_cap=10**400)
+        default = SequenceSpec(kind=kind, base=2)
+        assert terms(spec, 5) == terms(default, 5)
+        assert squared_sum_check(spec, 3) == squared_sum_check(default, 3)
+
+    @pytest.mark.parametrize("base", [2, 3, 10])
+    @pytest.mark.parametrize("kind", ["double_exponential", "power_tower"])
+    def test_first_refused_term_as_with_the_float_formula(self, kind, base):
+        rng = random.Random(f"{kind}:{base}")
+        caps = [*range(200), *(10**k for k in range(301)), *(2**k for k in range(0, 997, 13))]
+        caps += [rng.randrange(10 ** rng.randrange(1, 301)) for _ in range(200)]
+        for cap in caps:
+            got = _first_refused(kind, base, cap, _guard_refuses)
+            assert got == _first_refused(kind, base, cap, _float_guard_refuses), cap
+
+    def test_no_float_rounding_of_the_cap(self):
+        # 10**(10**24) has 10**24 + 1 digits, within the cap; the float formula
+        # refused it, as float(10**24 + 1) is 10**24 - 16777216
+        cap = 10**24 + 1
+        assert _first_refused("double_exponential", 10, cap, _guard_refuses) == 25
+        assert _first_refused("double_exponential", 10, cap, _float_guard_refuses) == 24
+
+
+# base**_K_MAX is past every exponent threshold for caps up to 10**300 and bases 2, 3, 10
+_K_MAX = 1000
+
+
+def _guard_refuses(base, exponent, cap):
+    try:
+        seqgen._guard_exponent(base, exponent, cap, 0)
+    except HorizonExceededError:
+        return True
+    return False
+
+
+def _float_guard_refuses(base, exponent, cap):
+    """The guard as a float formula, which overflows for caps above about 10**308."""
+    return exponent > int(cap / math.log10(base)) + 2
+
+
+# enough digits for exponents and caps up to about 10**300
+_WIDE = Context(prec=400)
+
+
+@cache
+def _log10(base):
+    return _WIDE.log10(Decimal(base))
+
+
+def _first_refused(kind, base, cap, refuses):
+    """Index of the first term refused, by ``refuses`` or for having more than ``cap`` digits.
+
+    Term i is base**(base**k).  For double_exponential k = i.  For
+    power_tower term 0 is 1 and term i >= 1 is base raised to term i - 1,
+    so k is the exponent of term i - 1: 0, 1, base, base**base, ..  An
+    exponent base**k with k above ``_K_MAX`` is refused as surely as
+    base**_K_MAX, which stands in for it.
+    """
+    assert refuses(base, base**_K_MAX, cap)
+
+    def refused(k):
+        exponent = base ** min(k, _K_MAX)
+        # base**exponent has more than cap digits when it is >= 10**cap
+        return refuses(base, exponent, cap) or _WIDE.multiply(exponent, _log10(base)) >= cap
+
+    if kind == "double_exponential":
+        # refused(k) is monotone in k
+        return bisect_left(range(_K_MAX + 1), True, key=refused)
+    if cap == 0:
+        return 0  # the term 1 has one digit
+    i, k = 1, 0
+    while not refused(k):
+        i, k = i + 1, base ** min(k, _K_MAX)
+    return i
 
 
 class TestPrefixSums:
