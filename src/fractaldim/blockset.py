@@ -47,6 +47,8 @@ DEFAULT_M_CAP = 10_000_000
 
 # cap on the blocks one table walks; each block holds two table entries
 _BLOCK_BUDGET = 10**6
+# cap on the cells one level may enumerate
+_CELL_BUDGET = 10**8
 
 #: trend labels for the H^s coefficient estimate
 DIVERGING = "diverging"
@@ -169,7 +171,7 @@ class _BlockTable:
         self.ends: list[int] = []
         self.frees: list[int] = []
         self._walk = _block_iter(schedule)
-        self._error: HorizonExceededError | None = None
+        self._error: HorizonExceededError | BudgetExceededError | None = None
 
     def grow(self, blocks: int) -> None:
         """Extend the table to at least ``blocks`` blocks, in one batch.
@@ -190,7 +192,7 @@ class _BlockTable:
         lengths: list[int] = []
         try:
             lengths.extend(islice(self._walk, blocks - j))
-        except HorizonExceededError as exc:
+        except (HorizonExceededError, BudgetExceededError) as exc:
             self._error = exc  # the finished walk would raise StopIteration next
             raise
         finally:
@@ -404,11 +406,10 @@ def sample_points(
 class BlockCellSource(CellSource):
     """Level-m cell counting adapter; its one block table serves every level."""
 
-    def __init__(self, schedule: BlockSchedule, cell_budget: int = 10**8):
+    def __init__(self, schedule: BlockSchedule):
         self.schedule = schedule
         self.base = schedule.base
         self.ambient_dim = 1
-        self.cell_budget = cell_budget
         self._table = _BlockTable(schedule)
         self._last = (0, 0, 1)  # (m, X(m), count) of the latest level counted
 
@@ -427,9 +428,9 @@ class BlockCellSource(CellSource):
     def enumerate_cells(self, m: int) -> Iterator[tuple[int]]:
         """All admissible m-digit prefixes as cell indices, ascending."""
         total = self.count(m)
-        if total > self.cell_budget:
+        if total > _CELL_BUDGET:
             raise BudgetExceededError(
-                f"level {m} needs {total} cells, over the budget of {self.cell_budget}",
+                f"level {m} needs {total} cells, over the budget of {_CELL_BUDGET}",
                 level=m,
             )
         beta, sigma = self.schedule.base, self.schedule.alphabet
@@ -437,10 +438,6 @@ class BlockCellSource(CellSource):
         # the most significant free digit varies slowest, so cells come ascending
         for digits in product(range(sigma), repeat=len(places)):
             yield (sum(d * place for d, place in zip(digits, places)),)
-
-
-def cell_source(schedule: BlockSchedule, cell_budget: int = 10**8) -> BlockCellSource:
-    return BlockCellSource(schedule, cell_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -474,17 +471,6 @@ def dim_report_csv(report: DimReport, precision: int = 12) -> str:
 
 
 _SAME = "same_as_zeros"
-
-
-def schedule_to_json(schedule: BlockSchedule) -> dict:
-    frees = _SAME if schedule.frees == schedule.zeros else seqgen.spec_to_json(schedule.frees)
-    return {
-        "base": schedule.base,
-        "alphabet": schedule.alphabet,
-        "zeros": seqgen.spec_to_json(schedule.zeros),
-        "frees": frees,
-        "m_cap": schedule.m_cap,
-    }
 
 
 def _parse_big_nat(value) -> int:

@@ -22,7 +22,7 @@ from operator import add, gt, lt, mul, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._digits import ColumnReader, decimal_column, fraction_column
-from .errors import BudgetExceededError, DegenerateGridError, InputError
+from .errors import DegenerateGridError, InputError
 
 DIVERGES = "diverges"
 VANISHES = "vanishes"
@@ -55,7 +55,6 @@ class CountSeries:
     """Pairs of grid scale and exact cover count; levels rise and scales fall strictly."""
 
     entries: tuple[CountEntry, ...]
-    base: int | None = None
     ambient_dim: int | None = None
 
     def __post_init__(self):
@@ -170,9 +169,7 @@ class ExplicitSource(CellSource):
 # series construction and slopes
 
 
-def count_series(
-    source: CellSource, levels: Sequence[int], cell_budget: int | None = None
-) -> CountSeries:
+def count_series(source: CellSource, levels: Sequence[int]) -> CountSeries:
     """Exact (delta, count) pairs for the given strictly increasing levels."""
     if not levels:
         raise InputError("levels must be nonempty")
@@ -184,15 +181,11 @@ def count_series(
     scale, m_prev = 1, 0
     for m in levels:
         n = source.count(m)
-        if cell_budget is not None and n > cell_budget:
-            raise BudgetExceededError(
-                f"level {m} needs {n} cells, over the budget of {cell_budget}", level=m
-            )
         # scale is base**m, grown from the previous level's
         scale *= source.base ** (m - m_prev)
         m_prev = m
         entries.append(CountEntry(m=m, delta=Fraction(1, scale), n_cells=n))
-    return CountSeries(tuple(entries), base=source.base, ambient_dim=source.ambient_dim)
+    return CountSeries(tuple(entries), ambient_dim=source.ambient_dim)
 
 
 def _entry_slope(entry: CountEntry) -> float:
@@ -443,9 +436,7 @@ def count_series_to_csv(series: CountSeries) -> str:
     return "\n".join([*lines, ""])
 
 
-def count_series_from_csv(
-    text: str, base: int | None = None, ambient_dim: int | None = None
-) -> CountSeries:
+def count_series_from_csv(text: str) -> CountSeries:
     lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not lines or lines[0] != "m,delta,n_cells":
         raise InputError("count series CSV must start with header m,delta,n_cells")
@@ -465,7 +456,7 @@ def count_series_from_csv(
         if delta.numerator <= 0:  # a Fraction keeps its sign in the numerator
             raise InputError(f"delta must be positive in row {ln!r}")
         entries.append(CountEntry(m=m, delta=delta, n_cells=n_cells))
-    return CountSeries(tuple(entries), base=base, ambient_dim=ambient_dim)
+    return CountSeries(tuple(entries))
 
 
 def two_grid_result_to_json(result: TwoGridResult, precision: int = 12) -> dict:

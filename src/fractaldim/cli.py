@@ -12,24 +12,20 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import blockset, boxdim, hypergrid, selfsimilar, seqgen
 from ._digits import fraction_column
-from .errors import FractalDimError, HorizonExceededError, InputError
+from .errors import BudgetExceededError, FractalDimError, HorizonExceededError, InputError
+
+# digits a printed integer may have; main raises the interpreter's limit to at least this
+_PRINTED_DIGITS = 2_000_000
+# cap on the levels one counts command lists
+_LEVEL_BUDGET = 10**6
 
 _GEOM_TABLE_RATIOS = (1, 2, 3, 4, 5)
 _ARITH_TABLE_STEPS = (0, 1, 2, 3, 4)
 _TABLE_SIGMAS = (2, 3, 4, 5)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation: a single command with its output policy."""
-
-    out: str | None
-    precision: int
 
 
 def _fr(value) -> Fraction:
@@ -70,19 +66,19 @@ def _load_json(path: str):
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _emit(text: str, cfg: RunConfig) -> None:
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_dim_block(args, cfg: RunConfig) -> None:
+def cmd_dim_block(args) -> str:
     schedule = blockset.schedule_from_json(_load_json(args.schedule))
     if args.n_max > schedule.horizon:
         raise HorizonExceededError(
@@ -90,7 +86,7 @@ def cmd_dim_block(args, cfg: RunConfig) -> None:
             index=schedule.horizon,
         )
     report = blockset.dim_bounds(schedule, args.n_max, tol=args.tol)
-    lines = [blockset.dim_report_csv(report, cfg.precision).rstrip("\n")]
+    lines = [blockset.dim_report_csv(report, args.precision).rstrip("\n")]
     lines.append("summary,value,decimal")
     for label, value in (
         ("lower", report.lower),
@@ -98,25 +94,22 @@ def cmd_dim_block(args, cfg: RunConfig) -> None:
         ("hausdorff_dim", report.lower),
     ):
         exact = _fmt_fraction(value) if isinstance(value, Fraction) else ""
-        lines.append(f"{label},{exact},{_fmt(value, cfg.precision)}")
-    lines.append(f"converged,{str(report.converged).lower()},{_fmt(report.spread, cfg.precision)}")
-    _emit("\n".join([*lines, ""]), cfg)
+        lines.append(f"{label},{exact},{_fmt(value, args.precision)}")
+    lines.append(f"converged,{str(report.converged).lower()},{_fmt(report.spread, args.precision)}")
+    return "\n".join([*lines, ""])
 
 
-def cmd_dim_ifs(args, cfg: RunConfig) -> None:
+def cmd_dim_ifs(args) -> str:
     if args.rule:
         d = selfsimilar.dim_from_rule(selfsimilar.rule(args.rule))
-        _emit(f"dimension,{_fmt(d, cfg.precision)}\n", cfg)
-        return
+        return f"dimension,{_fmt(d, args.precision)}\n"
     if not args.ratios:
         raise InputError("need a ratio JSON path or --rule NAME")
-    obj = _load_json(args.ratios)
-    ratios = _parse_ratios(obj)
-    root = selfsimilar.moran_solve(ratios, tol=args.tol)
-    lines = [f"dimension,{_fmt(root.s, cfg.precision)}"]
+    root = selfsimilar.moran_solve(_parse_ratios(_load_json(args.ratios)), tol=args.tol)
+    lines = [f"dimension,{_fmt(root.s, args.precision)}"]
     if root.degenerate:
         lines.append("degenerate,true")
-    _emit("\n".join([*lines, ""]), cfg)
+    return "\n".join([*lines, ""])
 
 
 def _parse_ratios(obj) -> selfsimilar.IfsRatios:
@@ -148,7 +141,7 @@ def _table_schedule(kind: str, param: int, n_max: int) -> blockset.BlockSchedule
     return blockset.BlockSchedule(base=sigma, alphabet=sigma, zeros=spec)
 
 
-def cmd_tables_ch6(args, cfg: RunConfig) -> None:
+def cmd_tables_ch6(args) -> str:
     """Dimension and critical-coefficient tables for the two block families.
 
     The dim column is the family's limiting value (1/(n+1) for ratio-n
@@ -168,10 +161,10 @@ def cmd_tables_ch6(args, cfg: RunConfig) -> None:
             hs = float(sigma) ** float(-limit)
             lines.append(
                 f"{family},{param},{sigma},{_fmt_fraction(limit)},"
-                f"{_fmt_fraction(estimate)},{_fmt(estimate, cfg.precision)},"
-                f"{_fmt(hs, cfg.precision)}"
+                f"{_fmt_fraction(estimate)},{_fmt(estimate, args.precision)},"
+                f"{_fmt(hs, args.precision)}"
             )
-    _emit("\n".join([*lines, ""]), cfg)
+    return "\n".join([*lines, ""])
 
 
 def _counts_source(args) -> boxdim.CellSource:
@@ -181,24 +174,25 @@ def _counts_source(args) -> boxdim.CellSource:
     if args.rule:
         return boxdim.RuleSource(selfsimilar.rule(args.rule))
     if args.schedule:
-        # the budget caps cell enumeration; counting itself is arithmetic
-        return blockset.cell_source(
-            blockset.schedule_from_json(_load_json(args.schedule)), cell_budget=args.budget
-        )
+        return blockset.BlockCellSource(blockset.schedule_from_json(_load_json(args.schedule)))
     a, b = (_fr(x) for x in args.interval)
     return boxdim.IntervalSource(a, b, base=args.base)
 
 
-def cmd_counts(args, cfg: RunConfig) -> None:
+def cmd_counts(args) -> str:
     source = _counts_source(args)
     lo, hi = args.levels
     if lo > hi:
         raise InputError("levels must be LO HI with LO <= HI")
+    if hi - lo >= _LEVEL_BUDGET:
+        raise BudgetExceededError(
+            f"levels {lo}..{hi} are {hi - lo + 1} levels, over the budget of {_LEVEL_BUDGET}"
+        )
     series = boxdim.count_series(source, list(range(lo, hi + 1)))
-    _emit(boxdim.count_series_to_csv(series), cfg)
+    return boxdim.count_series_to_csv(series)
 
 
-def cmd_two_grid(args, cfg: RunConfig) -> None:
+def cmd_two_grid(args) -> str:
     if args.rule:
         if not args.levels:
             raise InputError("--rule needs --levels P Q")
@@ -206,6 +200,7 @@ def cmd_two_grid(args, cfg: RunConfig) -> None:
         p, q = args.levels
         if not 0 <= p < q:
             raise InputError("levels must be P Q with P < Q")
+        _check_printable_power(max(rule.pieces, rule.scale), q)
         result = boxdim.two_grid_dim(
             rule.pieces**q,
             rule.pieces**p,
@@ -216,11 +211,28 @@ def cmd_two_grid(args, cfg: RunConfig) -> None:
         if args.n_h is None or args.n_k is None or args.h is None or args.k is None:
             raise InputError("need --rule with --levels, or all of --n-h --n-k --h --k")
         result = boxdim.two_grid_dim(args.n_h, args.n_k, _fr(args.h), _fr(args.k))
-    payload = boxdim.two_grid_result_to_json(result, cfg.precision)
-    _emit(json.dumps(payload, sort_keys=True) + "\n", cfg)
+    payload = boxdim.two_grid_result_to_json(result, args.precision)
+    return json.dumps(payload, sort_keys=True) + "\n"
 
 
-def cmd_critical_d(args, cfg: RunConfig) -> None:
+def _check_printable_power(base: int, q: int) -> None:
+    """Refuse base**q, before building it, if it has over ``_PRINTED_DIGITS`` digits.
+
+    That is when q*log10(base) >= _PRINTED_DIGITS, compared in integers with
+    the exact ratio of the float log10(base), which is far within 2**-40 of
+    it; only a q within that margin builds base**q to compare exactly.
+    """
+    num, den = math.log10(base).as_integer_ratio()
+    limit = _PRINTED_DIGITS * den << 40
+    if q * num * (2**40 - 1) >= limit or (
+        q * num * (2**40 + 2) >= limit and base**q >= 10**_PRINTED_DIGITS
+    ):
+        raise BudgetExceededError(
+            f"{base}**{q} has more than the {_PRINTED_DIGITS} digits a command may print"
+        )
+
+
+def cmd_critical_d(args) -> str:
     try:
         with open(args.counts, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -228,28 +240,28 @@ def cmd_critical_d(args, cfg: RunConfig) -> None:
         raise InputError(f"cannot read {args.counts}: {exc}") from exc
     series = boxdim.count_series_from_csv(text)
     result = boxdim.critical_d(series, tol=args.tol, d_max=args.d_max)
-    lines = [f"critical_d,{_fmt(result.d, cfg.precision)}"]
-    lines.append(f"bracket,{_fmt(result.lo, cfg.precision)},{_fmt(result.hi, cfg.precision)}")
+    lines = [f"critical_d,{_fmt(result.d, args.precision)}"]
+    lines.append(f"bracket,{_fmt(result.lo, args.precision)},{_fmt(result.hi, args.precision)}")
     if result.degenerate:
         lines.append("degenerate,true")
-    _emit("\n".join([*lines, ""]), cfg)
+    return "\n".join([*lines, ""])
 
 
-def cmd_hyper_hsd(args, cfg: RunConfig) -> None:
+def cmd_hyper_hsd(args) -> str:
     grid, iset = hypergrid.internal_set_from_json(_load_json(args.setspec))
     delta = _fr(args.delta)
     s = _fr(args.s)
     part = hypergrid.h_delta_s_greedy(iset, delta, s, grid)
-    lines = [f"cost,{_fmt(part.cost, cfg.precision)}"]
+    lines = [f"cost,{_fmt(part.cost, args.precision)}"]
     lines.append(f"intervals,{part.count}")
     if args.oracle:
         oracle = hypergrid.h_delta_s_dp(iset, delta, s, grid)
-        lines.append(f"oracle_cost,{_fmt(oracle.cost, cfg.precision)}")
+        lines.append(f"oracle_cost,{_fmt(oracle.cost, args.precision)}")
         lines.append(f"oracle_match,{str(oracle.cost == part.cost).lower()}")
-    _emit("\n".join([*lines, ""]), cfg)
+    return "\n".join([*lines, ""])
 
 
-def cmd_fractal(args, cfg: RunConfig) -> None:
+def cmd_fractal(args) -> str:
     reports = selfsimilar.closed_form_check(args.name, args.m_max)
     lines, checks = ["quantity,unit,m,recurrence,closed_form,deviation"], []
     for report in reports:
@@ -259,27 +271,25 @@ def cmd_fractal(args, cfg: RunConfig) -> None:
             lines.append(f"{report.quantity},{report.unit},{m},{','.join(cells)}")
         flag = "consistent" if report.consistent else "inconsistent"
         checks.append(f"check,{report.quantity},{flag},{_fmt_fraction(report.max_deviation)}")
-    _emit("\n".join([*lines, *checks, ""]), cfg)
+    return "\n".join([*lines, *checks, ""])
 
 
-def cmd_seq_check(args, cfg: RunConfig) -> None:
+def cmd_seq_check(args) -> str:
     spec = seqgen.spec_from_json(_load_json(args.spec))
     if args.squared_sum is not None:
         rows = seqgen.squared_sum_check(spec, args.squared_sum)
         lines = ["index,holds"]
         lines += [f"{i},{str(ok).lower()}" for i, ok in rows]
-        _emit("\n".join([*lines, ""]), cfg)
-        return
+        return "\n".join([*lines, ""])
     if args.tail_k is not None:
         ok = seqgen.tail_domination(spec, args.tail_k, _fr(args.eps))
-        _emit(f"tail_domination,{str(ok).lower()}\n", cfg)
-        return
+        return f"tail_domination,{str(ok).lower()}\n"
     if args.K is None or args.window is None:
         raise InputError("need --K and --window (or --squared-sum / --tail-k)")
     lo, hi = args.window
     verdict = seqgen.dimzero_criterion(spec, _fr(args.K), lo, hi)
     margin = "" if verdict.margin is None else _fmt_fraction(verdict.margin)
-    _emit(f"status,{verdict.status}\nwitness,{verdict.witness_index}\nmargin,{margin}\n", cfg)
+    return f"status,{verdict.status}\nwitness,{verdict.witness_index}\nmargin,{margin}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", nargs=2, metavar=("A", "B"), help="interval endpoints")
     p.add_argument("--base", type=int, default=2, help="radix for --interval")
     p.add_argument("--levels", nargs=2, type=int, required=True, metavar=("LO", "HI"))
-    p.add_argument("--budget", type=int, default=10**8)
     p.set_defaults(func=cmd_counts)
 
     p = sub.add_parser("two-grid", parents=[common], help="two-scale count-ratio dimension")
@@ -366,15 +375,18 @@ def main(argv=None) -> int:
     # exact big naturals (power-tower digit positions) can exceed the
     # interpreter's default int-to-str conversion limit when printed
     if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(max(2_000_000, sys.get_int_max_str_digits()))
+        sys.set_int_max_str_digits(max(_PRINTED_DIGITS, sys.get_int_max_str_digits()))
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(out=args.out, precision=args.precision)
-    if cfg.precision < 1 or cfg.precision > 50:
+    if args.precision < 1 or args.precision > 50:
         print("error: --precision must be in [1, 50]", file=sys.stderr)
         return 2
     try:
-        args.func(args, cfg)
+        text = args.func(args)
+        if args.out:
+            _write_file(args.out, text)
+        else:
+            sys.stdout.write(text)
     except FractalDimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -33,7 +33,7 @@ class HorizonExceededError(FractalDimError):
 
 
 class BudgetExceededError(FractalDimError):
-    """Cell enumeration exceeded the configured budget."""
+    """A fixed budget on work or size was exceeded."""
 
     exit_code = 3
 

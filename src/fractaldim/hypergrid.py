@@ -35,6 +35,8 @@ from .errors import BudgetExceededError, InfeasibleDeltaError, InputError
 
 # cap on the DP oracle's cell updates, L * min(L, D) for the longest run L
 _DP_BUDGET = 2 * 10**7
+# indices a traced run is widened by at each end
+_ENLARGE = 1
 
 _START, _END = itemgetter(0), itemgetter(1)
 
@@ -99,7 +101,6 @@ class DeltaPartition:
     """
 
     intervals: Collection[tuple[int, int]]
-    delta: Fraction
     cost: float
     count: int
 
@@ -208,7 +209,6 @@ def h_delta_s_greedy(
 ) -> DeltaPartition:
     """Minimal-cost partition of B into delta-intervals (greedy, provably optimal)."""
     _check_s(s)
-    delta = Fraction(delta)
     B.validate_on(grid)
     D = _capacity(delta, grid)
     lengths = [j - i + 1 for i, j in B.runs]
@@ -217,7 +217,7 @@ def h_delta_s_greedy(
     counts[D] = sum(L // D for L in lengths)
     total = counts.total()
     intervals = _GreedyIntervals(B.runs, D, total)
-    return DeltaPartition(intervals, delta, _partition_cost(counts, s, grid.N), total)
+    return DeltaPartition(intervals, _partition_cost(counts, s, grid.N), total)
 
 
 def h_delta_s_dp(B: InternalSet, delta, s, grid: HyperGrid) -> DeltaPartition:
@@ -232,7 +232,6 @@ def h_delta_s_dp(B: InternalSet, delta, s, grid: HyperGrid) -> DeltaPartition:
     which bounds the intervals built), exceed the fixed budget.
     """
     _check_s(s)
-    delta = Fraction(delta)
     B.validate_on(grid)
     D = _capacity(delta, grid)
     N = grid.N
@@ -272,7 +271,7 @@ def h_delta_s_dp(B: InternalSet, delta, s, grid: HyperGrid) -> DeltaPartition:
             intervals.append((pos, pos + c - 1))
             pos += c
     cost = _partition_cost(Counter(b - a + 1 for a, b in intervals), s, N)
-    return DeltaPartition(tuple(intervals), delta, cost, len(intervals))
+    return DeltaPartition(tuple(intervals), cost, len(intervals))
 
 
 def _check_s(s) -> None:
@@ -299,11 +298,11 @@ def cantor_stage(m: int) -> list[tuple[Fraction, Fraction]]:
     return intervals
 
 
-def trace_superset(intervals, grid: HyperGrid, enlarge: int = 1) -> InternalSet:
+def trace_superset(intervals, grid: HyperGrid) -> InternalSet:
     """Smallest internal superset of the grid trace, widened per component end.
 
     Each merged component [a, b] traces to indices ceil(a*N)..floor(b*N);
-    the runs are then extended by ``enlarge`` indices on each side (clamped
+    the runs are then extended by ``_ENLARGE`` indices on each side (clamped
     to the grid), mirroring the covering step that swallows points
     infinitesimally close to the set at finite resolution.
     """
@@ -315,7 +314,7 @@ def trace_superset(intervals, grid: HyperGrid, enlarge: int = 1) -> InternalSet:
         hi = math.floor(b * N)
         if lo > hi:
             continue  # component too thin to trace at this resolution
-        runs.append((max(0, lo - enlarge), min(N, hi + enlarge)))
+        runs.append((max(0, lo - _ENLARGE), min(N, hi + _ENLARGE)))
     return merge_runs(runs)
 
 
@@ -346,10 +345,6 @@ def outer_h_measure(
 # wire formats
 
 
-def internal_set_to_json(B: InternalSet, grid: HyperGrid) -> dict:
-    return {"N": grid.N, "runs": [[i, j] for i, j in B.runs]}
-
-
 def internal_set_from_json(obj: dict) -> tuple[HyperGrid, InternalSet]:
     if not isinstance(obj, dict):
         raise InputError("internal set must be a JSON object")
@@ -368,7 +363,8 @@ def internal_set_from_json(obj: dict) -> tuple[HyperGrid, InternalSet]:
         or not set(map(len, runs)) <= {2}
     ):
         raise InputError("runs must be a list of [i, j] integer pairs")
-    if not all(map(isinstance, chain.from_iterable(runs), repeat(int))):
+    # type() is exact, so a JSON true or false is not taken for 1 or 0
+    if not set(map(type, chain.from_iterable(runs))) <= {int}:
         raise InputError("runs must be a list of [i, j] integer pairs")
     grid = HyperGrid(N)
     iset = InternalSet(tuple(map(tuple, runs)))

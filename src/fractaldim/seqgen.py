@@ -5,7 +5,9 @@ comparison is done on cross-multiplied integers, never on floats.  A term may
 occupy at most ``digit_cap`` decimal digits; once a term would exceed that,
 generation fails with :class:`HorizonExceededError` naming the offending
 index.  (Power towers leave the representable range after a handful of
-terms: with the default cap the base-2 tower stops after index 5.)
+terms: with the default cap the base-2 tower stops after index 5.)  Under a
+larger cap, a power or square term surely longer than the default cap is
+refused with :class:`BudgetExceededError` before it is built.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from itertools import accumulate, count, islice, repeat
 from operator import mul
 from typing import Iterator, Sequence
 
-from .errors import HorizonExceededError, InputError
+from .errors import BudgetExceededError, HorizonExceededError, InputError
 
 KINDS = (
     "explicit",
@@ -31,6 +33,8 @@ KINDS = (
 
 DEFAULT_HORIZON = 64
 DEFAULT_DIGIT_CAP = 1_000_000
+# digits a power or square term may reach under a larger cap
+_TERM_DIGIT_BUDGET = DEFAULT_DIGIT_CAP
 
 #: verdict states for :func:`dimzero_criterion`
 SATISFIED = "satisfied"
@@ -191,6 +195,7 @@ def _grown_terms(spec: SequenceSpec) -> Iterator[int]:
         exponent = 1  # b**n at n = 0
         while True:
             _guard_exponent(b, exponent, cap, i)
+            _guard_term_bits(exponent * (b.bit_length() - 1), cap, i)
             yield b**exponent
             exponent *= b
             i += 1
@@ -200,12 +205,14 @@ def _grown_terms(spec: SequenceSpec) -> Iterator[int]:
             yield t
             i += 1
             _guard_exponent(spec.base, t, cap, i)
+            _guard_term_bits(t * (spec.base.bit_length() - 1), cap, i)
             t = spec.base**t
     if k == "squared_sum":
         total, t = 0, spec.seed
-        while True:
+        for i in count(1):
             yield t
             total += t
+            _guard_term_bits(2 * (total.bit_length() - 1), cap, i)
             t = total * total
     raise AssertionError(f"unhandled kind {k}")
 
@@ -253,6 +260,19 @@ def _guard_exponent(base: int, exponent: int, cap: int, index: int) -> None:
         raise HorizonExceededError(
             f"term {index} exceeds the digit cap of {cap} decimal digits",
             index=index,
+        )
+
+
+def _guard_term_bits(bits: int, cap: int, index: int) -> None:
+    """Refuse term ``index``, at least 2**bits, if it passes the term-digit budget.
+
+    A cap at most the budget bounds every term without it.  2**bits has more
+    than 3*bits/10 digits, as log10(2) > 0.3, so the comparison is in integers.
+    """
+    if cap > _TERM_DIGIT_BUDGET and 3 * bits > 10 * _TERM_DIGIT_BUDGET:
+        raise BudgetExceededError(
+            f"term {index} has over {_TERM_DIGIT_BUDGET} decimal digits, "
+            "the budget of any one term"
         )
 
 
@@ -368,14 +388,6 @@ _KIND_KEYS = {
     "power_tower": {"base"},
     "squared_sum": {"seed"},
 }
-
-
-def spec_to_json(spec: SequenceSpec) -> dict:
-    obj = {"kind": spec.kind, "horizon": spec.horizon, "digit_cap": spec.digit_cap}
-    for key in _KIND_KEYS[spec.kind]:
-        value = getattr(spec, key)
-        obj[key] = list(value) if key == "terms" else value
-    return obj
 
 
 def spec_from_json(obj: dict) -> SequenceSpec:

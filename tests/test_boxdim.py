@@ -35,7 +35,6 @@ from fractaldim.boxdim import (
     two_grid_result_to_json,
 )
 from fractaldim.errors import (
-    BudgetExceededError,
     DegenerateGridError,
     InputError,
 )
@@ -88,11 +87,6 @@ class TestCountSeries:
             )
             assert src.count(m) == expected
 
-    def test_budget_error_names_level(self):
-        with pytest.raises(BudgetExceededError) as exc:
-            count_series(IntervalSource(0, 1), [1, 2, 20], cell_budget=1000)
-        assert exc.value.level == 20
-
     def test_levels_validated(self):
         with pytest.raises(InputError):
             count_series(IntervalSource(0, 1), [])
@@ -136,7 +130,7 @@ class TestSlopeDim:
             base=2, alphabet=2, zeros=SequenceSpec.geometric(1, 2)
         )
         levels = sorted(c.m for c in blockset.cut_points(sch, 10))
-        series = count_series(blockset.cell_source(sch), levels)
+        series = count_series(blockset.BlockCellSource(sch), levels)
         lo, hi = slope_dim(series, 8)
         assert hi == pytest.approx(0.5, abs=1e-12)
         assert lo == pytest.approx(1 / 3, abs=1e-3)
@@ -320,7 +314,7 @@ class TestClosureCheck:
         sch = blockset.BlockSchedule(
             base=2, alphabet=2, zeros=SequenceSpec.geometric(1, 2)
         )
-        src = blockset.cell_source(sch)
+        src = blockset.BlockCellSource(sch)
         for m in (4, 6, 10):
             points = [Fraction(idx, 2**m) for (idx,) in src.enumerate_cells(m)]
             report = closure_count_check(points, src, m, verify_density=True)
@@ -335,7 +329,7 @@ class TestClosureCheck:
         sch = blockset.BlockSchedule(
             base=2, alphabet=2, zeros=SequenceSpec.geometric(1, 2)
         )
-        src = blockset.cell_source(sch)
+        src = blockset.BlockCellSource(sch)
         report = closure_count_check([Fraction(0)], src, 6, verify_density=True)
         assert report.precondition_failed
 

@@ -8,8 +8,10 @@ import tracemalloc
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from fractaldim import cli
 from fractaldim._digits import DECIMAL_BASE_BITS
 from fractaldim.cli import main
+from fractaldim.errors import BudgetExceededError
 
 DOUBLING = {
     "base": 2,
@@ -32,6 +34,17 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_peak(capsys, *argv):
+    """``run_cli`` plus the peak of the memory traced while the command ran."""
+    tracemalloc.start()
+    try:
+        result = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (*result, peak)
 
 
 class TestDimBlock:
@@ -202,7 +215,7 @@ class TestCounts:
             capsys, "counts", "--schedule", str(path), "--levels", "3", "1500"
         )
         assert code == 0
-        source = blockset.cell_source(blockset.schedule_from_json(spec))
+        source = blockset.BlockCellSource(blockset.schedule_from_json(spec))
         series = boxdim.count_series(source, range(3, 1501))
         # both columns run past the size above which values are formatted from their predecessor
         assert min(10**1500, series.entries[-1].n_cells) > 2**DECIMAL_BASE_BITS
@@ -412,6 +425,29 @@ class TestSeqCheck:
             outputs.append(run_cli(capsys, "seq-check", str(path), "--squared-sum", "3"))
         assert outputs[1] == outputs[0] == (0, "index,holds\n0,true\n1,true\n2,false\n", "")
 
+    @pytest.mark.parametrize(
+        "spec, n, index",
+        [
+            ({"kind": "double_exponential", "base": 300}, 4, 3),
+            ({"kind": "power_tower", "base": 3}, 40, 4),
+            ({"kind": "squared_sum", "seed": 2}, 40, 22),
+        ],
+    )
+    def test_huge_digit_cap_stops_at_the_term_budget(self, capsys, tmp_path, spec, n, index):
+        # the default cap stops these at the same term, as a horizon
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "seq-check", str(path), "--squared-sum", str(n))
+        assert (code, out) == (3, "")
+        assert err == f"error: term {index} exceeds the digit cap of 1000000 decimal digits\n"
+        path.write_text(json.dumps(dict(spec, digit_cap=10**400)))
+        code, out, err, peak = run_cli_peak(capsys, "seq-check", str(path), "--squared-sum", str(n))
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: term {index} has over 1000000 decimal digits, the budget of any one term\n"
+        )
+        assert peak < 10**7  # no term past the budget was built
+
 
 class TestOutputPolicy:
     def test_out_flag_writes_file(self, capsys, tmp_path):
@@ -422,6 +458,20 @@ class TestOutputPolicy:
         text = target.read_text()
         assert text.startswith("family,param,sigma,dim,")
         assert "\r" not in text
+
+    def test_out_in_a_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, "counts", "--rule", "cantor", "--levels", "1", "3",
+                                 "--out", str(target))
+        assert_rejected(code, out, err)
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert not target.parent.exists()
+
+    def test_out_is_a_directory(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "counts", "--rule", "cantor", "--levels", "1", "3",
+                                 "--out", str(tmp_path))
+        assert_rejected(code, out, err)
+        assert err.startswith(f"error: cannot write {tmp_path}: ")
 
     def test_precision_flag(self, capsys):
         code, out, _ = run_cli(capsys, "dim-ifs", "--rule", "cantor", "--precision", "6")
@@ -533,15 +583,44 @@ class TestRejectedInput:
                 "zeros": {"kind": "arithmetic", "first": 1, "step": 0, "horizon": 10**19}}
         path = tmp_path / "schedule.json"
         path.write_text(json.dumps(spec))
-        tracemalloc.start()
-        try:
-            code, out, err = run_cli(capsys, "dim-block", str(path), "--n-max", str(10**12))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, out, err, peak = run_cli_peak(capsys, "dim-block", str(path), "--n-max", str(10**12))
         assert (code, out) == (3, "")
         assert err.startswith("error: block walk asks for 2000000000002 blocks, over the budget")
         assert peak < 10**7  # refused before the walk drew a block
+
+    def test_counts_over_the_level_budget(self, capsys):
+        code, out, err, peak = run_cli_peak(
+            capsys, "counts", "--rule", "cantor", "--levels", "0", "100000000"
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: levels 0..100000000 are 100000001 levels, over the budget of 1000000\n"
+        assert peak < 10**7  # refused before the level list was built
+
+    def test_level_budget_boundary(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_LEVEL_BUDGET", 5)
+        code, out, _ = run_cli(capsys, "counts", "--rule", "cantor", "--levels", "3", "7")
+        assert code == 0 and len(out.splitlines()) == 6
+        code, _, _ = run_cli(capsys, "counts", "--rule", "cantor", "--levels", "3", "8")
+        assert code == 3
+
+    def test_two_grid_past_the_printed_digits(self, capsys):
+        code, out, err, peak = run_cli_peak(
+            capsys, "two-grid", "--rule", "cantor", "--levels", "0", "100000000000"
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: 3**100000000000 has more than the 2000000 digits a command may print\n"
+        assert peak < 10**7  # refused before 2**Q or 3**Q was built
+
+    def test_printable_power_is_exact(self, monkeypatch):
+        monkeypatch.setattr(cli, "_PRINTED_DIGITS", 50)
+        for base in (2, 3, 7, 10, 20, 100, 1000, 99999):
+            for q in range(1, 200):
+                try:
+                    cli._check_printable_power(base, q)
+                    refused = False
+                except BudgetExceededError:
+                    refused = True
+                assert refused == (len(str(base**q)) > 50), (base, q)
 
     @pytest.mark.parametrize(
         "check",
@@ -714,6 +793,9 @@ SEQ_SPECS = st.sampled_from(
         {"kind": "arithmetic", "first": 2, "step": 1, "horizon": 20, "digit_cap": 5},
         {"kind": "explicit", "terms": [1, 2, 4, 9, 30], "horizon": 4},
         {"kind": "squared_sum", "seed": 1, "horizon": 8},
+        # each reaches the term budget within five terms under a huge cap
+        {"kind": "double_exponential", "base": 300},
+        {"kind": "power_tower", "base": 3},
     ]
 )
 SEQ_CHECKS = st.sampled_from(
@@ -727,8 +809,25 @@ SEQ_CHECKS = st.sampled_from(
 
 
 @settings(FUZZ, max_examples=300)
-@given(data=st.data(), base=SEQ_SPECS, check=SEQ_CHECKS)
-def test_seq_check_contract_on_mutated_json(capsys, tmp_path, data, base, check):
+@given(data=st.data(), base=SEQ_SPECS, check=SEQ_CHECKS, cap=st.sampled_from([None, 10**400]))
+def test_seq_check_contract_on_mutated_json(capsys, tmp_path, data, base, check, cap):
     path = tmp_path / "seq.json"
-    path.write_text(json.dumps(_mutated(data, base)))
+    path.write_text(json.dumps(_mutated(data, base if cap is None else dict(base, digit_cap=cap))))
     assert_contract(*run_cli(capsys, "seq-check", str(path), *check))
+
+
+@settings(FUZZ, max_examples=100)
+@given(
+    kind=st.sampled_from([("double_exponential", "base"), ("power_tower", "base"),
+                          ("squared_sum", "seed")]),
+    value=st.integers(2, 300) | st.sampled_from([10**9, 10**30, 10**400]),
+    cap=st.sampled_from([10**6 + 1, 10**400]),
+    check=SEQ_CHECKS,
+)
+def test_seq_check_contract_under_a_huge_digit_cap(capsys, tmp_path, kind, value, cap, check):
+    # valid specs, so that each term is built up to the term budget
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps({"kind": kind[0], kind[1]: value, "digit_cap": cap}))
+    code, out, err = run_cli(capsys, "seq-check", str(path), *check)
+    assert_contract(code, out, err)
+    assert code in (0, 3)

@@ -26,7 +26,6 @@ from fractaldim.seqgen import (
     lemma_inequality_check,
     prefix_sums,
     spec_from_json,
-    spec_to_json,
     squared_sum_check,
     tail_domination,
     terms,
@@ -296,15 +295,18 @@ class TestSquaredSumCheck:
 
 class TestJson:
     def test_round_trip(self):
-        for spec in (
-            SequenceSpec.geometric(1, 2, horizon=64),
-            SequenceSpec.arithmetic(1, 3),
-            SequenceSpec.explicit([1, 2, 3]),
-            SequenceSpec.power_tower(2),
-            SequenceSpec.double_exponential(3),
-            SequenceSpec.squared_sum(2),
+        for obj, spec in (
+            ({"kind": "geometric", "first": 1, "ratio": 2, "horizon": 64},
+             SequenceSpec.geometric(1, 2, horizon=64)),
+            ({"kind": "arithmetic", "first": 1, "step": 3}, SequenceSpec.arithmetic(1, 3)),
+            ({"kind": "explicit", "terms": [1, 2, 3]}, SequenceSpec.explicit([1, 2, 3])),
+            ({"kind": "power_tower", "base": 2, "digit_cap": 50},
+             SequenceSpec.power_tower(2, digit_cap=50)),
+            ({"kind": "double_exponential", "base": 3}, SequenceSpec.double_exponential(3)),
+            ({"kind": "squared_sum", "seed": 2, "horizon": 9, "digit_cap": 10**400},
+             SequenceSpec.squared_sum(2, horizon=9, digit_cap=10**400)),
         ):
-            assert spec_from_json(spec_to_json(spec)) == spec
+            assert spec_from_json(obj) == spec
 
     def test_documented_shape(self):
         obj = {"kind": "geometric", "first": 1, "ratio": 2, "horizon": 64, "digit_cap": 1000000}
