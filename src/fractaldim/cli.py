@@ -216,20 +216,10 @@ def cmd_two_grid(args) -> str:
 
 
 def _check_printable_power(base: int, q: int) -> None:
-    """Refuse base**q, before building it, if it has over ``_PRINTED_DIGITS`` digits.
-
-    That is when q*log10(base) >= _PRINTED_DIGITS, compared in integers with
-    the exact ratio of the float log10(base), which is far within 2**-40 of
-    it; only a q within that margin builds base**q to compare exactly.
-    """
-    num, den = math.log10(base).as_integer_ratio()
-    limit = _PRINTED_DIGITS * den << 40
-    if q * num * (2**40 - 1) >= limit or (
-        q * num * (2**40 + 2) >= limit and base**q >= 10**_PRINTED_DIGITS
-    ):
-        raise BudgetExceededError(
-            f"{base}**{q} has more than the {_PRINTED_DIGITS} digits a command may print"
-        )
+    # refused unbuilt when surely too long, else built and measured exactly
+    limit = _PRINTED_DIGITS
+    if seqgen._power_exceeds(base, q, limit) or seqgen._digits_exceed(base**q, limit):
+        raise BudgetExceededError(f"{base}**{q} has more than the {limit} digits a command may print")
 
 
 def cmd_critical_d(args) -> str:

@@ -33,7 +33,10 @@ KINDS = (
 
 DEFAULT_HORIZON = 64
 DEFAULT_DIGIT_CAP = 1_000_000
-# digits a power or square term may reach under a larger cap
+# Digits a power or square term may reach under a larger cap.  A cap at most
+# this bounds every term without it.  Under a larger cap, a square past it is
+# refused before it is built, and a power before it is built if surely past
+# it, else after, so a huge cap stops at the term where the default cap stops.
 _TERM_DIGIT_BUDGET = DEFAULT_DIGIT_CAP
 
 #: verdict states for :func:`dimzero_criterion`
@@ -194,9 +197,8 @@ def _grown_terms(spec: SequenceSpec) -> Iterator[int]:
         b, i = spec.base, 0
         exponent = 1  # b**n at n = 0
         while True:
-            _guard_exponent(b, exponent, cap, i)
-            _guard_term_bits(exponent * (b.bit_length() - 1), cap, i)
-            yield b**exponent
+            _guard_power(b, exponent, cap, i)
+            yield _within_budget(b**exponent, cap, i)
             exponent *= b
             i += 1
     if k == "power_tower":
@@ -204,15 +206,16 @@ def _grown_terms(spec: SequenceSpec) -> Iterator[int]:
         while True:
             yield t
             i += 1
-            _guard_exponent(spec.base, t, cap, i)
-            _guard_term_bits(t * (spec.base.bit_length() - 1), cap, i)
-            t = spec.base**t
+            _guard_power(spec.base, t, cap, i)
+            t = _within_budget(spec.base**t, cap, i)
     if k == "squared_sum":
-        total, t = 0, spec.seed
+        total, t = 0, _within_budget(spec.seed, cap, 0)
         for i in count(1):
             yield t
             total += t
-            _guard_term_bits(2 * (total.bit_length() - 1), cap, i)
+            # total**2 has more digits than the (even) budget iff total has more than half
+            if cap > _TERM_DIGIT_BUDGET and _digits_exceed(total, _TERM_DIGIT_BUDGET // 2):
+                raise _budget_error(i)
             t = total * total
     raise AssertionError(f"unhandled kind {k}")
 
@@ -255,25 +258,34 @@ def _guard_exponent(base: int, exponent: int, cap: int, index: int) -> None:
     # materializing something astronomically past the cap.  The float
     # log10(base) = num/den enters as its exact ratio, so a cap of any size
     # compares in integers: exponent > floor(cap / log10(base)) + 2.
-    num, den = math.log10(base).as_integer_ratio()
-    if exponent > cap * den // num + 2:
+    if _power_exceeds(base, exponent, cap):
         raise HorizonExceededError(
             f"term {index} exceeds the digit cap of {cap} decimal digits",
             index=index,
         )
 
 
-def _guard_term_bits(bits: int, cap: int, index: int) -> None:
-    """Refuse term ``index``, at least 2**bits, if it passes the term-digit budget.
+def _power_exceeds(base: int, exponent: int, digits: int) -> bool:
+    num, den = math.log10(base).as_integer_ratio()
+    return exponent > digits * den // num + 2
 
-    A cap at most the budget bounds every term without it.  2**bits has more
-    than 3*bits/10 digits, as log10(2) > 0.3, so the comparison is in integers.
-    """
-    if cap > _TERM_DIGIT_BUDGET and 3 * bits > 10 * _TERM_DIGIT_BUDGET:
-        raise BudgetExceededError(
-            f"term {index} has over {_TERM_DIGIT_BUDGET} decimal digits, "
-            "the budget of any one term"
-        )
+
+def _budget_error(index: int) -> BudgetExceededError:
+    return BudgetExceededError(
+        f"term {index} has over {_TERM_DIGIT_BUDGET} decimal digits, the budget of any one term"
+    )
+
+
+def _guard_power(base: int, exponent: int, cap: int, index: int) -> None:
+    _guard_exponent(base, exponent, cap, index)
+    if cap > _TERM_DIGIT_BUDGET and _power_exceeds(base, exponent, _TERM_DIGIT_BUDGET):
+        raise _budget_error(index)
+
+
+def _within_budget(value: int, cap: int, index: int) -> int:
+    if cap > _TERM_DIGIT_BUDGET and _digits_exceed(value, _TERM_DIGIT_BUDGET):
+        raise _budget_error(index)
+    return value
 
 
 def terms(spec: SequenceSpec, n: int) -> list[int]:

@@ -429,6 +429,10 @@ class TestSeqCheck:
         "spec, n, index",
         [
             ({"kind": "double_exponential", "base": 300}, 4, 3),
+            # 81**(81**3) is refused before it is built, though 81 has 7 bits
+            ({"kind": "double_exponential", "base": 81}, 4, 3),
+            # 10**(10**6), one digit past the budget, is built, then refused
+            ({"kind": "double_exponential", "base": 10}, 7, 6),
             ({"kind": "power_tower", "base": 3}, 40, 4),
             ({"kind": "squared_sum", "seed": 2}, 40, 22),
         ],

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fractaldim import seqgen
-from fractaldim.errors import HorizonExceededError, InputError
+from fractaldim.errors import BudgetExceededError, HorizonExceededError, InputError
 from fractaldim.seqgen import (
     SATISFIED,
     VIOLATED,
@@ -480,3 +480,19 @@ def test_term_count_above_maxsize_is_refused():
 )
 def test_safe_prefix(spec, known):
     assert seqgen._safe_prefix(spec) == known
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [("double_exponential", "base"), ("power_tower", "base"), ("squared_sum", "seed")],
+)
+def test_huge_cap_stops_where_a_cap_of_the_budget_does(monkeypatch, kind, key):
+    # with a budget of 40 digits, many terms fall just past it
+    monkeypatch.setattr(seqgen, "_TERM_DIGIT_BUDGET", 40)
+    for value in range(1 if key == "seed" else 2, 300):
+        stops = []
+        for cap, error in ((40, HorizonExceededError), (10**400, BudgetExceededError)):
+            with pytest.raises(error) as exc:
+                terms(spec_from_json({"kind": kind, key: value, "digit_cap": cap}), 65)
+            stops.append(int(str(exc.value).split()[1]))
+        assert stops[0] == stops[1], value

@@ -1,8 +1,8 @@
 """One sha256 per benchmark operation over its exit status, stdout and stderr.
 
-    python3 tools/cli_digest.py [--src DIR] [--workloads A,B] [--seeds 1-5]
+    python3 tools/cli_digest.py [--src DIR] [--seeds 1-5]
 
-Builds each workload's inputs with ``bench/workloads.build`` for every seed,
+Builds every workload's inputs with ``bench/workloads.build`` for every seed,
 runs each operation as ``python -m fractaldim.cli ARGV`` in a fresh
 interpreter with the package imported from ``--src`` (default: this
 checkout's ``src``), and prints one line per operation:
@@ -49,11 +49,10 @@ def digest(src: Path, argv: list[str], cwd: Path) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding fractaldim")
-    parser.add_argument("--workloads", default=",".join(workloads.WORKLOADS))
     parser.add_argument("--seeds", default="1-5", help="one seed N or a range LO-HI")
     args = parser.parse_args(argv)
     src = args.src.resolve()
-    for name in args.workloads.split(","):
+    for name in workloads.WORKLOADS:
         for seed in _seeds(args.seeds):
             with tempfile.TemporaryDirectory() as tmp:
                 work = Path(tmp)
