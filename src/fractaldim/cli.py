@@ -60,7 +60,7 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
@@ -226,7 +226,7 @@ def cmd_critical_d(args) -> str:
     try:
         with open(args.counts, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {args.counts}: {exc}") from exc
     series = boxdim.count_series_from_csv(text)
     result = boxdim.critical_d(series, tol=args.tol, d_max=args.d_max)

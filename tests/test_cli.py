@@ -545,6 +545,27 @@ class TestRejectedInput:
         path.write_text(f"m,delta,n_cells\n1,1/3,2\n{row}\n3,1/27,8\n")
         assert_rejected(*run_cli(capsys, "critical-d", str(path)))
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dim-ifs"],
+            ["hyper-hsd", "--delta", "1/2", "--s", "1/2"],
+            ["dim-block", "--n-max", "5"],
+            ["counts", "--levels", "1", "3", "--schedule"],
+            ["seq-check"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_json_file_not_utf8(self, capsys, tmp_path, argv):
+        path = tmp_path / "input.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert_rejected(*run_cli(capsys, *argv, str(path)))
+
+    def test_count_csv_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_bytes(b"m,delta,n_cells\n1,1/3,2\n2,1/9,\xff\n")
+        assert_rejected(*run_cli(capsys, "critical-d", str(path)))
+
     def test_zero_count_before_growth(self, capsys, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_text("m,delta,n_cells\n1,1/2,0\n2,1/4,1\n3,1/8,2\n")

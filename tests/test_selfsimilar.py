@@ -7,15 +7,20 @@ cross-check on every recurrence.
 """
 
 import math
+import random
 from fractions import Fraction
+from itertools import chain, combinations_with_replacement, repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fractaldim import selfsimilar
+from fractaldim._fsum import copies
 from fractaldim.errors import InputError, UnknownCatalogError
 from fractaldim.selfsimilar import (
     RULES,
     IfsRatios,
+    MoranRoot,
     PieceRule,
     closed_form_check,
     dim_from_rule,
@@ -311,3 +316,98 @@ def test_moran_multiplicities_match_flat_expansion(pairs, tol):
     flat = tuple(c for c, k in pairs for _ in range(k))
     counted = IfsRatios(tuple(c for c, _ in pairs), tuple(k for _, k in pairs))
     assert moran_solve(counted, tol=tol) == moran_solve(IfsRatios(flat), tol=tol)
+
+
+# ---------------------------------------------------------------------------
+# the certified bracket replays the plain bisection
+
+
+def _reference_bisection(ratios: IfsRatios, tol: float) -> MoranRoot:
+    """The Moran bisection that computes f at every step."""
+    n = ratios.total
+    if n == 1:
+        return MoranRoot(s=0.0, width=0.0, degenerate=True)
+    pairs = list(zip(ratios.ratios, ratios.counts))
+    singles = [c for c, k in pairs if k == 1]
+    repeated = [(c, k) for c, k in pairs if k > 1]
+
+    def f(s):
+        many = chain.from_iterable(copies(c**s, k) for c, k in repeated)
+        return math.fsum(chain(map(pow, singles, repeat(s)), many))
+
+    hi = math.log(n) / -math.log(max(ratios.ratios)) + 1e-9
+    lo = 0.0
+    iterations = 0
+    while hi - lo > tol and iterations < 200:
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+        iterations += 1
+    return MoranRoot(s=0.5 * (lo + hi), width=hi - lo, iterations=iterations)
+
+
+EXTREME_RATIOS = (5e-324, 2.2250738585072014e-308, 1e-300, 0.9999999999999999)
+MORAN_TOLS = (1e-12, 1e-9, 1.0, 1e-300, 5e-324)
+RATIO = st.one_of(
+    st.sampled_from(EXTREME_RATIOS),
+    st.floats(0, 1, exclude_min=True, exclude_max=True),
+    st.builds(lambda p, q: Fraction(p, p + q), st.integers(1, 10**9), st.integers(1, 10**9)),
+)
+
+
+@st.composite
+def moran_inputs(draw):
+    """2 to 1,000 ratios: a drawn head padded by seeded floats, one in ten extreme."""
+    n = draw(st.integers(2, 1000))
+    cs = draw(st.lists(RATIO, min_size=1, max_size=min(n, 20)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    while len(cs) < n:
+        cs.append(rng.choice(EXTREME_RATIOS) if rng.random() < 0.1 else rng.random() or 0.5)
+    counts = [1] * n
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=4)):
+        counts[i] = draw(st.integers(2, 10**300))
+    return IfsRatios(tuple(cs), tuple(counts))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(ratios=moran_inputs(), tol=st.sampled_from(MORAN_TOLS))
+def test_moran_matches_the_reference_bisection(ratios, tol):
+    assert moran_solve(ratios, tol=tol) == _reference_bisection(ratios, tol)
+
+
+def test_moran_matches_the_reference_on_extremes():
+    # a Fraction below the float range has no logarithm, so no Newton estimate
+    pairs = [*combinations_with_replacement(EXTREME_RATIOS, 2), (Fraction(1, 10**400), 0.5)]
+    for cs in pairs:
+        for counts in ((), (2**996, 1)):  # one exact term for 6.7e299 maps
+            ratios = IfsRatios(cs, counts)
+            for tol in MORAN_TOLS:
+                assert moran_solve(ratios, tol=tol) == _reference_bisection(ratios, tol), (cs, tol)
+
+
+def _count_sums(monkeypatch) -> list:
+    calls = []
+    real = selfsimilar._moran_sum
+    monkeypatch.setattr(selfsimilar, "_moran_sum", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_moran_sums_on_many_random_ratios(monkeypatch):
+    # drawn as the benchmark's moran_random input; the plain bisection sums 42 times
+    rng = random.Random(7)
+    cs = [round(rng.uniform(0.0005, 0.02), 8) for _ in range(30_000)]
+    cs[rng.randrange(len(cs))] = 0.02
+    calls = _count_sums(monkeypatch)
+    root = moran_solve(IfsRatios(tuple(cs)))
+    assert root.iterations == 42
+    assert len(calls) <= 12
+
+
+def test_moran_sums_on_one_repeated_ratio(monkeypatch):
+    calls = _count_sums(monkeypatch)
+    root = moran_solve(IfsRatios((0.02,), (150_000,)))
+    assert root.s == pytest.approx(math.log(150_000) / math.log(50), abs=1e-9)
+    assert root.iterations == 42
+    assert len(calls) <= 8
