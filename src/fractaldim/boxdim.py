@@ -129,15 +129,6 @@ class IntervalSource(CellSource):
         return hi - lo + 1
 
 
-class EmptySource(CellSource):
-    def __init__(self, base: int = 2, ambient_dim: int = 1):
-        self.base = base
-        self.ambient_dim = ambient_dim
-
-    def count(self, m: int) -> int:
-        return 0
-
-
 class RuleSource(CellSource):
     """Arithmetic cell counts pieces**m at scale**-m for a piece/scale rule."""
 
@@ -325,7 +316,11 @@ def critical_d(
 
     Only the tail window that ``classify_d`` reads is used.  Counts must
     grow strictly over it; otherwise the smallest slope over the window is
-    returned with the ``degenerate`` flag set.
+    returned with the ``degenerate`` flag set.  ``d`` is the first midpoint
+    classified ``bounded``, if any; the bisection then goes on either side
+    of it, so ``lo`` is the last point seen to diverge (or 0) and ``hi`` the
+    first seen to vanish (or ``d_max``), each within ``tol`` of the edge of
+    the bounded band.
     """
     if not tol > 0:  # also rejects NaN, which would skip the bisection
         raise InputError("tol must be positive")
@@ -362,8 +357,21 @@ def critical_d(
         elif verdict == VANISHES:
             hi = mid
         else:
-            return CriticalExponent(d=mid, lo=mid, hi=mid)
+            lo = _band_edge(series, lo, mid, DIVERGES, tol)
+            hi = _band_edge(series, hi, mid, VANISHES, tol)
+            return CriticalExponent(d=mid, lo=lo, hi=hi)
     return CriticalExponent(d=0.5 * (lo + hi), lo=lo, hi=hi)
+
+
+def _band_edge(series: CountSeries, outer: float, inner: float, verdict: str, tol: float) -> float:
+    """Bisect from ``outer`` toward ``inner``, not classified ``verdict``, to the last point that is."""
+    while abs(inner - outer) > tol:
+        mid = 0.5 * (outer + inner)
+        if classify_d(series, mid) == verdict:
+            outer = mid
+        else:
+            inner = mid
+    return outer
 
 
 # ---------------------------------------------------------------------------
@@ -405,20 +413,12 @@ def closure_count_check(
     """
     sample_cells = occupied_cells(dense_sample, reference.base, m, reference.ambient_dim)
     ref_count = reference.count(m)
-    if verify_density:
-        ref_cells = set(reference.enumerate_cells(m))
-        missing = ref_cells - sample_cells
-        if missing:
-            return ClosureCheckReport(
-                equal=False,
-                sample_cells=len(sample_cells),
-                reference_cells=ref_count,
-                precondition_failed=True,
-            )
+    failed = verify_density and not sample_cells.issuperset(reference.enumerate_cells(m))
     return ClosureCheckReport(
-        equal=len(sample_cells) == ref_count,
+        equal=not failed and len(sample_cells) == ref_count,
         sample_cells=len(sample_cells),
         reference_cells=ref_count,
+        precondition_failed=failed,
     )
 
 

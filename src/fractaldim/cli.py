@@ -56,12 +56,17 @@ def _fmt(value, precision: int) -> str:
     return f"{float(value):.{precision}f}"
 
 
-def _load_json(path: str):
+def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_json(path: str):
+    try:
+        return json.loads(_read(path))
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
@@ -223,12 +228,7 @@ def _check_printable_power(base: int, q: int) -> None:
 
 
 def cmd_critical_d(args) -> str:
-    try:
-        with open(args.counts, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {args.counts}: {exc}") from exc
-    series = boxdim.count_series_from_csv(text)
+    series = boxdim.count_series_from_csv(_read(args.counts))
     result = boxdim.critical_d(series, tol=args.tol, d_max=args.d_max)
     lines = [f"critical_d,{_fmt(result.d, args.precision)}"]
     lines.append(f"bracket,{_fmt(result.lo, args.precision)},{_fmt(result.hi, args.precision)}")

@@ -32,6 +32,7 @@ from typing import Collection, Iterator, Mapping, Sequence
 
 from ._fsum import copies
 from .errors import BudgetExceededError, InfeasibleDeltaError, InputError
+from .selfsimilar import fat_cantor
 
 # cap on the DP oracle's cell updates, L * min(L, D) for the longest run L
 _DP_BUDGET = 2 * 10**7
@@ -80,16 +81,20 @@ class InternalSet:
             raise InputError(f"run end {self.runs[-1][1]} exceeds grid index {grid.N}")
 
 
+def _merge(pairs, gap):
+    """Sorted (start, end) pairs, merged where one starts within ``gap`` of the previous end."""
+    merged = []
+    for a, b in sorted(pairs):
+        if merged and a <= merged[-1][1] + gap:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], b))
+        else:
+            merged.append((a, b))
+    return merged
+
+
 def merge_runs(pairs: Sequence[tuple[int, int]]) -> InternalSet:
     """Normalize arbitrary index pairs into an InternalSet (merge touching runs)."""
-    cleaned = sorted((min(i, j), max(i, j)) for i, j in pairs)
-    merged: list[tuple[int, int]] = []
-    for i, j in cleaned:
-        if merged and i <= merged[-1][1] + 1:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], j))
-        else:
-            merged.append((i, j))
-    return InternalSet(tuple(merged))
+    return InternalSet(tuple(_merge(((min(i, j), max(i, j)) for i, j in pairs), 1)))
 
 
 @dataclass(frozen=True)
@@ -138,17 +143,21 @@ def discrete_lebesgue(B: InternalSet, grid: HyperGrid) -> Fraction:
 
 
 def _merge_intervals(intervals) -> list[tuple[Fraction, Fraction]]:
-    pairs = sorted((Fraction(a), Fraction(b)) for a, b in intervals)
+    pairs = [(Fraction(a), Fraction(b)) for a, b in intervals]
     for a, b in pairs:
         if not 0 <= a <= b <= 1:
             raise InputError("intervals must satisfy 0 <= a <= b <= 1")
-    merged: list[tuple[Fraction, Fraction]] = []
-    for a, b in pairs:
-        if merged and a <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], b))
-        else:
-            merged.append((a, b))
-    return merged
+    return _merge(pairs, 0)
+
+
+def _trace(merged, N: int) -> list[tuple[int, int]]:
+    """Index runs ceil(a*N)..floor(b*N) of the merged components holding a grid point."""
+    runs = []
+    for a, b in merged:
+        lo, hi = math.ceil(a * N), math.floor(b * N)
+        if lo <= hi:
+            runs.append((lo, hi))
+    return runs
 
 
 def lebesgue_bounds(intervals, grid: HyperGrid) -> tuple[Fraction, Fraction]:
@@ -160,19 +169,10 @@ def lebesgue_bounds(intervals, grid: HyperGrid) -> tuple[Fraction, Fraction]:
     2*(number of intervals)/(N+1).
     """
     merged = _merge_intervals(intervals)
-    if not merged:
-        return (Fraction(0), Fraction(0))
     N = grid.N
-    inner = outer = 0
-    for a, b in merged:
-        lo_in = math.ceil(a * N)
-        hi_in = math.floor(b * N)
-        if lo_in <= hi_in:
-            inner += hi_in - lo_in + 1
-        # cell i meets [a, b] iff i <= b*N and i + 1 > a*N
-        lo_out = a * N if (a * N).denominator == 1 else math.floor(a * N)
-        hi_out = min(math.floor(b * N), N)
-        outer += hi_out - int(lo_out) + 1
+    inner = sum(hi - lo + 1 for lo, hi in _trace(merged, N))
+    # cell i meets [a, b] iff i <= b*N and i + 1 > a*N
+    outer = sum(min(math.floor(b * N), N) - math.floor(a * N) + 1 for a, b in merged)
     return (Fraction(inner, N + 1), Fraction(outer, N + 1))
 
 
@@ -284,18 +284,10 @@ def _check_s(s) -> None:
 
 
 def cantor_stage(m: int) -> list[tuple[Fraction, Fraction]]:
-    """The 2**m closed middle-thirds intervals of stage m."""
+    """The 2**m closed middle-thirds intervals of stage m: ``fat_cantor`` at measures (2/3)**k."""
     if m < 0:
         raise InputError("stage must be >= 0")
-    intervals = [(Fraction(0), Fraction(1))]
-    for _ in range(m):
-        nxt = []
-        for a, b in intervals:
-            third = (b - a) / 3
-            nxt.append((a, a + third))
-            nxt.append((b - third, b))
-        intervals = nxt
-    return intervals
+    return list(fat_cantor([Fraction(2, 3) ** k for k in range(m + 1)], m).intervals)
 
 
 def trace_superset(intervals, grid: HyperGrid) -> InternalSet:
@@ -306,16 +298,9 @@ def trace_superset(intervals, grid: HyperGrid) -> InternalSet:
     to the grid), mirroring the covering step that swallows points
     infinitesimally close to the set at finite resolution.
     """
-    merged = _merge_intervals(intervals)
     N = grid.N
-    runs = []
-    for a, b in merged:
-        lo = math.ceil(a * N)
-        hi = math.floor(b * N)
-        if lo > hi:
-            continue  # component too thin to trace at this resolution
-        runs.append((max(0, lo - _ENLARGE), min(N, hi + _ENLARGE)))
-    return merge_runs(runs)
+    runs = _trace(_merge_intervals(intervals), N)
+    return merge_runs([(max(0, lo - _ENLARGE), min(N, hi + _ENLARGE)) for lo, hi in runs])
 
 
 def outer_h_measure(

@@ -235,6 +235,9 @@ def moran_solve(ratios: IfsRatios, tol: float = 1e-12) -> MoranRoot:
     n = ratios.total
     if n == 1:
         return MoranRoot(s=0.0, width=0.0, degenerate=True)
+    top = float(max(ratios.ratios))  # a Fraction ratio may round to 0 or 1
+    if not 0.0 < top < 1.0:
+        raise InputError(f"the largest ratio is {top} as a float; it must lie strictly in (0, 1)")
     pairs = list(zip(ratios.ratios, ratios.counts))
     singles = [c for c, k in pairs if k == 1]
     repeated = [(c, k) for c, k in pairs if k > 1]
@@ -249,7 +252,7 @@ def moran_solve(ratios: IfsRatios, tol: float = 1e-12) -> MoranRoot:
                 above = probe
             elif value < 1.0 - _MORAN_MARGIN:
                 below = min(below, probe)
-    hi = math.log(n) / -math.log(max(ratios.ratios)) + 1e-9
+    hi = math.log(n) / -math.log(top) + 1e-9
     lo = 0.0
     iterations = 0
     while hi - lo > tol and iterations < _MORAN_MAX_ITER:
@@ -278,9 +281,7 @@ def hausdorff_measure_at(rule: PieceRule, s, m: int) -> float:
     t = m * step
     if t > 709:
         return math.inf
-    if t < -745:
-        return 0.0
-    return math.exp(t)
+    return math.exp(t)  # 0.0 once it underflows
 
 
 # ---------------------------------------------------------------------------

@@ -22,14 +22,16 @@ from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, HorizonExceededError, InputError
 
-KINDS = (
-    "explicit",
-    "arithmetic",
-    "geometric",
-    "double_exponential",
-    "power_tower",
-    "squared_sum",
-)
+# the parameter fields each kind takes, in the order errors name them
+_KIND_KEYS = {
+    "explicit": ("terms",),
+    "arithmetic": ("first", "step"),
+    "geometric": ("first", "ratio"),
+    "double_exponential": ("base",),
+    "power_tower": ("base",),
+    "squared_sum": ("seed",),
+}
+KINDS = tuple(_KIND_KEYS)
 
 DEFAULT_HORIZON = 64
 DEFAULT_DIGIT_CAP = 1_000_000
@@ -72,33 +74,25 @@ class SequenceSpec:
         if self.digit_cap < 1:
             raise InputError("digit_cap must be >= 1")
         k = self.kind
+        if k == "explicit" and not self.terms:
+            raise InputError("explicit sequence needs a nonempty term list")
+        for name in _KIND_KEYS[k]:
+            if getattr(self, name) is None:
+                raise InputError(f"missing parameter {name!r}")
         if k == "explicit":
-            if not self.terms:
-                raise InputError("explicit sequence needs a nonempty term list")
             if any(t < 1 for t in self.terms):
                 raise InputError("every term must be >= 1")
         elif k == "arithmetic":
-            self._need(first=self.first, step=self.step)
             if self.first < 1 or self.step < 0:
                 raise InputError("arithmetic needs first >= 1 and step >= 0")
         elif k == "geometric":
-            self._need(first=self.first, ratio=self.ratio)
             if self.first < 1 or self.ratio < 1:
                 raise InputError("geometric needs first >= 1 and ratio >= 1")
         elif k in ("double_exponential", "power_tower"):
-            self._need(base=self.base)
             if self.base < 2:
                 raise InputError(f"{k} needs base >= 2")
-        elif k == "squared_sum":
-            self._need(seed=self.seed)
-            if self.seed < 1:
-                raise InputError("squared_sum needs seed >= 1")
-
-    @staticmethod
-    def _need(**fields):
-        for name, value in fields.items():
-            if value is None:
-                raise InputError(f"missing parameter {name!r}")
+        elif self.seed < 1:
+            raise InputError("squared_sum needs seed >= 1")
 
     # -- convenience constructors -------------------------------------
 
@@ -391,16 +385,6 @@ def squared_sum_check(spec: SequenceSpec, n: int) -> list[tuple[int, bool]]:
 # ---------------------------------------------------------------------------
 # JSON wire format
 
-_COMMON_KEYS = {"kind", "horizon", "digit_cap"}
-_KIND_KEYS = {
-    "explicit": {"terms"},
-    "arithmetic": {"first", "step"},
-    "geometric": {"first", "ratio"},
-    "double_exponential": {"base"},
-    "power_tower": {"base"},
-    "squared_sum": {"seed"},
-}
-
 
 def spec_from_json(obj: dict) -> SequenceSpec:
     if not isinstance(obj, dict):
@@ -408,13 +392,13 @@ def spec_from_json(obj: dict) -> SequenceSpec:
     kind = obj.get("kind")
     if kind not in KINDS:
         raise InputError(f"unknown sequence kind {kind!r}")
-    allowed = _COMMON_KEYS | _KIND_KEYS[kind]
-    unknown = set(obj) - allowed
+    allowed = ("horizon", "digit_cap", *_KIND_KEYS[kind])
+    unknown = set(obj) - {"kind", *allowed}
     if unknown:
         raise InputError(f"unknown keys in sequence spec: {sorted(unknown)}")
     kw = {}
     for key in allowed:
-        if key == "kind" or key not in obj:
+        if key not in obj:
             continue
         value = obj[key]
         if key == "terms":

@@ -19,7 +19,6 @@ from fractaldim.boxdim import (
     VANISHES,
     CountEntry,
     CountSeries,
-    EmptySource,
     ExplicitSource,
     IntervalSource,
     RuleSource,
@@ -67,10 +66,6 @@ class TestCountSeries:
         series = count_series(RuleSource(rule("carpet")), [1, 2, 3])
         assert [e.n_cells for e in series.entries] == [8, 64, 512]
         assert series.entries[1].n_cells == len(carpet_cells_oracle(2))
-
-    def test_empty_source(self):
-        series = count_series(EmptySource(), [1, 2, 3])
-        assert [e.n_cells for e in series.entries] == [0, 0, 0]
 
     def test_subinterval_counts_by_index_arithmetic(self):
         src = IntervalSource(Fraction(1, 4), Fraction(1, 2), base=2)
@@ -501,3 +496,20 @@ def test_critical_d_top_from_per_step_slopes(source):
         for a, b in zip(window, window[1:])
     ]
     assert critical_d(series, tol=1e-9) == critical_d(series, tol=1e-9, d_max=max(steps) + 1.0)
+
+
+@pytest.mark.parametrize(
+    "a, b, first_bounded",
+    [
+        (Fraction(1, 3), Fraction(2, 3), 0.998046875),
+        (Fraction(1, 7), Fraction(5, 7), 0.99951171875),
+    ],
+)
+def test_critical_d_brackets_the_interval_dimension(a, b, first_bounded):
+    # d stays the first midpoint classified bounded, below the true value 1;
+    # the band between diverges and vanishes around it must contain 1
+    result = critical_d(count_series(IntervalSource(a, b), list(range(1, 31))), tol=1e-9)
+    assert result.d == first_bounded
+    assert result.lo <= result.d <= result.hi
+    assert result.lo <= 1.0 <= result.hi
+    assert result.hi - result.lo < 0.01

@@ -3,11 +3,16 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import fractaldim
 from fractaldim import cli
 from fractaldim._digits import DECIMAL_BASE_BITS
 from fractaldim.cli import main
@@ -275,6 +280,23 @@ class TestCriticalD:
         assert code == 0
         assert "degenerate" not in out
         assert abs(float(out.splitlines()[0].split(",")[1]) - 1) < 1e-6
+
+
+def test_seq_check_error_names_the_same_key_under_every_hash_seed(tmp_path):
+    # bad keys are checked in the order horizon, digit_cap, then the kind's keys
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "arithmetic", "first": "a", "step": "b", "horizon": "h"}))
+    src = str(Path(fractaldim.__file__).resolve().parent.parent)
+    outcomes = []
+    for seed in ("1", "3"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fractaldim.cli", "seq-check", str(path), "--squared-sum", "3"],
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+        )
+        outcomes.append((proc.returncode, proc.stderr))
+    assert outcomes[0] == outcomes[1] == (2, "error: horizon must be an integer\n")
 
 
 class TestHyperHsd:

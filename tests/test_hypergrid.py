@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from fractaldim.errors import BudgetExceededError, InfeasibleDeltaError, InputError
 from fractaldim.hypergrid import (
+    _ENLARGE,
     HyperGrid,
     InternalSet,
     cantor_stage,
@@ -44,6 +45,12 @@ def brute_lebesgue_bounds(intervals, grid):
         if any(lo <= b and hi > a for a, b in intervals):
             outer += 1
     return Fraction(inner, N + 1), Fraction(outer, N + 1)
+
+
+def runs_of(points):
+    """Oracle: the maximal runs of consecutive integers in a set, in order."""
+    groups = itertools.groupby(enumerate(sorted(points)), key=lambda p: p[1] - p[0])
+    return tuple((g[0][1], g[-1][1]) for g in (list(g) for _, g in groups))
 
 
 class TestInternalSet:
@@ -361,6 +368,40 @@ class TestTraceSuperset:
         lengths = [b - a + 1 for a, b in iset.runs]
         base = N // 3**m + 1
         assert lengths == [base + 1] + [base + 2] * (2**m - 2) + [base + 1]
+
+
+    def test_cantor_stage_from_ternary_digits(self):
+        # stage m keeps [t/3**m, (t+1)/3**m] for each t whose m ternary digits are 0 or 2
+        for m in range(9):
+            starts = sorted(
+                sum(d * 3**k for k, d in enumerate(digits))
+                for digits in itertools.product((0, 2), repeat=m)
+            )
+            expected = [(Fraction(t, 3**m), Fraction(t + 1, 3**m)) for t in starts]
+            assert cantor_stage(m) == expected
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60)), max_size=12))
+def test_merge_runs_is_the_runs_of_the_union(pairs):
+    # pairs come unsorted, reversed, overlapping and touching
+    points = {k for i, j in pairs for k in range(min(i, j), max(i, j) + 1)}
+    assert merge_runs(pairs).runs == runs_of(points)
+
+
+_RATIONAL = st.integers(1, 50).flatmap(lambda q: st.integers(0, q).map(lambda p: Fraction(p, q)))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    N=st.integers(2, 60),
+    intervals=st.lists(st.tuples(_RATIONAL, _RATIONAL).map(sorted), max_size=6),
+)
+def test_trace_superset_matches_a_grid_scan(N, intervals):
+    # every grid point in the set, widened by _ENLARGE and clamped to [0, N]
+    inside = [i for i in range(N + 1) if any(a <= Fraction(i, N) <= b for a, b in intervals)]
+    widened = {k for i in inside for k in range(max(0, i - _ENLARGE), min(N, i + _ENLARGE) + 1)}
+    assert trace_superset(intervals, HyperGrid(N)).runs == runs_of(widened)
 
 
 class TestOuterHMeasure:

@@ -387,6 +387,18 @@ def test_moran_matches_the_reference_on_extremes():
                 assert moran_solve(ratios, tol=tol) == _reference_bisection(ratios, tol), (cs, tol)
 
 
+@pytest.mark.parametrize(
+    "cs",
+    [
+        (Fraction(10**20 - 1, 10**20), Fraction(1, 2)),  # the largest rounds to 1.0
+        (Fraction(1, 10**400), Fraction(1, 10**401)),  # every ratio rounds to 0.0
+    ],
+)
+def test_moran_refuses_a_largest_ratio_outside_the_float_range(cs):
+    with pytest.raises(InputError, match="strictly in"):
+        moran_solve(IfsRatios(cs))
+
+
 def _count_sums(monkeypatch) -> list:
     calls = []
     real = selfsimilar._moran_sum
