@@ -22,11 +22,10 @@ import math
 import random
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, cycle, islice, product
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import seqgen
 from .boxdim import CellSource
@@ -56,17 +55,21 @@ VANISHING = "vanishing"
 STABLE = "stable"
 
 
-@dataclass(frozen=True)
-class BlockSchedule:
-    """Radix, alphabet and the two block-length sequences of a digit-block set."""
-
+class _BlockSchedule(NamedTuple):
     base: int
     alphabet: int
     zeros: SequenceSpec
     frees: SequenceSpec | None = None
     m_cap: int = DEFAULT_M_CAP
 
-    def __post_init__(self):
+
+class BlockSchedule(_BlockSchedule):
+    """Radix, alphabet and the two block-length sequences of a digit-block set."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kw):
+        self = super().__new__(cls, *args, **kw)
         if self.base < 2:
             raise InputError("base must be >= 2")
         if not 2 <= self.alphabet <= self.base:
@@ -74,15 +77,15 @@ class BlockSchedule:
         if self.m_cap < 1:
             raise InputError("m_cap must be >= 1")
         if self.frees is None:
-            object.__setattr__(self, "frees", self.zeros)
+            self = self._replace(frees=self.zeros)
+        return self
 
     @property
     def horizon(self) -> int:
         return min(self.zeros.horizon, self.frees.horizon)
 
 
-@dataclass(frozen=True)
-class CutPoint:
+class CutPoint(NamedTuple):
     """A digit position ending a zero block or a free block."""
 
     n: int
@@ -91,8 +94,18 @@ class CutPoint:
     x_count: int
 
 
-@dataclass(frozen=True)
-class DimReport:
+class _DimReport(NamedTuple):
+    cut_m: tuple[int, ...]
+    cut_x: tuple[int, ...]
+    scale: float | None
+    lower: object
+    upper: object
+    converged: bool
+    spread: float
+    n_used: int
+
+
+class DimReport(_DimReport):
     """Cut-family dimension samples and their tail values.
 
     ``cut_m[j]`` and ``cut_x[j]`` are the digit position and free-digit
@@ -108,15 +121,7 @@ class DimReport:
     (n, m, x_count, value) are built on first access.
     """
 
-    cut_m: tuple[int, ...]
-    cut_x: tuple[int, ...]
-    scale: float | None
-    lower: object
-    upper: object
-    converged: bool
-    spread: float
-    n_used: int
-
+    # no __slots__: the cached properties are stored in the instance __dict__
     def _samples(self, first: int) -> tuple[tuple[int, int, int, object], ...]:
         m, x, scale = self.cut_m, self.cut_x, self.scale
         return tuple(
@@ -133,8 +138,7 @@ class DimReport:
         return self._samples(1)
 
 
-@dataclass(frozen=True)
-class HsEstimate:
+class HsEstimate(NamedTuple):
     """Tail value of sigma**X(m) * beta**(-m*s) along the after-zeros cuts."""
 
     value: float
@@ -304,6 +308,8 @@ def dim_bounds(schedule: BlockSchedule, n_max: int, tol: float = 1e-6) -> DimRep
     """
     if not tol > 0:  # also rejects NaN, which would make every report unconverged
         raise InputError("tol must be positive")
+    if tol == math.inf:  # would make every report converged
+        raise InputError("tol must be finite")
     if n_max < 2:
         raise InputError("dim_bounds needs n_max >= 2")
     table = _BlockTable(schedule)

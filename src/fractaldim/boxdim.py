@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import islice, repeat
 from operator import add, gt, lt, mul, sub
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._digits import ColumnReader, decimal_column, fraction_column
 from .errors import DegenerateGridError, InputError
@@ -43,21 +42,23 @@ class CellSource(ABC):
         raise NotImplementedError(f"{type(self).__name__} does not enumerate cells")
 
 
-@dataclass(frozen=True)
-class CountEntry:
+class CountEntry(NamedTuple):
     m: int
     delta: Fraction
     n_cells: int
 
 
-@dataclass(frozen=True)
-class CountSeries:
-    """Pairs of grid scale and exact cover count; levels rise and scales fall strictly."""
-
+class _CountSeries(NamedTuple):
     entries: tuple[CountEntry, ...]
     ambient_dim: int | None = None
 
-    def __post_init__(self):
+
+class CountSeries(_CountSeries):
+    """Pairs of grid scale and exact cover count; levels rise and scales fall strictly."""
+
+    # no __slots__: the cached property is stored in the instance __dict__
+    def __new__(cls, *args, **kw):
+        self = super().__new__(cls, *args, **kw)
         if not self.entries:
             raise InputError("count series must be nonempty")
         levels = [e.m for e in self.entries]
@@ -68,6 +69,7 @@ class CountSeries:
             raise InputError("deltas must be strictly decreasing")
         if any(e.n_cells < 0 for e in self.entries):
             raise InputError("cell counts must be >= 0")
+        return self
 
     @cached_property
     def _tail_logs(self) -> tuple[list[float], list[float]]:
@@ -78,8 +80,7 @@ class CountSeries:
         return [math.log(e.n_cells) for e in window], [_log_fraction(e.delta) for e in window]
 
 
-@dataclass(frozen=True)
-class TwoGridResult:
+class TwoGridResult(NamedTuple):
     h: Fraction
     k: Fraction
     n_h: int
@@ -87,8 +88,7 @@ class TwoGridResult:
     d: float
 
 
-@dataclass(frozen=True)
-class CriticalExponent:
+class CriticalExponent(NamedTuple):
     """Root of the dot-count scaling test, with its final bisection bracket."""
 
     d: float
@@ -97,8 +97,7 @@ class CriticalExponent:
     degenerate: bool = False
 
 
-@dataclass(frozen=True)
-class ClosureCheckReport:
+class ClosureCheckReport(NamedTuple):
     equal: bool
     sample_cells: int
     reference_cells: int
@@ -324,6 +323,8 @@ def critical_d(
     """
     if not tol > 0:  # also rejects NaN, which would skip the bisection
         raise InputError("tol must be positive")
+    if tol == math.inf:  # would skip it too
+        raise InputError("tol must be finite")
     if d_max is not None and not math.isfinite(d_max):
         raise InputError(f"d_max must be finite, got {d_max}")
     if len(series.entries) < 3:

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, repeat
 from operator import add, gt, itemgetter, sub
-from typing import Collection, Iterator, Mapping, Sequence
+from typing import Collection, Iterator, Mapping, NamedTuple, Sequence
 
 from ._fsum import copies
 from .errors import BudgetExceededError, InfeasibleDeltaError, InputError
@@ -42,24 +41,33 @@ _ENLARGE = 1
 _START, _END = itemgetter(0), itemgetter(1)
 
 
-@dataclass(frozen=True)
-class HyperGrid:
-    """The grid {0, 1/N, .., N/N}."""
-
+class _HyperGrid(NamedTuple):
     N: int
 
-    def __post_init__(self):
+
+class HyperGrid(_HyperGrid):
+    """The grid {0, 1/N, .., N/N}."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kw):
+        self = super().__new__(cls, *args, **kw)
         if self.N < 2:
             raise InputError("grid resolution N must be >= 2")
+        return self
 
 
-@dataclass(frozen=True)
-class InternalSet:
-    """Sorted, separated index runs [i, j]; runs never touch or overlap."""
-
+class _InternalSet(NamedTuple):
     runs: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
+
+class InternalSet(_InternalSet):
+    """Sorted, separated index runs [i, j]; runs never touch or overlap."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kw):
+        self = super().__new__(cls, *args, **kw)
         # C-level passes over the starts and ends, building no list; the
         # Python loop runs only to name the first bad run
         runs = self.runs
@@ -71,6 +79,7 @@ class InternalSet:
         # the next run starts at least two indices after this one ends
         if min(map(sub, map(_START, islice(runs, 1, None)), map(_END, runs)), default=2) < 2:
             raise InputError("runs must be sorted with a gap of at least one index")
+        return self
 
     @property
     def card(self) -> int:
@@ -97,8 +106,7 @@ def merge_runs(pairs: Sequence[tuple[int, int]]) -> InternalSet:
     return InternalSet(tuple(_merge(((min(i, j), max(i, j)) for i, j in pairs), 1)))
 
 
-@dataclass(frozen=True)
-class DeltaPartition:
+class DeltaPartition(NamedTuple):
     """A partition of an internal set into intervals of diameter <= delta.
 
     ``count`` is the number of intervals as a plain int; ``len(intervals)``

@@ -21,52 +21,65 @@ its source states, which differs from the textbook construction; the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ._fsum import copies
-from .errors import InputError, UnknownCatalogError
+from .errors import BudgetExceededError, InputError, UnknownCatalogError
 
 QUANT_PERIMETER = "perimeter"
 QUANT_AREA = "area"
 QUANT_SURFACE_AREA = "surface_area"
 QUANT_VOLUME = "volume"
 
+# digits one list of exact series values may hold; a fractal command builds at
+# most four such lists, so its values stay within about 10**8 digits
+_SERIES_DIGITS = 25_000_000
+_SERIES_BITS = math.ceil(_SERIES_DIGITS / math.log10(2))
 
-@dataclass(frozen=True)
-class PieceRule:
-    """Count multiplier and linear shrink divisor of one iteration step."""
 
+class _PieceRule(NamedTuple):
     name: str
     pieces: int
     scale: int
     ambient_dim: int
 
-    def __post_init__(self):
+
+class PieceRule(_PieceRule):
+    """Count multiplier and linear shrink divisor of one iteration step."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kw):
+        self = super().__new__(cls, *args, **kw)
         if self.pieces < 1 or self.scale < 2:
             raise InputError("need pieces >= 1 and scale >= 2")
+        return self
 
 
-@dataclass(frozen=True)
-class IfsRatios:
+class _IfsRatios(NamedTuple):
+    ratios: tuple[float, ...]
+    counts: tuple[int, ...] = ()
+
+
+class IfsRatios(_IfsRatios):
     """Contraction ratios of an iterated function system with their multiplicities.
 
     ``counts[i]`` maps share ``ratios[i]``; empty counts mean one map each.
     """
 
-    ratios: tuple[float, ...]
-    counts: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kw):
+        self = super().__new__(cls, *args, **kw)
         if not self.ratios:
             raise InputError("ratio list must be nonempty")
         if any(not 0 < c < 1 for c in self.ratios):
             raise InputError("every ratio must lie strictly in (0, 1)")
         if not self.counts:
-            object.__setattr__(self, "counts", (1,) * len(self.ratios))
+            self = self._replace(counts=(1,) * len(self.ratios))
         if len(self.counts) != len(self.ratios):
             raise InputError("need one count per ratio")
         for k in self.counts:
@@ -76,6 +89,7 @@ class IfsRatios:
             float(self.total)  # the Moran sum at s = 0
         except OverflowError:
             raise InputError("the Moran sum of this many maps overflows a float") from None
+        return self
 
     @property
     def total(self) -> int:
@@ -83,8 +97,7 @@ class IfsRatios:
         return sum(self.counts)
 
 
-@dataclass(frozen=True)
-class MoranRoot:
+class MoranRoot(NamedTuple):
     """Root of sum(C_i**s) = 1 with the final bracket width."""
 
     s: float
@@ -93,8 +106,7 @@ class MoranRoot:
     iterations: int = 0
 
 
-@dataclass(frozen=True)
-class GeometrySeries:
+class GeometrySeries(NamedTuple):
     """One measured quantity of a catalog fractal: recurrence and closed form.
 
     ``unit`` names a common constant factored out of both sides (e.g. the
@@ -111,17 +123,27 @@ class GeometrySeries:
 
     def values(self, m: int) -> list[Fraction]:
         """Quantity values for iterations 0..m via the recurrence."""
-        out = [self.initial]
-        for k in range(1, m + 1):
-            out.append(self.step(k, out[-1]))
-        return out
+        steps = accumulate(range(1, m + 1), lambda v, k: self.step(k, v), initial=self.initial)
+        return self._within_budget(steps)
 
     def closed_values(self, m: int) -> list[Fraction]:
-        return [self.closed(k) for k in range(m + 1)]
+        return self._within_budget(map(self.closed, range(m + 1)))
+
+    def _within_budget(self, values: Iterable[Fraction]) -> list[Fraction]:
+        """The values in a list, refused once they hold about ``_SERIES_DIGITS`` digits."""
+        out, bits = [], 0
+        for value in values:
+            bits += value.numerator.bit_length() + value.denominator.bit_length()
+            if bits > _SERIES_BITS:
+                raise BudgetExceededError(
+                    f"{self.name} {self.quantity} values through m = {len(out)} "
+                    f"pass the budget of {_SERIES_DIGITS} digits"
+                )
+            out.append(value)
+        return out
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     """Recurrence, closed form and exact deviation of one series at iterations 0..m."""
 
     name: str
@@ -133,8 +155,7 @@ class ConsistencyReport:
     first_mismatch: int | None
 
 
-@dataclass(frozen=True)
-class FatCantorStage:
+class FatCantorStage(NamedTuple):
     """Stage-m intervals of a measure-scheduled Cantor construction."""
 
     intervals: tuple[tuple[Fraction, Fraction], ...]
@@ -232,6 +253,8 @@ def moran_solve(ratios: IfsRatios, tol: float = 1e-12) -> MoranRoot:
     """
     if not tol > 0:  # also rejects NaN, which would skip the bisection
         raise InputError("tol must be positive")
+    if tol == math.inf:  # would skip it too
+        raise InputError("tol must be finite")
     n = ratios.total
     if n == 1:
         return MoranRoot(s=0.0, width=0.0, degenerate=True)
@@ -446,10 +469,11 @@ def closed_form_check(name: str, m_max: int) -> list[ConsistencyReport]:
     """Exact recurrence-vs-closed-form rows for every quantity of ``name``."""
     if m_max < 0:
         raise InputError("m_max must be >= 0")
-    reports = []
+    reports, zero = [], Fraction(0)
     for series in geometry_catalog(name):
         pairs = zip(series.values(m_max), series.closed_values(m_max))
-        rows = tuple((a, b, abs(a - b)) for a, b in pairs)
+        # equal values, the usual case, skip the subtraction's big-integer gcds
+        rows = tuple((a, b, abs(a - b) if a != b else zero) for a, b in pairs)
         first = next((m for m, (_, _, dev) in enumerate(rows) if dev), None)
         worst = max(dev for _, _, dev in rows)
         reports.append(

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, count, islice, repeat
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceededError, HorizonExceededError, InputError
 
@@ -47,15 +46,7 @@ VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
-    """Description of a nondecreasing natural-number sequence.
-
-    ``horizon`` is the largest usable term index (indices 0..horizon are
-    generable), and ``digit_cap`` bounds the decimal size of any single term.
-    Parameter fields are kind-specific; unused ones stay ``None``.
-    """
-
+class _SequenceSpec(NamedTuple):
     kind: str
     horizon: int = DEFAULT_HORIZON
     digit_cap: int = DEFAULT_DIGIT_CAP
@@ -66,7 +57,19 @@ class SequenceSpec:
     seed: int | None = None
     terms: tuple[int, ...] | None = None
 
-    def __post_init__(self):
+
+class SequenceSpec(_SequenceSpec):
+    """Description of a nondecreasing natural-number sequence.
+
+    ``horizon`` is the largest usable term index (indices 0..horizon are
+    generable), and ``digit_cap`` bounds the decimal size of any single term.
+    Parameter fields are kind-specific; unused ones stay ``None``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kw):
+        self = super().__new__(cls, *args, **kw)
         if self.kind not in KINDS:
             raise InputError(f"unknown sequence kind {self.kind!r}")
         if self.horizon < 0:
@@ -93,6 +96,7 @@ class SequenceSpec:
                 raise InputError(f"{k} needs base >= 2")
         elif self.seed < 1:
             raise InputError("squared_sum needs seed >= 1")
+        return self
 
     # -- convenience constructors -------------------------------------
 
@@ -121,8 +125,7 @@ class SequenceSpec:
         return cls(kind="squared_sum", seed=seed, **kw)
 
 
-@dataclass(frozen=True)
-class GrowthVerdict:
+class GrowthVerdict(NamedTuple):
     """Outcome of the dimension-zero growth criterion on a window.
 
     ``satisfied`` means every margin a_n - K*sum(a_i, i<n) in the window is

@@ -374,6 +374,9 @@ _schedule_strategy = st.integers(2, 4).flatmap(
         base=st.just(base),
         alphabet=st.integers(2, base),
         zeros=_zeros_strategy,
+        # builds() draws every record field it is not given, defaults too
+        frees=st.none(),
+        m_cap=st.just(blockset.DEFAULT_M_CAP),
     )
 )
 

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fractaldim
-from fractaldim import cli
+from fractaldim import cli, selfsimilar
 from fractaldim._digits import DECIMAL_BASE_BITS
 from fractaldim.cli import main
 from fractaldim.errors import BudgetExceededError
@@ -390,6 +391,41 @@ class TestFractal:
         code, _, _ = run_cli(capsys, "fractal", "dragon", "--m-max", "3")
         assert code == 4
 
+    def test_m_max_over_the_digit_budget(self):
+        # had no budget: ran for over 15 s under a 1.5 GB address-space limit
+        limit = 1500 * 2**20
+
+        def cap_memory():
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "fractaldim.cli", "fractal", "sierpinski_carpet",
+             "--m-max", "100000000"],
+            env=dict(os.environ, PYTHONPATH=str(Path(fractaldim.__file__).resolve().parent.parent)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+            preexec_fn=cap_memory,
+        )
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == (
+            "error: sierpinski_carpet perimeter values through m = 6019 "
+            "pass the budget of 25000000 digits\n"
+        )
+
+    def test_digit_budget_boundary(self, capsys, monkeypatch):
+        # the recurrence and the closed form give the same values, so the same bits
+        (report,) = selfsimilar.closed_form_check("menger_standard", 5)
+        bits = sum(v.numerator.bit_length() + v.denominator.bit_length() for v, _, _ in report.rows)
+        monkeypatch.setattr(selfsimilar, "_SERIES_BITS", bits)
+        code, out, _ = run_cli(capsys, "fractal", "menger_standard", "--m-max", "5")
+        assert code == 0 and out.count("\n") == 8
+        monkeypatch.setattr(selfsimilar, "_SERIES_BITS", bits - 1)
+        code, out, err = run_cli(capsys, "fractal", "menger_standard", "--m-max", "5")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: menger_standard volume values through m = 5 pass the budget")
+
     def test_each_series_evaluated_once(self, capsys, monkeypatch):
         from fractaldim.selfsimilar import GeometrySeries
 
@@ -557,6 +593,20 @@ class TestRejectedInput:
         path.write_text(out)
         assert_rejected(*run_cli(capsys, "critical-d", str(path), "--tol", "nan"))
 
+    def test_dim_ifs_infinite_tol(self, capsys, tmp_path):
+        # an infinite tol skipped the bisection: dimension,0.500000000500 for 1
+        path = tmp_path / "ratios.json"
+        path.write_text(json.dumps({"ratios": [0.5, 0.5]}))
+        code, out, err = run_cli(capsys, "dim-ifs", str(path), "--tol", "inf")
+        assert (code, out, err) == (2, "", "error: tol must be finite\n")
+
+    def test_critical_d_infinite_tol(self, capsys, tmp_path):
+        # an infinite tol printed the starting bracket's midpoint, 1.446 for 1.893
+        _, out, _ = run_cli(capsys, "counts", "--rule", "carpet", "--levels", "1", "30")
+        path = tmp_path / "counts.csv"
+        path.write_text(out)
+        assert_rejected(*run_cli(capsys, "critical-d", str(path), "--tol", "inf"))
+
     @pytest.mark.parametrize(
         "row",
         ["2.5,1/9,4", "2,1/9,x", "2,1/0,4", "2,0/1,4", "2,-1/9,4", "2,1/3,4"],
@@ -697,7 +747,7 @@ class TestRejectedInput:
         path.write_text(out)
         assert_rejected(*run_cli(capsys, "critical-d", str(path), "--d-max", d_max))
 
-    @pytest.mark.parametrize("tol", ["nan", "-1", "0"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
     def test_dim_block_bad_tol(self, capsys, doubling_path, tol):
         assert_rejected(*run_cli(capsys, "dim-block", doubling_path, "--n-max", "5", "--tol", tol))
 
