@@ -11,16 +11,11 @@ from .blockset import (
     AFTER_ZEROS,
     BlockCellSource,
     BlockSchedule,
-    CutPoint,
     DimReport,
     cover_count,
-    cut_points,
     digit_role,
     dim_bounds,
     hausdorff_dim,
-    hs_measure_estimate,
-    local_dim,
-    sample_points,
 )
 from .boxdim import (
     CellSource,
@@ -54,8 +49,6 @@ from .selfsimilar import (
     closed_form_check,
     dim_from_rule,
     fat_cantor,
-    geometry_series,
-    hausdorff_measure_at,
     moran_solve,
     rule,
 )
@@ -63,8 +56,6 @@ from .seqgen import (
     GrowthVerdict,
     SequenceSpec,
     dimzero_criterion,
-    lemma_inequality_check,
-    prefix_sums,
     squared_sum_check,
     tail_domination,
     terms,
@@ -80,7 +71,6 @@ __all__ = [
     "CellSource",
     "CountSeries",
     "CriticalExponent",
-    "CutPoint",
     "DeltaPartition",
     "DimReport",
     "GeometrySeries",
@@ -100,27 +90,19 @@ __all__ = [
     "count_series",
     "cover_count",
     "critical_d",
-    "cut_points",
     "digit_role",
     "dim_bounds",
     "dim_from_rule",
     "dimzero_criterion",
     "discrete_lebesgue",
     "fat_cantor",
-    "geometry_series",
     "h_delta_s_dp",
     "h_delta_s_greedy",
     "hausdorff_dim",
-    "hausdorff_measure_at",
-    "hs_measure_estimate",
     "lebesgue_bounds",
-    "lemma_inequality_check",
-    "local_dim",
     "moran_solve",
     "outer_h_measure",
-    "prefix_sums",
     "rule",
-    "sample_points",
     "slope_dim",
     "squared_sum_check",
     "tail_domination",

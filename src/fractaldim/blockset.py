@@ -8,9 +8,9 @@ from ``frees``).  Level-m grid cells are half-open [i*beta**-m,
 respects every forced zero, so cover counts are the exact integers
 sigma**X(m) with X(m) the number of free positions among the first m digits.
 
-Counts, digit roles and cut points come from one lazily grown table of
-cumulative block boundaries, so a count series over many levels costs one
-walk of the block sequences.
+Counts, digit roles and the cut table come from one lazily grown table
+of cumulative block boundaries, so a count series over many levels costs
+one walk of the block sequences.
 
 Dimensions are reported as exact rationals X/m whenever sigma == beta;
 floats appear only at the reporting boundary.
@@ -19,12 +19,11 @@ floats appear only at the reporting boundary.
 from __future__ import annotations
 
 import math
-import random
 import sys
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, cycle, islice, product
+from itertools import accumulate, cycle, islice
 from typing import Iterator, NamedTuple
 
 from . import seqgen
@@ -46,13 +45,6 @@ DEFAULT_M_CAP = 10_000_000
 
 # cap on the blocks one table walks; each block holds two table entries
 _BLOCK_BUDGET = 10**6
-# cap on the cells one level may enumerate
-_CELL_BUDGET = 10**8
-
-#: trend labels for the H^s coefficient estimate
-DIVERGING = "diverging"
-VANISHING = "vanishing"
-STABLE = "stable"
 
 
 class _BlockSchedule(NamedTuple):
@@ -67,6 +59,7 @@ class BlockSchedule(_BlockSchedule):
     """Radix, alphabet and the two block-length sequences of a digit-block set."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, *args, **kw):
         self = super().__new__(cls, *args, **kw)
@@ -77,21 +70,13 @@ class BlockSchedule(_BlockSchedule):
         if self.m_cap < 1:
             raise InputError("m_cap must be >= 1")
         if self.frees is None:
-            self = self._replace(frees=self.zeros)
+            base, alphabet, zeros, _, m_cap = self
+            self = super().__new__(cls, base, alphabet, zeros, zeros, m_cap)
         return self
 
     @property
     def horizon(self) -> int:
         return min(self.zeros.horizon, self.frees.horizon)
-
-
-class CutPoint(NamedTuple):
-    """A digit position ending a zero block or a free block."""
-
-    n: int
-    kind: str
-    m: int
-    x_count: int
 
 
 class _DimReport(NamedTuple):
@@ -136,13 +121,6 @@ class DimReport(_DimReport):
     @cached_property
     def upper_samples(self) -> tuple[tuple[int, int, int, object], ...]:
         return self._samples(1)
-
-
-class HsEstimate(NamedTuple):
-    """Tail value of sigma**X(m) * beta**(-m*s) along the after-zeros cuts."""
-
-    value: float
-    trend: str
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +207,6 @@ class _BlockTable:
         # a free block holding m still has ends[j] - m positions to come
         return self.frees[j] - (self.ends[j] - m if j % 2 else 0)
 
-    def free_positions(self, m: int) -> list[int]:
-        """Free digit positions among 1..m, ascending."""
-        out: list[int] = []
-        for j in range(1, self.block(m) + 1, 2):
-            out += range(self.ends[j - 1] + 1, min(self.ends[j], m) + 1)
-        return out
-
 
 def _check_position(schedule: BlockSchedule, m: int, first: int) -> None:
     if m < first or m > schedule.m_cap:
@@ -252,19 +223,6 @@ def x_count(schedule: BlockSchedule, m: int) -> int:
     """Number of free digit positions among the first ``m``."""
     _check_position(schedule, m, 0)
     return _BlockTable(schedule).x_count(m)
-
-
-def cut_points(schedule: BlockSchedule, n_max: int) -> list[CutPoint]:
-    """Both cut families for block indices 0..n_max, ordered by position."""
-    if n_max < 0:
-        raise InputError("n_max must be >= 0")
-    table = _BlockTable(schedule)
-    table.grow(2 * n_max + 2)
-    kinds = (AFTER_ZEROS, AFTER_FREES)
-    return [
-        CutPoint(j // 2, kinds[j % 2], table.ends[j], table.frees[j])
-        for j in range(2 * n_max + 2)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -287,16 +245,6 @@ def _dim_value(x: int, m: int, scale: float | None):
     """X/m, times ``scale`` = log(sigma)/log(beta) unless None: then an exact Fraction."""
     # int / int is correctly rounded, as float(Fraction(x, m)) is
     return Fraction(x, m) if scale is None else x / m * scale
-
-
-def local_dim(schedule: BlockSchedule, m: int):
-    """Scale-m dimension sample X(m)*log(sigma) / (m*log(beta)).
-
-    Exact Fraction X/m when alphabet == base, else a float.
-    """
-    if m < 1:
-        raise OutOfRangeError("local dimension needs m >= 1")
-    return _dim_value(x_count(schedule, m), m, _scale(schedule))
 
 
 def dim_bounds(schedule: BlockSchedule, n_max: int, tol: float = 1e-6) -> DimReport:
@@ -353,60 +301,8 @@ def hausdorff_dim(schedule: BlockSchedule, n_max: int):
     return dim_bounds(schedule, n_max).lower
 
 
-def hs_measure_estimate(schedule: BlockSchedule, s, n_max: int) -> HsEstimate:
-    """Tail of sigma**X(m) * beta**(-m*s) along the after-zeros cuts.
-
-    When sigma == beta the trend is judged on the exact exponents X - s*m
-    (in units of ln beta), so pass ``s`` as a Fraction when they are expected
-    to cancel; otherwise the logs are floats and relative steps below 1e-9
-    count as flat.  The value is the last sample, clamped to 0.0 / inf when
-    its exponent leaves the floating-point range.
-    """
-    s = Fraction(s)
-    if not 0 < s <= 1:
-        raise InputError("s must lie in (0, 1]")
-    cuts = [c for c in cut_points(schedule, n_max) if c.kind == AFTER_ZEROS]
-    ln_beta = math.log(schedule.base)
-    if schedule.alphabet == schedule.base:
-        exps = [c.x_count - s * c.m for c in cuts]
-        tail, flat = float(exps[-1]) * ln_beta, 0
-    else:
-        ln_sigma = math.log(schedule.alphabet)
-        exps = [c.x_count * ln_sigma - float(s) * c.m * ln_beta for c in cuts]
-        tail = exps[-1]
-        flat = 1e-9 * (1 + abs(tail))
-    diffs = [b - a for a, b in zip(exps[-4:], exps[-4:][1:])]
-    if diffs and all(d > flat for d in diffs):
-        trend = DIVERGING
-    elif diffs and all(d < -flat for d in diffs):
-        trend = VANISHING
-    else:
-        trend = STABLE
-    # exp underflows to 0.0 on its own but raises on overflow
-    return HsEstimate(value=math.exp(tail) if tail <= 709 else math.inf, trend=trend)
-
-
 # ---------------------------------------------------------------------------
-# points and cells
-
-
-def sample_points(
-    schedule: BlockSchedule, count: int, m_digits: int, seed: int
-) -> list[Fraction]:
-    """Random m-digit truncations of set elements, deterministic per seed."""
-    if count < 0:
-        raise InputError("count must be >= 0")
-    if m_digits < 0 or m_digits > schedule.m_cap:
-        raise OutOfRangeError(f"m_digits outside [0, {schedule.m_cap}]")
-    beta, sigma = schedule.base, schedule.alphabet
-    places = [beta ** (m_digits - k) for k in _BlockTable(schedule).free_positions(m_digits)]
-    rng = random.Random(seed)
-    denom = beta**m_digits
-    points = []
-    for _ in range(count):
-        value = sum(rng.randrange(sigma) * place for place in places)
-        points.append(Fraction(value, denom))
-    return points
+# cells
 
 
 class BlockCellSource(CellSource):
@@ -430,21 +326,6 @@ class BlockCellSource(CellSource):
             n = self.schedule.alphabet**x
         self._last = (m, x, n)
         return n
-
-    def enumerate_cells(self, m: int) -> Iterator[tuple[int]]:
-        """All admissible m-digit prefixes as cell indices, ascending."""
-        total = self.count(m)
-        if total > _CELL_BUDGET:
-            raise BudgetExceededError(
-                f"level {m} needs {total} cells, over the budget of {_CELL_BUDGET}",
-                level=m,
-            )
-        beta, sigma = self.schedule.base, self.schedule.alphabet
-        places = [beta ** (m - k) for k in self._table.free_positions(m)]
-        # the most significant free digit varies slowest, so cells come ascending
-        for digits in product(range(sigma), repeat=len(places)):
-            yield (sum(d * place for d, place in zip(digits, places)),)
-
 
 # ---------------------------------------------------------------------------
 # wire formats
@@ -480,16 +361,22 @@ _SAME = "same_as_zeros"
 
 
 def _parse_big_nat(value) -> int:
-    """Accept plain ints or strings like "10^7" for large caps."""
+    """Accept plain ints or strings like "10^7" for large caps.
+
+    A power longer than the term digit budget is refused before it is built.
+    """
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str):
         text = value.strip()
         if "^" in text:
             base, _, exp = text.partition("^")
-            if base.strip().isdigit() and exp.strip().isdigit():
-                return int(base) ** int(exp)
-        if text.isdigit():
+            if base.strip().isdecimal() and exp.strip().isdecimal():
+                base, exp, budget = int(base), int(exp), seqgen._TERM_DIGIT_BUDGET
+                if seqgen._power_digits_exceed(base, exp, budget):
+                    raise BudgetExceededError(f"{text} has more than {budget} digits")
+                return base**exp
+        if text.isdecimal():
             return int(text)
     raise InputError(f"expected a natural number, got {value!r}")
 

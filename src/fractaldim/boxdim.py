@@ -18,7 +18,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import islice, repeat
 from operator import add, gt, lt, mul, sub
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ._digits import ColumnReader, decimal_column, fraction_column
 from .errors import DegenerateGridError, InputError
@@ -38,9 +38,6 @@ class CellSource(ABC):
     def count(self, m: int) -> int:
         """Exact number of level-m cells meeting the set."""
 
-    def enumerate_cells(self, m: int) -> Iterator[tuple[int, ...]]:
-        raise NotImplementedError(f"{type(self).__name__} does not enumerate cells")
-
 
 class CountEntry(NamedTuple):
     m: int
@@ -56,6 +53,7 @@ class _CountSeries(NamedTuple):
 class CountSeries(_CountSeries):
     """Pairs of grid scale and exact cover count; levels rise and scales fall strictly."""
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
     # no __slots__: the cached property is stored in the instance __dict__
     def __new__(cls, *args, **kw):
         self = super().__new__(cls, *args, **kw)
@@ -101,7 +99,6 @@ class ClosureCheckReport(NamedTuple):
     equal: bool
     sample_cells: int
     reference_cells: int
-    precondition_failed: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -401,25 +398,13 @@ def occupied_cells(points: Iterable, base: int, m: int, ambient_dim: int = 1) ->
 
 
 def closure_count_check(
-    dense_sample: Iterable,
-    reference: CellSource,
-    m: int,
-    verify_density: bool = False,
+    dense_sample: Iterable, reference: CellSource, m: int
 ) -> ClosureCheckReport:
-    """Compare the cell count of a point sample against a reference source.
-
-    With ``verify_density`` the reference must enumerate its cells, and a
-    sample missing any reference cell reports a failed precondition instead
-    of a plain inequality.
-    """
-    sample_cells = occupied_cells(dense_sample, reference.base, m, reference.ambient_dim)
+    """Compare the cell count of a point sample against a reference source."""
+    sample_cells = len(occupied_cells(dense_sample, reference.base, m, reference.ambient_dim))
     ref_count = reference.count(m)
-    failed = verify_density and not sample_cells.issuperset(reference.enumerate_cells(m))
     return ClosureCheckReport(
-        equal=not failed and len(sample_cells) == ref_count,
-        sample_cells=len(sample_cells),
-        reference_cells=ref_count,
-        precondition_failed=failed,
+        equal=sample_cells == ref_count, sample_cells=sample_cells, reference_cells=ref_count
     )
 
 

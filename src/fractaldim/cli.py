@@ -221,9 +221,8 @@ def cmd_two_grid(args) -> str:
 
 
 def _check_printable_power(base: int, q: int) -> None:
-    # refused unbuilt when surely too long, else built and measured exactly
     limit = _PRINTED_DIGITS
-    if seqgen._power_exceeds(base, q, limit) or seqgen._digits_exceed(base**q, limit):
+    if seqgen._power_digits_exceed(base, q, limit):
         raise BudgetExceededError(f"{base}**{q} has more than the {limit} digits a command may print")
 
 

@@ -37,10 +37,6 @@ class BudgetExceededError(FractalDimError):
 
     exit_code = 3
 
-    def __init__(self, message: str, level: int | None = None):
-        super().__init__(message)
-        self.level = level
-
 
 class InfeasibleDeltaError(InputError):
     """The requested interval diameter bound admits no partition."""

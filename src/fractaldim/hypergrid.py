@@ -49,6 +49,7 @@ class HyperGrid(_HyperGrid):
     """The grid {0, 1/N, .., N/N}."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, *args, **kw):
         self = super().__new__(cls, *args, **kw)
@@ -65,6 +66,7 @@ class InternalSet(_InternalSet):
     """Sorted, separated index runs [i, j]; runs never touch or overlap."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, *args, **kw):
         self = super().__new__(cls, *args, **kw)

@@ -51,6 +51,7 @@ class PieceRule(_PieceRule):
     """Count multiplier and linear shrink divisor of one iteration step."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, *args, **kw):
         self = super().__new__(cls, *args, **kw)
@@ -71,6 +72,7 @@ class IfsRatios(_IfsRatios):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, *args, **kw):
         self = super().__new__(cls, *args, **kw)
@@ -79,7 +81,7 @@ class IfsRatios(_IfsRatios):
         if any(not 0 < c < 1 for c in self.ratios):
             raise InputError("every ratio must lie strictly in (0, 1)")
         if not self.counts:
-            self = self._replace(counts=(1,) * len(self.ratios))
+            self = super().__new__(cls, self.ratios, (1,) * len(self.ratios))
         if len(self.counts) != len(self.ratios):
             raise InputError("need one count per ratio")
         for k in self.counts:
@@ -288,25 +290,6 @@ def moran_solve(ratios: IfsRatios, tol: float = 1e-12) -> MoranRoot:
     return MoranRoot(s=0.5 * (lo + hi), width=hi - lo, iterations=iterations)
 
 
-def hausdorff_measure_at(rule: PieceRule, s, m: int) -> float:
-    """Stage-m canonical cover sum pieces**m * (scale**-m)**s.
-
-    At the similarity dimension the exponents cancel identically, so the
-    value is exactly 1 for every m; the cancellation is detected within a
-    few ulps of s so float-rounded dimensions take the exact branch too.
-    """
-    if m < 0:
-        raise InputError("m must be >= 0")
-    log_p, log_r = math.log(rule.pieces), math.log(rule.scale)
-    step = log_p - float(s) * log_r
-    if abs(step) <= 16 * math.ulp(log_p):
-        return 1.0
-    t = m * step
-    if t > 709:
-        return math.inf
-    return math.exp(t)  # 0.0 once it underflows
-
-
 # ---------------------------------------------------------------------------
 # geometry series
 
@@ -456,13 +439,6 @@ def geometry_catalog(name: str) -> list[GeometrySeries]:
         return _GEOMETRY_BUILDERS[key]()
     except KeyError:
         raise UnknownCatalogError(f"no geometry series for {name!r}") from None
-
-
-def geometry_series(name: str, m: int) -> dict[str, list[Fraction]]:
-    """Recurrence values for iterations 0..m, one list per quantity."""
-    if m < 0:
-        raise InputError("m must be >= 0")
-    return {series.quantity: series.values(m) for series in geometry_catalog(name)}
 
 
 def closed_form_check(name: str, m_max: int) -> list[ConsistencyReport]:

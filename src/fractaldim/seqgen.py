@@ -67,6 +67,7 @@ class SequenceSpec(_SequenceSpec):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, *args, **kw):
         self = super().__new__(cls, *args, **kw)
@@ -267,6 +268,13 @@ def _power_exceeds(base: int, exponent: int, digits: int) -> bool:
     return exponent > digits * den // num + 2
 
 
+def _power_digits_exceed(base: int, exponent: int, digits: int) -> bool:
+    """Whether base**exponent has more than ``digits`` digits; built only if not surely so."""
+    if base < 2:  # 0 or 1, whatever the exponent
+        return False
+    return _power_exceeds(base, exponent, digits) or _digits_exceed(base**exponent, digits)
+
+
 def _budget_error(index: int) -> BudgetExceededError:
     return BudgetExceededError(
         f"term {index} has over {_TERM_DIGIT_BUDGET} decimal digits, the budget of any one term"
@@ -299,24 +307,8 @@ def terms(spec: SequenceSpec, n: int) -> list[int]:
     return list(islice(_iter_terms(spec), n))
 
 
-def prefix_sums(spec: SequenceSpec, n: int) -> list[int]:
-    """Running sums of the first ``n`` terms (exact big integers)."""
-    out, total = [], 0
-    for t in terms(spec, n):
-        total += t
-        out.append(total)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # growth checks
-
-
-def lemma_inequality_check(x_lo: int, x_hi: int) -> list[tuple[int, bool]]:
-    """Exact check of 2**x > 2**(x-1) + x*x for each x in [x_lo, x_hi]."""
-    if not 1 <= x_lo <= x_hi:
-        raise InputError("need 1 <= x_lo <= x_hi")
-    return [(x, 2**x > 2 ** (x - 1) + x * x) for x in range(x_lo, x_hi + 1)]
 
 
 def tail_domination(spec: SequenceSpec, k: int, eps) -> bool:

@@ -21,14 +21,10 @@ from fractaldim.blockset import (
     BlockCellSource,
     BlockSchedule,
     cover_count,
-    cut_points,
     digit_role,
     dim_bounds,
     dim_report_csv,
     hausdorff_dim,
-    hs_measure_estimate,
-    local_dim,
-    sample_points,
     schedule_from_json,
     x_count,
 )
@@ -56,6 +52,13 @@ def brute_force_cover(schedule: BlockSchedule, m: int) -> int:
         )
         count += ok
     return count
+
+
+def cut_table(schedule: BlockSchedule, n_max: int) -> list[tuple[int, str, int, int]]:
+    """(n, kind, m, x_count) of each cut in the report's cut table, in table order."""
+    rep = dim_bounds(schedule, n_max)
+    kinds = (AFTER_ZEROS, AFTER_FREES)
+    return [(j // 2, kinds[j % 2], m, x) for j, (m, x) in enumerate(zip(rep.cut_m, rep.cut_x))]
 
 
 class TestDigitRole:
@@ -87,20 +90,19 @@ class TestDigitRole:
 
 class TestCutPoints:
     def test_doubling_families(self):
-        cuts = cut_points(doubling_schedule(), 4)
-        zeros = [c.m for c in cuts if c.kind == AFTER_ZEROS]
-        frees = [c.m for c in cuts if c.kind == AFTER_FREES]
+        cuts = cut_table(doubling_schedule(), 4)
+        zeros = [m for _, kind, m, _ in cuts if kind == AFTER_ZEROS]
+        frees = [m for _, kind, m, _ in cuts if kind == AFTER_FREES]
         assert zeros == [3 * 2**k - 2 for k in range(5)]  # 1, 4, 10, 22, 46
         assert frees == [2 ** (k + 2) - 2 for k in range(5)]  # 2, 6, 14, 30, 62
 
     def test_ordered_by_m(self):
-        cuts = cut_points(doubling_schedule(), 5)
-        ms = [c.m for c in cuts]
-        assert ms == sorted(ms)
+        ms = dim_bounds(doubling_schedule(), 5).cut_m
+        assert list(ms) == sorted(ms)
 
-    def test_n_max_zero(self):
-        cuts = cut_points(doubling_schedule(), 0)
-        assert [(c.kind, c.m) for c in cuts] == [(AFTER_ZEROS, 1), (AFTER_FREES, 2)]
+    def test_first_block_pair(self):
+        cuts = cut_table(doubling_schedule(), 2)
+        assert cuts[:2] == [(0, AFTER_ZEROS, 1, 0), (0, AFTER_FREES, 2, 1)]
 
     def test_invariant_formulas(self):
         sch = BlockSchedule(
@@ -110,19 +112,19 @@ class TestCutPoints:
             frees=SequenceSpec.explicit([1, 3, 2], horizon=2),
         )
         a, b = [2, 1, 4], [1, 3, 2]
-        for c in cut_points(sch, 2):
-            if c.kind == AFTER_ZEROS:
-                assert c.m == sum(a[: c.n]) + sum(b[: c.n]) + a[c.n]
-                assert c.x_count == sum(b[: c.n])
+        for n, kind, m, x in cut_table(sch, 2):
+            if kind == AFTER_ZEROS:
+                assert m == sum(a[:n]) + sum(b[:n]) + a[n]
+                assert x == sum(b[:n])
             else:
-                assert c.m == sum(a[: c.n + 1]) + sum(b[: c.n + 1])
-                assert c.x_count == sum(b[: c.n + 1])
+                assert m == sum(a[: n + 1]) + sum(b[: n + 1])
+                assert x == sum(b[: n + 1])
 
     def test_x_count_walk_agrees_with_cut_formula(self):
         # two independent computations of the same quantity
         sch = doubling_schedule()
-        for c in cut_points(sch, 4):
-            assert x_count(sch, c.m) == c.x_count
+        for _, _, m, x in cut_table(sch, 4):
+            assert x_count(sch, m) == x
 
 
 class TestCoverCount:
@@ -150,25 +152,29 @@ class TestCoverCount:
 
 
 class TestLocalDim:
+    """The local dimension X(m)/m of each cut, as the report's samples carry it."""
+
     def test_doubling_cut_values(self):
-        sch = doubling_schedule()
-        assert local_dim(sch, 22) == Fraction(7, 22)
-        assert local_dim(sch, 30) == Fraction(1, 2)
+        rep = dim_bounds(doubling_schedule(), 3)
+        values = {m: v for _, m, _, v in rep.lower_samples + rep.upper_samples}
+        assert values[22] == Fraction(7, 22)
+        assert values[30] == Fraction(1, 2)
 
     def test_constant_schedule_even_positions(self):
         sch = BlockSchedule(base=2, alphabet=2, zeros=SequenceSpec.arithmetic(1, 0))
-        for m in range(2, 30, 2):
-            assert local_dim(sch, m) == Fraction(1, 2)
+        upper = dim_bounds(sch, 13).upper_samples
+        assert [m for _, m, _, _ in upper] == list(range(2, 30, 2))
+        assert all(v == Fraction(1, 2) for _, _, _, v in upper)
 
     def test_sigma_not_beta_is_float(self):
         sch = BlockSchedule(base=3, alphabet=2, zeros=SequenceSpec.geometric(1, 2))
-        value = local_dim(sch, 2)
-        assert isinstance(value, float)
+        _, m, _, value = dim_bounds(sch, 2).upper_samples[0]
+        assert m == 2 and isinstance(value, float)
         assert value == pytest.approx(Fraction(1, 2) * math.log(2) / math.log(3), rel=1e-12)
 
     def test_total_function_inside_blocks(self):
         sch = doubling_schedule()
-        assert local_dim(sch, 3) == Fraction(1, 3)  # not a cut point
+        assert Fraction(x_count(sch, 3), 3) == Fraction(1, 3)  # not a cut point
 
 
 class TestDimBounds:
@@ -218,93 +224,12 @@ class TestDimBounds:
         assert len(lines) == 9
 
 
-class TestHsMeasure:
-    def test_doubling_third(self):
-        est = hs_measure_estimate(doubling_schedule(), Fraction(1, 3), 12)
-        assert est.value == pytest.approx(2 ** (-1 / 3), abs=1e-12)
-        assert est.trend == "stable"
-
-    def test_arithmetic_base3_half(self):
-        sch = BlockSchedule(base=3, alphabet=3, zeros=SequenceSpec.arithmetic(1, 0))
-        est = hs_measure_estimate(sch, Fraction(1, 2), 12)
-        assert est.value == pytest.approx(3 ** (-1 / 2), abs=1e-12)
-        assert est.trend == "stable"
-
-    def test_above_dimension_vanishes(self):
-        est = hs_measure_estimate(doubling_schedule(), Fraction(1, 2), 12)
-        assert est.trend == "vanishing"
-        assert est.value < 1e-300
-
-    def test_below_dimension_diverges(self):
-        est = hs_measure_estimate(doubling_schedule(), Fraction(1, 4), 12)
-        assert est.trend == "diverging"
-
-    def test_s_validated(self):
-        with pytest.raises(InputError):
-            hs_measure_estimate(doubling_schedule(), 0, 5)
-        with pytest.raises(InputError):
-            hs_measure_estimate(doubling_schedule(), Fraction(3, 2), 5)
-
-
-class TestSamplePoints:
-    def test_empty(self):
-        assert sample_points(doubling_schedule(), 0, 6, seed=1) == []
-
-    def test_deterministic_and_admissible(self):
-        sch = doubling_schedule()
-        pts = sample_points(sch, 8, 6, seed=7)
-        assert pts == sample_points(sch, 8, 6, seed=7)
-        admissible = {
-            Fraction(idx, 2**6) for (idx,) in BlockCellSource(sch).enumerate_cells(6)
-        }
-        assert set(pts) <= admissible
-        assert len(admissible) == 8
-
-    def test_forced_zero_digits(self):
-        sch = doubling_schedule()
-        for p in sample_points(sch, 20, 10, seed=3):
-            digits = []
-            v = p
-            for _ in range(10):
-                v *= 2
-                digits.append(int(v))
-                v -= int(v)
-            for i, d in enumerate(digits, start=1):
-                if digit_role(sch, i) == FORCED_ZERO:
-                    assert d == 0
-
-    def test_distinct_truncations_saturate_cover(self):
-        sch = doubling_schedule()
-        pts = sample_points(sch, 400, 6, seed=11)
-        distinct = len(set(pts))
-        assert distinct <= cover_count(sch, 6)
-        assert distinct == 8  # 400 draws over 8 prefixes saturate
-
-
 class TestCellSource:
     def test_counts_delegate(self):
         sch = doubling_schedule()
         src = BlockCellSource(sch)
         for m in (0, 1, 2, 5, 6):
             assert src.count(m) == cover_count(sch, m)
-
-    def test_enumeration_matches_brute_force(self):
-        sch = BlockSchedule(base=3, alphabet=2, zeros=SequenceSpec.arithmetic(1, 1))
-        src = BlockCellSource(sch)
-        for m in range(0, 7):
-            cells = [idx for (idx,) in src.enumerate_cells(m)]
-            assert len(cells) == brute_force_cover(sch, m)
-            assert cells == sorted(cells)
-
-    def test_budget(self):
-        # one zero digit, one free digit: level 2k has 2**k cells
-        src = BlockCellSource(
-            BlockSchedule(base=2, alphabet=2, zeros=SequenceSpec.arithmetic(1, 0))
-        )
-        assert next(src.enumerate_cells(52)) == (0,)  # 2**26 cells, within 10**8
-        with pytest.raises(BudgetExceededError, match="over the budget of 100000000") as exc:
-            next(src.enumerate_cells(54))  # 2**27 cells
-        assert exc.value.level == 54
 
 
 class TestSubsetMonotonicity:
@@ -353,6 +278,17 @@ class TestScheduleJson:
             schedule_from_json({"base": 2, "zeros": {"kind": "geometric", "first": 1,
                                                      "ratio": 2}, "bogus": 1})
 
+    def test_power_within_the_term_digit_budget(self):
+        parse = blockset._parse_big_nat
+        assert parse("10^7") == 10**7
+        assert parse("10^999999") == 10**999999  # 10**6 digits, the budget
+        assert (parse("0^0"), parse("0^5"), parse(f"1^{10**30}")) == (1, 0, 1)
+        for text in ("10^1000000", "2^10000000000", f"3^{10**30}"):
+            with pytest.raises(BudgetExceededError, match="has more than 1000000 digits"):
+                parse(text)
+        with pytest.raises(InputError):
+            parse("10^\u00b2")  # a superscript two is a digit, but not a decimal one
+
     def test_alphabet_bounds(self):
         with pytest.raises(InputError):
             BlockSchedule(base=2, alphabet=3, zeros=SequenceSpec.geometric(1, 2))
@@ -395,9 +331,9 @@ def test_cover_count_ratio_is_one_or_sigma(schedule, m):
 @settings(max_examples=120, derandomize=True, deadline=None)
 @given(schedule=_schedule_strategy, m=st.integers(1, 60))
 def test_local_dim_in_unit_interval(schedule, m):
-    value = local_dim(schedule, m)
-    assert 0 <= float(value) <= 1
-    assert schedule.alphabet ** x_count(schedule, m) <= schedule.base**m
+    x = x_count(schedule, m)
+    assert 0 <= Fraction(x, m) <= 1
+    assert schedule.alphabet**x <= schedule.base**m
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -489,8 +425,8 @@ def test_table_lookups_match_naive_expansion(base, sigma, zeros, frees):
         (j // 2, (AFTER_ZEROS, AFTER_FREES)[j % 2], m, roles[:m].count(FREE))
         for j, m in enumerate(ends)
     ]
-    cuts = cut_points(sch, pairs - 1)
-    assert [(c.n, c.kind, c.m, c.x_count) for c in cuts] == want_cuts
+    # dim_bounds needs n_max >= 2; the horizon keeps the table at ``pairs`` pairs
+    assert cut_table(sch, max(pairs - 1, 2)) == want_cuts
     src = BlockCellSource(sch)
     # one source answers levels out of order from its one table; positions
     # run through the first five block pairs
@@ -545,7 +481,7 @@ class TestBlockTable:
             frees=SequenceSpec.explicit([1, 10**4], digit_cap=3),
         )
         with pytest.raises(HorizonExceededError) as exc:
-            cut_points(sch, 4)
+            blockset._BlockTable(sch).grow(10)  # the blocks of pairs 0..4
         assert exc.value.index == 1
         assert str(exc.value) == "term 1 exceeds the digit cap of 3 decimal digits"
         rep = dim_bounds(sch, 4)

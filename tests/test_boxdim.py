@@ -8,6 +8,7 @@ values by plain float evaluation of the defining quotient.
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -124,7 +125,7 @@ class TestSlopeDim:
         sch = blockset.BlockSchedule(
             base=2, alphabet=2, zeros=SequenceSpec.geometric(1, 2)
         )
-        levels = sorted(c.m for c in blockset.cut_points(sch, 10))
+        levels = sorted(blockset.dim_bounds(sch, 10).cut_m)
         series = count_series(blockset.BlockCellSource(sch), levels)
         lo, hi = slope_dim(series, 8)
         assert hi == pytest.approx(0.5, abs=1e-12)
@@ -311,22 +312,17 @@ class TestClosureCheck:
         )
         src = blockset.BlockCellSource(sch)
         for m in (4, 6, 10):
-            points = [Fraction(idx, 2**m) for (idx,) in src.enumerate_cells(m)]
-            report = closure_count_check(points, src, m, verify_density=True)
-            assert report.equal and not report.precondition_failed
+            # every admissible m-digit prefix, as brute_force_cover builds them
+            roles = [blockset.digit_role(sch, k) for k in range(1, m + 1)]
+            digits = product(*[range(2) if r == blockset.FREE else (0,) for r in roles])
+            points = [Fraction(int("".join(map(str, ds)), 2), 2**m) for ds in digits]
+            report = closure_count_check(points, src, m)
+            assert report.equal and report.sample_cells == len(points)
 
     def test_single_point_unequal(self):
         report = closure_count_check([Fraction(1, 2)], IntervalSource(0, 1), 5)
         assert not report.equal
         assert report.sample_cells == 1 and report.reference_cells == 32
-
-    def test_density_verification_flags_sparse_sample(self):
-        sch = blockset.BlockSchedule(
-            base=2, alphabet=2, zeros=SequenceSpec.geometric(1, 2)
-        )
-        src = blockset.BlockCellSource(sch)
-        report = closure_count_check([Fraction(0)], src, 6, verify_density=True)
-        assert report.precondition_failed
 
     def test_endpoint_attribution(self):
         # the point 1 belongs to the last cell of the unit grid

@@ -667,6 +667,20 @@ class TestRejectedInput:
             outputs.append(run_cli(capsys, *command, str(path)))
         assert outputs[0][0] == 0 and outputs[0] == outputs[1]
 
+    def test_schedule_power_over_the_digit_budget(self, tmp_path):
+        # was built in full: "10^20000000" took 48 s, "10^2000000000" ran past 60 s
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps({**DOUBLING, "m_cap": "10^2000000000"}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fractaldim.cli", "dim-block", str(path), "--n-max", "3"],
+            env=dict(os.environ, PYTHONPATH=str(Path(fractaldim.__file__).resolve().parent.parent)),
+            capture_output=True,
+            text=True,
+            timeout=5,
+        )
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == "error: 10^2000000000 has more than 1000000 digits\n"
+
     def test_n_max_above_maxsize(self, capsys, tmp_path):
         spec = copy.deepcopy(DOUBLING)
         spec["zeros"]["horizon"] = 10**20

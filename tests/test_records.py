@@ -2,9 +2,10 @@
 
 For each record type: fields cannot be assigned, keyword construction sets
 every field, equal fields give equal records with equal hashes, invalid
-fields are refused with ``InputError`` when the record is built, and the two
-filled-in defaults hold.  The import-path guard keeps the CLI's start-up free
-of the introspection modules a record library would pull in.
+fields are refused with ``InputError`` when the record is built or rebuilt
+with ``_replace`` or ``_make``, and the two filled-in defaults hold.  The
+import-path guard keeps the CLI's start-up free of the introspection modules
+a record library would pull in.
 """
 
 import ast
@@ -19,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import fractaldim
-from fractaldim.blockset import BlockSchedule, CutPoint, DimReport, HsEstimate
+from fractaldim.blockset import BlockSchedule, DimReport
 from fractaldim.boxdim import (
     ClosureCheckReport,
     CountEntry,
@@ -60,16 +61,13 @@ SAMPLES = {
                        ratio=None, base=None, seed=None, terms=None),
     GrowthVerdict: dict(status="satisfied", witness_index=4, margin=Fraction(3, 2)),
     BlockSchedule: dict(base=3, alphabet=2, zeros=SPEC, frees=SPEC, m_cap=100),
-    CutPoint: dict(n=1, kind="after_zeros", m=3, x_count=1),
     DimReport: dict(cut_m=(1, 2), cut_x=(0, 1), scale=None, lower=Fraction(0),
                     upper=Fraction(1, 2), converged=False, spread=0.5, n_used=0),
-    HsEstimate: dict(value=1.5, trend="stable"),
     CountEntry: dict(m=1, delta=Fraction(1, 3), n_cells=2),
     CountSeries: dict(entries=ENTRIES, ambient_dim=1),
     TwoGridResult: dict(h=Fraction(1, 9), k=Fraction(1, 3), n_h=4, n_k=2, d=0.63),
     CriticalExponent: dict(d=1.0, lo=0.9, hi=1.1, degenerate=False),
-    ClosureCheckReport: dict(equal=True, sample_cells=3, reference_cells=3,
-                             precondition_failed=False),
+    ClosureCheckReport: dict(equal=True, sample_cells=3, reference_cells=3),
     HyperGrid: dict(N=10),
     InternalSet: dict(runs=((0, 2), (4, 5))),
     DeltaPartition: dict(intervals=((0, 1), (2, 2)), cost=0.75, count=2),
@@ -109,9 +107,7 @@ CHANGED = {
     SequenceSpec: dict(kind="geometric", step=None, ratio=2),
     GrowthVerdict: dict(witness_index=5),
     BlockSchedule: dict(base=4),
-    CutPoint: dict(m=4),
     DimReport: dict(converged=True),
-    HsEstimate: dict(trend="vanishing"),
     CountEntry: dict(n_cells=3),
     CountSeries: dict(entries=ENTRIES[1:]),
     TwoGridResult: dict(d=0.64),
@@ -201,6 +197,30 @@ def test_invalid_positional_fields_are_refused(make):
         make()
 
 
+# one valid record of each checked type, with a field that is invalid for it
+REPLACED = [
+    (SequenceSpec.arithmetic(1, 1), dict(horizon=-1)),
+    (BlockSchedule(3, 2, SPEC), dict(alphabet=4)),
+    (CountSeries(ENTRIES), dict(entries=ENTRIES[::-1])),
+    (HyperGrid(10), dict(N=1)),
+    (InternalSet(((0, 2),)), dict(runs=((3, 2),))),
+    (PieceRule("x", 2, 3, 1), dict(scale=1)),
+    (IfsRatios((0.5,)), dict(ratios=(2.0,))),
+]
+
+
+@pytest.mark.parametrize(
+    "record, fields", REPLACED, ids=[type(record).__name__ for record, _ in REPLACED]
+)
+def test_replace_and_make_check_the_fields(record, fields):
+    cls = type(record)
+    assert type(record._replace()) is cls and record._replace() == record
+    with pytest.raises(InputError):
+        record._replace(**fields)
+    with pytest.raises(InputError):
+        cls._make({**record._asdict(), **fields}.values())
+
+
 def test_block_schedule_frees_default_to_zeros():
     schedule = BlockSchedule(base=2, alphabet=2, zeros=SPEC)
     assert schedule.frees is SPEC
@@ -208,12 +228,14 @@ def test_block_schedule_frees_default_to_zeros():
     assert schedule.m_cap == BlockSchedule(2, 2, SPEC, SPEC).m_cap
     other = SequenceSpec.arithmetic(1, 1)
     assert BlockSchedule(2, 2, SPEC, frees=other).frees is other
+    assert BlockSchedule(2, 2, SPEC, other)._replace(frees=None).frees is SPEC
 
 
 def test_ifs_ratios_counts_default_to_ones():
     assert IfsRatios((0.5, 0.25, 0.125)).counts == (1, 1, 1)
     assert IfsRatios(ratios=(0.5,)).total == 1
     assert IfsRatios((0.5,), (3,)).counts == (3,)
+    assert IfsRatios((0.5,), (3,))._replace(counts=()).counts == (1,)
 
 
 def test_sequence_spec_defaults():

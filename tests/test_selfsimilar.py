@@ -25,8 +25,7 @@ from fractaldim.selfsimilar import (
     closed_form_check,
     dim_from_rule,
     fat_cantor,
-    geometry_series,
-    hausdorff_measure_at,
+    geometry_catalog,
     moran_solve,
     rule,
 )
@@ -123,65 +122,45 @@ class TestMoran:
             IfsRatios((0.5,), (10**400,))  # the Moran sum at s = 0 overflows a float
 
 
-class TestHausdorffMeasureAt:
-    def test_unit_at_dimension(self):
-        for name in CATALOG_DIMS:
-            r = rule(name)
-            s = dim_from_rule(r)
-            for m in (0, 1, 7, 30):
-                assert hausdorff_measure_at(r, s, m) == 1.0
-
-    def test_koch_level_10(self):
-        r = rule("koch")
-        assert hausdorff_measure_at(r, math.log(4) / math.log(3), 10) == 1.0
-
-    def test_cantor_s1(self):
-        assert hausdorff_measure_at(rule("cantor"), 1, 10) == pytest.approx(
-            (2 / 3) ** 10, rel=1e-12
-        )
-
-    def test_monotone_trend_off_dimension(self):
-        r = rule("cantor")
-        low = [hausdorff_measure_at(r, 0.5, m) for m in range(5)]
-        high = [hausdorff_measure_at(r, 0.8, m) for m in range(5)]
-        assert all(b > a for a, b in zip(low, low[1:]))
-        assert all(b < a for a, b in zip(high, high[1:]))
+def recurrence(name: str, m: int) -> dict[str, list[Fraction]]:
+    """Recurrence values for iterations 0..m, one list per quantity."""
+    return {series.quantity: series.values(m) for series in geometry_catalog(name)}
 
 
 class TestGeometrySeries:
     def test_gasket_perimeter(self):
-        values = geometry_series("sierpinski_gasket", 2)["perimeter"]
+        values = recurrence("sierpinski_gasket", 2)["perimeter"]
         assert values == [Fraction(3), Fraction(9, 2), Fraction(27, 4)]
 
     def test_carpet_area_m2(self):
-        assert geometry_series("sierpinski_carpet", 2)["area"][2] == Fraction(64, 81)
+        assert recurrence("sierpinski_carpet", 2)["area"][2] == Fraction(64, 81)
 
     def test_quadratic_koch_area_constant(self):
-        assert geometry_series("quadratic_koch", 12)["area"] == [Fraction(1)] * 13
+        assert recurrence("quadratic_koch", 12)["area"] == [Fraction(1)] * 13
 
     def test_menger_volume(self):
-        vols = geometry_series("menger_sponge", 2)["volume"]
+        vols = recurrence("menger_sponge", 2)["volume"]
         assert vols[1] == Fraction(26, 27)
         assert vols[2] == Fraction(682, 729)
 
     def test_menger_standard_volume(self):
-        vols = geometry_series("menger_standard", 3)["volume"]
+        vols = recurrence("menger_standard", 3)["volume"]
         assert vols == [Fraction(20, 27) ** m for m in range(4)]
 
     def test_koch_perimeter_multiplies_by_four_thirds(self):
-        values = geometry_series("koch", 5)["perimeter"]
+        values = recurrence("koch", 5)["perimeter"]
         assert values[:4] == [Fraction(3), Fraction(4), Fraction(16, 3), Fraction(64, 9)]
         for a, b in zip(values, values[1:]):
             assert b == a * Fraction(4, 3)
 
     def test_unknown_name(self):
         with pytest.raises(UnknownCatalogError):
-            geometry_series("cantor", 3)  # rule-only catalog entry
+            geometry_catalog("cantor")  # rule-only catalog entry
 
     def test_all_values_positive(self):
         for name in ("koch", "quadratic_koch", "sierpinski_gasket",
                      "sierpinski_carpet", "menger_sponge", "menger_standard"):
-            for values in geometry_series(name, 10).values():
+            for values in recurrence(name, 10).values():
                 assert all(v > 0 for v in values)
 
 
@@ -295,13 +274,6 @@ def test_moran_function_strictly_decreasing(ratios, probe):
         assert f(probe) > f(root.s)
     elif probe > root.s + 1e-6:
         assert f(probe) < f(root.s)
-
-
-@settings(max_examples=100, derandomize=True, deadline=None)
-@given(pieces=st.integers(2, 30), scale=st.integers(2, 10), m=st.integers(0, 30))
-def test_measure_is_unit_at_rule_dimension(pieces, scale, m):
-    r = PieceRule("synthetic", pieces, scale, 3)
-    assert hausdorff_measure_at(r, dim_from_rule(r), m) == 1.0
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)

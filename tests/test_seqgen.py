@@ -23,8 +23,6 @@ from fractaldim.seqgen import (
     VIOLATED,
     SequenceSpec,
     dimzero_criterion,
-    lemma_inequality_check,
-    prefix_sums,
     spec_from_json,
     squared_sum_check,
     tail_domination,
@@ -170,36 +168,6 @@ def _first_refused(kind, base, cap, refuses):
     while not refused(k):
         i, k = i + 1, base ** min(k, _K_MAX)
     return i
-
-
-class TestPrefixSums:
-    def test_doubling(self):
-        assert prefix_sums(SequenceSpec.geometric(1, 2), 5) == [1, 3, 7, 15, 31]
-
-    def test_power_tower(self):
-        assert prefix_sums(SequenceSpec.power_tower(2), 5) == [1, 3, 7, 23, 65559]
-
-    def test_single_explicit(self):
-        assert prefix_sums(SequenceSpec.explicit([5]), 1) == [5]
-
-    def test_last_entry_is_total(self):
-        spec = SequenceSpec.squared_sum(3)
-        assert prefix_sums(spec, 6)[-1] == sum(terms(spec, 6))
-
-
-class TestLemmaInequality:
-    def test_boundary_at_seven(self):
-        results = dict(lemma_inequality_check(1, 20))
-        assert results[7] is True  # 128 > 113
-        assert results[6] is False  # 64 < 68
-        assert all(results[x] is False for x in range(1, 7))
-        assert all(results[x] is True for x in range(7, 21))
-
-    def test_large_value(self):
-        assert lemma_inequality_check(100, 100) == [(100, True)]
-
-    def test_full_range_to_1000(self):
-        assert all(ok for x, ok in lemma_inequality_check(7, 1000))
 
 
 class TestTailDomination:
@@ -350,14 +318,6 @@ def test_terms_deterministic_positive_nondecreasing(spec_n):
     assert a == terms(spec, n)
     assert all(t >= 1 for t in a)
     assert all(y >= x for x, y in zip(a, a[1:]))
-
-
-@settings(max_examples=120, derandomize=True, deadline=None)
-@given(spec_n=_spec_and_count)
-def test_prefix_sums_strictly_increasing(spec_n):
-    spec, n = spec_n
-    sums = prefix_sums(spec, n)
-    assert all(y > x for x, y in zip(sums, sums[1:]))
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
