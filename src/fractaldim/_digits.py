@@ -12,6 +12,12 @@ from typing import Iterable, Iterator, Sequence
 # divmod, multiply and print against 6.5 us by str(), and a failed divmod
 # costs 0.8 us; at 1,000 bits the two paths cost the same.
 DECIMAL_BASE_BITS = 2000
+# ColumnReader tries the value above as a divisor when it is longer than this.
+# Per row of a column of multiples, on CPython 3.11.7 and an Intel Xeon server
+# core (timeit, best of 25), reading by quotient and multiply against int():
+# q = 8: 6.2 vs 5.1 us at 2,000 bits, 6.9 vs 8.5 at 2,600, 7.5 vs 11.2 at 3,200;
+# q = 3**20: 7.6 vs 5.3 us at 2,000 bits, 5.8 vs 5.2 at 2,600, 6.7 vs 7.3 at 3,200.
+_READ_BASE_BITS = 2600
 
 # a quotient at most this many bits long is multiplied in libmpdec
 _QUOTIENT_BITS = 64
@@ -82,7 +88,7 @@ class ColumnReader:
     str-to-int conversion is quadratic in the number of digits.  Here a text
     equal to the one above returns the value above, and a text t of a
     multiple p*q of the value p above, with p positive and longer than
-    ``DECIMAL_BASE_BITS`` and q below 2**64, is read in linear time: q is
+    ``_READ_BASE_BITS`` and q below 2**64, is read in linear time: q is
     the quotient of t's and p's leading digits, whose remainder must be
     below q, t's last digits must match those of p*q, and then the Decimal
     of p times q must print exactly as t.  That Decimal comes from p's text the first time, when that text is
@@ -109,7 +115,7 @@ class ColumnReader:
         if (
             p is not None
             and p > 0
-            and p.bit_length() > DECIMAL_BASE_BITS
+            and p.bit_length() > _READ_BASE_BITS
             and len(above) <= len(text) <= len(above) + _QUOTIENT_DIGITS
             and not 0 < _int_max_str_digits() < len(text)
         ):

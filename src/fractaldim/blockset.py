@@ -27,6 +27,7 @@ from itertools import accumulate, cycle, islice
 from typing import Iterator, NamedTuple
 
 from . import seqgen
+from ._digits import _int_max_str_digits
 from .boxdim import CellSource
 from .errors import (
     BudgetExceededError,
@@ -368,7 +369,9 @@ def _parse_big_nat(value) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str):
-        text = value.strip()
+        text, limit = value.strip(), _int_max_str_digits()
+        if 0 < limit < len(text):  # refused before int() spends time on it
+            raise InputError(f"a number of {len(text)} characters is over the {limit}-digit limit")
         if "^" in text:
             base, _, exp = text.partition("^")
             if base.strip().isdecimal() and exp.strip().isdecimal():

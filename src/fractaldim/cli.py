@@ -9,6 +9,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -69,6 +70,8 @@ def _load_json(path: str):
         return json.loads(_read(path))
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
+    except ValueError as exc:  # an integer over the interpreter's int() digit limit
+        raise InputError(f"cannot read a number in {path}: {exc}") from exc
 
 
 def _write_file(path: str, text: str) -> None:
@@ -127,6 +130,10 @@ def _parse_ratios(obj) -> selfsimilar.IfsRatios:
         values = obj["ratios"]
         if not isinstance(values, list):
             raise InputError("ratios must be a list")
+        # finite JSON floats are read in builtin passes; any other value (an int
+        # is never a valid ratio) takes _ratio's checks and messages
+        if set(map(type, values)) <= {float} and all(map(math.isfinite, values)):
+            return selfsimilar.IfsRatios(tuple(values))
         return selfsimilar.IfsRatios(tuple(_ratio(v) for v in values))
     if "ratio" in obj and "count" in obj:
         unknown = set(obj) - {"ratio", "count"}
@@ -365,12 +372,16 @@ def main(argv=None) -> int:
     # interpreter's default int-to-str conversion limit when printed
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(max(_PRINTED_DIGITS, sys.get_int_max_str_digits()))
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.precision < 1 or args.precision > 50:
-        print("error: --precision must be in [1, 50]", file=sys.stderr)
-        return 2
+    # a command builds no reference cycles worth collecting, so the cyclic
+    # collector, which would walk every decoded JSON list, is paused and
+    # then switched back on only if it was on
+    collecting = gc.isenabled()
+    gc.disable()
     try:
+        args = _build_parser().parse_args(argv)
+        if args.precision < 1 or args.precision > 50:
+            print("error: --precision must be in [1, 50]", file=sys.stderr)
+            return 2
         text = args.func(args)
         if args.out:
             _write_file(args.out, text)
@@ -379,6 +390,9 @@ def main(argv=None) -> int:
     except FractalDimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    finally:
+        if collecting:
+            gc.enable()
     return 0
 
 

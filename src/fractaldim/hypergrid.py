@@ -26,7 +26,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, islice, repeat
-from operator import add, gt, itemgetter, sub
+from operator import add, floordiv, gt, itemgetter, mod, sub
 from typing import Collection, Iterator, Mapping, NamedTuple, Sequence
 
 from ._fsum import copies
@@ -222,9 +222,9 @@ def h_delta_s_greedy(
     B.validate_on(grid)
     D = _capacity(delta, grid)
     lengths = [j - i + 1 for i, j in B.runs]
-    counts = Counter(L % D for L in lengths)
+    counts = Counter(map(mod, lengths, repeat(D)))
     del counts[0]  # runs that split into full intervals only
-    counts[D] = sum(L // D for L in lengths)
+    counts[D] = sum(map(floordiv, lengths, repeat(D)))
     total = counts.total()
     intervals = _GreedyIntervals(B.runs, D, total)
     return DeltaPartition(intervals, _partition_cost(counts, s, grid.N), total)
@@ -255,31 +255,32 @@ def h_delta_s_dp(B: InternalSet, delta, s, grid: HyperGrid) -> DeltaPartition:
             f"DP oracle needs {work} cell updates, over the budget of {_DP_BUDGET}"
         )
     sf = float(s)
-    # w[c] is the cost of one interval of c points
-    w = [0.0] + [(c / N) ** sf for c in range(1, min(D, longest) + 1)]
-    # dp[t] = minimal cost of partitioning t consecutive points; choice[t] is
-    # the size of the last interval of that partition
+    K = min(D, longest)
+    # wr[j] is the cost of one interval of K - j points
+    wr = [(c / N) ** sf for c in range(K, 0, -1)]
+    # dp[t] = minimal cost of partitioning t consecutive points, over the
+    # last interval's size c = k, k-1, .., 1 with k = min(K, t)
     dp = [0.0] * (longest + 1)
-    choice = [0] * (longest + 1)
-    for t in range(1, longest + 1):
-        k = min(D, t)
-        # candidates for c = k, k-1, .., 1; index() keeps the largest c on ties
-        cands = list(map(add, dp[t - k:t], w[k:0:-1]))
-        best = min(cands)
-        dp[t] = best
-        choice[t] = k - cands.index(best)
+    for t in range(1, K + 1):
+        dp[t] = min(map(add, dp[:t], wr[K - t:]))
+    for t in range(K + 1, longest + 1):
+        dp[t] = min(map(add, dp[t - K:t], wr))
+    # the last interval's size is found again only where the traceback asks,
+    # once per t, so the traceback costs at most the fill
+    choices: dict[int, int] = {}
     intervals: list[tuple[int, int]] = []
     for (i, _), length in zip(B.runs, lengths):
-        parts = []
+        parts = []  # the run's intervals, last first
         t = length
         while t > 0:
-            parts.append(choice[t])
-            t -= choice[t]
-        parts.reverse()
-        pos = i
-        for c in parts:
-            intervals.append((pos, pos + c - 1))
-            pos += c
+            c = choices.get(t)
+            if c is None:
+                k = min(K, t)
+                # index() keeps the largest c on ties
+                c = choices[t] = k - list(map(add, dp[t - k:t], wr[K - k:])).index(dp[t])
+            t -= c
+            parts.append((i + t, i + t + c - 1))
+        intervals += reversed(parts)
     cost = _partition_cost(Counter(b - a + 1 for a, b in intervals), s, N)
     return DeltaPartition(tuple(intervals), cost, len(intervals))
 

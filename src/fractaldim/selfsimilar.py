@@ -205,6 +205,7 @@ def dim_from_rule(rule: PieceRule) -> float:
 
 _MORAN_MAX_ITER = 200
 _MORAN_MARGIN = 1e-12  # a computed f this far from 1 certifies a side of the root
+_MORAN_REACH = 16  # sums spent stepping right of a Newton estimate that stopped short
 
 
 def _moran_sum(singles: list, repeated: list, s: float) -> float:
@@ -249,9 +250,10 @@ def moran_solve(ratios: IfsRatios, tol: float = 1e-12) -> MoranRoot:
     where the computed f exceeds 1 + 1e-12 (is below 1 - 1e-12), it
     exceeds 1 (is at most 1) at every point left (right) of there too,
     while each pow term errs by less than 5e-13 relative, about 2,000 ulp.
-    Two probes beside a Newton estimate of the root set the bracket; a step
-    inside it computes f.  So the steps and the result are the plain
-    bisection's; ``iterations`` still counts its steps, not sums.
+    Two probes beside a Newton estimate of the root set the bracket; when
+    both lie left of it, probes at doubling steps to the right close it.  A
+    step inside the bracket computes f.  So the steps and the result are
+    the plain bisection's; ``iterations`` still counts its steps, not sums.
     """
     if not tol > 0:  # also rejects NaN, which would skip the bisection
         raise InputError("tol must be positive")
@@ -266,6 +268,7 @@ def moran_solve(ratios: IfsRatios, tol: float = 1e-12) -> MoranRoot:
     pairs = list(zip(ratios.ratios, ratios.counts))
     singles = [c for c, k in pairs if k == 1]
     repeated = [(c, k) for c, k in pairs if k > 1]
+    hi = math.log(n) / -math.log(top) + 1e-9
     above, below = -math.inf, math.inf  # f > 1 at s <= above, f <= 1 at s >= below
     estimate = _moran_estimate(ratios)
     if estimate is not None:
@@ -277,7 +280,19 @@ def moran_solve(ratios: IfsRatios, tol: float = 1e-12) -> MoranRoot:
                 above = probe
             elif value < 1.0 - _MORAN_MARGIN:
                 below = min(below, probe)
-    hi = math.log(n) / -math.log(top) + 1e-9
+        if above == probe:  # the estimate stopped short; step right until f <= 1 is certified
+            step = math.log(value) / -slope  # Newton's step from the probe, doubled each time
+            for _ in range(_MORAN_REACH):
+                probe += step
+                step += step
+                value = _moran_sum(singles, repeated, probe)
+                if value > 1.0 + _MORAN_MARGIN:
+                    above = probe
+                elif value < 1.0 - _MORAN_MARGIN:
+                    below = probe
+                    break
+                elif probe >= hi:
+                    break
     lo = 0.0
     iterations = 0
     while hi - lo > tol and iterations < _MORAN_MAX_ITER:

@@ -1,6 +1,7 @@
 """Command-line front end tests: outputs, determinism, exit codes."""
 
 import copy
+import gc
 import json
 import math
 import os
@@ -15,9 +16,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fractaldim
 from fractaldim import cli, selfsimilar
-from fractaldim._digits import DECIMAL_BASE_BITS
+from fractaldim._digits import _READ_BASE_BITS, DECIMAL_BASE_BITS
 from fractaldim.cli import main
-from fractaldim.errors import BudgetExceededError
+from fractaldim.errors import BudgetExceededError, InputError
 
 DOUBLING = {
     "base": 2,
@@ -511,6 +512,57 @@ class TestSeqCheck:
         assert peak < 10**7  # no term past the budget was built
 
 
+class TestCollectorPause:
+    """main pauses the cyclic collector for one command and leaves it as it found it."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["dim-ifs", "--rule", "cantor"], 0),
+            (["dim-ifs", "missing.json"], 2),
+            (["counts", "--rule", "cantor", "--levels", "0", "100000000"], 3),
+        ],
+    )
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_is_restored(self, capsys, monkeypatch, tmp_path, argv, code, enabled):
+        monkeypatch.chdir(tmp_path)
+        seen = []
+        real = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda: seen.append(gc.isenabled()) or real())
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert run_cli(capsys, *argv)[0] == code
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert seen == [False]
+
+    def test_collector_state_is_restored_after_a_usage_error(self, capsys):
+        assert gc.isenabled()
+        with pytest.raises(SystemExit) as exc:
+            main(["hyper-hsd"])
+        assert exc.value.code == 2
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+    def test_no_cycles_in_proportion_to_the_input(self, capsys, tmp_path, oracle):
+        found = []
+        for n in (10**3, 10**5):
+            path = tmp_path / f"set{n}.json"
+            path.write_text(json.dumps({"N": 9 * n, "runs": [[9 * k, 9 * k + 5] for k in range(n)]}))
+            gc.collect()
+            gc.disable()
+            try:
+                code, _, _ = run_cli(capsys, "hyper-hsd", str(path), "--delta", f"3/{9 * n}",
+                                     "--s", "1/2", *oracle)
+                found.append(gc.collect())
+            finally:
+                gc.enable()
+            assert code == 0
+        assert max(found) < 1000
+        assert abs(found[1] - found[0]) < 100
+
+
 class TestOutputPolicy:
     def test_out_flag_writes_file(self, capsys, tmp_path):
         target = tmp_path / "table.csv"
@@ -576,6 +628,45 @@ class TestRejectedInput:
         path = tmp_path / "ratios.json"
         path.write_text(spec)
         assert_rejected(*run_cli(capsys, "dim-ifs", str(path)))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.5, 0.25, 1, 0.3],
+            [0.5, 10**400],  # an int too large for a float
+            [0.5, 2**1024 - 1],
+            [0.5, 1e308 * 10, 0.5],  # Infinity
+            [0.5, True],
+            [0.5, "0.25", 0.3],
+            [0.5, None],
+            [],
+        ],
+    )
+    def test_ratio_list_reads_as_each_value_alone(self, values):
+        def outcome(parse):
+            try:
+                return parse()
+            except InputError as exc:
+                return str(exc)
+
+        fast = outcome(lambda: cli._parse_ratios({"ratios": values}))
+        each = outcome(lambda: selfsimilar.IfsRatios(tuple(cli._ratio(v) for v in values)))
+        assert fast == each
+
+    @pytest.mark.parametrize("m_cap", ["NINES", '"NINES"', '"10^NINES"'])  # the exponent of a power
+    def test_schedule_number_past_the_digit_limit(self, capsys, tmp_path, m_cap):
+        # exited 1 with "ValueError: Exceeds the limit (2000000 digits)"
+        path = tmp_path / "schedule.json"
+        text = json.dumps({**DOUBLING, "m_cap": "M_CAP"})
+        path.write_text(text.replace('"M_CAP"', m_cap.replace("NINES", "9" * 2_100_000)))
+        assert_rejected(*run_cli(capsys, "dim-block", str(path), "--n-max", "3"))
+
+    def test_set_integer_past_the_digit_limit(self, capsys, tmp_path):
+        path = tmp_path / "set.json"
+        path.write_text('{"N": 100, "runs": [[0, ' + "9" * 2_100_000 + "]]}")
+        code, out, err = run_cli(capsys, "hyper-hsd", str(path), "--delta", "1/10", "--s", "1")
+        assert_rejected(code, out, err)
+        assert err.startswith(f"error: cannot read a number in {path}: ")
 
     def test_count_overflowing_moran_sum(self, capsys, tmp_path):
         path = tmp_path / "ratios.json"
@@ -884,9 +975,9 @@ def test_dim_block_contract_on_mutated_json(capsys, tmp_path, data, n_max):
 
 # cantor counts at levels 1..8: 2**m cells of side 3**-m
 CANTOR_ROWS = [["m", "delta", "n_cells"]] + [[m, f"1/{3**m}", 2**m] for m in range(1, 9)]
-# the same past 2,000 bits, where each count and denominator is read from the row above
+# the same past 2,600 bits, where each count and denominator is read from the row above
 LONG_CANTOR_ROWS = [["m", "delta", "n_cells"]] + [
-    [m, f"1/{3**m}", 2**m] for m in range(DECIMAL_BASE_BITS, DECIMAL_BASE_BITS + 8)
+    [m, f"1/{3**m}", 2**m] for m in range(_READ_BASE_BITS, _READ_BASE_BITS + 8)
 ]
 
 

@@ -8,15 +8,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fractaldim._digits import DECIMAL_BASE_BITS, ColumnReader, decimal_column, fraction_column
+from fractaldim._digits import (
+    _READ_BASE_BITS,
+    DECIMAL_BASE_BITS,
+    ColumnReader,
+    decimal_column,
+    fraction_column,
+)
 
-T = DECIMAL_BASE_BITS
+T, R = DECIMAL_BASE_BITS, _READ_BASE_BITS
+# bit lengths on both sides of the formatting and the reading thresholds
+BITS = st.one_of(st.integers(T - 64, T + 200), st.integers(R - 64, R + 200))
 
-# fresh values: small, zero, negative, and on both sides of the size threshold
+# fresh values: small, zero, negative, and on both sides of the size thresholds
 FRESH = st.one_of(
     st.integers(-1000, 1000),
-    st.integers(T - 64, T + 200).flatmap(lambda b: st.integers(2 ** (b - 1), 2**b - 1)),
-    st.integers(T - 64, T + 200).flatmap(lambda b: st.integers(-(2**b) + 1, -(2 ** (b - 1)))),
+    BITS.flatmap(lambda b: st.integers(2 ** (b - 1), 2**b - 1)),
+    BITS.flatmap(lambda b: st.integers(-(2**b) + 1, -(2 ** (b - 1)))),
 )
 STEPS = st.one_of(
     st.just(("same", 0)),
@@ -72,9 +80,9 @@ EDITS = st.sampled_from(
     ]
 )
 HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
-# int-to-str digit limits: none, the smallest allowed, one between the
-# lengths of values near the size threshold, and the interpreter's default
-LIMITS = st.sampled_from([0, 640, 700, 4300])
+# int-to-str digit limits: none, the smallest allowed, ones between the
+# lengths of values near each size threshold, and the interpreter's default
+LIMITS = st.sampled_from([0, 640, 700, 800, 4300])
 
 
 @contextmanager
@@ -136,3 +144,16 @@ def test_column_reader_past_the_digit_limit():
         assert [_outcome(read, t) for t in texts] == [
             10**k if k < 4300 else ValueError for k in range(700, 4400, 7)
         ]
+
+
+@pytest.mark.parametrize("q", [2, 8, 20, 3**20, 2**64 - 1])
+def test_column_reader_on_chains_across_both_thresholds(q):
+    # each row q times the one above, from 1,800 bits to past 2,900
+    with _int_max_str_digits(0):
+        values = [2**1799 + 12345]
+        while values[-1].bit_length() <= 2900:
+            values.append(values[-1] * q)
+        assert values[0].bit_length() < T < R
+        texts = [str(v) for v in values]
+        read = ColumnReader()
+        assert [read(t) for t in texts] == [int(t) for t in texts] == values

@@ -8,12 +8,16 @@ brute-force membership loops over all grid indices.
 
 import itertools
 import math
+import operator
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from fractaldim import hypergrid
 from fractaldim.errors import BudgetExceededError, InfeasibleDeltaError, InputError
 from fractaldim.hypergrid import (
     _ENLARGE,
@@ -348,6 +352,91 @@ def test_dp_one_table_matches_per_run_reference(gaps_lengths, d, s):
     intervals, cost = _reference_dp(B, d, s, grid.N)
     assert list(part.intervals) == intervals
     assert part.cost == cost and part.count == len(intervals)
+
+
+def _list_index_dp(B, delta, s, grid):
+    """The one-table DP as first written: each row's candidate list, min() and index()."""
+    D = hypergrid._capacity(delta, grid)
+    N = grid.N
+    lengths = [j - i + 1 for i, j in B.runs]
+    longest = max(lengths, default=0)
+    work = max(longest * min(longest, D), sum(lengths))
+    if work > hypergrid._DP_BUDGET:
+        raise BudgetExceededError(
+            f"DP oracle needs {work} cell updates, over the budget of {hypergrid._DP_BUDGET}"
+        )
+    w = [0.0] + [(c / N) ** float(s) for c in range(1, min(D, longest) + 1)]
+    dp = [0.0] * (longest + 1)
+    choice = [0] * (longest + 1)
+    for t in range(1, longest + 1):
+        k = min(D, t)
+        cands = list(map(operator.add, dp[t - k:t], w[k:0:-1]))
+        best = min(cands)
+        dp[t] = best
+        choice[t] = k - cands.index(best)
+    intervals = []
+    for (i, _), length in zip(B.runs, lengths):
+        parts = []
+        t = length
+        while t > 0:
+            parts.append(choice[t])
+            t -= choice[t]
+        parts.reverse()
+        pos = i
+        for c in parts:
+            intervals.append((pos, pos + c - 1))
+            pos += c
+    cost = hypergrid._partition_cost(Counter(b - a + 1 for a, b in intervals), s, N)
+    return tuple(intervals), cost
+
+
+@st.composite
+def dp_inputs(draw):
+    """Runs with single points and repeated lengths, D from 1 to past the longest run, and s."""
+    pool = draw(st.lists(st.integers(1, 90), min_size=1, max_size=3))
+    lengths = draw(st.lists(st.one_of(st.just(1), st.sampled_from(pool)), min_size=1, max_size=25))
+    runs, pos = [], draw(st.integers(0, 3))
+    for length in lengths:
+        runs.append((pos, pos + length - 1))
+        pos += length + draw(st.integers(1, 4))
+    grid = HyperGrid(pos + draw(st.integers(0, 50)))
+    d = draw(st.one_of(st.integers(1, max(lengths) + 5), st.integers(1, grid.N)))
+    s = draw(st.one_of(st.sampled_from([1, Fraction(1, 2), Fraction(3, 10)]), st.floats(0.01, 1.0)))
+    return grid, InternalSet(tuple(runs)), Fraction(d, grid.N), s
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(inputs=dp_inputs())
+def test_dp_matches_the_list_index_dp_bit_for_bit(inputs):
+    grid, B, delta, s = inputs
+    part = h_delta_s_dp(B, delta, s, grid)
+    intervals, cost = _list_index_dp(B, delta, s, grid)
+    assert part.intervals == intervals
+    assert part.cost.hex() == cost.hex() and part.count == len(intervals)
+
+
+def _no_cell_update(*args):
+    raise AssertionError("a DP cell was updated")
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(inputs=dp_inputs(), over=st.booleans())
+def test_dp_budget_refuses_what_it_refused_before_any_work(inputs, over):
+    # the budget set just below or at each input's work, as the list/index DP counted it
+    grid, B, delta, s = inputs
+    lengths = [j - i + 1 for i, j in B.runs]
+    D = hypergrid._capacity(delta, grid)
+    work = max(max(lengths) * min(max(lengths), D), sum(lengths))
+    with mock.patch.object(hypergrid, "_DP_BUDGET", work - over):
+        if over:
+            with pytest.raises(BudgetExceededError) as expected:
+                _list_index_dp(B, delta, s, grid)
+            with mock.patch.object(hypergrid, "add", _no_cell_update):
+                with pytest.raises(BudgetExceededError) as refused:
+                    h_delta_s_dp(B, delta, s, grid)
+            assert str(refused.value) == str(expected.value)
+        else:
+            assert h_delta_s_dp(B, delta, s, grid).intervals == _list_index_dp(B, delta, s, grid)[0]
 
 
 class TestTraceSuperset:

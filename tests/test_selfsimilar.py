@@ -395,3 +395,31 @@ def test_moran_sums_on_one_repeated_ratio(monkeypatch):
     assert root.s == pytest.approx(math.log(150_000) / math.log(50), abs=1e-9)
     assert root.iterations == 42
     assert len(calls) <= 8
+
+
+@pytest.mark.parametrize(
+    "cs, before",
+    [((0.9999999999999999, 0.5), 95), ((5e-324, 0.84), 37), ((1e-300, 0.9), 40)],
+)
+def test_moran_steps_right_of_an_estimate_that_stopped_short(monkeypatch, cs, before):
+    # both probes beside the Newton estimate certify f > 1; with only those two
+    # probes the solve summed ``before`` times
+    ratios = IfsRatios(cs)
+    calls = _count_sums(monkeypatch)
+    assert moran_solve(ratios) == _reference_bisection(ratios, 1e-12)
+    assert len(calls) < before - 10
+
+
+@pytest.mark.parametrize(
+    "ratios",
+    [IfsRatios((0.02,), (150_000,)), IfsRatios((0.02, 0.0005) + (0.01,) * 3000)],
+)
+def test_moran_steps_no_further_when_both_sides_are_certified(monkeypatch, ratios):
+    calls = _count_sums(monkeypatch)
+    sums = []
+    for reach in (selfsimilar._MORAN_REACH, 0):
+        monkeypatch.setattr(selfsimilar, "_MORAN_REACH", reach)
+        calls.clear()
+        assert moran_solve(ratios) == _reference_bisection(ratios, 1e-12)
+        sums.append(len(calls))
+    assert sums[0] == sums[1] <= 5
