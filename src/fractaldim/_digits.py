@@ -1,7 +1,8 @@
-"""Decimal strings for columns of big integers, and back, in linear time per value."""
+"""Decimal strings for columns of big integers and back, and tests of their digit counts."""
 
 from __future__ import annotations
 
+import math
 import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Overflow, Rounded
 from fractions import Fraction
@@ -158,3 +159,36 @@ class ColumnReader:
 def _int_max_str_digits() -> int:
     """The interpreter's limit on digits for int() of a text; 0 for none."""
     return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+
+
+_LOG10_2 = 0.30102999566398120
+
+
+def _digits_exceed(value: int, cap: int) -> bool:
+    """Whether the natural ``value`` has more than ``cap`` decimal digits."""
+    bits = value.bit_length()
+    # log10(2) bounds decide all but borderline cases without big-int work;
+    # the exact fallback compares against 10**cap (digits > cap iff >= 10**cap)
+    if (bits - 1) * _LOG10_2 > cap:
+        return True
+    if bits * _LOG10_2 + 1 < cap:
+        return False
+    return value >= 10**cap
+
+
+def _power_exceeds(base: int, exponent: int, digits: int) -> bool:
+    """Whether base**exponent, for base >= 2, surely has more than ``digits`` digits.
+
+    base**exponent has about exponent*log10(base) digits.  The float
+    log10(base) = num/den enters as its exact ratio, so a digit count of any
+    size compares in integers: exponent > floor(digits / log10(base)) + 2.
+    """
+    num, den = math.log10(base).as_integer_ratio()
+    return exponent > digits * den // num + 2
+
+
+def _power_digits_exceed(base: int, exponent: int, digits: int) -> bool:
+    """Whether base**exponent has more than ``digits`` digits; built only if not surely so."""
+    if base < 2:  # 0 or 1, whatever the exponent
+        return False
+    return _power_exceeds(base, exponent, digits) or _digits_exceed(base**exponent, digits)

@@ -27,7 +27,7 @@ from itertools import accumulate, cycle, islice
 from typing import Iterator, NamedTuple
 
 from . import seqgen
-from ._digits import _int_max_str_digits
+from ._digits import _int_max_str_digits, _power_digits_exceed
 from .boxdim import CellSource
 from .errors import (
     BudgetExceededError,
@@ -376,7 +376,7 @@ def _parse_big_nat(value) -> int:
             base, _, exp = text.partition("^")
             if base.strip().isdecimal() and exp.strip().isdecimal():
                 base, exp, budget = int(base), int(exp), seqgen._TERM_DIGIT_BUDGET
-                if seqgen._power_digits_exceed(base, exp, budget):
+                if _power_digits_exceed(base, exp, budget):
                     raise BudgetExceededError(f"{text} has more than {budget} digits")
                 return base**exp
         if text.isdecimal():

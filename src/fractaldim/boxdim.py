@@ -315,8 +315,8 @@ def critical_d(
     returned with the ``degenerate`` flag set.  ``d`` is the first midpoint
     classified ``bounded``, if any; the bisection then goes on either side
     of it, so ``lo`` is the last point seen to diverge (or 0) and ``hi`` the
-    first seen to vanish (or ``d_max``), each within ``tol`` of the edge of
-    the bounded band.
+    first seen to vanish (or ``d_max``), each within ``tol`` (or one ulp) of
+    the edge of the bounded band.
     """
     if not tol > 0:  # also rejects NaN, which would skip the bisection
         raise InputError("tol must be positive")
@@ -345,9 +345,13 @@ def critical_d(
             ]
             d_max = max(steps) + 1.0
     lo, hi = 0.0, float(d_max)
+    if not math.isfinite(hi * max(map(abs, series._tail_logs[1]))):
+        raise InputError(f"d_max={d_max} overflows d*log(delta) on this series")
     if classify_d(series, hi) == DIVERGES:
         raise InputError(f"series still diverges at d_max={d_max}")
-    while hi - lo > tol:
+    width = math.inf
+    while tol < hi - lo < width:  # a bracket one ulp wide stops shrinking
+        width = hi - lo
         mid = 0.5 * (lo + hi)
         verdict = classify_d(series, mid)
         if verdict == DIVERGES:
@@ -363,7 +367,9 @@ def critical_d(
 
 def _band_edge(series: CountSeries, outer: float, inner: float, verdict: str, tol: float) -> float:
     """Bisect from ``outer`` toward ``inner``, not classified ``verdict``, to the last point that is."""
-    while abs(inner - outer) > tol:
+    width = math.inf
+    while tol < abs(inner - outer) < width:  # a bracket one ulp wide stops shrinking
+        width = abs(inner - outer)
         mid = 0.5 * (outer + inner)
         if classify_d(series, mid) == verdict:
             outer = mid

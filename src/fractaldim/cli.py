@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import blockset, boxdim, hypergrid, selfsimilar, seqgen
-from ._digits import fraction_column
+from ._digits import _power_digits_exceed, fraction_column
 from .errors import BudgetExceededError, FractalDimError, HorizonExceededError, InputError
 
 # digits a printed integer may have; main raises the interpreter's limit to at least this
@@ -229,7 +229,7 @@ def cmd_two_grid(args) -> str:
 
 def _check_printable_power(base: int, q: int) -> None:
     limit = _PRINTED_DIGITS
-    if seqgen._power_digits_exceed(base, q, limit):
+    if _power_digits_exceed(base, q, limit):
         raise BudgetExceededError(f"{base}**{q} has more than the {limit} digits a command may print")
 
 

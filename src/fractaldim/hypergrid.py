@@ -224,7 +224,8 @@ def h_delta_s_greedy(
     lengths = [j - i + 1 for i, j in B.runs]
     counts = Counter(map(mod, lengths, repeat(D)))
     del counts[0]  # runs that split into full intervals only
-    counts[D] = sum(map(floordiv, lengths, repeat(D)))
+    if full := sum(map(floordiv, lengths, repeat(D))):  # else D/N need not fit a float
+        counts[D] = full
     total = counts.total()
     intervals = _GreedyIntervals(B.runs, D, total)
     return DeltaPartition(intervals, _partition_cost(counts, s, grid.N), total)

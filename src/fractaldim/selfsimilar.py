@@ -80,8 +80,8 @@ class IfsRatios(_IfsRatios):
             raise InputError("ratio list must be nonempty")
         if any(not 0 < c < 1 for c in self.ratios):
             raise InputError("every ratio must lie strictly in (0, 1)")
-        if not self.counts:
-            self = super().__new__(cls, self.ratios, (1,) * len(self.ratios))
+        if not self.counts:  # one map each: the counts are valid and their sum fits a float
+            return super().__new__(cls, self.ratios, (1,) * len(self.ratios))
         if len(self.counts) != len(self.ratios):
             raise InputError("need one count per ratio")
         for k in self.counts:

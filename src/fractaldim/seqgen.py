@@ -2,42 +2,41 @@
 
 Everything here is exact: terms are arbitrary-precision naturals and every
 comparison is done on cross-multiplied integers, never on floats.  A term may
-occupy at most ``digit_cap`` decimal digits; once a term would exceed that,
-generation fails with :class:`HorizonExceededError` naming the offending
-index.  (Power towers leave the representable range after a handful of
-terms: with the default cap the base-2 tower stops after index 5.)  Under a
-larger cap, a power or square term surely longer than the default cap is
-refused with :class:`BudgetExceededError` before it is built.
+occupy at most min(``digit_cap``, ``_TERM_DIGIT_BUDGET``) decimal digits.
+Once a term would exceed that limit, generation fails, naming the offending
+index: with :class:`HorizonExceededError` when the cap is the limit, and
+with :class:`BudgetExceededError` under a larger cap.  (Power towers leave
+the representable range after a handful of terms: with the default cap the
+base-2 tower stops after index 5.)  A power or square term surely past the
+limit is refused before it is built.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from fractions import Fraction
 from itertools import accumulate, count, islice, repeat
 from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
+from ._digits import _digits_exceed, _power_exceeds
 from .errors import BudgetExceededError, HorizonExceededError, InputError
 
-# the parameter fields each kind takes, in the order errors name them
+# each kind's parameter fields, in the order errors name them, and their least values
 _KIND_KEYS = {
-    "explicit": ("terms",),
-    "arithmetic": ("first", "step"),
-    "geometric": ("first", "ratio"),
-    "double_exponential": ("base",),
-    "power_tower": ("base",),
-    "squared_sum": ("seed",),
+    "explicit": {"terms": 1},
+    "arithmetic": {"first": 1, "step": 0},
+    "geometric": {"first": 1, "ratio": 1},
+    "double_exponential": {"base": 2},
+    "power_tower": {"base": 2},
+    "squared_sum": {"seed": 1},
 }
 KINDS = tuple(_KIND_KEYS)
 
 DEFAULT_HORIZON = 64
 DEFAULT_DIGIT_CAP = 1_000_000
-# Digits a power or square term may reach under a larger cap.  A cap at most
-# this bounds every term without it.  Under a larger cap, a square past it is
-# refused before it is built, and a power before it is built if surely past
-# it, else after, so a huge cap stops at the term where the default cap stops.
+# Digits any one term may reach under a larger cap, so a huge cap stops at the
+# term where a cap of this size stops.
 _TERM_DIGIT_BUDGET = DEFAULT_DIGIT_CAP
 
 #: verdict states for :func:`dimzero_criterion`
@@ -77,26 +76,18 @@ class SequenceSpec(_SequenceSpec):
             raise InputError("horizon must be >= 0")
         if self.digit_cap < 1:
             raise InputError("digit_cap must be >= 1")
-        k = self.kind
+        k, least = self.kind, _KIND_KEYS[self.kind]
         if k == "explicit" and not self.terms:
             raise InputError("explicit sequence needs a nonempty term list")
-        for name in _KIND_KEYS[k]:
+        for name in least:
             if getattr(self, name) is None:
                 raise InputError(f"missing parameter {name!r}")
         if k == "explicit":
             if any(t < 1 for t in self.terms):
                 raise InputError("every term must be >= 1")
-        elif k == "arithmetic":
-            if self.first < 1 or self.step < 0:
-                raise InputError("arithmetic needs first >= 1 and step >= 0")
-        elif k == "geometric":
-            if self.first < 1 or self.ratio < 1:
-                raise InputError("geometric needs first >= 1 and ratio >= 1")
-        elif k in ("double_exponential", "power_tower"):
-            if self.base < 2:
-                raise InputError(f"{k} needs base >= 2")
-        elif self.seed < 1:
-            raise InputError("squared_sum needs seed >= 1")
+        elif any(getattr(self, name) < v for name, v in least.items()):
+            needs = " and ".join(f"{name} >= {v}" for name, v in least.items())
+            raise InputError(f"{k} needs {needs}")
         return self
 
     # -- convenience constructors -------------------------------------
@@ -146,35 +137,23 @@ class GrowthVerdict(NamedTuple):
 # term generation
 
 
-_LOG10_2 = 0.30102999566398120
-
-
-def _digits_exceed(value: int, cap: int) -> bool:
-    bits = value.bit_length()
-    # log10(2) bounds decide all but borderline cases without big-int work;
-    # the exact fallback compares against 10**cap (digits > cap iff >= 10**cap)
-    if (bits - 1) * _LOG10_2 > cap:
-        return True
-    if bits * _LOG10_2 + 1 < cap:
-        return False
-    return value >= 10**cap
-
-
-def _check_digits(value: int, cap: int, index: int) -> int:
-    if _digits_exceed(value, cap):
-        raise HorizonExceededError(
-            f"term {index} exceeds the digit cap of {cap} decimal digits",
-            index=index,
+def _too_long(index: int, cap: int, limit: int) -> Exception:
+    """The error for term ``index`` past ``limit`` digits: the cap's when the cap is the limit."""
+    if limit == cap:
+        return HorizonExceededError(
+            f"term {index} exceeds the digit cap of {cap} decimal digits", index=index
         )
-    return value
+    return BudgetExceededError(
+        f"term {index} has over {limit} decimal digits, the budget of any one term"
+    )
 
 
 def _raw_terms(spec: SequenceSpec) -> Iterator[int]:
-    """The terms a_0, a_1, .. without the digit cap; an explicit list ends in an error.
+    """The terms a_0, a_1, .. without the digit limit; an explicit list ends in an error.
 
     Arithmetic and geometric terms come straight from C iterators, with no
-    generator frame around them.  The other kinds refuse an exponent far
-    past the cap before raising anything to it.
+    generator frame around them.  The other kinds refuse an exponent or a
+    square surely past the limit before building it.
     """
     if spec.kind == "arithmetic":
         return count(spec.first, spec.step)
@@ -196,7 +175,7 @@ def _grown_terms(spec: SequenceSpec) -> Iterator[int]:
         exponent = 1  # b**n at n = 0
         while True:
             _guard_power(b, exponent, cap, i)
-            yield _within_budget(b**exponent, cap, i)
+            yield b**exponent
             exponent *= b
             i += 1
     if k == "power_tower":
@@ -205,96 +184,71 @@ def _grown_terms(spec: SequenceSpec) -> Iterator[int]:
             yield t
             i += 1
             _guard_power(spec.base, t, cap, i)
-            t = _within_budget(spec.base**t, cap, i)
+            t = spec.base**t
     if k == "squared_sum":
-        total, t = 0, _within_budget(spec.seed, cap, 0)
+        limit = min(cap, _TERM_DIGIT_BUDGET)
+        total, t = 0, spec.seed
         for i in count(1):
             yield t
             total += t
-            # total**2 has more digits than the (even) budget iff total has more than half
-            if cap > _TERM_DIGIT_BUDGET and _digits_exceed(total, _TERM_DIGIT_BUDGET // 2):
-                raise _budget_error(i)
+            # total**2 has more than limit digits if total has more than limit/2, rounded up
+            if _digits_exceed(total, (limit + 1) // 2):
+                raise _too_long(i, cap, limit)
             t = total * total
     raise AssertionError(f"unhandled kind {k}")
 
 
+def _guard_power(base: int, exponent: int, cap: int, index: int) -> None:
+    """Refuse base**exponent unbuilt: surely past the cap, then surely past the budget."""
+    for limit in (cap, _TERM_DIGIT_BUDGET):
+        if _power_exceeds(base, exponent, limit):
+            raise _too_long(index, cap, limit)
+
+
 def _safe_prefix(spec: SequenceSpec) -> int:
-    """How many leading terms surely fit under the digit cap, at most horizon + 1.
+    """How many leading terms surely fit under the digit limit, at most horizon + 1.
 
     Arithmetic and geometric terms never decrease.  An arithmetic prefix is
     exact: everything through the horizon, or up to the first term reaching
-    10**cap.  A geometric one is all or nothing, from a bound on the bit
+    10**limit.  A geometric one is all or nothing, from a bound on the bit
     length of the term at the horizon.  Every other kind gets 0.
     """
-    cap, n = spec.digit_cap, spec.horizon + 1
+    limit, n = min(spec.digit_cap, _TERM_DIGIT_BUDGET), spec.horizon + 1
     if spec.kind == "arithmetic":
         first, step = spec.first, spec.step
-        if not _digits_exceed(first + spec.horizon * step, cap):
+        if not _digits_exceed(first + spec.horizon * step, limit):
             return n
         # step > 0 here unless the first term is already too long
-        return max(0, -((first - 10**cap) // step)) if step else 0
+        return max(0, -((first - 10**limit) // step)) if step else 0
     if spec.kind == "geometric":
         if spec.ratio == 1:
-            return 0 if _digits_exceed(spec.first, cap) else n
+            return 0 if _digits_exceed(spec.first, limit) else n
         # a_horizon < 2**bits, as ratio <= 2**(ratio-1).bit_length(); and
-        # 2**bits < 10**cap when 10*bits <= 33*cap, as 2**33 < 10**10
+        # 2**bits < 10**limit when 10*bits <= 33*limit, as 2**33 < 10**10
         bits = spec.first.bit_length() + spec.horizon * (spec.ratio - 1).bit_length()
-        return n if 10 * bits <= 33 * cap else 0
+        return n if 10 * bits <= 33 * limit else 0
     return 0
 
 
 def _iter_terms(spec: SequenceSpec) -> Iterator[int]:
-    """The terms a_0, a_1, .., each past the safe prefix checked against the digit cap."""
+    """The terms a_0, a_1, .., each past the safe prefix checked against the digit limit."""
+    cap = spec.digit_cap
+    limit = min(cap, _TERM_DIGIT_BUDGET)
     raw, known = _raw_terms(spec), _safe_prefix(spec)
     yield from islice(raw, min(known, sys.maxsize))
     for i, t in enumerate(raw, known):
-        yield _check_digits(t, spec.digit_cap, i)
-
-
-def _guard_exponent(base: int, exponent: int, cap: int, index: int) -> None:
-    # base**exponent has about exponent*log10(base) digits; refuse before
-    # materializing something astronomically past the cap.  The float
-    # log10(base) = num/den enters as its exact ratio, so a cap of any size
-    # compares in integers: exponent > floor(cap / log10(base)) + 2.
-    if _power_exceeds(base, exponent, cap):
-        raise HorizonExceededError(
-            f"term {index} exceeds the digit cap of {cap} decimal digits",
-            index=index,
-        )
-
-
-def _power_exceeds(base: int, exponent: int, digits: int) -> bool:
-    num, den = math.log10(base).as_integer_ratio()
-    return exponent > digits * den // num + 2
-
-
-def _power_digits_exceed(base: int, exponent: int, digits: int) -> bool:
-    """Whether base**exponent has more than ``digits`` digits; built only if not surely so."""
-    if base < 2:  # 0 or 1, whatever the exponent
-        return False
-    return _power_exceeds(base, exponent, digits) or _digits_exceed(base**exponent, digits)
-
-
-def _budget_error(index: int) -> BudgetExceededError:
-    return BudgetExceededError(
-        f"term {index} has over {_TERM_DIGIT_BUDGET} decimal digits, the budget of any one term"
-    )
-
-
-def _guard_power(base: int, exponent: int, cap: int, index: int) -> None:
-    _guard_exponent(base, exponent, cap, index)
-    if cap > _TERM_DIGIT_BUDGET and _power_exceeds(base, exponent, _TERM_DIGIT_BUDGET):
-        raise _budget_error(index)
-
-
-def _within_budget(value: int, cap: int, index: int) -> int:
-    if cap > _TERM_DIGIT_BUDGET and _digits_exceed(value, _TERM_DIGIT_BUDGET):
-        raise _budget_error(index)
-    return value
+        if _digits_exceed(t, limit):
+            raise _too_long(i, cap, limit)
+        yield t
 
 
 def terms(spec: SequenceSpec, n: int) -> list[int]:
     """First ``n`` terms a_0 .. a_{n-1}.  Requires n-1 <= horizon."""
+    return list(_first_terms(spec, n))
+
+
+def _first_terms(spec: SequenceSpec, n: int) -> Iterator[int]:
+    """The stream of the first ``n`` terms, with n checked before any term is drawn."""
     if n < 0:
         raise InputError("term count must be >= 0")
     if n > spec.horizon + 1:
@@ -304,7 +258,7 @@ def terms(spec: SequenceSpec, n: int) -> list[int]:
         )
     if n > sys.maxsize:
         raise InputError(f"term count must be <= {sys.maxsize}")
-    return list(islice(_iter_terms(spec), n))
+    return islice(_iter_terms(spec), n)
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +272,11 @@ def tail_domination(spec: SequenceSpec, k: int, eps) -> bool:
         raise InputError("eps must be >= 0")
     if k < 0:
         raise InputError("k must be >= 0")
-    ts = terms(spec, k + 1)
-    total = sum(ts)
+    total = 0
+    for last in _first_terms(spec, k + 1):
+        total += last
     # cross-multiplied: total <= (1+eps)*a_k
-    return total * eps.denominator <= (eps.denominator + eps.numerator) * ts[-1]
+    return total * eps.denominator <= (eps.denominator + eps.numerator) * last
 
 
 def dimzero_criterion(spec: SequenceSpec, K, n_lo: int, n_hi: int) -> GrowthVerdict:
@@ -369,10 +324,12 @@ def dimzero_criterion(spec: SequenceSpec, K, n_lo: int, n_hi: int) -> GrowthVerd
 
 def squared_sum_check(spec: SequenceSpec, n: int) -> list[tuple[int, bool]]:
     """Per index i < n, exact check of a_i >= (sum of earlier terms)**2."""
-    ts = terms(spec, n)
     out, total = [], 0
-    for i, t in enumerate(ts):
-        out.append((i, t >= total * total))
+    for i, t in enumerate(_first_terms(spec, n)):
+        # total**2 has 2b-1 or 2b bits for b = total.bit_length() >= 1, so
+        # only a term of one of those lengths needs the square
+        bits, b2 = t.bit_length(), 2 * total.bit_length()
+        out.append((i, bits > b2 or (bits >= b2 - 1 and t >= total * total)))
         total += t
     return out
 
@@ -396,12 +353,11 @@ def spec_from_json(obj: dict) -> SequenceSpec:
         if key not in obj:
             continue
         value = obj[key]
-        if key == "terms":
-            if not isinstance(value, list) or not all(isinstance(t, int) for t in value):
+        if key == "terms":  # an integer is a value whose type is int, so never a bool
+            if not isinstance(value, list) or not all(type(t) is int for t in value):
                 raise InputError("terms must be a list of integers")
-            kw[key] = tuple(value)
-        else:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise InputError(f"{key} must be an integer")
-            kw[key] = value
+            value = tuple(value)
+        elif type(value) is not int:
+            raise InputError(f"{key} must be an integer")
+        kw[key] = value
     return SequenceSpec(kind=kind, **kw)

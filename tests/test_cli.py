@@ -43,6 +43,18 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_module(*argv, timeout, preexec_fn=None):
+    """``python -m fractaldim.cli ARGV`` in a fresh interpreter, killed after ``timeout`` s."""
+    return subprocess.run(
+        [sys.executable, "-m", "fractaldim.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(Path(fractaldim.__file__).resolve().parent.parent)),
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        preexec_fn=preexec_fn,
+    )
+
+
 def run_cli_peak(capsys, *argv):
     """``run_cli`` plus the peak of the memory traced while the command ran."""
     tracemalloc.start()
@@ -283,6 +295,27 @@ class TestCriticalD:
         assert "degenerate" not in out
         assert abs(float(out.splitlines()[0].split(",")[1]) - 1) < 1e-6
 
+    @pytest.mark.parametrize(
+        "option, code",
+        [(("--tol", "1e-16"), 0), (("--tol", "1e-17"), 0), (("--tol", "1e-300"), 0),
+         (("--d-max", "1e308"), 2)],
+    )
+    def test_bisection_ends_below_one_ulp(self, capsys, tmp_path, option, code):
+        # each ran until killed: a bracket one ulp wide has its midpoint on an
+        # end, and d_max * log(delta) overflowed to NaN differences
+        _, out, _ = run_cli(capsys, "counts", "--interval", "1/3", "2/3", "--levels", "1", "30")
+        path = tmp_path / "counts.csv"
+        path.write_text(out)
+        proc = run_module("critical-d", str(path), *option, timeout=10)
+        assert proc.returncode == code
+        if code:
+            assert (proc.stdout, proc.stderr) == (
+                "", "error: d_max=1e+308 overflows d*log(delta) on this series\n"
+            )
+        else:
+            lo, hi = map(float, proc.stdout.splitlines()[1].split(",")[1:])
+            assert lo <= 1 <= hi
+
 
 def test_seq_check_error_names_the_same_key_under_every_hash_seed(tmp_path):
     # bad keys are checked in the order horizon, digit_cap, then the kind's keys
@@ -351,6 +384,14 @@ class TestHyperHsd:
         assert code == 0
         assert "intervals,100000000000000000001" in out.splitlines()
 
+    def test_delta_past_the_float_range(self, capsys, tmp_path):
+        # one run shorter than D has no full interval, whose cost (D/N)**s overflowed
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps({"N": 10, "runs": [[0, 3]]}))
+        huge = run_cli(capsys, "hyper-hsd", str(path), "--delta", "1e400", "--s", "1/2")
+        one = run_cli(capsys, "hyper-hsd", str(path), "--delta", "1", "--s", "1/2")
+        assert huge == one == (0, "cost,0.632455532034\nintervals,1\n", "")
+
     def test_infeasible_delta_exit_2(self, capsys, tmp_path):
         path = tmp_path / "set.json"
         path.write_text(json.dumps({"N": 10, "runs": [[0, 5]]}))
@@ -400,15 +441,8 @@ class TestFractal:
             hard = resource.getrlimit(resource.RLIMIT_AS)[1]
             resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
 
-        proc = subprocess.run(
-            [sys.executable, "-m", "fractaldim.cli", "fractal", "sierpinski_carpet",
-             "--m-max", "100000000"],
-            env=dict(os.environ, PYTHONPATH=str(Path(fractaldim.__file__).resolve().parent.parent)),
-            capture_output=True,
-            text=True,
-            timeout=120,
-            preexec_fn=cap_memory,
-        )
+        proc = run_module("fractal", "sierpinski_carpet", "--m-max", "100000000", timeout=120,
+                          preexec_fn=cap_memory)
         assert (proc.returncode, proc.stdout) == (3, "")
         assert proc.stderr == (
             "error: sierpinski_carpet perimeter values through m = 6019 "
@@ -510,6 +544,35 @@ class TestSeqCheck:
             f"error: term {index} has over 1000000 decimal digits, the budget of any one term\n"
         )
         assert peak < 10**7  # no term past the budget was built
+
+
+    def test_geometric_terms_past_the_budget_in_bounded_memory(self, tmp_path):
+        # held every term: a MemoryError traceback under an 800 MB address-space limit
+        limit = 800_000 * 2**10
+
+        def cap_memory():
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps({"kind": "geometric", "first": 1, "ratio": 10**300,
+                                    "horizon": 5000, "digit_cap": 10**400}))
+        proc = run_module("seq-check", str(path), "--squared-sum", "5000", timeout=120,
+                          preexec_fn=cap_memory)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == (
+            "error: term 3334 has over 1000000 decimal digits, the budget of any one term\n"
+        )
+
+    @pytest.mark.parametrize("check", [("--squared-sum", "1000"), ("--tail-k", "999")])
+    def test_growth_checks_hold_few_terms(self, capsys, tmp_path, check):
+        # 1,000 terms of up to 300,000 digits take about 60 MB as a list
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps({"kind": "geometric", "first": 1, "ratio": 10**300,
+                                    "horizon": 1000}))
+        code, out, err, peak = run_cli_peak(capsys, "seq-check", str(path), *check)
+        assert (code, err) == (0, "")
+        assert peak < 10**7
 
 
 class TestCollectorPause:
@@ -762,13 +825,7 @@ class TestRejectedInput:
         # was built in full: "10^20000000" took 48 s, "10^2000000000" ran past 60 s
         path = tmp_path / "schedule.json"
         path.write_text(json.dumps({**DOUBLING, "m_cap": "10^2000000000"}))
-        proc = subprocess.run(
-            [sys.executable, "-m", "fractaldim.cli", "dim-block", str(path), "--n-max", "3"],
-            env=dict(os.environ, PYTHONPATH=str(Path(fractaldim.__file__).resolve().parent.parent)),
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
+        proc = run_module("dim-block", str(path), "--n-max", "3", timeout=5)
         assert (proc.returncode, proc.stdout) == (3, "")
         assert proc.stderr == "error: 10^2000000000 has more than 1000000 digits\n"
 
@@ -844,6 +901,12 @@ class TestRejectedInput:
         assert_rejected(
             *run_cli(capsys, "counts", "--interval", "0", "1", "--levels", "1", "3", "--base", base)
         )
+
+    def test_seq_check_true_in_terms(self, capsys, tmp_path):
+        # was read as the term 1
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps({"kind": "explicit", "terms": [True, True, 2], "horizon": 2}))
+        assert_rejected(*run_cli(capsys, "seq-check", str(path), "--squared-sum", "3"))
 
     @pytest.mark.parametrize("d_max", ["nan", "inf"])
     def test_critical_d_non_finite_d_max(self, capsys, tmp_path, d_max):

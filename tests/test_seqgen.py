@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fractaldim import seqgen
+from fractaldim._digits import _power_exceeds
 from fractaldim.errors import BudgetExceededError, HorizonExceededError, InputError
 from fractaldim.seqgen import (
     SATISFIED,
@@ -122,11 +123,7 @@ _K_MAX = 1000
 
 
 def _guard_refuses(base, exponent, cap):
-    try:
-        seqgen._guard_exponent(base, exponent, cap, 0)
-    except HorizonExceededError:
-        return True
-    return False
+    return _power_exceeds(base, exponent, cap)
 
 
 def _float_guard_refuses(base, exponent, cap):
@@ -289,6 +286,13 @@ class TestJson:
         with pytest.raises(InputError):
             spec_from_json({"kind": "geometric", "first": "1", "ratio": 2})
 
+    @pytest.mark.parametrize("key", ["terms", "horizon"])
+    def test_true_is_not_an_integer(self, key):
+        obj = {"kind": "explicit", "terms": [1, 1, 2], "horizon": 2}
+        obj[key] = [True, True, 2] if key == "terms" else True
+        with pytest.raises(InputError, match=f"{key} must be"):
+            spec_from_json(obj)
+
 
 # ---------------------------------------------------------------------------
 # properties
@@ -393,19 +397,20 @@ def test_chunked_terms_match_per_term_reference(spec, data):
 
 def test_constant_geometric_at_the_cap_skips_the_per_term_check(monkeypatch):
     # ratio 1 keeps every term at exactly the cap's 3 digits, so the whole
-    # horizon is known to fit before any term is drawn
+    # horizon is known to fit before any term is drawn: the one digit test is
+    # the safe prefix's, of the first term
     calls = 0
-    real = seqgen._check_digits
+    real = seqgen._digits_exceed
 
     def counting(*args):
         nonlocal calls
         calls += 1
         return real(*args)
 
-    monkeypatch.setattr(seqgen, "_check_digits", counting)
+    monkeypatch.setattr(seqgen, "_digits_exceed", counting)
     spec = SequenceSpec.geometric(123, 1, digit_cap=3, horizon=200_000)
     assert terms(spec, 200_001) == [123] * 200_001
-    assert calls == 0
+    assert calls == 1
 
 
 @pytest.mark.parametrize(
@@ -442,17 +447,61 @@ def test_safe_prefix(spec, known):
     assert seqgen._safe_prefix(spec) == known
 
 
+# the fields of a spec from a value; each passes 40 digits before term 65
+_FIELDS_OF = {
+    "base": lambda v: {"base": v},
+    "seed": lambda v: {"seed": v},
+    "step": lambda v: {"first": v, "step": 10**40 // (v % 60 + 1)},
+    "ratio": lambda v: {"first": v, "ratio": 5 + v % 50},
+    "terms": lambda v: {"terms": [v * 10**k for k in range(45)]},
+}
+
+
 @pytest.mark.parametrize(
     "kind, key",
-    [("double_exponential", "base"), ("power_tower", "base"), ("squared_sum", "seed")],
+    [("double_exponential", "base"), ("power_tower", "base"), ("squared_sum", "seed"),
+     ("arithmetic", "step"), ("geometric", "ratio"), ("explicit", "terms")],
 )
 def test_huge_cap_stops_where_a_cap_of_the_budget_does(monkeypatch, kind, key):
     # with a budget of 40 digits, many terms fall just past it
     monkeypatch.setattr(seqgen, "_TERM_DIGIT_BUDGET", 40)
-    for value in range(1 if key == "seed" else 2, 300):
+    for value in range(2 if key == "base" else 1, 300):
         stops = []
         for cap, error in ((40, HorizonExceededError), (10**400, BudgetExceededError)):
+            spec = spec_from_json({"kind": kind, **_FIELDS_OF[key](value), "digit_cap": cap})
             with pytest.raises(error) as exc:
-                terms(spec_from_json({"kind": kind, key: value, "digit_cap": cap}), 65)
+                terms(spec, 65)
             stops.append(int(str(exc.value).split()[1]))
         assert stops[0] == stops[1], value
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"kind": "explicit", "terms": [3, 0]}, "every term must be >= 1"),
+        ({"kind": "arithmetic", "first": 1, "step": -1},
+         "arithmetic needs first >= 1 and step >= 0"),
+        ({"kind": "geometric", "first": 0, "ratio": 2},
+         "geometric needs first >= 1 and ratio >= 1"),
+        ({"kind": "double_exponential", "base": 1}, "double_exponential needs base >= 2"),
+        ({"kind": "power_tower", "base": 0}, "power_tower needs base >= 2"),
+        ({"kind": "squared_sum", "seed": 0}, "squared_sum needs seed >= 1"),
+    ],
+)
+def test_each_kind_names_its_least_values(spec, message):
+    with pytest.raises(InputError) as exc:
+        spec_from_json(spec)
+    assert str(exc.value) == message
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    total=st.integers(1, 2**200),
+    t=st.integers(1, 2**401) | st.integers(-(2**70), 2**70).map(lambda d: ("near", d)),
+)
+def test_squared_sum_check_decides_as_the_square(total, t):
+    # bit lengths decide most terms; the ones beside total**2 are squared
+    if isinstance(t, tuple):
+        t = max(1, total * total + t[1])
+    rows = squared_sum_check(SequenceSpec.explicit([total, t]), 2)
+    assert rows == [(0, True), (1, t >= total * total)]
