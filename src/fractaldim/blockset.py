@@ -337,7 +337,12 @@ def dim_report_csv(report: DimReport, precision: int = 12) -> str:
 
     Rows follow the cut table, which is already ordered by position m.
     """
-    lines = ["kind,n,m,x_count,local_dim,local_dim_decimal"]
+    return "\n".join([*_dim_report_rows(report, precision), ""])
+
+
+def _dim_report_rows(report: DimReport, precision: int) -> Iterator[str]:
+    """The lines of ``dim_report_csv``, formatted one at a time."""
+    yield "kind,n,m,x_count,local_dim,local_dim_decimal"
     kinds, scale = (AFTER_ZEROS, AFTER_FREES), report.scale
     # the last two cuts are the tail values, already reduced: on long blocks
     # the gcd of the last cut costs as much as all the others together
@@ -346,7 +351,7 @@ def dim_report_csv(report: DimReport, precision: int = 12) -> str:
         head = f"{kinds[j % 2]},{j // 2},{m},{x}"
         if scale is not None:
             value = _dim_value(x, m, scale)
-            lines.append(f"{head},{value!r},{value:.{precision}f}")
+            yield f"{head},{value!r},{value:.{precision}f}"
             continue
         if j < tail:
             g = math.gcd(x, m)
@@ -354,8 +359,7 @@ def dim_report_csv(report: DimReport, precision: int = 12) -> str:
         else:
             value = (report.lower, report.upper)[j - tail]
             num, den = value.numerator, value.denominator
-        lines.append(f"{head},{num}/{den},{x / m:.{precision}f}")
-    return "\n".join([*lines, ""])
+        yield f"{head},{num}/{den},{x / m:.{precision}f}"
 
 
 _SAME = "same_as_zeros"

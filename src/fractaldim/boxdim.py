@@ -18,7 +18,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import islice, repeat
 from operator import add, gt, lt, mul, sub
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._digits import ColumnReader, decimal_column, fraction_column
 from .errors import DegenerateGridError, InputError
@@ -419,13 +419,17 @@ def closure_count_check(
 
 
 def count_series_to_csv(series: CountSeries) -> str:
+    return "\n".join([*_count_series_rows(series), ""])
+
+
+def _count_series_rows(series: CountSeries) -> Iterator[str]:
+    """The lines of ``count_series_to_csv``, formatted one at a time."""
     entries = series.entries
     deltas = fraction_column([e.delta for e in entries])
     counts = decimal_column(e.n_cells for e in entries)
-    lines = ["m,delta,n_cells"]
+    yield "m,delta,n_cells"
     for e, delta, n in zip(entries, deltas, counts):
-        lines.append(f"{e.m},{delta},{n}")
-    return "\n".join([*lines, ""])
+        yield f"{e.m},{delta},{n}"
 
 
 def count_series_from_csv(text: str) -> CountSeries:

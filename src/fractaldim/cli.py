@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 rejected input, 3 horizon or budget exceeded,
 4 unknown catalog identifier.  Output formatting is locale-free with fixed
 precision and "\\n" newlines, so identical inputs give byte-identical
-output.
+output.  A command does all of its computation and checks before it returns
+its lines, which ``main`` writes in batches: a failing command writes nothing.
 """
 
 from __future__ import annotations
@@ -14,15 +15,19 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import chain, islice
+from typing import Iterable
 
 from . import blockset, boxdim, hypergrid, selfsimilar, seqgen
-from ._digits import _power_digits_exceed, fraction_column
+from ._digits import _digits_exceed, _power_digits_exceed, fraction_column
 from .errors import BudgetExceededError, FractalDimError, HorizonExceededError, InputError
 
 # digits a printed integer may have; main raises the interpreter's limit to at least this
 _PRINTED_DIGITS = 2_000_000
 # cap on the levels one counts command lists
 _LEVEL_BUDGET = 10**6
+# characters a command's output is written in at a time
+_BATCH_CHARS = 1 << 16
 
 _GEOM_TABLE_RATIOS = (1, 2, 3, 4, 5)
 _ARITH_TABLE_STEPS = (0, 1, 2, 3, 4)
@@ -74,19 +79,25 @@ def _load_json(path: str):
         raise InputError(f"cannot read a number in {path}: {exc}") from exc
 
 
-def _write_file(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
+def _write_lines(fh, lines: Iterable[str]) -> None:
+    """Write each of ``lines`` and a newline to ``fh``, about ``_BATCH_CHARS`` characters per write.
+
+    A batch takes as many lines as filled that size in the one before, at most
+    twice as many, so it takes no step per line and stays near the size.
+    """
+    lines, n = iter(lines), 1
+    while batch := list(islice(lines, n)):
+        batch.append("")
+        text = "\n".join(batch)
+        fh.write(text)
+        n = min(2 * n, _BATCH_CHARS * n // len(text) + 1)
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_dim_block(args) -> str:
+def cmd_dim_block(args) -> Iterable[str]:
     schedule = blockset.schedule_from_json(_load_json(args.schedule))
     if args.n_max > schedule.horizon:
         raise HorizonExceededError(
@@ -94,30 +105,29 @@ def cmd_dim_block(args) -> str:
             index=schedule.horizon,
         )
     report = blockset.dim_bounds(schedule, args.n_max, tol=args.tol)
-    lines = [blockset.dim_report_csv(report, args.precision).rstrip("\n")]
-    lines.append("summary,value,decimal")
+    summary = ["summary,value,decimal"]
     for label, value in (
         ("lower", report.lower),
         ("upper", report.upper),
         ("hausdorff_dim", report.lower),
     ):
         exact = _fmt_fraction(value) if isinstance(value, Fraction) else ""
-        lines.append(f"{label},{exact},{_fmt(value, args.precision)}")
-    lines.append(f"converged,{str(report.converged).lower()},{_fmt(report.spread, args.precision)}")
-    return "\n".join([*lines, ""])
+        summary.append(f"{label},{exact},{_fmt(value, args.precision)}")
+    summary.append(f"converged,{str(report.converged).lower()},{_fmt(report.spread, args.precision)}")
+    return chain(blockset._dim_report_rows(report, args.precision), summary)
 
 
-def cmd_dim_ifs(args) -> str:
+def cmd_dim_ifs(args) -> Iterable[str]:
     if args.rule:
         d = selfsimilar.dim_from_rule(selfsimilar.rule(args.rule))
-        return f"dimension,{_fmt(d, args.precision)}\n"
+        return [f"dimension,{_fmt(d, args.precision)}"]
     if not args.ratios:
         raise InputError("need a ratio JSON path or --rule NAME")
     root = selfsimilar.moran_solve(_parse_ratios(_load_json(args.ratios)), tol=args.tol)
     lines = [f"dimension,{_fmt(root.s, args.precision)}"]
     if root.degenerate:
         lines.append("degenerate,true")
-    return "\n".join([*lines, ""])
+    return lines
 
 
 def _parse_ratios(obj) -> selfsimilar.IfsRatios:
@@ -153,7 +163,7 @@ def _table_schedule(kind: str, param: int, n_max: int) -> blockset.BlockSchedule
     return blockset.BlockSchedule(base=sigma, alphabet=sigma, zeros=spec)
 
 
-def cmd_tables_ch6(args) -> str:
+def cmd_tables_ch6(args) -> Iterable[str]:
     """Dimension and critical-coefficient tables for the two block families.
 
     The dim column is the family's limiting value (1/(n+1) for ratio-n
@@ -176,7 +186,7 @@ def cmd_tables_ch6(args) -> str:
                 f"{_fmt_fraction(estimate)},{_fmt(estimate, args.precision)},"
                 f"{_fmt(hs, args.precision)}"
             )
-    return "\n".join([*lines, ""])
+    return lines
 
 
 def _counts_source(args) -> boxdim.CellSource:
@@ -191,7 +201,7 @@ def _counts_source(args) -> boxdim.CellSource:
     return boxdim.IntervalSource(a, b, base=args.base)
 
 
-def cmd_counts(args) -> str:
+def cmd_counts(args) -> Iterable[str]:
     source = _counts_source(args)
     lo, hi = args.levels
     if lo > hi:
@@ -201,10 +211,13 @@ def cmd_counts(args) -> str:
             f"levels {lo}..{hi} are {hi - lo + 1} levels, over the budget of {_LEVEL_BUDGET}"
         )
     series = boxdim.count_series(source, list(range(lo, hi + 1)))
-    return boxdim.count_series_to_csv(series)
+    last = series.entries[-1]  # these sources grow with the level: its numbers are the longest
+    if _digits_exceed(max(last.n_cells, last.delta.denominator), _PRINTED_DIGITS):
+        raise BudgetExceededError(f"level {hi} has more than the {_PRINTED_DIGITS} digits a command may print")
+    return boxdim._count_series_rows(series)
 
 
-def cmd_two_grid(args) -> str:
+def cmd_two_grid(args) -> Iterable[str]:
     if args.rule:
         if not args.levels:
             raise InputError("--rule needs --levels P Q")
@@ -224,7 +237,7 @@ def cmd_two_grid(args) -> str:
             raise InputError("need --rule with --levels, or all of --n-h --n-k --h --k")
         result = boxdim.two_grid_dim(args.n_h, args.n_k, _fr(args.h), _fr(args.k))
     payload = boxdim.two_grid_result_to_json(result, args.precision)
-    return json.dumps(payload, sort_keys=True) + "\n"
+    return [json.dumps(payload, sort_keys=True)]
 
 
 def _check_printable_power(base: int, q: int) -> None:
@@ -233,17 +246,17 @@ def _check_printable_power(base: int, q: int) -> None:
         raise BudgetExceededError(f"{base}**{q} has more than the {limit} digits a command may print")
 
 
-def cmd_critical_d(args) -> str:
+def cmd_critical_d(args) -> Iterable[str]:
     series = boxdim.count_series_from_csv(_read(args.counts))
     result = boxdim.critical_d(series, tol=args.tol, d_max=args.d_max)
     lines = [f"critical_d,{_fmt(result.d, args.precision)}"]
     lines.append(f"bracket,{_fmt(result.lo, args.precision)},{_fmt(result.hi, args.precision)}")
     if result.degenerate:
         lines.append("degenerate,true")
-    return "\n".join([*lines, ""])
+    return lines
 
 
-def cmd_hyper_hsd(args) -> str:
+def cmd_hyper_hsd(args) -> Iterable[str]:
     grid, iset = hypergrid.internal_set_from_json(_load_json(args.setspec))
     delta = _fr(args.delta)
     s = _fr(args.s)
@@ -254,38 +267,39 @@ def cmd_hyper_hsd(args) -> str:
         oracle = hypergrid.h_delta_s_dp(iset, delta, s, grid)
         lines.append(f"oracle_cost,{_fmt(oracle.cost, args.precision)}")
         lines.append(f"oracle_match,{str(oracle.cost == part.cost).lower()}")
-    return "\n".join([*lines, ""])
+    return lines
 
 
-def cmd_fractal(args) -> str:
-    reports = selfsimilar.closed_form_check(args.name, args.m_max)
-    lines, checks = ["quantity,unit,m,recurrence,closed_form,deviation"], []
+def cmd_fractal(args) -> Iterable[str]:
+    return _fractal_lines(selfsimilar.closed_form_check(args.name, args.m_max))
+
+
+def _fractal_lines(reports: list[selfsimilar.ConsistencyReport]) -> Iterable[str]:
+    yield "quantity,unit,m,recurrence,closed_form,deviation"
     for report in reports:
         # each column formatted from top to bottom, the rows zipped from the columns
         columns = [fraction_column(values) for values in zip(*report.rows)]
         for m, cells in enumerate(zip(*columns)):
-            lines.append(f"{report.quantity},{report.unit},{m},{','.join(cells)}")
+            yield f"{report.quantity},{report.unit},{m},{','.join(cells)}"
+    for report in reports:
         flag = "consistent" if report.consistent else "inconsistent"
-        checks.append(f"check,{report.quantity},{flag},{_fmt_fraction(report.max_deviation)}")
-    return "\n".join([*lines, *checks, ""])
+        yield f"check,{report.quantity},{flag},{_fmt_fraction(report.max_deviation)}"
 
 
-def cmd_seq_check(args) -> str:
+def cmd_seq_check(args) -> Iterable[str]:
     spec = seqgen.spec_from_json(_load_json(args.spec))
     if args.squared_sum is not None:
         rows = seqgen.squared_sum_check(spec, args.squared_sum)
-        lines = ["index,holds"]
-        lines += [f"{i},{str(ok).lower()}" for i, ok in rows]
-        return "\n".join([*lines, ""])
+        return chain(["index,holds"], (f"{i},{str(ok).lower()}" for i, ok in rows))
     if args.tail_k is not None:
         ok = seqgen.tail_domination(spec, args.tail_k, _fr(args.eps))
-        return f"tail_domination,{str(ok).lower()}\n"
+        return [f"tail_domination,{str(ok).lower()}"]
     if args.K is None or args.window is None:
         raise InputError("need --K and --window (or --squared-sum / --tail-k)")
     lo, hi = args.window
     verdict = seqgen.dimzero_criterion(spec, _fr(args.K), lo, hi)
     margin = "" if verdict.margin is None else _fmt_fraction(verdict.margin)
-    return f"status,{verdict.status}\nwitness,{verdict.witness_index}\nmargin,{margin}\n"
+    return [f"status,{verdict.status}", f"witness,{verdict.witness_index}", f"margin,{margin}"]
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +396,15 @@ def main(argv=None) -> int:
         if args.precision < 1 or args.precision > 50:
             print("error: --precision must be in [1, 50]", file=sys.stderr)
             return 2
-        text = args.func(args)
-        if args.out:
-            _write_file(args.out, text)
+        lines = args.func(args)
+        if not args.out:
+            _write_lines(sys.stdout, lines)
         else:
-            sys.stdout.write(text)
+            try:
+                with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                    _write_lines(fh, lines)
+            except OSError as exc:
+                raise InputError(f"cannot write {args.out}: {exc}") from exc
     except FractalDimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -285,41 +285,40 @@ def dimzero_criterion(spec: SequenceSpec, K, n_lo: int, n_hi: int) -> GrowthVerd
     Margins mu_n = a_n - K*sum(a_i, i<n) must be positive and strictly
     increasing over [n_lo, n_hi], and the ratios a_n / sum(a_i, i<n) must be
     strictly increasing as well (the finite stand-in for the margins
-    diverging under every choice of K).  A digit-cap failure inside the
-    window yields ``inconclusive`` with the failure index as witness.
+    diverging under every choice of K).  A term past the digit limit anywhere
+    in [0, n_hi] yields ``inconclusive`` with its index as witness, so terms
+    are still drawn after a violation; they stream, held one at a time.
     """
     K = Fraction(K)
     if K <= 0:
         raise InputError("K must be positive")
     if not 0 <= n_lo < n_hi <= spec.horizon:
         raise InputError("need 0 <= n_lo < n_hi <= horizon")
-    try:
-        ts = terms(spec, n_hi + 1)
-    except HorizonExceededError as exc:
-        return GrowthVerdict(INCONCLUSIVE, exc.index or n_hi, None)
-
     p, q = K.numerator, K.denominator
-    prev_scaled = None  # q * margin, kept integral
-    prev_ratio = None  # (a_n, S_n) pair for exact ratio comparison
-    total_before = sum(ts[:n_lo])
-    for n in range(n_lo, n_hi + 1):
-        a_n = ts[n]
-        scaled = a_n * q - p * total_before
-        margin = Fraction(scaled, q)
-        if scaled <= 0:
-            return GrowthVerdict(VIOLATED, n, margin)
-        if prev_scaled is not None and scaled <= prev_scaled:
-            return GrowthVerdict(VIOLATED, n, margin)
-        if total_before > 0:
-            if prev_ratio is not None:
-                a_prev, s_prev = prev_ratio
+    # prev_scaled is q * margin, kept integral; prev_ratio the pair (a_n, S_n)
+    verdict = prev_scaled = prev_ratio = None
+    total_before, n = 0, -1
+    try:
+        for n, a_n in enumerate(_first_terms(spec, n_hi + 1)):
+            if n < n_lo or verdict is not None:  # after a violation, only a failing term matters
+                total_before += a_n
+                continue
+            scaled = a_n * q - p * total_before
+            if (
+                scaled <= 0
+                or (prev_scaled is not None and scaled <= prev_scaled)
                 # a_n/S_n must exceed a_prev/S_prev
-                if a_n * s_prev <= a_prev * total_before:
-                    return GrowthVerdict(VIOLATED, n, margin)
-            prev_ratio = (a_n, total_before)
-        prev_scaled = scaled
-        total_before += a_n
-    return GrowthVerdict(SATISFIED, n_hi, Fraction(prev_scaled, q))
+                or (prev_ratio is not None and a_n * prev_ratio[1] <= prev_ratio[0] * total_before)
+            ):
+                verdict = GrowthVerdict(VIOLATED, n, Fraction(scaled, q))
+                continue
+            if total_before > 0:
+                prev_ratio = (a_n, total_before)
+            prev_scaled = scaled
+            total_before += a_n
+    except (HorizonExceededError, BudgetExceededError):  # term n + 1 is past the limit
+        return GrowthVerdict(INCONCLUSIVE, n + 1, None)
+    return verdict or GrowthVerdict(SATISFIED, n_hi, Fraction(prev_scaled, q))
 
 
 def squared_sum_check(spec: SequenceSpec, n: int) -> list[tuple[int, bool]]:

@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import inspect
 import json
 import math
 import os
@@ -10,12 +11,13 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fractaldim
-from fractaldim import cli, selfsimilar
+from fractaldim import blockset, boxdim, cli, selfsimilar
 from fractaldim._digits import _READ_BASE_BITS, DECIMAL_BASE_BITS
 from fractaldim.cli import main
 from fractaldim.errors import BudgetExceededError, InputError
@@ -564,6 +566,22 @@ class TestSeqCheck:
             "error: term 3334 has over 1000000 decimal digits, the budget of any one term\n"
         )
 
+    @pytest.mark.parametrize(
+        "spec, window, witness",
+        [
+            # a term past the budget is inconclusive, as under a cap at the budget
+            ({"kind": "double_exponential", "base": 2, "horizon": 64, "digit_cap": 10**30},
+             ["0", "30"], 22),
+            ({"kind": "explicit", "terms": [10**50, 10**60, 10**70], "horizon": 2,
+              "digit_cap": 10}, ["0", "2"], 0),
+        ],
+    )
+    def test_dimzero_witness_of_a_failing_term(self, capsys, tmp_path, spec, window, witness):
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "seq-check", str(path), "--K", "1", "--window", *window)
+        assert (code, out, err) == (0, f"status,inconclusive\nwitness,{witness}\nmargin,\n", "")
+
     @pytest.mark.parametrize("check", [("--squared-sum", "1000"), ("--tail-k", "999")])
     def test_growth_checks_hold_few_terms(self, capsys, tmp_path, check):
         # 1,000 terms of up to 300,000 digits take about 60 MB as a list
@@ -661,6 +679,100 @@ class TestOutputPolicy:
             _, out, _ = run_cli(capsys, "dim-block", doubling_path, "--n-max", "8")
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+
+GEOMETRIC_BLOCKS = {
+    "base": 10,
+    "alphabet": 7,
+    "zeros": {"kind": "geometric", "first": 1, "ratio": 2, "horizon": 64},
+    "frees": {"kind": "geometric", "first": 2, "ratio": 2, "horizon": 64},
+}
+CONSTANT_BLOCKS = {
+    "base": 3,
+    "zeros": {"kind": "arithmetic", "first": 2, "step": 0, "horizon": 30000},
+    "frees": {"kind": "arithmetic", "first": 2, "step": 0, "horizon": 30000},
+}
+
+
+class TestStreamedOutput:
+    """Commands compute first and return their lines; main writes them in batches."""
+
+    def test_no_command_is_a_generator_function(self):
+        # a generator command would run its checks only once main starts writing
+        commands = [getattr(cli, name) for name in dir(cli) if name.startswith("cmd_")]
+        assert len(commands) == 9
+        assert not any(map(inspect.isgeneratorfunction, commands))
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["fractal", "menger_standard", "--m-max", "100000000"],
+             "error: menger_standard volume values through m = 4278 pass the budget of "
+             "25000000 digits\n"),
+            (["counts", "--schedule", "short.json", "--levels", "1", "200"],
+             "error: digit position walk ran past horizon 5\n"),
+            (["dim-block", "short.json", "--n-max", "6"],
+             "error: n_max 6 exceeds schedule horizon 5\n"),
+            (["counts", "--rule", "quadratic_koch", "--levels", "1700000", "1700000"],
+             "error: level 1700000 has more than the 2000000 digits a command may print\n"),
+        ],
+        ids=["fractal_budget", "counts_horizon", "dim_block_horizon", "counts_printed_digits"],
+    )
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_late_failures_write_nothing(self, capsys, monkeypatch, tmp_path, argv, err, to_file):
+        monkeypatch.chdir(tmp_path)
+        Path("short.json").write_text(json.dumps(
+            {"base": 2, "zeros": {"kind": "arithmetic", "first": 1, "step": 1, "horizon": 5}}))
+        out_args = ["--out", "out.csv"] if to_file else []
+        assert run_cli(capsys, *argv, *out_args) == (3, "", err)
+        assert not Path("out.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["counts", "--schedule", "geometric.json", "--levels", "1", "600"],
+            ["dim-block", "constant.json", "--n-max", "5000"],
+            ["fractal", "menger_standard", "--m-max", "500"],
+        ],
+    )
+    def test_out_file_holds_the_stdout_bytes(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        Path("geometric.json").write_text(json.dumps(GEOMETRIC_BLOCKS))
+        Path("constant.json").write_text(json.dumps(CONSTANT_BLOCKS))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert len(out) > 4 * cli._BATCH_CHARS
+        assert run_cli(capsys, *argv, "--out", "out.csv") == (0, "", "")
+        assert Path("out.csv").read_bytes() == out.encode()
+
+    def test_counts_and_dim_block_print_the_library_writers_text(self, capsys, tmp_path):
+        geometric, constant = tmp_path / "geometric.json", tmp_path / "constant.json"
+        geometric.write_text(json.dumps(GEOMETRIC_BLOCKS))
+        constant.write_text(json.dumps(CONSTANT_BLOCKS))
+        _, out, _ = run_cli(capsys, "counts", "--schedule", str(geometric), "--levels", "3", "300")
+        source = blockset.BlockCellSource(blockset.schedule_from_json(GEOMETRIC_BLOCKS))
+        assert out == boxdim.count_series_to_csv(boxdim.count_series(source, range(3, 301)))
+        _, out, _ = run_cli(capsys, "dim-block", str(constant), "--n-max", "3000")
+        report = blockset.dim_bounds(blockset.schedule_from_json(CONSTANT_BLOCKS), 3000)
+        assert out.startswith(blockset.dim_report_csv(report, 12) + "summary,value,decimal\n")
+
+    def test_writes_stay_near_the_batch_size(self):
+        lines = ["9" * (10 + i) for i in range(3000)]  # rows that grow, as columns of powers do
+        writes = []
+        cli._write_lines(SimpleNamespace(write=writes.append), lines)
+        text = "".join(f"{line}\n" for line in lines)
+        assert "".join(writes) == text
+        assert max(map(len, writes)) <= 2 * cli._BATCH_CHARS
+        assert len(writes) <= 2 * len(text) // cli._BATCH_CHARS + 20
+
+    def test_a_big_out_file_is_never_held_whole(self, capsys, tmp_path):
+        # held three times over (lines, joined text, encoded bytes): a peak of 2.6 times the file
+        schedule, target = tmp_path / "geometric.json", tmp_path / "out.csv"
+        schedule.write_text(json.dumps(GEOMETRIC_BLOCKS))
+        code, out, err, peak = run_cli_peak(capsys, "counts", "--schedule", str(schedule),
+                                            "--levels", "1", "3000", "--out", str(target))
+        assert (code, out, err) == (0, "", "")
+        assert peak < target.stat().st_size
 
 
 def assert_rejected(code, out, err):

@@ -7,10 +7,12 @@ addition and comparison).
 
 import math
 import random
+import tracemalloc
 from bisect import bisect_left
 from decimal import Context, Decimal
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 
 import pytest
 
@@ -240,6 +242,77 @@ class TestDimzeroCriterion:
             dimzero_criterion(SequenceSpec.geometric(1, 2), 1, 5, 5)
         with pytest.raises(InputError):
             dimzero_criterion(SequenceSpec.geometric(1, 2), 0, 1, 5)
+
+    def test_witness_of_a_failing_term_0(self):
+        spec = SequenceSpec.explicit([10**50, 10**60, 10**70], horizon=2, digit_cap=10)
+        assert dimzero_criterion(spec, 1, 0, 2) == ("inconclusive", 0, None)
+
+    def test_term_past_the_budget_is_inconclusive_as_under_a_cap_at_the_budget(self):
+        verdicts = [
+            dimzero_criterion(SequenceSpec.double_exponential(2, digit_cap=cap), 1, 0, 30)
+            for cap in (seqgen._TERM_DIGIT_BUDGET, 10**30, 10**400)
+        ]
+        assert verdicts == [("inconclusive", 22, None)] * 3
+
+    def test_failing_term_after_a_violation_is_inconclusive(self):
+        # margins stop growing at term 3; term 5 = 10**5 has six digits, over the cap
+        spec = SequenceSpec.geometric(1, 10, digit_cap=5, horizon=20)
+        assert dimzero_criterion(spec, 1, 2, 4).status == VIOLATED
+        assert dimzero_criterion(spec, 1, 2, 12) == ("inconclusive", 5, None)
+
+    def test_window_terms_are_not_held(self):
+        # terms 0..700 of ratio 10**300 total about 30 MB; the verdict needs two of them
+        spec = SequenceSpec.geometric(1, 10**300, horizon=700)
+        tracemalloc.start()
+        try:
+            verdict = dimzero_criterion(spec, 1, 0, 700)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict == (VIOLATED, 2, 10**600 - 10**300 - 1)
+        assert peak < 2 * 10**6
+
+
+def _list_dimzero(spec, K, n_lo, n_hi):
+    """The criterion over a list of every term of [0, n_hi], each drawn and checked in turn."""
+    K, ts = Fraction(K), []
+    try:
+        ts.extend(islice(seqgen._iter_terms(spec), n_hi + 1))
+    except (HorizonExceededError, BudgetExceededError):
+        return ("inconclusive", len(ts), None)
+    prev_margin = prev_ratio = None
+    for n in range(n_lo, n_hi + 1):
+        total = sum(ts[:n])
+        margin = ts[n] - K * total
+        ratio = Fraction(ts[n], total) if total else None
+        if margin <= 0 or (prev_margin is not None and margin <= prev_margin):
+            return (VIOLATED, n, margin)
+        if ratio is not None and prev_ratio is not None and ratio <= prev_ratio:
+            return (VIOLATED, n, margin)
+        prev_margin, prev_ratio = margin, ratio if ratio is not None else prev_ratio
+    return (SATISFIED, n_hi, prev_margin)
+
+
+_SMALL_SPECS = st.one_of(
+    st.builds(SequenceSpec.arithmetic, st.integers(1, 9), st.integers(0, 9)),
+    st.builds(SequenceSpec.geometric, st.integers(1, 9), st.integers(1, 12)),
+    st.builds(SequenceSpec.double_exponential, st.integers(2, 5)),
+    st.builds(SequenceSpec.power_tower, st.integers(2, 3)),
+    st.builds(SequenceSpec.squared_sum, st.integers(1, 5)),
+    st.builds(SequenceSpec.explicit, st.lists(st.integers(1, 10**12), min_size=1, max_size=12)),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    spec=_SMALL_SPECS,
+    cap=st.integers(1, 40),
+    K=st.fractions(Fraction(1, 100), 20),
+    window=st.tuples(st.integers(0, 14), st.integers(1, 15)).filter(lambda w: w[0] < w[1]),
+)
+def test_dimzero_matches_the_criterion_over_a_list(spec, cap, K, window):
+    spec = spec._replace(digit_cap=cap, horizon=15)
+    assert dimzero_criterion(spec, K, *window) == _list_dimzero(spec, K, *window)
 
 
 class TestSquaredSumCheck:

@@ -1,18 +1,22 @@
-"""One sha256 per benchmark operation over its exit status, stdout and stderr.
+"""Two sha256 per benchmark operation: of its outcome on stdout and with ``--out FILE``.
 
     python3 tools/cli_digest.py [--src DIR] [--seeds 1-5]
 
 Builds every workload's inputs with ``bench/workloads.build`` for every seed,
-runs each operation as ``python -m fractaldim.cli ARGV`` in a fresh
+runs each operation twice as ``python -m fractaldim.cli ARGV`` in a fresh
 interpreter with the package imported from ``--src`` (default: this
-checkout's ``src``), and prints one line per operation:
+checkout's ``src``), once as it is and once with ``--out FILE`` appended, and
+prints one line per operation:
 
-    WORKLOAD SEED OP SHA256
+    WORKLOAD SEED OP STDOUT_SHA256 OUT_SHA256
 
-Two source trees print the same lines exactly when every command gives the
-same exit status, stdout and stderr on both, so ``diff`` of two runs checks a
-change for byte identity.  The inputs come from this checkout's ``bench/``,
-which is only imported, so both runs see the same inputs.
+The first hash covers the exit status, stdout and stderr of the plain run.
+The second covers the same of the ``--out`` run and the bytes of FILE, or a
+marker when no FILE was made.  Two source trees print the same lines exactly
+when every command gives the same outcome on both, on both output paths, so
+``diff`` of two runs checks a change for byte identity.  The inputs come from
+this checkout's ``bench/``, which is only imported, so both runs see the same
+inputs.
 """
 
 from __future__ import annotations
@@ -46,6 +50,16 @@ def digest(src: Path, argv: list[str], cwd: Path) -> str:
     return hashlib.sha256(head + proc.stdout + proc.stderr).hexdigest()
 
 
+def out_digest(src: Path, argv: list[str], cwd: Path) -> str:
+    """The digest of the run with ``--out FILE`` and of FILE's bytes, or of a marker for none."""
+    path = cwd / "cli_digest.out"
+    path.unlink(missing_ok=True)
+    run = digest(src, [*argv, "--out", path.name], cwd).encode()
+    written = b"file\0" + path.read_bytes() if path.exists() else b"no file"
+    path.unlink(missing_ok=True)
+    return hashlib.sha256(run + b"\0" + written).hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding fractaldim")
@@ -57,7 +71,8 @@ def main(argv=None) -> int:
             with tempfile.TemporaryDirectory() as tmp:
                 work = Path(tmp)
                 for op in workloads.build(name, seed, work):
-                    print(name, seed, op.name, digest(src, op.argv, work), flush=True)
+                    print(name, seed, op.name, digest(src, op.argv, work),
+                          out_digest(src, op.argv, work), flush=True)
     return 0
 
 
