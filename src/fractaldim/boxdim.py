@@ -16,7 +16,7 @@ import math
 from abc import ABC, abstractmethod
 from functools import cached_property
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import add, gt, lt, mul, sub
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -117,9 +117,13 @@ class IntervalSource(CellSource):
         self.a, self.b = a, b
         self.base = base
         self.ambient_dim = 1
+        self._last = (0, 1)  # (m, base**m) of the latest level counted
 
     def count(self, m: int) -> int:
-        scale = self.base**m
+        m_prev, scale = self._last
+        # scale is base**m, grown from the previous level's when m is not below it
+        scale = scale * self.base ** (m - m_prev) if m >= m_prev else self.base**m
+        self._last = (m, scale)
         lo = min(math.floor(self.a * scale), scale - 1)
         hi = min(math.floor(self.b * scale), scale - 1)
         return hi - lo + 1
@@ -432,14 +436,21 @@ def _count_series_rows(series: CountSeries) -> Iterator[str]:
         yield f"{e.m},{delta},{n}"
 
 
-def count_series_from_csv(text: str) -> CountSeries:
-    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
-    if not lines or lines[0] != "m,delta,n_cells":
+def count_series_from_csv(text: str | Iterable[str]) -> CountSeries:
+    """The series in a CSV ``text``, or in an iterable of its lines such as a text file.
+
+    Lines are cut by ``str.splitlines``, one at a time for an iterable, so a
+    file read with universal newlines gives the rows its whole text would.
+    """
+    if isinstance(text, str):
+        text = (text,)
+    lines = filter(None, map(str.strip, chain.from_iterable(map(str.splitlines, text))))
+    if next(lines, None) != "m,delta,n_cells":
         raise InputError("count series CSV must start with header m,delta,n_cells")
     # denominators and counts are read from the row above: see ColumnReader
     dens, counts = ColumnReader(), ColumnReader()
     entries = []
-    for ln in lines[1:]:
+    for ln in lines:
         parts = ln.split(",")
         if len(parts) != 3:
             raise InputError(f"bad count series row: {ln!r}")

@@ -19,7 +19,7 @@ from itertools import chain, islice
 from typing import Iterable
 
 from . import blockset, boxdim, hypergrid, selfsimilar, seqgen
-from ._digits import _digits_exceed, _power_digits_exceed, fraction_column
+from ._digits import _digits_exceed, _power_digits_exceed, _power_exceeds, fraction_column
 from .errors import BudgetExceededError, FractalDimError, HorizonExceededError, InputError
 
 # digits a printed integer may have; main raises the interpreter's limit to at least this
@@ -210,10 +210,15 @@ def cmd_counts(args) -> Iterable[str]:
         raise BudgetExceededError(
             f"levels {lo}..{hi} are {hi - lo + 1} levels, over the budget of {_LEVEL_BUDGET}"
         )
+    too_long = f"level {hi} has more than the {_PRINTED_DIGITS} digits a command may print"
+    # rule and interval counts cannot fail, so a level surely too long is refused before counting
+    top = max(source.base, source.rule.pieces) if args.rule else source.base
+    if not args.schedule and lo >= 0 and _power_exceeds(top, hi, _PRINTED_DIGITS):
+        raise BudgetExceededError(too_long)
     series = boxdim.count_series(source, list(range(lo, hi + 1)))
     last = series.entries[-1]  # these sources grow with the level: its numbers are the longest
     if _digits_exceed(max(last.n_cells, last.delta.denominator), _PRINTED_DIGITS):
-        raise BudgetExceededError(f"level {hi} has more than the {_PRINTED_DIGITS} digits a command may print")
+        raise BudgetExceededError(too_long)
     return boxdim._count_series_rows(series)
 
 
@@ -247,7 +252,14 @@ def _check_printable_power(base: int, q: int) -> None:
 
 
 def cmd_critical_d(args) -> Iterable[str]:
-    series = boxdim.count_series_from_csv(_read(args.counts))
+    try:
+        with open(args.counts, "r", encoding="utf-8") as fh:
+            series = boxdim.count_series_from_csv(fh)
+    except (OSError, UnicodeDecodeError, InputError):
+        # a file that cannot be read or decoded says so as a whole read would,
+        # with the byte's offset, before any error in its rows
+        _read(args.counts)
+        raise
     result = boxdim.critical_d(series, tol=args.tol, d_max=args.d_max)
     lines = [f"critical_d,{_fmt(result.d, args.precision)}"]
     lines.append(f"bracket,{_fmt(result.lo, args.precision)},{_fmt(result.hi, args.precision)}")

@@ -343,6 +343,7 @@ def outer_h_measure(
 
 
 def internal_set_from_json(obj: dict) -> tuple[HyperGrid, InternalSet]:
+    """The grid and set of ``{"N": N, "runs": [[i, j], ...]}``; ``obj["runs"]`` is emptied."""
     if not isinstance(obj, dict):
         raise InputError("internal set must be a JSON object")
     unknown = set(obj) - {"N", "runs"}
@@ -364,7 +365,9 @@ def internal_set_from_json(obj: dict) -> tuple[HyperGrid, InternalSet]:
     if not set(map(type, chain.from_iterable(runs))) <= {int}:
         raise InputError("runs must be a list of [i, j] integer pairs")
     grid = HyperGrid(N)
-    iset = InternalSet(tuple(map(tuple, runs)))
+    # each decoded pair is popped, and so freed, as its tuple is made
+    runs.reverse()
+    iset = InternalSet(tuple(map(tuple, map(list.pop, repeat(runs, len(runs))))))
     iset.validate_on(grid)
     return grid, iset
 

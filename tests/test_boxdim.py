@@ -63,6 +63,18 @@ class TestCountSeries:
         assert [e.n_cells for e in series.entries] == [2, 32, 1024]
         assert series.entries[-1].delta == Fraction(1, 1024)
 
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(levels=st.lists(st.integers(0, 60), min_size=1, max_size=8),
+           base=st.integers(2, 10), a=st.fractions(0, 1), b=st.fractions(0, 1))
+    def test_interval_counts_in_any_level_order(self, levels, base, a, b):
+        # the scale grows from the previous level's, and is raised afresh below it;
+        # a fresh source raises base**m from level 0
+        a, b = min(a, b), max(a, b)
+        src = IntervalSource(a, b, base=base)
+        assert [src.count(m) for m in levels] == [
+            IntervalSource(a, b, base=base).count(m) for m in levels
+        ]
+
     def test_carpet_rule_counts(self):
         series = count_series(RuleSource(rule("carpet")), [1, 2, 3])
         assert [e.n_cells for e in series.entries] == [8, 64, 512]

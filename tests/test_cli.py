@@ -1,6 +1,7 @@
 """Command-line front end tests: outputs, determinism, exit codes."""
 
 import copy
+import errno
 import gc
 import inspect
 import json
@@ -9,6 +10,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fractaldim
-from fractaldim import blockset, boxdim, cli, selfsimilar
+from fractaldim import blockset, boxdim, cli, hypergrid, selfsimilar
 from fractaldim._digits import _READ_BASE_BITS, DECIMAL_BASE_BITS
 from fractaldim.cli import main
 from fractaldim.errors import BudgetExceededError, InputError
@@ -242,6 +244,33 @@ class TestCounts:
         assert min(10**1500, series.entries[-1].n_cells) > 2**DECIMAL_BASE_BITS
         rows = [f"{e.m},1/{10**e.m},{e.n_cells}" for e in series.entries]
         assert out == "\n".join(["m,delta,n_cells", *rows, ""])
+
+    @pytest.mark.parametrize(
+        "source, hi",
+        [(["--interval", "0", "1", "--base", str(10**30)], 66671),
+         (["--rule", "menger_sponge"], 1_600_000)],  # 20**m, not the scale 3**m, is too long
+        ids=["interval", "rule"],
+    )
+    def test_unprintable_level_is_refused_before_counting(self, capsys, source, hi):
+        # base**m was raised afresh at every level before the check: 2.5 s for the interval
+        start = time.perf_counter()
+        result = run_cli(capsys, "counts", *source, "--levels", str(hi - 1), str(hi))
+        assert time.perf_counter() - start < 0.5
+        assert result == (
+            3, "", f"error: level {hi} has more than the 2000000 digits a command may print\n"
+        )
+
+    @pytest.mark.parametrize(
+        "levels, err",
+        [(["-1", "66671"], "levels must be >= 0"),
+         (["66671", "5"], "levels must be LO HI with LO <= HI"),
+         (["1", "1000001"], "levels 1..1000001 are 1000001 levels, over the budget of 1000000")],
+    )
+    def test_level_checks_come_before_the_digit_check(self, capsys, levels, err):
+        code, out, got = run_cli(capsys, "counts", "--interval", "0", "1", "--base", str(10**30),
+                                 "--levels", *levels)
+        assert (out, got) == ("", f"error: {err}\n")
+        assert code in (2, 3)
 
     def test_source_exclusivity(self, capsys, doubling_path):
         code, _, err = run_cli(
@@ -1162,6 +1191,120 @@ def test_critical_d_contract_on_mutated_csv(capsys, tmp_path, data, base):
     path = tmp_path / "counts.csv"
     path.write_text(_csv_text(_mutated(data, base)))
     assert_contract(*run_cli(capsys, "critical-d", str(path)))
+
+
+def _decode_error(data: bytes) -> str:
+    """The message ``bytes.decode`` gives for the first bad UTF-8 byte of ``data``."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return str(exc)
+    raise AssertionError("data decodes")
+
+
+def _sponge_csv(levels: int) -> str:
+    """The menger_sponge count series CSV, levels 1..``levels``."""
+    return "m,delta,n_cells\n" + "".join(f"{m},1/{3**m},{20**m}\n" for m in range(1, levels + 1))
+
+
+# separators str.splitlines cuts at, and a universal-newline file reads as "\n" or keeps
+LINE_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestStreamedInput:
+    """critical-d reads its CSV a line at a time, and reports errors as a whole read would."""
+
+    @settings(FUZZ, max_examples=200)
+    @given(data=st.data())
+    def test_file_lines_give_the_rows_of_the_whole_text(self, capsys, monkeypatch, tmp_path, data):
+        levels = sorted(data.draw(st.sets(st.integers(1, 7), min_size=3)))
+        rows = ["m,delta,n_cells"] + [f"{m},1/{3**m},{2**m}" for m in levels]
+        for _ in range(data.draw(st.integers(0, 3))):  # blank, short and malformed rows
+            extra = st.sampled_from(["", "   ", "3,1/27", "9,1/3**9,512", "m,delta,n_cells"])
+            rows.insert(data.draw(st.integers(0, len(rows))), data.draw(extra))
+        pad = st.sampled_from(["", " ", "\t ", " " * 8190])  # the longest crosses a read chunk
+        text = ""
+        for row in rows:
+            # the header must be exact; other fields may carry spaces, as int() reads them
+            fields = (data.draw(pad) + field + data.draw(pad) if row[:1] != "m" else field
+                      for field in row.split(","))
+            text += ",".join(fields) + data.draw(st.sampled_from(LINE_BREAKS))
+        path = tmp_path / "counts.csv"
+        path.write_bytes(text.encode())
+        read = []
+        monkeypatch.setattr(boxdim, "critical_d", lambda series, **_: read.append(series) or
+                            boxdim.CriticalExponent(0.0, 0.0, 0.0))
+        code, out, err = run_cli(capsys, "critical-d", str(path))
+        try:
+            expected = boxdim.count_series_from_csv(text)
+        except InputError as exc:
+            assert (code, out, err, read) == (2, "", f"error: {exc}\n", [])
+        else:
+            assert (code, err) == (0, "")
+            assert read[0].entries == expected.entries
+
+    def test_a_bad_byte_past_the_first_read_chunk(self, capsys, tmp_path):
+        data = _sponge_csv(400).encode()
+        assert len(data) > 3 * 8192
+        data = data[:20_000] + b"\xff" + data[20_000:]
+        path = tmp_path / "counts.csv"
+        path.write_bytes(data)
+        message = _decode_error(data)
+        assert "position 20000" in message
+        assert run_cli(capsys, "critical-d", str(path)) == (
+            2, "", f"error: cannot read {path}: {message}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "index, bad", [(2, "2,x,4"), (2, "2,1/9"), (0, "m,delta")], ids=["row", "short-row", "header"]
+    )
+    def test_a_bad_row_before_a_bad_byte_reports_the_byte(self, capsys, tmp_path, index, bad):
+        rows = _sponge_csv(400).splitlines()
+        rows[index] = bad
+        data = "\n".join(rows).encode() + b"\n\xe2\x82\n"
+        path = tmp_path / "counts.csv"
+        path.write_bytes(data)
+        assert run_cli(capsys, "critical-d", str(path)) == (
+            2, "", f"error: cannot read {path}: {_decode_error(data)}\n"
+        )
+
+    def test_a_missing_path_and_a_directory(self, capsys, tmp_path):
+        missing = tmp_path / "missing.csv"
+        assert run_cli(capsys, "critical-d", str(missing)) == (
+            2, "", f"error: cannot read {missing}: [Errno {errno.ENOENT}] "
+            f"{os.strerror(errno.ENOENT)}: {str(missing)!r}\n"
+        )
+        assert run_cli(capsys, "critical-d", str(tmp_path)) == (
+            2, "", f"error: cannot read {tmp_path}: [Errno {errno.EISDIR}] "
+            f"{os.strerror(errno.EISDIR)}: {str(tmp_path)!r}\n"
+        )
+
+    def test_a_count_csv_is_never_held_whole(self, capsys, tmp_path):
+        # held twice over (the text and its split lines): a peak of 2.6 times the file
+        path = tmp_path / "sponge.csv"
+        path.write_text(_sponge_csv(2000))
+        code, out, err, peak = run_cli_peak(capsys, "critical-d", str(path))
+        assert (code, err) == (0, "")
+        assert out.startswith("critical_d,2.72683")
+        assert peak < path.stat().st_size
+
+    def test_decoded_runs_are_freed_as_the_set_is_built(self, capsys, tmp_path):
+        # the decoded [i, j] lists lived beside their tuples: a peak of 21.8 MB
+        path = tmp_path / "short.json"
+        runs = [[i, i + 9] for i in range(0, 2_800_000, 28)]  # 10**5 runs
+        path.write_text(json.dumps({"N": 3_000_000, "runs": runs}))
+        del runs
+        code, out, err, peak = run_cli_peak(capsys, "hyper-hsd", str(path),
+                                            "--delta", "1/100", "--s", "1")
+        assert (code, err) == (0, "")
+        assert out.startswith("cost,")
+        assert peak < 19.5e6
+
+    def test_the_runs_of_a_decoded_set_are_emptied(self):
+        obj = {"N": 100, "runs": [[0, 9], [20, 24], [30, 30]]}
+        grid, iset = hypergrid.internal_set_from_json(obj)
+        assert iset.runs == ((0, 9), (20, 24), (30, 30))
+        assert obj["runs"] == []
 
 
 SEQ_SPECS = st.sampled_from(

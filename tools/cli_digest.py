@@ -10,6 +10,11 @@ prints one line per operation:
 
     WORKLOAD SEED OP STDOUT_SHA256 OUT_SHA256
 
+Then it runs a fixed set of ``critical-d`` and ``hyper-hsd`` inputs that take
+the readers' error and line-splitting paths (a bad byte past the first 8 KiB,
+a bad row before a bad byte, CRLF and U+2028 line breaks, a missing file),
+printed as ``inputs - OP ...``.
+
 The first hash covers the exit status, stdout and stderr of the plain run.
 The second covers the same of the ``--out`` run and the bytes of FILE, or a
 marker when no FILE was made.  Two source trees print the same lines exactly
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -60,6 +66,28 @@ def out_digest(src: Path, argv: list[str], cwd: Path) -> str:
     return hashlib.sha256(run + b"\0" + written).hexdigest()
 
 
+def input_ops(work: Path) -> list[tuple[str, list[str]]]:
+    """Write the fixed reader inputs into ``work``; their names and command lines."""
+    rows = [f"{m},1/{3**m},{8**m}" for m in range(1, 400)]
+    csv = "\n".join(["m,delta,n_cells", *rows, ""]).encode()
+    runs = [[i, i + 9] for i in range(0, 900_000, 30)]
+    setspec = json.dumps({"N": 10**6, "runs": runs}).encode()
+    breaks = "".join(row + ("\r\n" if m % 2 else "\u2028") for m, row in enumerate(rows))
+    files = {
+        "late_byte.csv": csv[:20_000] + b"\xff" + csv[20_000:],
+        "row_then_byte.csv": csv[:24] + b"2,x,4\n" + csv[24:] + b"\xff\n",
+        "line_breaks.csv": ("m,delta,n_cells\r\n" + breaks).encode(),
+        "late_byte.json": setspec[:20_000] + b"\xff" + setspec[20_000:],
+    }
+    for name, data in files.items():
+        (work / name).write_bytes(data)
+    csvs = ("late_byte.csv", "row_then_byte.csv", "line_breaks.csv", "missing.csv")
+    ops = [(name, ["critical-d", name]) for name in csvs]
+    ops += [(name, ["hyper-hsd", name, "--delta", "1/100", "--s", "1/2"])
+            for name in ("late_byte.json", "missing.json")]
+    return ops
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding fractaldim")
@@ -73,6 +101,11 @@ def main(argv=None) -> int:
                 for op in workloads.build(name, seed, work):
                     print(name, seed, op.name, digest(src, op.argv, work),
                           out_digest(src, op.argv, work), flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for name, op_argv in input_ops(work):
+            print("inputs", "-", name, digest(src, op_argv, work),
+                  out_digest(src, op_argv, work), flush=True)
     return 0
 
 
