@@ -36,10 +36,8 @@ from .hypergrid import (
     HyperGrid,
     InternalSet,
     cantor_stage,
-    discrete_lebesgue,
     h_delta_s_dp,
     h_delta_s_greedy,
-    lebesgue_bounds,
     outer_h_measure,
 )
 from .selfsimilar import (
@@ -94,12 +92,10 @@ __all__ = [
     "dim_bounds",
     "dim_from_rule",
     "dimzero_criterion",
-    "discrete_lebesgue",
     "fat_cantor",
     "h_delta_s_dp",
     "h_delta_s_greedy",
     "hausdorff_dim",
-    "lebesgue_bounds",
     "moran_solve",
     "outer_h_measure",
     "rule",

@@ -15,9 +15,13 @@ so the sum over a partition with the fewest, most unequal parts is minimal
 subadditivity).  The cost depends only on the multiset {point count:
 multiplicity} of the intervals, so the greedy partition is costed from
 {D: total full intervals, r: runs with remainder r} in time linear in the
-number of runs, and its intervals are built only when iterated.  An exact
-dynamic program over each run, within a fixed work budget, is provided as
-the independent oracle for that claim.
+number of runs.  An exact dynamic program, within a fixed work budget, is
+provided as the independent oracle for that claim.  It fills one table up
+to the longest run and keeps one slot per row for the size of the row's
+last interval; each distinct run length is traced back once, and the cost
+is taken from the sizes counted per run: about 40 bytes per point in all,
+the floats of the table and the slots.  Both solvers build their
+intervals only when iterated.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain, islice, repeat
 from operator import add, floordiv, gt, itemgetter, mod, sub
-from typing import Collection, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._fsum import copies
 from .errors import BudgetExceededError, InfeasibleDeltaError, InputError
@@ -120,70 +124,27 @@ class DeltaPartition(NamedTuple):
     count: int
 
 
-class _GreedyIntervals:
-    """The greedy intervals of ``runs`` at capacity D, built on iteration.
+class _Intervals:
+    """The intervals of ``runs``, built on iteration.
 
-    Each run yields full intervals of D points from its start and one
-    shorter remainder; ``count`` is their total, so ``len`` is O(1).
+    ``parts(L)`` gives the point counts of the intervals a run of L points
+    splits into, from its start; ``count`` is their total, so ``len`` is O(1).
     """
 
-    __slots__ = ("runs", "D", "count")
+    __slots__ = ("runs", "parts", "count")
 
-    def __init__(self, runs: tuple[tuple[int, int], ...], D: int, count: int):
-        self.runs, self.D, self.count = runs, D, count
+    def __init__(self, runs, parts: Callable[[int], Iterable[int]], count: int):
+        self.runs, self.parts, self.count = runs, parts, count
 
     def __len__(self) -> int:
         return self.count
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        D = self.D
+        parts = self.parts
         for i, j in self.runs:
-            for a in range(i, j + 1, D):
-                yield (a, min(a + D - 1, j))
-
-
-# ---------------------------------------------------------------------------
-# discrete Lebesgue measure
-
-
-def discrete_lebesgue(B: InternalSet, grid: HyperGrid) -> Fraction:
-    """card(B)/(N+1): the uniform probability of the grid trace."""
-    B.validate_on(grid)
-    return Fraction(B.card, grid.N + 1)
-
-
-def _merge_intervals(intervals) -> list[tuple[Fraction, Fraction]]:
-    pairs = [(Fraction(a), Fraction(b)) for a, b in intervals]
-    for a, b in pairs:
-        if not 0 <= a <= b <= 1:
-            raise InputError("intervals must satisfy 0 <= a <= b <= 1")
-    return _merge(pairs, 0)
-
-
-def _trace(merged, N: int) -> list[tuple[int, int]]:
-    """Index runs ceil(a*N)..floor(b*N) of the merged components holding a grid point."""
-    runs = []
-    for a, b in merged:
-        lo, hi = math.ceil(a * N), math.floor(b * N)
-        if lo <= hi:
-            runs.append((lo, hi))
-    return runs
-
-
-def lebesgue_bounds(intervals, grid: HyperGrid) -> tuple[Fraction, Fraction]:
-    """Inner/outer grid measure of a finite union of closed intervals.
-
-    Inner counts grid points lying in the set; outer counts the cells
-    [i/N, (i+1)/N) the set meets, the least index family whose cells cover
-    it.  Both converge to the length as N grows, with gap at most
-    2*(number of intervals)/(N+1).
-    """
-    merged = _merge_intervals(intervals)
-    N = grid.N
-    inner = sum(hi - lo + 1 for lo, hi in _trace(merged, N))
-    # cell i meets [a, b] iff i <= b*N and i + 1 > a*N
-    outer = sum(min(math.floor(b * N), N) - math.floor(a * N) + 1 for a, b in merged)
-    return (Fraction(inner, N + 1), Fraction(outer, N + 1))
+            for c in parts(j - i + 1):
+                yield (i, i + c - 1)
+                i += c
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +188,8 @@ def h_delta_s_greedy(
     if full := sum(map(floordiv, lengths, repeat(D))):  # else D/N need not fit a float
         counts[D] = full
     total = counts.total()
-    intervals = _GreedyIntervals(B.runs, D, total)
+    # sizes L, L - D, .. clipped to D: q full intervals, then the remainder
+    intervals = _Intervals(B.runs, lambda L: map(min, repeat(D), range(L, 0, -D)), total)
     return DeltaPartition(intervals, _partition_cost(counts, s, grid.N), total)
 
 
@@ -235,12 +197,13 @@ def h_delta_s_dp(B: InternalSet, delta, s, grid: HyperGrid) -> DeltaPartition:
     """Exact minimum by dynamic programming, O(L*min(L, D) + card) for the longest run L.
 
     The optimal split of the first t points of a run depends on t alone, so
-    one table filled up to the longest run serves every run, each traced
-    back from its own length.  Serves as the brute-force oracle for the
-    greedy construction; both report costs through the same canonical
-    arithmetic.  Raises BudgetExceededError, before any work, when the cell
-    updates of that one table, or the points traced back through it (card,
-    which bounds the intervals built), exceed the fixed budget.
+    one table filled up to the longest run serves every run, and runs of
+    equal length are traced back once; the intervals are traced again only
+    when iterated.  Serves as the brute-force oracle for the greedy
+    construction; both report costs through the same canonical arithmetic.
+    Raises BudgetExceededError, before any work, when the cell updates of
+    that one table, or the points traced back through it (card, which
+    bounds the intervals built), exceed the fixed budget.
     """
     _check_s(s)
     B.validate_on(grid)
@@ -248,8 +211,8 @@ def h_delta_s_dp(B: InternalSet, delta, s, grid: HyperGrid) -> DeltaPartition:
     N = grid.N
     lengths = [j - i + 1 for i, j in B.runs]
     longest = max(lengths, default=0)
-    # the traceback builds between card/D and card intervals; both terms are
-    # at most the sum of L*min(L, D) over the runs, one table per run
+    # iterating the intervals builds between card/D and card of them; both
+    # terms are at most the sum of L*min(L, D) over the runs, one table per run
     work = max(longest * min(longest, D), sum(lengths))
     if work > _DP_BUDGET:
         raise BudgetExceededError(
@@ -266,24 +229,30 @@ def h_delta_s_dp(B: InternalSet, delta, s, grid: HyperGrid) -> DeltaPartition:
         dp[t] = min(map(add, dp[:t], wr[K - t:]))
     for t in range(K + 1, longest + 1):
         dp[t] = min(map(add, dp[t - K:t], wr))
-    # the last interval's size is found again only where the traceback asks,
-    # once per t, so the traceback costs at most the fill
-    choices: dict[int, int] = {}
-    intervals: list[tuple[int, int]] = []
-    for (i, _), length in zip(B.runs, lengths):
-        parts = []  # the run's intervals, last first
-        t = length
-        while t > 0:
-            c = choices.get(t)
-            if c is None:
+    # choice[t] is the last interval's size in the best split of t points,
+    # 0 until a traceback asks for it; each is found once, so finding them
+    # costs at most the fill (a list: importing array costs every command)
+    choice = [0] * (longest + 1)
+
+    def trace(t: int) -> Iterator[int]:
+        """The interval sizes of the best split of t points, last first."""
+        while t:
+            c = choice[t]
+            if not c:
                 k = min(K, t)
                 # index() keeps the largest c on ties
-                c = choices[t] = k - list(map(add, dp[t - k:t], wr[K - k:])).index(dp[t])
+                c = choice[t] = k - list(map(add, dp[t - k:t], wr[K - k:])).index(dp[t])
+            yield c
             t -= c
-            parts.append((i + t, i + t + c - 1))
-        intervals += reversed(parts)
-    cost = _partition_cost(Counter(b - a + 1 for a, b in intervals), s, N)
-    return DeltaPartition(tuple(intervals), cost, len(intervals))
+
+    # runs of equal length split alike, so each length is traced once
+    sizes: Counter[int] = Counter()
+    for length, runs in Counter(lengths).items():
+        for c in trace(length):
+            sizes[c] += runs
+    total = sizes.total()
+    intervals = _Intervals(B.runs, lambda L: reversed([*trace(L)]), total)
+    return DeltaPartition(intervals, _partition_cost(sizes, s, N), total)
 
 
 def _check_s(s) -> None:
@@ -310,9 +279,16 @@ def trace_superset(intervals, grid: HyperGrid) -> InternalSet:
     to the grid), mirroring the covering step that swallows points
     infinitesimally close to the set at finite resolution.
     """
+    pairs = [(Fraction(a), Fraction(b)) for a, b in intervals]
+    if not all(0 <= a <= b <= 1 for a, b in pairs):
+        raise InputError("intervals must satisfy 0 <= a <= b <= 1")
     N = grid.N
-    runs = _trace(_merge_intervals(intervals), N)
-    return merge_runs([(max(0, lo - _ENLARGE), min(N, hi + _ENLARGE)) for lo, hi in runs])
+    runs = []
+    for a, b in _merge(pairs, 0):
+        lo, hi = math.ceil(a * N), math.floor(b * N)
+        if lo <= hi:  # the component holds a grid point
+            runs.append((max(0, lo - _ENLARGE), min(N, hi + _ENLARGE)))
+    return merge_runs(runs)
 
 
 def outer_h_measure(
@@ -371,9 +347,3 @@ def internal_set_from_json(obj: dict) -> tuple[HyperGrid, InternalSet]:
     iset.validate_on(grid)
     return grid, iset
 
-
-def measure_table_csv(rows: list[tuple[Fraction, float]], precision: int = 12) -> str:
-    lines = ["delta,cost"]
-    for d, cost in rows:
-        lines.append(f"{d.numerator}/{d.denominator},{cost:.{precision}f}")
-    return "\n".join([*lines, ""])

@@ -26,6 +26,7 @@ DELETED = {
         "STABLE", "local_dim", "cut_points", "CutPoint", "_CELL_BUDGET",
     ),
     "selfsimilar": ("hausdorff_measure_at", "geometry_series"),
+    "hypergrid": ("discrete_lebesgue", "lebesgue_bounds", "measure_table_csv", "_GreedyIntervals"),
 }
 
 

@@ -2,8 +2,8 @@
 
 The dynamic program is the independent oracle for the greedy partition;
 both report costs through the same canonical arithmetic, so optimal
-partitions cost bit-identically.  Lebesgue bounds are cross-checked by
-brute-force membership loops over all grid indices.
+partitions cost bit-identically.  Grid traces are cross-checked by
+membership loops over all grid indices.
 """
 
 import itertools
@@ -24,31 +24,15 @@ from fractaldim.hypergrid import (
     HyperGrid,
     InternalSet,
     cantor_stage,
-    discrete_lebesgue,
     h_delta_s_dp,
     h_delta_s_greedy,
     internal_set_from_json,
-    lebesgue_bounds,
     merge_runs,
     outer_h_measure,
     trace_superset,
 )
 
 CANTOR_DIM = math.log(2) / math.log(3)
-
-
-def brute_lebesgue_bounds(intervals, grid):
-    """Oracle: loop over every grid index and test membership directly."""
-    N = grid.N
-    inner = outer = 0
-    for i in range(N + 1):
-        point = Fraction(i, N)
-        if any(a <= point <= b for a, b in intervals):
-            inner += 1
-        lo, hi = Fraction(i, N), Fraction(i + 1, N)
-        if any(lo <= b and hi > a for a, b in intervals):
-            outer += 1
-    return Fraction(inner, N + 1), Fraction(outer, N + 1)
 
 
 def runs_of(points):
@@ -103,76 +87,6 @@ class TestInternalSet:
         with pytest.raises(InputError) as info:
             internal_set_from_json({"N": 100, "runs": runs})
         assert str(info.value) == message
-
-
-class TestDiscreteLebesgue:
-    def test_full_grid(self):
-        grid = HyperGrid(100)
-        assert discrete_lebesgue(InternalSet(((0, 100),)), grid) == 1
-
-    def test_half_grid(self):
-        grid = HyperGrid(100)
-        assert discrete_lebesgue(InternalSet(((0, 50),)), grid) == Fraction(51, 101)
-
-    def test_empty(self):
-        assert discrete_lebesgue(InternalSet(()), HyperGrid(10)) == 0
-
-    def test_finitely_additive_and_monotone(self):
-        grid = HyperGrid(50)
-        b1 = InternalSet(((0, 4),))
-        b2 = InternalSet(((10, 14),))
-        union = InternalSet(((0, 4), (10, 14)))
-        assert discrete_lebesgue(union, grid) == discrete_lebesgue(
-            b1, grid
-        ) + discrete_lebesgue(b2, grid)
-        assert discrete_lebesgue(b1, grid) <= discrete_lebesgue(union, grid)
-
-
-class TestLebesgueBounds:
-    def test_unit_interval(self):
-        assert lebesgue_bounds([(0, 1)], HyperGrid(1000)) == (1, 1)
-
-    def test_quarter_to_half(self):
-        inner, outer = lebesgue_bounds(
-            [(Fraction(1, 4), Fraction(1, 2))], HyperGrid(1000)
-        )
-        for value in (inner, outer):
-            assert abs(value - Fraction(1, 4)) <= Fraction(2, 1001)
-
-    def test_coarse_grid_artifact(self):
-        inner, outer = lebesgue_bounds([(0, Fraction(1, 3))], HyperGrid(3))
-        assert inner == outer == Fraction(1, 2)
-
-    def test_empty(self):
-        assert lebesgue_bounds([], HyperGrid(10)) == (0, 0)
-
-    def test_overlapping_inputs_merged(self):
-        grid = HyperGrid(60)
-        merged = lebesgue_bounds(
-            [(Fraction(1, 6), Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 3))], grid
-        )
-        direct = lebesgue_bounds([(Fraction(1, 6), Fraction(2, 3))], grid)
-        assert merged == direct
-
-    def test_against_brute_force(self):
-        cases = [
-            ([(Fraction(1, 7), Fraction(3, 7))], 23),
-            ([(Fraction(0), Fraction(1, 3)), (Fraction(2, 3), Fraction(1))], 17),
-            ([(Fraction(1, 4), Fraction(1, 4))], 10),  # degenerate point
-            ([(Fraction(2, 31), Fraction(5, 31)), (Fraction(6, 31), Fraction(1, 2))], 31),
-        ]
-        for intervals, N in cases:
-            grid = HyperGrid(N)
-            assert lebesgue_bounds(intervals, grid) == brute_lebesgue_bounds(
-                intervals, grid
-            )
-
-    def test_gap_bound(self):
-        intervals = [(Fraction(1, 7), Fraction(2, 7)), (Fraction(3, 7), Fraction(6, 7))]
-        for N in (10, 100, 997):
-            inner, outer = lebesgue_bounds(intervals, HyperGrid(N))
-            assert inner <= outer
-            assert outer - inner <= Fraction(2 * len(intervals), N + 1)
 
 
 class TestGreedyPartition:
@@ -276,6 +190,20 @@ class TestLongRunsAndBudget:
         assert len(part.intervals) == N
         assert list(itertools.islice(part.intervals, 3)) == [(0, 0), (1, 1), (2, 2)]
         assert part.cost == float(N * Fraction((1 / N) ** 0.5))
+
+    def test_dp_memory_per_point_is_bounded(self):
+        # one run of 20,000 points at D = 1: the table and one choice slot per
+        # row, no interval built until iterated (about 260 bytes per point
+        # when the oracle kept a tuple per interval)
+        n = 20_000
+        tracemalloc.start()
+        try:
+            part = h_delta_s_dp(InternalSet(((0, n - 1),)), Fraction(1, n), 0.5, HyperGrid(n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * n
+        assert len(part.intervals) == part.count == n
 
     def test_dp_over_budget_raises_before_work(self):
         # one run of 20,001 points at D = 1000 needs 20,001,000 cell updates
@@ -411,7 +339,7 @@ def test_dp_matches_the_list_index_dp_bit_for_bit(inputs):
     grid, B, delta, s = inputs
     part = h_delta_s_dp(B, delta, s, grid)
     intervals, cost = _list_index_dp(B, delta, s, grid)
-    assert part.intervals == intervals
+    assert tuple(part.intervals) == intervals
     assert part.cost.hex() == cost.hex() and part.count == len(intervals)
 
 
@@ -436,7 +364,8 @@ def test_dp_budget_refuses_what_it_refused_before_any_work(inputs, over):
                     h_delta_s_dp(B, delta, s, grid)
             assert str(refused.value) == str(expected.value)
         else:
-            assert h_delta_s_dp(B, delta, s, grid).intervals == _list_index_dp(B, delta, s, grid)[0]
+            intervals = h_delta_s_dp(B, delta, s, grid).intervals
+            assert tuple(intervals) == _list_index_dp(B, delta, s, grid)[0]
 
 
 class TestTraceSuperset:
@@ -447,6 +376,11 @@ class TestTraceSuperset:
     def test_enlargement_and_clamping(self):
         iset = trace_superset([(Fraction(1, 4), Fraction(1, 2))], HyperGrid(8))
         assert iset.runs == ((1, 5),)  # trace 2..4 widened one index each side
+
+    @pytest.mark.parametrize("interval", [(Fraction(1, 2), Fraction(1, 4)), (0, 2), (-1, 0)])
+    def test_rejects_intervals_outside_the_unit_interval(self, interval):
+        with pytest.raises(InputError, match=r"^intervals must satisfy 0 <= a <= b <= 1$"):
+            trace_superset([(0, 1), interval], HyperGrid(8))
 
     def test_cantor_stage_runs(self):
         m, N = 2, 3**4
@@ -531,15 +465,10 @@ class TestOuterHMeasure:
             outer_h_measure([(0, 1)], 1, [Fraction(1, 100), Fraction(1, 10)], HyperGrid(1000))
 
     def test_csv_emitter(self):
-        from fractaldim.hypergrid import measure_table_csv
-
+        # one (delta, cost) row per delta; at s = 1 the cost is exactly card/N
         grid = HyperGrid(10**5)
         rows = outer_h_measure([(0, 1)], 1, [Fraction(1, 10), Fraction(1, 100)], grid)
-        text = measure_table_csv(rows)
-        lines = text.strip().splitlines()
-        assert lines[0] == "delta,cost"
-        assert lines[1] == "1/10,1.000010000000"
-        assert lines[2].startswith("1/100,")
+        assert rows == [(Fraction(1, 10), 1.00001), (Fraction(1, 100), 1.00001)]
 
 
 # ---------------------------------------------------------------------------
@@ -624,15 +553,6 @@ def test_greedy_equals_dp(gs, d, s):
     assert (
         h_delta_s_greedy(B, delta, s, grid).cost == h_delta_s_dp(B, delta, s, grid).cost
     )
-
-
-@settings(max_examples=100, derandomize=True, deadline=None)
-@given(gs=grid_and_set())
-def test_discrete_measure_bounds(gs):
-    grid, B = gs
-    value = discrete_lebesgue(B, grid)
-    assert 0 <= value <= 1
-    assert value == Fraction(B.card, grid.N + 1)
 
 
 def explicit_greedy(B, D):
