@@ -289,10 +289,14 @@ def cmd_fractal(args) -> Iterable[str]:
 def _fractal_lines(reports: list[selfsimilar.ConsistencyReport]) -> Iterable[str]:
     yield "quantity,unit,m,recurrence,closed_form,deviation"
     for report in reports:
-        # each column formatted from top to bottom, the rows zipped from the columns
-        columns = [fraction_column(values) for values in zip(*report.rows)]
-        for m, cells in enumerate(zip(*columns)):
-            yield f"{report.quantity},{report.unit},{m},{','.join(cells)}"
+        # each column formatted from top to bottom, the rows zipped from the columns;
+        # a closed form equal to its recurrence (deviation 0) prints the recurrence's text
+        recs, closed, devs = zip(*report.rows)
+        unequal = fraction_column([c for c, dev in zip(closed, devs) if dev])
+        cells = zip(devs, fraction_column(recs), fraction_column(devs))
+        for m, (dev, rec, dev_text) in enumerate(cells):
+            closed_text = next(unequal) if dev else rec
+            yield f"{report.quantity},{report.unit},{m},{rec},{closed_text},{dev_text}"
     for report in reports:
         flag = "consistent" if report.consistent else "inconsistent"
         yield f"check,{report.quantity},{flag},{_fmt_fraction(report.max_deviation)}"

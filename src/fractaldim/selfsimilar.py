@@ -310,13 +310,16 @@ def moran_solve(ratios: IfsRatios, tol: float = 1e-12) -> MoranRoot:
 
 
 def _geom_sum(ratio: Fraction, k_lo: int, k_hi: int) -> Fraction:
-    """sum(ratio**k for k in k_lo..k_hi), exact; 0 for an empty range.
+    """sum(ratio**k for k in k_lo..k_hi) for k_lo >= 0, exact; 0 for an empty range.
 
-    No catalog ratio is 1, so the formula's division is always defined.
+    With ratio = p/q the sum is (p**(k_hi+1) - p**k_lo * q**(k_hi+1-k_lo)) /
+    (q**k_hi * (p - q)), built as one Fraction: one gcd, not five.  No
+    catalog ratio is 1, so p - q is never 0.
     """
     if k_hi < k_lo:
         return Fraction(0)
-    return (ratio ** (k_hi + 1) - ratio**k_lo) / (ratio - 1)
+    p, q = ratio.numerator, ratio.denominator
+    return Fraction(p ** (k_hi + 1) - p**k_lo * q ** (k_hi + 1 - k_lo), q**k_hi * (p - q))
 
 
 def _series(name, quantity, initial, step, closed, unit="1") -> GeometrySeries:
@@ -466,7 +469,7 @@ def closed_form_check(name: str, m_max: int) -> list[ConsistencyReport]:
         # equal values, the usual case, skip the subtraction's big-integer gcds
         rows = tuple((a, b, abs(a - b) if a != b else zero) for a, b in pairs)
         first = next((m for m, (_, _, dev) in enumerate(rows) if dev), None)
-        worst = max(dev for _, _, dev in rows)
+        worst = max((dev for _, _, dev in rows if dev), default=zero)
         reports.append(
             ConsistencyReport(
                 series.name, series.quantity, series.unit, rows,

@@ -460,6 +460,36 @@ class TestFractal:
         assert 27**800 > 2**DECIMAL_BASE_BITS
         assert out == "\n".join([*lines, *checks, ""])
 
+    @pytest.mark.parametrize("name, m_max", [
+        ("koch", 1100), ("quadratic_koch", 2100), ("sierpinski_gasket", 1350),
+        ("sierpinski_carpet", 750), ("menger_sponge", 550), ("menger_standard", 500),
+    ])
+    def test_every_catalog_name_prints_as_str(self, capsys, name, m_max):
+        # past DECIMAL_BASE_BITS, where columns are formatted from the row above; the
+        # koch perimeter's closed form differs from its recurrence from m = 1 on
+        from fractaldim.selfsimilar import closed_form_check
+
+        code, out, _ = run_cli(capsys, "fractal", name, "--m-max", str(m_max))
+        assert code == 0
+        lines, checks = ["quantity,unit,m,recurrence,closed_form,deviation"], []
+        for report in closed_form_check(name, m_max):
+            for m, row in enumerate(report.rows):
+                cells = ",".join(f"{f.numerator}/{f.denominator}" for f in row)
+                lines.append(f"{report.quantity},{report.unit},{m},{cells}")
+            dev = report.max_deviation
+            flag = "consistent" if report.consistent else "inconsistent"
+            checks.append(f"check,{report.quantity},{flag},{dev.numerator}/{dev.denominator}")
+            tops = {max(rec.numerator, rec.denominator) for rec, _, _ in report.rows}
+            assert len(tops) == 1 or max(tops) > 2**DECIMAL_BASE_BITS, report.quantity
+            if not report.consistent:
+                unequal = [closed for rec, closed, _ in report.rows if closed != rec]
+                assert len(unequal) == m_max and unequal[-1].numerator > 2**DECIMAL_BASE_BITS
+        want = [*lines, *checks, ""]
+        got = out.split("\n")
+        assert len(got) == len(want)
+        for got_line, want_line in zip(got, want):  # a line at a time keeps a failure's diff short
+            assert got_line == want_line
+
     def test_unknown_name_exit_4(self, capsys):
         code, _, _ = run_cli(capsys, "fractal", "dragon", "--m-max", "3")
         assert code == 4

@@ -198,6 +198,19 @@ class TestClosedFormCheck:
         expected = sum((ratio**k for k in range(k_lo, k_hi + 1)), Fraction(0))
         assert _geom_sum(ratio, k_lo, k_hi) == expected
 
+    @pytest.mark.parametrize("ratio", [Fraction(4, 3), Fraction(4, 9), Fraction(2), Fraction(3, 2),
+                                       Fraction(3, 4), Fraction(8, 3), Fraction(8, 9),
+                                       Fraction(20, 9), Fraction(20, 27)])
+    @pytest.mark.parametrize("k_lo", [0, 1])
+    def test_geom_sum_at_large_exponents(self, ratio, k_lo):
+        # every catalog ratio, against the formula in Fraction arithmetic
+        from fractaldim.selfsimilar import _geom_sum
+
+        assert _geom_sum(ratio, k_lo, k_lo - 1) == 0
+        for k_hi in (k_lo, 2, 500, 1999, 2000):
+            expected = (ratio ** (k_hi + 1) - ratio**k_lo) / (ratio - 1)
+            assert _geom_sum(ratio, k_lo, k_hi) == expected, k_hi
+
     def test_koch_mismatch_values(self):
         from fractaldim.selfsimilar import geometry_catalog
 

@@ -13,7 +13,9 @@ prints one line per operation:
 Then it runs a fixed set of ``critical-d`` and ``hyper-hsd`` inputs that take
 the readers' error and line-splitting paths (a bad byte past the first 8 KiB,
 a bad row before a bad byte, CRLF and U+2028 line breaks, a missing file),
-printed as ``inputs - OP ...``.
+and ``fractal NAME --m-max 300`` for every geometry catalog name, so the
+``koch`` perimeter's closed-form column, which differs from its recurrence,
+is hashed too; these are printed as ``inputs - OP ...``.
 
 The first hash covers the exit status, stdout and stderr of the plain run.
 The second covers the same of the ``--out`` run and the bytes of FILE, or a
@@ -67,7 +69,7 @@ def out_digest(src: Path, argv: list[str], cwd: Path) -> str:
 
 
 def input_ops(work: Path) -> list[tuple[str, list[str]]]:
-    """Write the fixed reader inputs into ``work``; their names and command lines."""
+    """Names and command lines of the fixed inputs; the reader inputs' files go into ``work``."""
     rows = [f"{m},1/{3**m},{8**m}" for m in range(1, 400)]
     csv = "\n".join(["m,delta,n_cells", *rows, ""]).encode()
     runs = [[i, i + 9] for i in range(0, 900_000, 30)]
@@ -85,6 +87,9 @@ def input_ops(work: Path) -> list[tuple[str, list[str]]]:
     ops = [(name, ["critical-d", name]) for name in csvs]
     ops += [(name, ["hyper-hsd", name, "--delta", "1/100", "--s", "1/2"])
             for name in ("late_byte.json", "missing.json")]
+    ops += [(f"fractal_{name}", ["fractal", name, "--m-max", "300"])
+            for name in ("koch", "quadratic_koch", "sierpinski_gasket", "sierpinski_carpet",
+                         "menger_sponge", "menger_standard")]
     return ops
 
 
