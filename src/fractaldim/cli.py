@@ -322,78 +322,78 @@ def cmd_seq_check(args) -> Iterable[str]:
 # parser
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# name: (help, handler, {argument: add_argument keywords}); every command
+# takes --out and --precision before its own arguments
+_COMMANDS = {
+    "dim-block": ("cut-family dimensions of a digit-block set", cmd_dim_block, {
+        "schedule": dict(help="block schedule JSON path"),
+        "--n-max": dict(type=int, required=True),
+        "--tol": dict(type=float, default=1e-6)}),
+    "dim-ifs": ("Moran/rule self-similar dimension", cmd_dim_ifs, {
+        "ratios": dict(nargs="?", help="contraction-ratio JSON path"),
+        "--rule": dict(help="catalog rule name"),
+        "--tol": dict(type=float, default=1e-12)}),
+    "tables-ch6": ("block-family dimension tables", cmd_tables_ch6, {
+        "--n-max": dict(type=int, default=14)}),
+    "counts": ("cell-count series as CSV", cmd_counts, {
+        "--rule": dict(help="catalog rule name"),
+        "--schedule": dict(help="block schedule JSON path"),
+        "--interval": dict(nargs=2, metavar=("A", "B"), help="interval endpoints"),
+        "--base": dict(type=int, default=2, help="radix for --interval"),
+        "--levels": dict(nargs=2, type=int, required=True, metavar=("LO", "HI"))}),
+    "two-grid": ("two-scale count-ratio dimension", cmd_two_grid, {
+        "--rule": dict(help="catalog rule name"),
+        "--levels": dict(nargs=2, type=int, metavar=("P", "Q")),
+        "--n-h": dict(type=int),
+        "--n-k": dict(type=int),
+        "--h": {},
+        "--k": {}}),
+    "critical-d": ("dot-count critical exponent", cmd_critical_d, {
+        "counts": dict(help="count series CSV path"),
+        "--tol": dict(type=float, default=1e-9),
+        "--d-max": dict(type=float, default=None)}),
+    "hyper-hsd": ("minimal delta-interval partition cost", cmd_hyper_hsd, {
+        "setspec": dict(help="internal set JSON path"),
+        "--delta": dict(required=True),
+        "--s": dict(required=True),
+        "--oracle": dict(action="store_true", help="cross-check greedy against the DP")}),
+    "fractal": ("catalog geometry series and checks", cmd_fractal, {
+        "name": {},
+        "--m-max": dict(type=int, required=True)}),
+    "seq-check": ("sequence growth criteria", cmd_seq_check, {
+        "spec": dict(help="sequence spec JSON path"),
+        "--K": {},
+        "--window": dict(nargs=2, type=int, metavar=("LO", "HI")),
+        "--squared-sum": dict(type=int, default=None, metavar="N"),
+        "--tail-k": dict(type=int, default=None, metavar="K"),
+        "--eps": dict(default="0")}),
+}
+
+
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for ``argv``, with only its command's subparser when ``argv[0]`` names one.
+
+    Any other ``argv`` (help, no command, an unknown name) gets every
+    subparser.  Help, usage and error text are the same either way.
+    """
     parser = argparse.ArgumentParser(
         prog="fractaldim",
         description="Exact fractal-dimension toolkit: digit-block sets, "
         "box counting, Moran roots and grid measures.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="write output to this path instead of stdout")
-    common.add_argument("--precision", type=int, default=12, help="decimal digits")
-
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dim-block", parents=[common], help="cut-family dimensions of a digit-block set")
-    p.add_argument("schedule", help="block schedule JSON path")
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.set_defaults(func=cmd_dim_block)
-
-    p = sub.add_parser("dim-ifs", parents=[common], help="Moran/rule self-similar dimension")
-    p.add_argument("ratios", nargs="?", help="contraction-ratio JSON path")
-    p.add_argument("--rule", help="catalog rule name")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.set_defaults(func=cmd_dim_ifs)
-
-    p = sub.add_parser("tables-ch6", parents=[common], help="block-family dimension tables")
-    p.add_argument("--n-max", type=int, default=14)
-    p.set_defaults(func=cmd_tables_ch6)
-
-    p = sub.add_parser("counts", parents=[common], help="cell-count series as CSV")
-    p.add_argument("--rule", help="catalog rule name")
-    p.add_argument("--schedule", help="block schedule JSON path")
-    p.add_argument("--interval", nargs=2, metavar=("A", "B"), help="interval endpoints")
-    p.add_argument("--base", type=int, default=2, help="radix for --interval")
-    p.add_argument("--levels", nargs=2, type=int, required=True, metavar=("LO", "HI"))
-    p.set_defaults(func=cmd_counts)
-
-    p = sub.add_parser("two-grid", parents=[common], help="two-scale count-ratio dimension")
-    p.add_argument("--rule", help="catalog rule name")
-    p.add_argument("--levels", nargs=2, type=int, metavar=("P", "Q"))
-    p.add_argument("--n-h", type=int)
-    p.add_argument("--n-k", type=int)
-    p.add_argument("--h")
-    p.add_argument("--k")
-    p.set_defaults(func=cmd_two_grid)
-
-    p = sub.add_parser("critical-d", parents=[common], help="dot-count critical exponent")
-    p.add_argument("counts", help="count series CSV path")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--d-max", type=float, default=None)
-    p.set_defaults(func=cmd_critical_d)
-
-    p = sub.add_parser("hyper-hsd", parents=[common], help="minimal delta-interval partition cost")
-    p.add_argument("setspec", help="internal set JSON path")
-    p.add_argument("--delta", required=True)
-    p.add_argument("--s", required=True)
-    p.add_argument("--oracle", action="store_true", help="cross-check greedy against the DP")
-    p.set_defaults(func=cmd_hyper_hsd)
-
-    p = sub.add_parser("fractal", parents=[common], help="catalog geometry series and checks")
-    p.add_argument("name")
-    p.add_argument("--m-max", type=int, required=True)
-    p.set_defaults(func=cmd_fractal)
-
-    p = sub.add_parser("seq-check", parents=[common], help="sequence growth criteria")
-    p.add_argument("spec", help="sequence spec JSON path")
-    p.add_argument("--K")
-    p.add_argument("--window", nargs=2, type=int, metavar=("LO", "HI"))
-    p.add_argument("--squared-sum", type=int, default=None, metavar="N")
-    p.add_argument("--tail-k", type=int, default=None, metavar="K")
-    p.add_argument("--eps", default="0")
-    p.set_defaults(func=cmd_seq_check)
-
+    names, metavar = _COMMANDS, None
+    if argv and argv[0] in _COMMANDS:
+        # the usage still lists every command; in the full build a metavar would reword errors
+        names, metavar = argv[:1], "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, func, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--out", help="write output to this path instead of stdout")
+        p.add_argument("--precision", type=int, default=12, help="decimal digits")
+        for flag, keywords in arguments.items():
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -408,7 +408,7 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(sys.argv[1:] if argv is None else argv).parse_args(argv)
         if args.precision < 1 or args.precision > 50:
             print("error: --precision must be in [1, 50]", file=sys.stderr)
             return 2

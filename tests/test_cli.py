@@ -1,5 +1,6 @@
 """Command-line front end tests: outputs, determinism, exit codes."""
 
+import argparse
 import copy
 import errno
 import gc
@@ -668,7 +669,7 @@ class TestCollectorPause:
         monkeypatch.chdir(tmp_path)
         seen = []
         real = cli._build_parser
-        monkeypatch.setattr(cli, "_build_parser", lambda: seen.append(gc.isenabled()) or real())
+        monkeypatch.setattr(cli, "_build_parser", lambda argv: seen.append(gc.isenabled()) or real(argv))
         (gc.enable if enabled else gc.disable)()
         try:
             assert run_cli(capsys, *argv)[0] == code
@@ -701,6 +702,86 @@ class TestCollectorPause:
             assert code == 0
         assert max(found) < 1000
         assert abs(found[1] - found[0]) < 100
+
+
+# each command with its required arguments; the files are never opened
+COMMAND_ARGV = {
+    "dim-block": ["dim-block", "s.json", "--n-max", "3"],
+    "dim-ifs": ["dim-ifs"],
+    "tables-ch6": ["tables-ch6"],
+    "counts": ["counts", "--levels", "1", "2"],
+    "two-grid": ["two-grid"],
+    "critical-d": ["critical-d", "c.csv"],
+    "hyper-hsd": ["hyper-hsd", "s.json", "--delta", "1", "--s", "1"],
+    "fractal": ["fractal", "koch", "--m-max", "3"],
+    "seq-check": ["seq-check", "s.json"],
+}
+ALL_COMMANDS = "{" + ",".join(COMMAND_ARGV) + "}"
+
+
+def _parsed(capsys, parser, argv):
+    """The namespace of a parse that succeeds or the exit status, with stdout and stderr."""
+    try:
+        outcome = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        outcome = exc.code
+    return (outcome, *capsys.readouterr())
+
+
+class TestParserPerCommand:
+    """A call builds only its command's parser, and parses as the parser of every command does."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--help"], [], ["nope"]]
+        + [[name, "--help"] for name in COMMAND_ARGV]
+        + list(COMMAND_ARGV.values())
+        + [[*argv, "--bogus"] for argv in COMMAND_ARGV.values()]
+        + [["counts", "--levels", "1"], ["fractal", "koch"], ["tables-ch6", "--n-max", "x"],
+           ["dim-block", "X", "--n-m", "5"], ["two-grid", "--n", "5"]],
+        ids=lambda argv: " ".join(argv) or "no-command",
+    )
+    def test_same_outcome_as_the_full_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        full = _parsed(capsys, cli._build_parser([]), argv)
+        assert _parsed(capsys, cli._build_parser(argv), argv) == full
+        if argv[-1:] == ["--bogus"]:  # the top-level usage, with every command
+            assert full[0] == 2 and ALL_COMMANDS in full[2]
+            assert full[2].endswith("fractaldim: error: unrecognized arguments: --bogus\n")
+
+    def test_common_options_come_first(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert _parsed(capsys, cli._build_parser(["dim-ifs"]), ["dim-ifs", "--help"]) == (0, (
+            "usage: fractaldim dim-ifs [-h] [--out OUT] [--precision PRECISION]\n"
+            "                          [--rule RULE] [--tol TOL]\n"
+            "                          [ratios]\n"
+            "\n"
+            "positional arguments:\n"
+            "  ratios                contraction-ratio JSON path\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --out OUT             write output to this path instead of stdout\n"
+            "  --precision PRECISION\n"
+            "                        decimal digits\n"
+            "  --rule RULE           catalog rule name\n"
+            "  --tol TOL\n"
+        ), "")
+
+    @pytest.mark.parametrize(
+        "argv, code, built",
+        [(["dim-ifs", "--rule", "cantor"], 0, 2), (["--help"], 0, 10), (["nope"], 2, 10)],
+    )
+    def test_parsers_built(self, capsys, monkeypatch, argv, code, built):
+        inits = []
+        real = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **kw: inits.append(self) or real(self, *a, **kw))
+        try:
+            assert main(argv) == code
+        except SystemExit as exc:
+            assert exc.code == code
+        assert len(inits) == built
 
 
 class TestOutputPolicy:
@@ -1366,18 +1447,26 @@ def test_seq_check_contract_on_mutated_json(capsys, tmp_path, data, base, check,
     assert_contract(*run_cli(capsys, "seq-check", str(path), *check))
 
 
-@settings(FUZZ, max_examples=100)
+@settings(FUZZ, max_examples=200)
 @given(
     kind=st.sampled_from([("double_exponential", "base"), ("power_tower", "base"),
-                          ("squared_sum", "seed")]),
-    value=st.integers(2, 300) | st.sampled_from([10**9, 10**30, 10**400]),
+                          ("squared_sum", "seed"), ("arithmetic", "first", "step"),
+                          ("geometric", "first", "ratio"), ("explicit", "terms")]),
+    values=st.lists(st.integers(2, 300) | st.sampled_from([10**9, 10**30, 10**400]),
+                    min_size=2, max_size=5),
     cap=st.sampled_from([10**6 + 1, 10**400]),
     check=SEQ_CHECKS,
 )
-def test_seq_check_contract_under_a_huge_digit_cap(capsys, tmp_path, kind, value, cap, check):
-    # valid specs, so that each term is built up to the term budget
+def test_seq_check_contract_under_a_huge_digit_cap(capsys, tmp_path, kind, values, cap, check):
+    # valid specs, so that each term is built up to the term budget, the
+    # horizon or the end of an explicit list
+    spec = {"kind": kind[0], "digit_cap": cap}
+    if kind[0] == "explicit":
+        spec["terms"] = sorted(values)
+    else:
+        spec.update(zip(kind[1:], values))
     path = tmp_path / "seq.json"
-    path.write_text(json.dumps({"kind": kind[0], kind[1]: value, "digit_cap": cap}))
+    path.write_text(json.dumps(spec))
     code, out, err = run_cli(capsys, "seq-check", str(path), *check)
     assert_contract(code, out, err)
     assert code in (0, 3)

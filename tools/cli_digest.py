@@ -15,7 +15,12 @@ the readers' error and line-splitting paths (a bad byte past the first 8 KiB,
 a bad row before a bad byte, CRLF and U+2028 line breaks, a missing file),
 and ``fractal NAME --m-max 300`` for every geometry catalog name, so the
 ``koch`` perimeter's closed-form column, which differs from its recurrence,
-is hashed too; these are printed as ``inputs - OP ...``.
+is hashed too; these are printed as ``inputs - OP ...``.  Last come the
+argument parser's paths, as ``inputs - argv_NAME ...``: the top-level help
+and each command's, no command and an unknown one, an unrecognized argument
+after each command's required ones, a missing required option, a bad
+integer and an abbreviated option.  Every run has ``COLUMNS=80`` in its
+environment, so help and usage text wrap the same on any terminal.
 
 The first hash covers the exit status, stdout and stderr of the plain run.
 The second covers the same of the ``--out`` run and the bytes of FILE, or a
@@ -43,13 +48,27 @@ sys.path.insert(0, str(ROOT / "bench"))
 import workloads  # noqa: E402
 
 
+# each command's required arguments, so that a further argument is what the parser rejects
+REQUIRED = {
+    "dim-block": ["s.json", "--n-max", "3"],
+    "dim-ifs": [],
+    "tables-ch6": [],
+    "counts": ["--levels", "1", "2"],
+    "two-grid": [],
+    "critical-d": ["c.csv"],
+    "hyper-hsd": ["s.json", "--delta", "1", "--s", "1"],
+    "fractal": ["koch", "--m-max", "3"],
+    "seq-check": ["s.json"],
+}
+
+
 def _seeds(text: str) -> list[int]:
     lo, _, hi = text.partition("-")
     return list(range(int(lo), int(hi or lo) + 1))
 
 
 def digest(src: Path, argv: list[str], cwd: Path) -> str:
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
     proc = subprocess.run(
         [sys.executable, "-m", "fractaldim.cli", *argv], cwd=cwd, env=env, capture_output=True
     )
@@ -90,6 +109,14 @@ def input_ops(work: Path) -> list[tuple[str, list[str]]]:
     ops += [(f"fractal_{name}", ["fractal", name, "--m-max", "300"])
             for name in ("koch", "quadratic_koch", "sierpinski_gasket", "sierpinski_carpet",
                          "menger_sponge", "menger_standard")]
+    ops += [("argv_help", ["--help"]), ("argv_none", []), ("argv_unknown", ["nope"])]
+    for command, required in REQUIRED.items():
+        ops += [(f"argv_{command}_help", [command, "--help"]),
+                (f"argv_{command}_extra", [command, *required, "--bogus"])]
+    ops += [("argv_short_levels", ["counts", "--levels", "1"]),
+            ("argv_missing_m_max", ["fractal", "koch"]),
+            ("argv_bad_int", ["tables-ch6", "--n-max", "x"]),
+            ("argv_abbreviated", ["dim-block", "X", "--n-m", "5"])]
     return ops
 
 
