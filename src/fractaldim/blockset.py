@@ -332,16 +332,11 @@ class BlockCellSource(CellSource):
 # wire formats
 
 
-def dim_report_csv(report: DimReport, precision: int = 12) -> str:
-    """CSV rows (kind, n, m, x_count, local_dim) with exact-rational values.
+def dim_report_csv(report: DimReport, precision: int = 12) -> Iterator[str]:
+    """CSV lines (kind, n, m, x_count, local_dim) with exact-rational values, one at a time.
 
     Rows follow the cut table, which is already ordered by position m.
     """
-    return "\n".join([*_dim_report_rows(report, precision), ""])
-
-
-def _dim_report_rows(report: DimReport, precision: int) -> Iterator[str]:
-    """The lines of ``dim_report_csv``, formatted one at a time."""
     yield "kind,n,m,x_count,local_dim,local_dim_decimal"
     kinds, scale = (AFTER_ZEROS, AFTER_FREES), report.scale
     # the last two cuts are the tail values, already reduced: on long blocks

@@ -422,12 +422,8 @@ def closure_count_check(
 # wire formats
 
 
-def count_series_to_csv(series: CountSeries) -> str:
-    return "\n".join([*_count_series_rows(series), ""])
-
-
-def _count_series_rows(series: CountSeries) -> Iterator[str]:
-    """The lines of ``count_series_to_csv``, formatted one at a time."""
+def count_series_to_csv(series: CountSeries) -> Iterator[str]:
+    """The CSV lines (m, delta, n_cells) of ``series``, formatted one at a time."""
     entries = series.entries
     deltas = fraction_column([e.delta for e in entries])
     counts = decimal_column(e.n_cells for e in entries)

@@ -35,8 +35,13 @@ _TABLE_SIGMAS = (2, 3, 4, 5)
 
 
 def _fr(value) -> Fraction:
+    text = str(value)
+    # Fraction builds 10**exponent in time quadratic in it: a large exponent is refused first
+    _, e, exponent = text.lower().rpartition("e")
     try:
-        return Fraction(str(value))
+        if e and abs(int(exponent)) > _PRINTED_DIGITS:
+            raise InputError(f"the exponent of {value!r} is over {_PRINTED_DIGITS} in magnitude")
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"expected a number or p/q fraction, got {value!r}") from exc
 
@@ -73,7 +78,7 @@ def _read(path: str) -> str:
 def _load_json(path: str):
     try:
         return json.loads(_read(path))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
     except ValueError as exc:  # an integer over the interpreter's int() digit limit
         raise InputError(f"cannot read a number in {path}: {exc}") from exc
@@ -114,7 +119,7 @@ def cmd_dim_block(args) -> Iterable[str]:
         exact = _fmt_fraction(value) if isinstance(value, Fraction) else ""
         summary.append(f"{label},{exact},{_fmt(value, args.precision)}")
     summary.append(f"converged,{str(report.converged).lower()},{_fmt(report.spread, args.precision)}")
-    return chain(blockset._dim_report_rows(report, args.precision), summary)
+    return chain(blockset.dim_report_csv(report, args.precision), summary)
 
 
 def cmd_dim_ifs(args) -> Iterable[str]:
@@ -219,7 +224,7 @@ def cmd_counts(args) -> Iterable[str]:
     last = series.entries[-1]  # these sources grow with the level: its numbers are the longest
     if _digits_exceed(max(last.n_cells, last.delta.denominator), _PRINTED_DIGITS):
         raise BudgetExceededError(too_long)
-    return boxdim._count_series_rows(series)
+    return boxdim.count_series_to_csv(series)
 
 
 def cmd_two_grid(args) -> Iterable[str]:

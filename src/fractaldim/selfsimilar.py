@@ -121,7 +121,7 @@ class GeometrySeries(NamedTuple):
     initial: Fraction
     step: Callable[[int, Fraction], Fraction]
     closed: Callable[[int], Fraction]
-    unit: str = "1"
+    unit: str
 
     def values(self, m: int) -> list[Fraction]:
         """Quantity values for iterations 0..m via the recurrence."""
@@ -322,141 +322,77 @@ def _geom_sum(ratio: Fraction, k_lo: int, k_hi: int) -> Fraction:
     return Fraction(p ** (k_hi + 1) - p**k_lo * q ** (k_hi + 1 - k_lo), q**k_hi * (p - q))
 
 
-def _series(name, quantity, initial, step, closed, unit="1") -> GeometrySeries:
-    return GeometrySeries(name, quantity, Fraction(initial), step, closed, unit)
-
-
-def _koch_series() -> list[GeometrySeries]:
-    # each of the 3*4**(k-1) edges loses its middle third and gains two
-    # replacement sides; the stated closed form disagrees from m = 1 on
-    perimeter = _series(
-        "koch",
-        QUANT_PERIMETER,
-        3,
-        lambda k, prev: prev - 3 * 4 ** (k - 1) * Fraction(1, 3**k)
-        + 3 * 4 ** (k - 1) * 2 * Fraction(1, 3**k),
-        lambda m: 3 * (1 + Fraction(1, 2) * _geom_sum(Fraction(4, 3), 1, m)),
-    )
-    area = _series(
-        "koch",
-        QUANT_AREA,
-        1,
-        lambda k, prev: prev + 3 * 4 ** (k - 1) * Fraction(1, 9**k),
-        lambda m: 1 + Fraction(3, 4) * _geom_sum(Fraction(4, 9), 1, m),
-        unit="sqrt(3)/4",
-    )
-    return [perimeter, area]
-
-
-def _quadratic_koch_series() -> list[GeometrySeries]:
-    # every segment is replaced by 8 quarter-length segments: length doubles
-    perimeter = _series(
-        "quadratic_koch",
-        QUANT_PERIMETER,
-        4,
-        lambda k, prev: prev + 4 * 8 ** (k - 1) * Fraction(4, 4**k),
-        lambda m: 4 * (1 + _geom_sum(Fraction(2), 0, m - 1)),
-    )
-    # indentations remove exactly what the bumps add back
-    area = _series(
-        "quadratic_koch",
-        QUANT_AREA,
-        1,
-        lambda k, prev: prev - 4 * 8 ** (k - 1) * Fraction(1, 16**k)
-        + 4 * 8 ** (k - 1) * Fraction(1, 16**k),
-        lambda m: Fraction(1),
-    )
-    return [perimeter, area]
-
-
-def _gasket_series() -> list[GeometrySeries]:
-    perimeter = _series(
-        "sierpinski_gasket",
-        QUANT_PERIMETER,
-        3,
-        lambda k, prev: prev + 3 ** (k - 1) * 3 * Fraction(1, 2**k),
-        lambda m: 3 * (1 + Fraction(1, 2) * _geom_sum(Fraction(3, 2), 0, m - 1)),
-    )
-    area = _series(
-        "sierpinski_gasket",
-        QUANT_AREA,
-        1,
-        lambda k, prev: prev - 3 ** (k - 1) * Fraction(1, 4**k),
-        lambda m: 1 - Fraction(1, 3) * _geom_sum(Fraction(3, 4), 1, m),
-        unit="sqrt(3)/4",
-    )
-    return [perimeter, area]
-
-
-def _carpet_series() -> list[GeometrySeries]:
-    perimeter = _series(
-        "sierpinski_carpet",
-        QUANT_PERIMETER,
-        4,
-        lambda k, prev: prev + 8 ** (k - 1) * 4 * Fraction(1, 3**k),
-        lambda m: 4 * (1 + Fraction(1, 8) * _geom_sum(Fraction(8, 3), 1, m)),
-    )
-    area = _series(
-        "sierpinski_carpet",
-        QUANT_AREA,
-        1,
-        lambda k, prev: prev - 8 ** (k - 1) * Fraction(1, 9**k),
-        lambda m: 1 - Fraction(1, 8) * _geom_sum(Fraction(8, 9), 1, m),
-    )
-    return [perimeter, area]
-
-
-def _menger_series() -> list[GeometrySeries]:
-    surface = _series(
-        "menger_sponge",
-        QUANT_SURFACE_AREA,
-        6,
-        lambda k, prev: prev - 6 * 8 ** (k - 1) * Fraction(1, 9**k)
-        + 20 ** (k - 1) * 6 * 4 * Fraction(1, 9**k),
-        lambda m: 6
-        * (
-            1
-            + Fraction(1, 5) * _geom_sum(Fraction(20, 9), 1, m)
-            - Fraction(1, 8) * _geom_sum(Fraction(8, 9), 1, m)
-        ),
-    )
-    volume = _series(
-        "menger_sponge",
-        QUANT_VOLUME,
-        1,
-        lambda k, prev: prev - 20 ** (k - 1) * Fraction(1, 27**k),
-        lambda m: 1 - Fraction(1, 20) * _geom_sum(Fraction(20, 27), 1, m),
-    )
-    return [surface, volume]
-
-
-def _menger_standard_series() -> list[GeometrySeries]:
-    volume = _series(
-        "menger_standard",
-        QUANT_VOLUME,
-        1,
-        lambda k, prev: prev * Fraction(20, 27),
-        lambda m: Fraction(20, 27) ** m,
-    )
-    return [volume]
-
-
-_GEOMETRY_BUILDERS = {
-    "koch": _koch_series,
-    "quadratic_koch": _quadratic_koch_series,
-    "sierpinski_gasket": _gasket_series,
-    "sierpinski_carpet": _carpet_series,
-    "menger_sponge": _menger_series,
-    "menger_standard": _menger_standard_series,
+# name: rows of (quantity, initial value, step(k, prev), closed(m), unit)
+_GEOMETRY = {
+    "koch": (
+        # each of the 3*4**(k-1) edges loses its middle third and gains two
+        # replacement sides; the stated closed form disagrees from m = 1 on
+        (QUANT_PERIMETER, 3,
+         lambda k, prev: prev - 3 * 4 ** (k - 1) * Fraction(1, 3**k)
+         + 3 * 4 ** (k - 1) * 2 * Fraction(1, 3**k),
+         lambda m: 3 * (1 + Fraction(1, 2) * _geom_sum(Fraction(4, 3), 1, m)), "1"),
+        (QUANT_AREA, 1,
+         lambda k, prev: prev + 3 * 4 ** (k - 1) * Fraction(1, 9**k),
+         lambda m: 1 + Fraction(3, 4) * _geom_sum(Fraction(4, 9), 1, m), "sqrt(3)/4"),
+    ),
+    "quadratic_koch": (
+        # every segment is replaced by 8 quarter-length segments: length doubles
+        (QUANT_PERIMETER, 4,
+         lambda k, prev: prev + 4 * 8 ** (k - 1) * Fraction(4, 4**k),
+         lambda m: 4 * (1 + _geom_sum(Fraction(2), 0, m - 1)), "1"),
+        # indentations remove exactly what the bumps add back
+        (QUANT_AREA, 1,
+         lambda k, prev: prev - 4 * 8 ** (k - 1) * Fraction(1, 16**k)
+         + 4 * 8 ** (k - 1) * Fraction(1, 16**k),
+         lambda m: Fraction(1), "1"),
+    ),
+    "sierpinski_gasket": (
+        (QUANT_PERIMETER, 3,
+         lambda k, prev: prev + 3 ** (k - 1) * 3 * Fraction(1, 2**k),
+         lambda m: 3 * (1 + Fraction(1, 2) * _geom_sum(Fraction(3, 2), 0, m - 1)), "1"),
+        (QUANT_AREA, 1,
+         lambda k, prev: prev - 3 ** (k - 1) * Fraction(1, 4**k),
+         lambda m: 1 - Fraction(1, 3) * _geom_sum(Fraction(3, 4), 1, m), "sqrt(3)/4"),
+    ),
+    "sierpinski_carpet": (
+        (QUANT_PERIMETER, 4,
+         lambda k, prev: prev + 8 ** (k - 1) * 4 * Fraction(1, 3**k),
+         lambda m: 4 * (1 + Fraction(1, 8) * _geom_sum(Fraction(8, 3), 1, m)), "1"),
+        (QUANT_AREA, 1,
+         lambda k, prev: prev - 8 ** (k - 1) * Fraction(1, 9**k),
+         lambda m: 1 - Fraction(1, 8) * _geom_sum(Fraction(8, 9), 1, m), "1"),
+    ),
+    "menger_sponge": (
+        (QUANT_SURFACE_AREA, 6,
+         lambda k, prev: prev - 6 * 8 ** (k - 1) * Fraction(1, 9**k)
+         + 20 ** (k - 1) * 6 * 4 * Fraction(1, 9**k),
+         lambda m: 6
+         * (
+             1
+             + Fraction(1, 5) * _geom_sum(Fraction(20, 9), 1, m)
+             - Fraction(1, 8) * _geom_sum(Fraction(8, 9), 1, m)
+         ), "1"),
+        (QUANT_VOLUME, 1,
+         lambda k, prev: prev - 20 ** (k - 1) * Fraction(1, 27**k),
+         lambda m: 1 - Fraction(1, 20) * _geom_sum(Fraction(20, 27), 1, m), "1"),
+    ),
+    "menger_standard": (
+        (QUANT_VOLUME, 1,
+         lambda k, prev: prev * Fraction(20, 27),
+         lambda m: Fraction(20, 27) ** m, "1"),
+    ),
 }
 
 
 def geometry_catalog(name: str) -> list[GeometrySeries]:
+    """A new list of the series of catalog entry ``name`` (or an alias), each named by its key."""
     key = _ALIASES.get(name, name)
     try:
-        return _GEOMETRY_BUILDERS[key]()
+        rows = _GEOMETRY[key]
     except KeyError:
         raise UnknownCatalogError(f"no geometry series for {name!r}") from None
+    return [GeometrySeries(key, quantity, Fraction(initial), step, closed, unit)
+            for quantity, initial, step, closed, unit in rows]
 
 
 def closed_form_check(name: str, m_max: int) -> list[ConsistencyReport]:

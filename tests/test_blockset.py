@@ -217,8 +217,7 @@ class TestDimBounds:
             dim_bounds(doubling_schedule(), 1)
 
     def test_report_csv_shape(self):
-        text = dim_report_csv(dim_bounds(doubling_schedule(), 3))
-        lines = text.strip().split("\n")
+        lines = list(dim_report_csv(dim_bounds(doubling_schedule(), 3)))
         assert lines[0] == "kind,n,m,x_count,local_dim,local_dim_decimal"
         assert lines[1].startswith("after_zeros,0,1,0,0/1,")
         assert len(lines) == 9
@@ -609,6 +608,6 @@ def test_report_matches_per_sample_reference(beta, sigma, zeros, frees, n_max, t
     want = _reference_report(sch, n_max, tol, precision)
     rep = dim_bounds(sch, n_max, tol=tol)
     got = {key: getattr(rep, key) for key in want if key != "csv"}
-    got["csv"] = dim_report_csv(rep, precision)
+    got["csv"] = "\n".join(dim_report_csv(rep, precision)) + "\n"
     assert got == want
     assert [type(s[3]) for s in rep.lower_samples] == [type(s[3]) for s in want["lower_samples"]]

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -891,10 +892,12 @@ class TestStreamedOutput:
         constant.write_text(json.dumps(CONSTANT_BLOCKS))
         _, out, _ = run_cli(capsys, "counts", "--schedule", str(geometric), "--levels", "3", "300")
         source = blockset.BlockCellSource(blockset.schedule_from_json(GEOMETRIC_BLOCKS))
-        assert out == boxdim.count_series_to_csv(boxdim.count_series(source, range(3, 301)))
+        lines = boxdim.count_series_to_csv(boxdim.count_series(source, range(3, 301)))
+        assert out == "".join(line + "\n" for line in lines)
         _, out, _ = run_cli(capsys, "dim-block", str(constant), "--n-max", "3000")
         report = blockset.dim_bounds(blockset.schedule_from_json(CONSTANT_BLOCKS), 3000)
-        assert out.startswith(blockset.dim_report_csv(report, 12) + "summary,value,decimal\n")
+        lines = [*blockset.dim_report_csv(report, 12), "summary,value,decimal"]
+        assert out.startswith("".join(line + "\n" for line in lines))
 
     def test_writes_stay_near_the_batch_size(self):
         lines = ["9" * (10 + i) for i in range(3000)]  # rows that grow, as columns of powers do
@@ -982,6 +985,69 @@ class TestRejectedInput:
         code, out, err = run_cli(capsys, "hyper-hsd", str(path), "--delta", "1/10", "--s", "1")
         assert_rejected(code, out, err)
         assert err.startswith(f"error: cannot read a number in {path}: ")
+
+    @pytest.mark.parametrize(
+        "option, number",
+        [(option, "1e9999999") for option in ("--s", "--h", "--k", "--K", "--eps", "--interval")]
+        + [("--delta", number) for number in ("1e9999999", "1e-9999999", "1E+9_999_999",
+                                              " 1e9999999\t", "1e" + "\u0669" * 7)],  # Arabic-Indic 9
+    )
+    def test_exponent_past_the_digit_limit(self, tmp_path, option, number):
+        # Fraction spent 10 s on 1e9999999 before any check; --delta 1e99999999 ran on past 40 s
+        setspec, seq = tmp_path / "set.json", tmp_path / "seq.json"
+        setspec.write_text(json.dumps({"N": 10, "runs": [[0, 3]]}))
+        seq.write_text(json.dumps({"kind": "geometric", "first": 1, "ratio": 2}))
+        argv = {
+            "--delta": ["hyper-hsd", str(setspec), "--delta", number, "--s", "1"],
+            "--s": ["hyper-hsd", str(setspec), "--delta", "1/10", "--s", number],
+            "--h": ["two-grid", "--n-h", "4", "--n-k", "2", "--h", number, "--k", "1/2"],
+            "--k": ["two-grid", "--n-h", "4", "--n-k", "2", "--h", "1/4", "--k", number],
+            "--K": ["seq-check", str(seq), "--K", number, "--window", "1", "5"],
+            "--eps": ["seq-check", str(seq), "--tail-k", "2", "--eps", number],
+            "--interval": ["counts", "--interval", number, "1", "--levels", "1", "2"],
+        }[option]
+        start = time.perf_counter()
+        proc = run_module(*argv, timeout=30)
+        assert time.perf_counter() - start < 1
+        assert_rejected(proc.returncode, proc.stdout, proc.stderr)
+        assert "exponent" in proc.stderr
+
+    def test_exponent_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(cli, "_PRINTED_DIGITS", 50)
+        for text, want in (("1e50", 10**50), ("1e-50", Fraction(1, 10**50)), ("1E+5_0", 10**50),
+                           (" 1e50 ", 10**50), ("1e\u0665\u0660", 10**50), ("2.5e50", 25 * 10**49)):
+            assert cli._fr(text) == want, text
+        for text in ("1e51", "1e-51", "1E+5_1", " 1e51 ", "1e\u0665\u0661", "0e99"):
+            with pytest.raises(InputError, match="exponent"):
+                cli._fr(text)
+        for text in ("1/3", "2e", "e5", "1e5/3", "1e5e5"):  # other text reads as it did
+            try:
+                want = Fraction(text)
+            except ValueError:
+                with pytest.raises(InputError, match="expected a number"):
+                    cli._fr(text)
+            else:
+                assert cli._fr(text) == want
+
+    def test_exponent_within_the_digit_limit(self, capsys, tmp_path):
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps({"N": 10, "runs": [[0, 3]]}))
+        code, out, err = run_cli(capsys, "hyper-hsd", str(path), "--delta", "1e999999", "--s", "1")
+        assert (code, out, err) == (0, "cost,0.400000000000\nintervals,1\n", "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["dim-block", "--n-max", "3"], ["dim-ifs"], ["hyper-hsd", "--delta", "1", "--s", "1"],
+         ["seq-check", "--squared-sum", "3"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_json_nested_too_deeply(self, capsys, tmp_path, argv):
+        # raised RecursionError out of json.loads: a traceback and exit 1
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert_rejected(code, out, err)
+        assert err.startswith(f"error: malformed JSON in {path}: ")
 
     def test_count_overflowing_moran_sum(self, capsys, tmp_path):
         path = tmp_path / "ratios.json"

@@ -122,6 +122,10 @@ class TestMoran:
             IfsRatios((0.5,), (10**400,))  # the Moran sum at s = 0 overflows a float
 
 
+GEOMETRY_NAMES = ("koch", "quadratic_koch", "sierpinski_gasket",
+                  "sierpinski_carpet", "menger_sponge", "menger_standard")
+
+
 def recurrence(name: str, m: int) -> dict[str, list[Fraction]]:
     """Recurrence values for iterations 0..m, one list per quantity."""
     return {series.quantity: series.values(m) for series in geometry_catalog(name)}
@@ -158,10 +162,27 @@ class TestGeometrySeries:
             geometry_catalog("cantor")  # rule-only catalog entry
 
     def test_all_values_positive(self):
-        for name in ("koch", "quadratic_koch", "sierpinski_gasket",
-                     "sierpinski_carpet", "menger_sponge", "menger_standard"):
+        for name in GEOMETRY_NAMES:
             for values in recurrence(name, 10).values():
                 assert all(v > 0 for v in values)
+
+    @pytest.mark.parametrize("alias, target", [("carpet", "sierpinski_carpet"),
+                                               ("gasket", "sierpinski_gasket"),
+                                               ("menger", "menger_sponge")])
+    def test_alias_checks_as_its_target(self, alias, target):
+        assert closed_form_check(alias, 30) == closed_form_check(target, 30)
+
+    @pytest.mark.parametrize("name", [*GEOMETRY_NAMES, "carpet", "gasket", "menger"])
+    def test_series_named_by_the_canonical_key(self, name):
+        key = rule(name).name
+        series = geometry_catalog(name)
+        assert series and [s.name for s in series] == [key] * len(series)
+
+    def test_new_list_on_every_call(self):
+        first = geometry_catalog("koch")
+        assert geometry_catalog("koch") is not first
+        first.clear()
+        assert [s.quantity for s in geometry_catalog("koch")] == ["perimeter", "area"]
 
 
 class TestClosedFormCheck:

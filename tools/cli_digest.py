@@ -13,9 +13,10 @@ prints one line per operation:
 Then it runs a fixed set of ``critical-d`` and ``hyper-hsd`` inputs that take
 the readers' error and line-splitting paths (a bad byte past the first 8 KiB,
 a bad row before a bad byte, CRLF and U+2028 line breaks, a missing file),
-and ``fractal NAME --m-max 300`` for every geometry catalog name, so the
-``koch`` perimeter's closed-form column, which differs from its recurrence,
-is hashed too; these are printed as ``inputs - OP ...``.  Last come the
+and ``fractal NAME --m-max 300`` for every geometry catalog name and alias,
+so the ``koch`` perimeter's closed-form column, which differs from its
+recurrence, is hashed too, and ``fractal cantor --m-max 3``, which exits 4;
+these are printed as ``inputs - OP ...``.  Last come the
 argument parser's paths, as ``inputs - argv_NAME ...``: the top-level help
 and each command's, no command and an unknown one, an unrecognized argument
 after each command's required ones, a missing required option, a bad
@@ -108,7 +109,8 @@ def input_ops(work: Path) -> list[tuple[str, list[str]]]:
             for name in ("late_byte.json", "missing.json")]
     ops += [(f"fractal_{name}", ["fractal", name, "--m-max", "300"])
             for name in ("koch", "quadratic_koch", "sierpinski_gasket", "sierpinski_carpet",
-                         "menger_sponge", "menger_standard")]
+                         "menger_sponge", "menger_standard", "carpet", "gasket", "menger")]
+    ops += [("fractal_cantor", ["fractal", "cantor", "--m-max", "3"])]  # a rule with no geometry
     ops += [("argv_help", ["--help"]), ("argv_none", []), ("argv_unknown", ["nope"])]
     for command, required in REQUIRED.items():
         ops += [(f"argv_{command}_help", [command, "--help"]),
