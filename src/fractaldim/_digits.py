@@ -8,6 +8,8 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Ove
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
+from .errors import BudgetExceededError
+
 # Predecessors longer than this are tried as divisors.  With CPython 3.11 on
 # an Intel Xeon server core, a multiple of a 2,000-bit value costs 3.5 us by
 # divmod, multiply and print against 6.5 us by str(), and a failed divmod
@@ -29,6 +31,11 @@ _QUOTIENT_DIGITS = 20
 _LEAD_DIGITS = 24
 _TAIL_DIGITS = 18
 _TAIL_MOD = 10**_TAIL_DIGITS
+
+# digits one list of exact values a command holds may have; fractal builds at
+# most four such lists and counts two, so their values stay within about 10**8 digits
+_SERIES_DIGITS = 25_000_000
+_SERIES_BITS = math.ceil(_SERIES_DIGITS / math.log10(2))
 
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded, Overflow])
 
@@ -192,3 +199,16 @@ def _power_digits_exceed(base: int, exponent: int, digits: int) -> bool:
     if base < 2:  # 0 or 1, whatever the exponent
         return False
     return _power_exceeds(base, exponent, digits) or _digits_exceed(base**exponent, digits)
+
+
+def _within_budget(values: Iterable[int | Fraction], levels: Iterable[int], name: str) -> list:
+    """The values, one per level, in a list refused once it holds about ``_SERIES_DIGITS`` digits."""
+    out, bits = [], 0
+    for m, value in zip(levels, values):
+        bits += value.numerator.bit_length() + value.denominator.bit_length()
+        if bits > _SERIES_BITS:
+            raise BudgetExceededError(
+                f"{name} through m = {m} pass the budget of {_SERIES_DIGITS} digits"
+            )
+        out.append(value)
+    return out

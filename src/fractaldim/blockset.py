@@ -24,11 +24,11 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, cycle, islice
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import seqgen
 from ._digits import _int_max_str_digits, _power_digits_exceed
-from .boxdim import CellSource
+from .boxdim import CellSource, _powers
 from .errors import (
     BudgetExceededError,
     HorizonExceededError,
@@ -314,19 +314,15 @@ class BlockCellSource(CellSource):
         self.base = schedule.base
         self.ambient_dim = 1
         self._table = _BlockTable(schedule)
-        self._last = (0, 0, 1)  # (m, X(m), count) of the latest level counted
 
-    def count(self, m: int) -> int:
-        _check_position(self.schedule, m, 0)
-        x = self._table.x_count(m)
-        m_prev, x_prev, n = self._last
+    def level_counts(self, levels: Iterable[int]) -> Iterator[int]:
         # X never decreases, so a later level's count is a multiple of an earlier one's
-        if m >= m_prev:
-            n *= self.schedule.alphabet ** (x - x_prev)
-        else:
-            n = self.schedule.alphabet**x
-        self._last = (m, x, n)
-        return n
+        yield from _powers(self.schedule.alphabet, map(self._x_count, levels))
+
+    def _x_count(self, m: int) -> int:
+        _check_position(self.schedule, m, 0)
+        return self._table.x_count(m)
+
 
 # ---------------------------------------------------------------------------
 # wire formats

@@ -20,7 +20,7 @@ from itertools import chain, islice, repeat
 from operator import add, gt, lt, mul, sub
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from ._digits import ColumnReader, decimal_column, fraction_column
+from ._digits import ColumnReader, _within_budget, decimal_column, fraction_column
 from .errors import DegenerateGridError, InputError
 
 DIVERGES = "diverges"
@@ -35,8 +35,23 @@ class CellSource(ABC):
     ambient_dim: int
 
     @abstractmethod
+    def level_counts(self, levels: Iterable[int]) -> Iterator[int]:
+        """Exact numbers of cells meeting the set at the nondecreasing ``levels``, in turn."""
+
     def count(self, m: int) -> int:
         """Exact number of level-m cells meeting the set."""
+        return next(self.level_counts((m,)))
+
+
+def _powers(base: int, exponents: Iterable[int]) -> Iterator[int]:
+    """base**e for each of the nondecreasing ``exponents``, grown from the power before."""
+    power, last = 1, 0
+    for e in exponents:
+        if e < last:  # a negative power would be a float
+            raise InputError(f"exponent {e} after {last}: levels must be nondecreasing from 0")
+        power *= base ** (e - last)
+        last = e
+        yield power
 
 
 class CountEntry(NamedTuple):
@@ -117,16 +132,12 @@ class IntervalSource(CellSource):
         self.a, self.b = a, b
         self.base = base
         self.ambient_dim = 1
-        self._last = (0, 1)  # (m, base**m) of the latest level counted
 
-    def count(self, m: int) -> int:
-        m_prev, scale = self._last
-        # scale is base**m, grown from the previous level's when m is not below it
-        scale = scale * self.base ** (m - m_prev) if m >= m_prev else self.base**m
-        self._last = (m, scale)
-        lo = min(math.floor(self.a * scale), scale - 1)
-        hi = min(math.floor(self.b * scale), scale - 1)
-        return hi - lo + 1
+    def level_counts(self, levels: Iterable[int]) -> Iterator[int]:
+        for scale in _powers(self.base, levels):
+            lo = min(math.floor(self.a * scale), scale - 1)
+            hi = min(math.floor(self.b * scale), scale - 1)
+            yield hi - lo + 1
 
 
 class RuleSource(CellSource):
@@ -137,8 +148,8 @@ class RuleSource(CellSource):
         self.base = rule.scale
         self.ambient_dim = rule.ambient_dim
 
-    def count(self, m: int) -> int:
-        return self.rule.pieces**m
+    def level_counts(self, levels: Iterable[int]) -> Iterator[int]:
+        yield from _powers(self.rule.pieces, levels)
 
 
 class ExplicitSource(CellSource):
@@ -149,11 +160,12 @@ class ExplicitSource(CellSource):
         self.base = base
         self.ambient_dim = ambient_dim
 
-    def count(self, m: int) -> int:
-        try:
-            return self.counts[m]
-        except KeyError:
-            raise InputError(f"no count recorded for level {m}") from None
+    def level_counts(self, levels: Iterable[int]) -> Iterator[int]:
+        for m in levels:
+            try:
+                yield self.counts[m]
+            except KeyError:
+                raise InputError(f"no count recorded for level {m}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -161,22 +173,18 @@ class ExplicitSource(CellSource):
 
 
 def count_series(source: CellSource, levels: Sequence[int]) -> CountSeries:
-    """Exact (delta, count) pairs for the given strictly increasing levels."""
+    """Exact (delta, count) pairs for the given strictly increasing levels, each column budgeted."""
     if not levels:
         raise InputError("levels must be nonempty")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise InputError("levels must be strictly increasing")
     if levels[0] < 0:
         raise InputError("levels must be >= 0")
-    entries = []
-    scale, m_prev = 1, 0
-    for m in levels:
-        n = source.count(m)
-        # scale is base**m, grown from the previous level's
-        scale *= source.base ** (m - m_prev)
-        m_prev = m
-        entries.append(CountEntry(m=m, delta=Fraction(1, scale), n_cells=n))
-    return CountSeries(tuple(entries), ambient_dim=source.ambient_dim)
+    # deltas first: their denominators grow at every level, so they bound the levels counted
+    deltas = _within_budget(map(Fraction, repeat(1), _powers(source.base, levels)), levels, "deltas")
+    counts = _within_budget(source.level_counts(levels), levels, "cell counts")
+    entries = tuple(map(CountEntry, levels, deltas, counts))
+    return CountSeries(entries, ambient_dim=source.ambient_dim)
 
 
 def _entry_slope(entry: CountEntry) -> float:

@@ -220,7 +220,7 @@ def cmd_counts(args) -> Iterable[str]:
     top = max(source.base, source.rule.pieces) if args.rule else source.base
     if not args.schedule and lo >= 0 and _power_exceeds(top, hi, _PRINTED_DIGITS):
         raise BudgetExceededError(too_long)
-    series = boxdim.count_series(source, list(range(lo, hi + 1)))
+    series = boxdim.count_series(source, range(lo, hi + 1))
     last = series.entries[-1]  # these sources grow with the level: its numbers are the longest
     if _digits_exceed(max(last.n_cells, last.delta.denominator), _PRINTED_DIGITS):
         raise BudgetExceededError(too_long)

@@ -24,21 +24,16 @@ import math
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from operator import mul
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
+from ._digits import _within_budget
 from ._fsum import copies
-from .errors import BudgetExceededError, InputError, UnknownCatalogError
+from .errors import InputError, UnknownCatalogError
 
 QUANT_PERIMETER = "perimeter"
 QUANT_AREA = "area"
 QUANT_SURFACE_AREA = "surface_area"
 QUANT_VOLUME = "volume"
-
-# digits one list of exact series values may hold; a fractal command builds at
-# most four such lists, so its values stay within about 10**8 digits
-_SERIES_DIGITS = 25_000_000
-_SERIES_BITS = math.ceil(_SERIES_DIGITS / math.log10(2))
-
 
 class _PieceRule(NamedTuple):
     name: str
@@ -126,23 +121,12 @@ class GeometrySeries(NamedTuple):
     def values(self, m: int) -> list[Fraction]:
         """Quantity values for iterations 0..m via the recurrence."""
         steps = accumulate(range(1, m + 1), lambda v, k: self.step(k, v), initial=self.initial)
-        return self._within_budget(steps)
+        return _within_budget(steps, range(m + 1), f"{self.name} {self.quantity} values")
 
     def closed_values(self, m: int) -> list[Fraction]:
-        return self._within_budget(map(self.closed, range(m + 1)))
-
-    def _within_budget(self, values: Iterable[Fraction]) -> list[Fraction]:
-        """The values in a list, refused once they hold about ``_SERIES_DIGITS`` digits."""
-        out, bits = [], 0
-        for value in values:
-            bits += value.numerator.bit_length() + value.denominator.bit_length()
-            if bits > _SERIES_BITS:
-                raise BudgetExceededError(
-                    f"{self.name} {self.quantity} values through m = {len(out)} "
-                    f"pass the budget of {_SERIES_DIGITS} digits"
-                )
-            out.append(value)
-        return out
+        return _within_budget(
+            map(self.closed, range(m + 1)), range(m + 1), f"{self.name} {self.quantity} values"
+        )
 
 
 class ConsistencyReport(NamedTuple):

@@ -164,6 +164,7 @@ def _raw_terms(spec: SequenceSpec) -> Iterator[int]:
 
 def _grown_terms(spec: SequenceSpec) -> Iterator[int]:
     cap, k = spec.digit_cap, spec.kind
+    limit = min(cap, _TERM_DIGIT_BUDGET)
     if k == "explicit":
         yield from spec.terms
         raise HorizonExceededError(
@@ -174,7 +175,8 @@ def _grown_terms(spec: SequenceSpec) -> Iterator[int]:
         b, i = spec.base, 0
         exponent = 1  # b**n at n = 0
         while True:
-            _guard_power(b, exponent, cap, i)
+            if _power_exceeds(b, exponent, limit):  # surely too long: refused unbuilt
+                raise _too_long(i, cap, limit)
             yield b**exponent
             exponent *= b
             i += 1
@@ -183,10 +185,10 @@ def _grown_terms(spec: SequenceSpec) -> Iterator[int]:
         while True:
             yield t
             i += 1
-            _guard_power(spec.base, t, cap, i)
+            if _power_exceeds(spec.base, t, limit):
+                raise _too_long(i, cap, limit)
             t = spec.base**t
     if k == "squared_sum":
-        limit = min(cap, _TERM_DIGIT_BUDGET)
         total, t = 0, spec.seed
         for i in count(1):
             yield t
@@ -196,13 +198,6 @@ def _grown_terms(spec: SequenceSpec) -> Iterator[int]:
                 raise _too_long(i, cap, limit)
             t = total * total
     raise AssertionError(f"unhandled kind {k}")
-
-
-def _guard_power(base: int, exponent: int, cap: int, index: int) -> None:
-    """Refuse base**exponent unbuilt: surely past the cap, then surely past the budget."""
-    for limit in (cap, _TERM_DIGIT_BUDGET):
-        if _power_exceeds(base, exponent, limit):
-            raise _too_long(index, cap, limit)
 
 
 def _safe_prefix(spec: SequenceSpec) -> int:

@@ -502,6 +502,19 @@ class TestBlockTable:
             src.count(9)
         assert (str(exc.value), exc.value.index) == ("explicit sequence has only 2 terms", 2)
 
+    def test_count_series_raises_where_the_walk_fails(self):
+        from fractaldim.boxdim import count_series
+
+        sch = BlockSchedule(
+            base=3, alphabet=3, zeros=SequenceSpec.explicit([1, 2, 3, 4]),
+            frees=SequenceSpec.explicit([1, 1]),
+        )
+        with pytest.raises(HorizonExceededError) as exc:
+            count_series(BlockCellSource(sch), range(2, 20))
+        assert (str(exc.value), exc.value.index) == ("explicit sequence has only 2 terms", 2)
+        with pytest.raises(OutOfRangeError, match=r"^digit position 8 outside \[0, 7\]$"):
+            count_series(BlockCellSource(sch._replace(m_cap=7)), range(2, 20))
+
     def test_count_series_walks_once(self, monkeypatch):
         from fractaldim import seqgen
         from fractaldim.boxdim import count_series

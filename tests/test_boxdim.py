@@ -65,15 +65,58 @@ class TestCountSeries:
 
     @settings(max_examples=120, derandomize=True, deadline=None)
     @given(levels=st.lists(st.integers(0, 60), min_size=1, max_size=8),
-           base=st.integers(2, 10), a=st.fractions(0, 1), b=st.fractions(0, 1))
-    def test_interval_counts_in_any_level_order(self, levels, base, a, b):
-        # the scale grows from the previous level's, and is raised afresh below it;
-        # a fresh source raises base**m from level 0
+           base=st.integers(2, 10), a=st.fractions(0, 1), b=st.fractions(0, 1),
+           kind=st.sampled_from(["interval", "rule", "schedule"]))
+    def test_interval_counts_in_any_level_order(self, levels, base, a, b, kind):
+        # a fresh source counts level m from level 0
         a, b = min(a, b), max(a, b)
-        src = IntervalSource(a, b, base=base)
-        assert [src.count(m) for m in levels] == [
-            IntervalSource(a, b, base=base).count(m) for m in levels
+        schedule = blockset.BlockSchedule(
+            base=base, alphabet=base, zeros=SequenceSpec.arithmetic(1, 1)
+        )
+        make = {
+            "interval": lambda: IntervalSource(a, b, base=base),
+            "rule": lambda: RuleSource(selfsimilar.PieceRule("r", base + 1, base, 2)),
+            "schedule": lambda: blockset.BlockCellSource(schedule),
+        }[kind]
+        src = make()
+        assert [src.count(m) for m in levels] == [make().count(m) for m in levels]
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(levels=st.sets(st.integers(0, 80), min_size=1, max_size=12).map(sorted),
+           base=st.integers(2, 10), a=st.fractions(0, 1), b=st.fractions(0, 1),
+           name=st.sampled_from(["cantor", "carpet", "menger_sponge"]),
+           alphabet=st.integers(2, 10), first=st.integers(1, 4), step=st.integers(0, 3),
+           extra=st.lists(st.integers(0, 10**30), min_size=81, max_size=81))
+    def test_level_counts_match_each_sources_oracle(
+        self, levels, base, a, b, name, alphabet, first, step, extra
+    ):
+        a, b = min(a, b), max(a, b)
+
+        def cells(m):  # indices of the cells holding a and b, the last cell holding 1
+            s = base**m
+            return min(b.numerator * s // b.denominator, s - 1) - min(
+                a.numerator * s // a.denominator, s - 1
+            ) + 1
+
+        assert list(IntervalSource(a, b, base=base).level_counts(levels)) == list(map(cells, levels))
+        pieces = rule(name).pieces
+        assert list(RuleSource(rule(name)).level_counts(levels)) == [pieces**m for m in levels]
+        schedule = blockset.BlockSchedule(
+            base=max(base, alphabet), alphabet=alphabet, zeros=SequenceSpec.arithmetic(first, step)
+        )
+        assert list(blockset.BlockCellSource(schedule).level_counts(levels)) == [
+            blockset.cover_count(schedule, m) for m in levels
         ]
+        counts = dict(enumerate(extra))
+        assert list(ExplicitSource(counts).level_counts(levels)) == [counts[m] for m in levels]
+
+    @pytest.mark.parametrize("source", [IntervalSource(0, 1, base=2), RuleSource(rule("cantor"))])
+    def test_levels_below_the_last_are_refused(self, source):
+        # growing the level-3 power by base**(1 - 3) would give the float count 2.0
+        with pytest.raises(InputError, match=r"^exponent 1 after 3: levels must be nondecreasing"):
+            list(source.level_counts([3, 1]))
+        with pytest.raises(InputError, match=r"^exponent -1 after 0: "):
+            source.count(-1)  # was the float 0.5
 
     def test_carpet_rule_counts(self):
         series = count_series(RuleSource(rule("carpet")), [1, 2, 3])

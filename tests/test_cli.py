@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fractaldim
-from fractaldim import blockset, boxdim, cli, hypergrid, selfsimilar
+from fractaldim import _digits, blockset, boxdim, cli, hypergrid, selfsimilar
 from fractaldim._digits import _READ_BASE_BITS, DECIMAL_BASE_BITS
 from fractaldim.cli import main
 from fractaldim.errors import BudgetExceededError, InputError
@@ -111,6 +111,15 @@ class TestDimBlock:
         code, out, _ = run_cli(capsys, "dim-block", str(path), "--n-max", "14")
         assert code == 0
         assert "upper,1/2,0.500000000000" in out
+
+    def test_tower_past_a_huge_digit_cap_stops_at_the_term_budget(self, capsys, tmp_path):
+        # stopped with the cap's error, which ends the walk as a horizon: an unconverged report
+        path = tmp_path / "tower.json"
+        tower = {"kind": "power_tower", "base": 2, "digit_cap": 10**10}
+        path.write_text(json.dumps({"base": 2, "zeros": tower}))
+        code, out, err = run_cli(capsys, "dim-block", str(path), "--n-max", "8")
+        assert (code, out) == (3, "")
+        assert err == "error: term 6 has over 1000000 decimal digits, the budget of any one term\n"
 
     def test_unknown_schedule_keys_exit_2(self, capsys, tmp_path):
         spec = dict(DOUBLING)
@@ -273,6 +282,43 @@ class TestCounts:
                                  "--levels", *levels)
         assert (out, got) == ("", f"error: {err}\n")
         assert code in (2, 3)
+
+    @pytest.mark.parametrize(
+        "source, hi, err",
+        [(["--rule", "cantor"], 999999, "deltas through m = 10236"),
+         (["--interval", "0", "1", "--base", "2"], 999999, "deltas through m = 12886"),
+         # counts of 1 and 2 that the deltas bound before every level is walked
+         (["--schedule", "flat.json"], 999999, "deltas through m = 12886"),
+         # 20**m outgrows the deltas 3**-m
+         (["--rule", "menger_sponge"], 7000, "cell counts through m = 6199")],
+        ids=["rule", "interval", "schedule", "counts"],
+    )
+    def test_held_columns_are_bounded(self, tmp_path, source, hi, err):
+        # every count and scale through 999999 was held: about 86 MB at 2*10**4 levels
+        limit = 800_000 * 2**10
+
+        def cap_memory():
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+        (tmp_path / "flat.json").write_text(json.dumps({
+            "base": 2,
+            "zeros": {"kind": "geometric", "first": 1, "ratio": 1000, "horizon": 5},
+            "frees": {"kind": "arithmetic", "first": 1, "step": 0, "horizon": 5},
+        }))
+        source = [str(tmp_path / a) if a.endswith(".json") else a for a in source]
+        start = time.perf_counter()
+        proc = run_module("counts", *source, "--levels", "0", str(hi), timeout=10,
+                          preexec_fn=cap_memory)
+        assert time.perf_counter() - start < 2
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == f"error: {err} pass the budget of 25000000 digits\n"
+
+    def test_long_columns_within_the_budget_print(self, capsys):
+        code, out, _ = run_cli(capsys, "counts", "--rule", "cantor", "--levels", "0", "10000")
+        assert code == 0
+        assert out.count("\n") == 10002
+        assert out.endswith(f"\n10000,1/{3**10000},{2**10000}\n")
 
     def test_source_exclusivity(self, capsys, doubling_path):
         code, _, err = run_cli(
@@ -516,10 +562,10 @@ class TestFractal:
         # the recurrence and the closed form give the same values, so the same bits
         (report,) = selfsimilar.closed_form_check("menger_standard", 5)
         bits = sum(v.numerator.bit_length() + v.denominator.bit_length() for v, _, _ in report.rows)
-        monkeypatch.setattr(selfsimilar, "_SERIES_BITS", bits)
+        monkeypatch.setattr(_digits, "_SERIES_BITS", bits)
         code, out, _ = run_cli(capsys, "fractal", "menger_standard", "--m-max", "5")
         assert code == 0 and out.count("\n") == 8
-        monkeypatch.setattr(selfsimilar, "_SERIES_BITS", bits - 1)
+        monkeypatch.setattr(_digits, "_SERIES_BITS", bits - 1)
         code, out, err = run_cli(capsys, "fractal", "menger_standard", "--m-max", "5")
         assert (code, out) == (3, "")
         assert err.startswith("error: menger_standard volume values through m = 5 pass the budget")
@@ -591,6 +637,8 @@ class TestSeqCheck:
             ({"kind": "double_exponential", "base": 10}, 7, 6),
             ({"kind": "power_tower", "base": 3}, 40, 4),
             ({"kind": "squared_sum", "seed": 2}, 40, 22),
+            # 2**(2**65536) is surely past both the cap and the budget
+            ({"kind": "power_tower", "base": 2}, 10, 6),
         ],
     )
     def test_huge_digit_cap_stops_at_the_term_budget(self, capsys, tmp_path, spec, n, index):

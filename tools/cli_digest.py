@@ -15,8 +15,10 @@ the readers' error and line-splitting paths (a bad byte past the first 8 KiB,
 a bad row before a bad byte, CRLF and U+2028 line breaks, a missing file),
 and ``fractal NAME --m-max 300`` for every geometry catalog name and alias,
 so the ``koch`` perimeter's closed-form column, which differs from its
-recurrence, is hashed too, and ``fractal cantor --m-max 3``, which exits 4;
-these are printed as ``inputs - OP ...``.  Last come the
+recurrence, is hashed too, and ``fractal cantor --m-max 3``, which exits 4,
+and ``counts`` over 1,501 levels of a rule and of an interval, the two
+sources the benchmark's ``counts --schedule`` runs do not reach; these are
+printed as ``inputs - OP ...``.  Last come the
 argument parser's paths, as ``inputs - argv_NAME ...``: the top-level help
 and each command's, no command and an unknown one, an unrecognized argument
 after each command's required ones, a missing required option, a bad
@@ -111,6 +113,9 @@ def input_ops(work: Path) -> list[tuple[str, list[str]]]:
             for name in ("koch", "quadratic_koch", "sierpinski_gasket", "sierpinski_carpet",
                          "menger_sponge", "menger_standard", "carpet", "gasket", "menger")]
     ops += [("fractal_cantor", ["fractal", "cantor", "--m-max", "3"])]  # a rule with no geometry
+    ops += [("counts_rule", ["counts", "--rule", "menger_sponge", "--levels", "0", "1500"]),
+            ("counts_interval",
+             ["counts", "--interval", "1/3", "2/3", "--base", "3", "--levels", "0", "1500"])]
     ops += [("argv_help", ["--help"]), ("argv_none", []), ("argv_unknown", ["nope"])]
     for command, required in REQUIRED.items():
         ops += [(f"argv_{command}_help", [command, "--help"]),
