@@ -23,7 +23,7 @@ import sys
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, cycle, islice
+from itertools import accumulate, chain, cycle, islice, pairwise
 from typing import Iterable, Iterator, NamedTuple
 
 from . import seqgen
@@ -317,11 +317,14 @@ class BlockCellSource(CellSource):
 
     def level_counts(self, levels: Iterable[int]) -> Iterator[int]:
         # X never decreases, so a later level's count is a multiple of an earlier one's
-        yield from _powers(self.schedule.alphabet, map(self._x_count, levels))
+        yield from _powers(self.schedule.alphabet, self._x_counts(levels))
 
-    def _x_count(self, m: int) -> int:
-        _check_position(self.schedule, m, 0)
-        return self._table.x_count(m)
+    def _x_counts(self, levels: Iterable[int]) -> Iterator[int]:
+        for last, m in pairwise(chain([0], levels)):
+            _check_position(self.schedule, m, 0)
+            if m < last:  # X(m) may equal the X before it, which _powers would pass
+                raise InputError(f"level {m} after {last}: levels must be nondecreasing from 0")
+            yield self._table.x_count(m)
 
 
 # ---------------------------------------------------------------------------

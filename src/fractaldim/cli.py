@@ -75,9 +75,9 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_json(path: str):
+def _load_json(path: str, text: str | None = None):
     try:
-        return json.loads(_read(path))
+        return json.loads(_read(path) if text is None else text)  # text: the file's, if read
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
     except ValueError as exc:  # an integer over the interpreter's int() digit limit
@@ -274,7 +274,9 @@ def cmd_critical_d(args) -> Iterable[str]:
 
 
 def cmd_hyper_hsd(args) -> Iterable[str]:
-    grid, iset = hypergrid.internal_set_from_json(_load_json(args.setspec))
+    grid, iset = hypergrid.internal_set_from_text(
+        _read(args.setspec), lambda text: _load_json(args.setspec, text)
+    )
     delta = _fr(args.delta)
     s = _fr(args.s)
     part = hypergrid.h_delta_s_greedy(iset, delta, s, grid)

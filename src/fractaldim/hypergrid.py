@@ -15,13 +15,13 @@ so the sum over a partition with the fewest, most unequal parts is minimal
 subadditivity).  The cost depends only on the multiset {point count:
 multiplicity} of the intervals, so the greedy partition is costed from
 {D: total full intervals, r: runs with remainder r} in time linear in the
-number of runs.  An exact dynamic program, within a fixed work budget, is
-provided as the independent oracle for that claim.  It fills one table up
-to the longest run and keeps one slot per row for the size of the row's
-last interval; each distinct run length is traced back once, and the cost
-is taken from the sizes counted per run: about 40 bytes per point in all,
-the floats of the table and the slots.  Both solvers build their
-intervals only when iterated.
+number of runs.  An exact dynamic program within a fixed work budget, about
+40 bytes per point, is the independent oracle for that claim.  Both solvers
+build their intervals only when iterated.
+
+A set is held as two int columns, its run starts and ends.  The JSON text
+reader decodes a runs array in pieces of about 32 KiB into two ``array('q')``,
+and leaves any other text to the whole-document decoder, which builds tuples.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ _DP_BUDGET = 2 * 10**7
 _ENLARGE = 1
 
 _START, _END = itemgetter(0), itemgetter(1)
+_CHUNK = 1 << 15  # characters of a runs array the JSON text reader decodes at a time
 
 
 class _HyperGrid(NamedTuple):
@@ -63,53 +64,50 @@ class HyperGrid(_HyperGrid):
 
 
 class _InternalSet(NamedTuple):
-    runs: tuple[tuple[int, int], ...]
+    starts: Sequence[int]
+    ends: Sequence[int]
 
 
 class InternalSet(_InternalSet):
-    """Sorted, separated index runs [i, j]; runs never touch or overlap."""
+    """Sorted, separated index runs [starts[k], ends[k]], in two int columns (tuples or arrays)."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, *args, **kw):
         self = super().__new__(cls, *args, **kw)
-        # C-level passes over the starts and ends, building no list; the
-        # Python loop runs only to name the first bad run
-        runs = self.runs
-        if min(map(_START, runs), default=0) < 0 or any(
-            map(gt, map(_START, runs), map(_END, runs))
-        ):
-            i, j = next((i, j) for i, j in runs if not 0 <= i <= j)
-            raise InputError(f"bad run [{i}, {j}]")
-        # the next run starts at least two indices after this one ends
-        if min(map(sub, map(_START, islice(runs, 1, None)), map(_END, runs)), default=2) < 2:
+        starts, ends = self
+        if len(starts) != len(ends):
+            raise InputError("starts and ends must have the same length")
+        # runs [i, j], i <= j, each two or more indices past the last end, rise from the
+        # first start; C-level passes build no list, and the loop only names a bad run
+        gap = min(map(sub, islice(starts, 1, None), ends), default=2)
+        if any(map(gt, starts, ends)) or gap < 2 or starts and starts[0] < 0:
+            for i, j in zip(starts, ends):
+                if not 0 <= i <= j:
+                    raise InputError(f"bad run [{i}, {j}]")
             raise InputError("runs must be sorted with a gap of at least one index")
         return self
 
     @property
     def card(self) -> int:
-        return sum(j - i + 1 for i, j in self.runs)
+        return sum(self.ends) - sum(self.starts) + len(self.starts)
 
     def validate_on(self, grid: HyperGrid) -> None:
-        if self.runs and self.runs[-1][1] > grid.N:
-            raise InputError(f"run end {self.runs[-1][1]} exceeds grid index {grid.N}")
+        if self.ends and self.ends[-1] > grid.N:
+            raise InputError(f"run end {self.ends[-1]} exceeds grid index {grid.N}")
 
 
-def _merge(pairs, gap):
-    """Sorted (start, end) pairs, merged where one starts within ``gap`` of the previous end."""
-    merged = []
-    for a, b in sorted(pairs):
-        if merged and a <= merged[-1][1] + gap:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], b))
-        else:
-            merged.append((a, b))
-    return merged
-
-
-def merge_runs(pairs: Sequence[tuple[int, int]]) -> InternalSet:
+def merge_runs(pairs: Iterable[tuple[int, int]]) -> InternalSet:
     """Normalize arbitrary index pairs into an InternalSet (merge touching runs)."""
-    return InternalSet(tuple(_merge(((min(i, j), max(i, j)) for i, j in pairs), 1)))
+    starts, ends = [], []
+    for a, b in sorted((min(i, j), max(i, j)) for i, j in pairs):
+        if ends and a <= ends[-1] + 1:
+            ends[-1] = max(ends[-1], b)
+        else:
+            starts.append(a)
+            ends.append(b)
+    return InternalSet(tuple(starts), tuple(ends))
 
 
 class DeltaPartition(NamedTuple):
@@ -125,23 +123,23 @@ class DeltaPartition(NamedTuple):
 
 
 class _Intervals:
-    """The intervals of ``runs``, built on iteration.
+    """The intervals of the runs of ``iset``, built on iteration.
 
     ``parts(L)`` gives the point counts of the intervals a run of L points
     splits into, from its start; ``count`` is their total, so ``len`` is O(1).
     """
 
-    __slots__ = ("runs", "parts", "count")
+    __slots__ = ("iset", "parts", "count")
 
-    def __init__(self, runs, parts: Callable[[int], Iterable[int]], count: int):
-        self.runs, self.parts, self.count = runs, parts, count
+    def __init__(self, iset: InternalSet, parts: Callable[[int], Iterable[int]], count: int):
+        self.iset, self.parts, self.count = iset, parts, count
 
     def __len__(self) -> int:
         return self.count
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         parts = self.parts
-        for i, j in self.runs:
+        for i, j in zip(self.iset.starts, self.iset.ends):
             for c in parts(j - i + 1):
                 yield (i, i + c - 1)
                 i += c
@@ -175,21 +173,19 @@ def _partition_cost(counts: Mapping[int, int], s, N: int) -> float:
     return math.fsum(chain.from_iterable(copies((c / N) ** s, k) for c, k in counts.items()))
 
 
-def h_delta_s_greedy(
-    B: InternalSet, delta, s, grid: HyperGrid
-) -> DeltaPartition:
+def h_delta_s_greedy(B: InternalSet, delta, s, grid: HyperGrid) -> DeltaPartition:
     """Minimal-cost partition of B into delta-intervals (greedy, provably optimal)."""
     _check_s(s)
     B.validate_on(grid)
     D = _capacity(delta, grid)
-    lengths = [j - i + 1 for i, j in B.runs]
+    lengths = list(map(sub, B.ends, map(sub, B.starts, repeat(1))))  # end - start + 1 points
     counts = Counter(map(mod, lengths, repeat(D)))
     del counts[0]  # runs that split into full intervals only
     if full := sum(map(floordiv, lengths, repeat(D))):  # else D/N need not fit a float
         counts[D] = full
     total = counts.total()
     # sizes L, L - D, .. clipped to D: q full intervals, then the remainder
-    intervals = _Intervals(B.runs, lambda L: map(min, repeat(D), range(L, 0, -D)), total)
+    intervals = _Intervals(B, lambda L: map(min, repeat(D), range(L, 0, -D)), total)
     return DeltaPartition(intervals, _partition_cost(counts, s, grid.N), total)
 
 
@@ -209,7 +205,7 @@ def h_delta_s_dp(B: InternalSet, delta, s, grid: HyperGrid) -> DeltaPartition:
     B.validate_on(grid)
     D = _capacity(delta, grid)
     N = grid.N
-    lengths = [j - i + 1 for i, j in B.runs]
+    lengths = list(map(sub, B.ends, map(sub, B.starts, repeat(1))))
     longest = max(lengths, default=0)
     # iterating the intervals builds between card/D and card of them; both
     # terms are at most the sum of L*min(L, D) over the runs, one table per run
@@ -251,7 +247,7 @@ def h_delta_s_dp(B: InternalSet, delta, s, grid: HyperGrid) -> DeltaPartition:
         for c in trace(length):
             sizes[c] += runs
     total = sizes.total()
-    intervals = _Intervals(B.runs, lambda L: reversed([*trace(L)]), total)
+    intervals = _Intervals(B, lambda L: reversed([*trace(L)]), total)
     return DeltaPartition(intervals, _partition_cost(sizes, s, N), total)
 
 
@@ -274,21 +270,19 @@ def cantor_stage(m: int) -> list[tuple[Fraction, Fraction]]:
 def trace_superset(intervals, grid: HyperGrid) -> InternalSet:
     """Smallest internal superset of the grid trace, widened per component end.
 
-    Each merged component [a, b] traces to indices ceil(a*N)..floor(b*N);
-    the runs are then extended by ``_ENLARGE`` indices on each side (clamped
-    to the grid), mirroring the covering step that swallows points
-    infinitesimally close to the set at finite resolution.
+    Each interval [a, b] traces to indices ceil(a*N)..floor(b*N); the runs
+    are then extended by ``_ENLARGE`` indices on each side (clamped to the
+    grid), mirroring the covering step that swallows points infinitesimally
+    close to the set at finite resolution, and merged where they touch.
     """
     pairs = [(Fraction(a), Fraction(b)) for a, b in intervals]
     if not all(0 <= a <= b <= 1 for a, b in pairs):
         raise InputError("intervals must satisfy 0 <= a <= b <= 1")
     N = grid.N
-    runs = []
-    for a, b in _merge(pairs, 0):
-        lo, hi = math.ceil(a * N), math.floor(b * N)
-        if lo <= hi:  # the component holds a grid point
-            runs.append((max(0, lo - _ENLARGE), min(N, hi + _ENLARGE)))
-    return merge_runs(runs)
+    traces = ((math.ceil(a * N), math.floor(b * N)) for a, b in pairs)
+    # an interval holding no grid point traces to lo > hi
+    widened = ((max(0, lo - _ENLARGE), min(N, hi + _ENLARGE)) for lo, hi in traces if lo <= hi)
+    return merge_runs(widened)
 
 
 def outer_h_measure(
@@ -307,11 +301,7 @@ def outer_h_measure(
     if any(b >= a for a, b in zip(ds, ds[1:])):
         raise InputError("deltas must be strictly decreasing")
     B = trace_superset(region, grid)
-    out = []
-    for d in ds:
-        part = h_delta_s_greedy(B, d, s, grid)
-        out.append((d, part.cost))
-    return out
+    return [(d, h_delta_s_greedy(B, d, s, grid).cost) for d in ds]
 
 
 # ---------------------------------------------------------------------------
@@ -331,19 +321,62 @@ def internal_set_from_json(obj: dict) -> tuple[HyperGrid, InternalSet]:
     if not isinstance(N, int) or isinstance(N, bool):
         raise InputError("N must be an integer")
     runs = obj["runs"]
-    if (
-        not isinstance(runs, list)
-        or not all(map(isinstance, runs, repeat(list)))
-        or not set(map(len, runs)) <= {2}
-    ):
-        raise InputError("runs must be a list of [i, j] integer pairs")
     # type() is exact, so a JSON true or false is not taken for 1 or 0
-    if not set(map(type, chain.from_iterable(runs))) <= {int}:
+    if (not isinstance(runs, list) or not all(map(isinstance, runs, repeat(list)))
+            or not set(map(len, runs)) <= {2}
+            or not set(map(type, chain.from_iterable(runs))) <= {int}):
         raise InputError("runs must be a list of [i, j] integer pairs")
     grid = HyperGrid(N)
-    # each decoded pair is popped, and so freed, as its tuple is made
-    runs.reverse()
-    iset = InternalSet(tuple(map(tuple, map(list.pop, repeat(runs, len(runs))))))
+    # the columns share the decoded ints; the decoded pairs are then freed
+    iset = InternalSet(tuple(map(_START, runs)), tuple(map(_END, runs)))
+    runs.clear()
     iset.validate_on(grid)
     return grid, iset
 
+
+def internal_set_from_text(text: str, decode: Callable) -> tuple[HyperGrid, InternalSet]:
+    """The grid and set of a JSON set text: read in pieces if plain, else decoded by ``decode``."""
+    if read := _read_in_pieces(text):
+        return read
+    obj = decode(text)
+    del text  # freed before the decoded pairs become columns
+    return internal_set_from_json(obj)
+
+
+def _read_in_pieces(text: str) -> tuple[HyperGrid, InternalSet] | None:
+    """The grid and set of a plain internal-set text, or None for any other text.
+
+    The runs array is cut about every ``_CHUNK`` characters, after a ``]`` that a
+    comma follows.  Where each piece decodes to a non-empty list of two-item lists
+    whose items ``array('q')`` takes (64-bit ints, or bools, which a piece holding
+    no t or f lacks), the pieces are the whole array.
+    """
+    import json
+    import re
+    from array import array
+
+    ws = "[ \t\n\r]*"  # JSON's whitespace
+    head = re.match(f'{ws}{{{ws}"N"{ws}:{ws}(-?(?:0|[1-9][0-9]*)){ws},{ws}"runs"{ws}:{ws}\\[', text)
+    tail = re.compile(f"]{ws}}}{ws}\\Z").search(text, len(text) - 256)
+    if not head or not tail:
+        return None
+    cut = re.compile(f"]{ws},")
+    starts, ends = array("q"), array("q")
+    pos, stop = head.end(), tail.start()
+    try:
+        while True:
+            after = cut.search(text, min(pos + _CHUNK, stop), stop)
+            piece = text[pos:after.start() + 1 if after else stop]
+            runs = json.loads(f"[{piece}]")
+            if set(map(len, runs)) != {2} or "t" in piece or "f" in piece:  # {2}: and not empty
+                return None
+            starts.fromlist(list(map(_START, runs)))  # TypeError or KeyError: not an int
+            ends.fromlist(list(map(_END, runs)))
+            if not after:
+                grid, iset = HyperGrid(int(head[1])), InternalSet(starts, ends)
+                iset.validate_on(grid)
+                return grid, iset
+            pos = after.end()
+    # ValueError: not JSON, or past int()'s digit limit; OverflowError: past 64 bits
+    except (ValueError, RecursionError, TypeError, KeyError, OverflowError):
+        return None

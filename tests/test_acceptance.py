@@ -147,7 +147,7 @@ def _random_internal_set(rng: random.Random, N: int) -> InternalSet:
         cursor = end + 2
     if not runs:
         runs = [(0, rng.randint(0, N // 2))]
-    return InternalSet(tuple(runs))
+    return InternalSet(tuple(i for i, _ in runs), tuple(j for _, j in runs))
 
 
 def test_criterion_06_greedy_dp_oracle_200_cases():
@@ -253,8 +253,8 @@ def test_criterion_10_property_suites():
 
         total = h_delta_s_greedy(B, delta, s, grid).cost
         split = math.fsum(
-            h_delta_s_greedy(InternalSet((run,)), delta, s, grid).cost
-            for run in B.runs
+            h_delta_s_greedy(InternalSet((i,), (j,)), delta, s, grid).cost
+            for i, j in zip(B.starts, B.ends)
         )
         assert total == pytest.approx(split, rel=1e-12, abs=1e-15)
 

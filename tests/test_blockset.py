@@ -515,6 +515,23 @@ class TestBlockTable:
         with pytest.raises(OutOfRangeError, match=r"^digit position 8 outside \[0, 7\]$"):
             count_series(BlockCellSource(sch._replace(m_cap=7)), range(2, 20))
 
+    @pytest.mark.parametrize(
+        "levels, counts",
+        # on arithmetic(1, 1) blocks X(4) = X(3) = 1 and X(6) = X(5) + 1 = 3, X(1) = 0:
+        # [4, 3] gave [2, 2], and the others named X values, not levels
+        [([4, 3], [2]), ([6, 5], [8]), ([6, 1], [8])],
+    )
+    def test_levels_below_the_last_are_refused(self, levels, counts):
+        src = BlockCellSource(BlockSchedule(2, 2, SequenceSpec.arithmetic(1, 1)))
+        seen = []
+        with pytest.raises(InputError) as exc:
+            seen.extend(src.level_counts(levels))
+        assert str(exc.value) == (
+            f"level {levels[1]} after {levels[0]}: levels must be nondecreasing from 0"
+        )
+        assert seen == counts
+        assert list(src.level_counts([3, 4, 4, 6])) == [2, 2, 2, 8]
+
     def test_count_series_walks_once(self, monkeypatch):
         from fractaldim import seqgen
         from fractaldim.boxdim import count_series

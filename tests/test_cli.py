@@ -16,6 +16,7 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -24,7 +25,7 @@ import fractaldim
 from fractaldim import _digits, blockset, boxdim, cli, hypergrid, selfsimilar
 from fractaldim._digits import _READ_BASE_BITS, DECIMAL_BASE_BITS
 from fractaldim.cli import main
-from fractaldim.errors import BudgetExceededError, InputError
+from fractaldim.errors import BudgetExceededError, FractalDimError, InputError
 
 DOUBLING = {
     "base": 2,
@@ -1418,6 +1419,93 @@ def test_critical_d_contract_on_mutated_csv(capsys, tmp_path, data, base):
     assert_contract(*run_cli(capsys, "critical-d", str(path)))
 
 
+# endpoints and elements of a runs array that the text reader must decline, or
+# that fail on both paths: bools, floats, 64-bit limits, strings holding "],",
+# nested lists, empty elements and non-JSON numbers
+ODD_VALUES = st.sampled_from(
+    ["true", "false", "1.0", "1e2", "-0", "-1", "null", "NaN", "01", '"],"', "[1, 2]", "[]",
+     str(2**63 - 1), str(2**63), str(-(2**63)), str(-(2**63) - 1), str(10**20)]
+)
+ODD_ELEMENTS = st.sampled_from(
+    ["", "[1]", "[1, 2, 3]", "[[1, 2]]", "[[1, 2], [40, 50]]", '["],", 3]', '["a", "],["]',
+     "{}", "1", "[]", "[90, 99]]", "[91, 92],"]
+)
+
+
+@st.composite
+def internal_set_texts(draw):
+    """Internal-set JSON texts: whitespace between tokens, odd values, elements and keys.
+
+    Each odd part is drawn one time in eight or so, so about half the texts are plain.
+    """
+
+    def ws():
+        return draw(st.sampled_from(["", " ", "\n", "\r\n", "\t", " \r\n  "]))
+
+    def sep(token):
+        return ws() + token + ws()
+
+    values, pos = [], draw(st.integers(0, 3))
+    for gap, length in draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 9)), min_size=1, max_size=8)):
+        values += [str(pos), str(pos + length - 1)]
+        pos += length + gap
+    if draw(st.integers(0, 7)) == 0:
+        values[draw(st.integers(0, len(values) - 1))] = draw(ODD_VALUES)
+    items = [f"[{ws()}{a}{sep(',')}{b}{ws()}]" for a, b in zip(values[::2], values[1::2])]
+    if draw(st.integers(0, 15)) == 0:
+        items = []
+    if draw(st.integers(0, 7)) == 0:
+        items.insert(draw(st.integers(0, len(items))), draw(ODD_ELEMENTS))
+    body = "".join(item + sep(",") for item in items)
+    if draw(st.integers(0, 7)):  # else a trailing comma
+        body = body.rstrip(" \t\r\n").removesuffix(",")
+    pairs = [('"N"', str(draw(st.sampled_from([pos, pos + 3, max(pos - 2, 0), 1, 10**20])))),
+             ('"runs"', f"[{ws()}{body}{ws()}]")]
+    keys = draw(st.sampled_from(["plain"] * 12 + ["swapped", "duplicated", "extra", "missing"]))
+    if keys == "swapped":
+        pairs.reverse()
+    elif keys == "duplicated":
+        pairs.insert(draw(st.integers(0, 2)), draw(st.sampled_from(pairs)))
+    elif keys == "extra":
+        pairs.append(('"x"', "[[1, 2]]"))
+    elif keys == "missing":
+        pairs.pop(draw(st.integers(0, 1)))
+    members = sep(",").join(f"{key}{sep(':')}{value}" for key, value in pairs)
+    text = f"{ws()}{{{ws()}{members}{ws()}}}{ws()}"
+    if draw(st.integers(0, 7)) == 0:  # whitespace that JSON does not allow
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(["\x0b", "\u00a0", "\u2028"])) + text[at:]
+    return text
+
+
+def _set_outcome(read):
+    """The grid and the columns as tuples that ``read()`` gives, or its error's type and text."""
+    try:
+        grid, iset = read()
+    except FractalDimError as exc:
+        return type(exc), str(exc)
+    return grid, tuple(iset.starts), tuple(iset.ends)
+
+
+@settings(FUZZ, max_examples=400)
+@given(text=internal_set_texts())
+def test_set_text_reader_agrees_with_the_whole_document(capsys, tmp_path, text):
+    def decode(text):
+        return cli._load_json("s.json", text)
+
+    whole = _set_outcome(lambda: hypergrid.internal_set_from_json(decode(text)))
+    for chunk in range(1, len(text) + 2):  # a cut at each "]" that a comma follows, then none
+        with mock.patch.object(hypergrid, "_CHUNK", chunk):
+            assert _set_outcome(lambda: hypergrid.internal_set_from_text(text, decode)) == whole
+    path = tmp_path / "s.json"
+    path.write_bytes(text.encode())
+    argv = ["hyper-hsd", str(path), "--delta", "1/4", "--s", "1/2", "--oracle"]
+    pieces = run_cli(capsys, *argv)
+    with mock.patch.object(hypergrid, "_read_in_pieces", lambda text: None):
+        assert run_cli(capsys, *argv) == pieces
+    assert_contract(*pieces)
+
+
 def _decode_error(data: bytes) -> str:
     """The message ``bytes.decode`` gives for the first bad UTF-8 byte of ``data``."""
     try:
@@ -1525,10 +1613,21 @@ class TestStreamedInput:
         assert out.startswith("cost,")
         assert peak < 19.5e6
 
+    def test_a_set_text_is_read_in_pieces(self, capsys, tmp_path):
+        # decoded whole, and the pairs then made tuples: a peak of 17.3 MB
+        path = tmp_path / "short.json"
+        runs = [[i, i + 9] for i in range(0, 2_800_000, 28)]  # 10**5 runs
+        path.write_text(json.dumps({"N": 3_000_000, "runs": runs}))
+        del runs
+        code, out, err, peak = run_cli_peak(capsys, "hyper-hsd", str(path),
+                                            "--delta", "1/100", "--s", "1")
+        assert (code, out, err) == (0, "cost,0.333333333333\nintervals,100000\n", "")
+        assert peak < 6e6
+
     def test_the_runs_of_a_decoded_set_are_emptied(self):
         obj = {"N": 100, "runs": [[0, 9], [20, 24], [30, 30]]}
         grid, iset = hypergrid.internal_set_from_json(obj)
-        assert iset.runs == ((0, 9), (20, 24), (30, 30))
+        assert (iset.starts, iset.ends) == ((0, 20, 30), (9, 24, 30))
         assert obj["runs"] == []
 
 

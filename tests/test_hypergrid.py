@@ -7,9 +7,11 @@ membership loops over all grid indices.
 """
 
 import itertools
+import json
 import math
 import operator
 import tracemalloc
+from array import array
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -27,12 +29,23 @@ from fractaldim.hypergrid import (
     h_delta_s_dp,
     h_delta_s_greedy,
     internal_set_from_json,
+    internal_set_from_text,
     merge_runs,
     outer_h_measure,
     trace_superset,
 )
 
 CANTOR_DIM = math.log(2) / math.log(3)
+
+
+def from_runs(runs):
+    """The InternalSet of (start, end) pairs, as two tuple columns."""
+    return InternalSet(tuple(i for i, _ in runs), tuple(j for _, j in runs))
+
+
+def runs_in(B):
+    """The (start, end) pairs of an InternalSet's columns."""
+    return tuple(zip(B.starts, B.ends))
 
 
 def runs_of(points):
@@ -43,22 +56,22 @@ def runs_of(points):
 
 class TestInternalSet:
     def test_card(self):
-        assert InternalSet(((0, 9), (20, 24))).card == 15
+        assert from_runs(((0, 9), (20, 24))).card == 15
 
     def test_rejects_touching_runs(self):
         with pytest.raises(InputError):
-            InternalSet(((0, 5), (6, 8)))
+            from_runs(((0, 5), (6, 8)))
         with pytest.raises(InputError):
-            InternalSet(((0, 5), (3, 8)))
+            from_runs(((0, 5), (3, 8)))
 
     def test_merge_runs_normalizes(self):
         iset = merge_runs([(6, 8), (0, 5), (20, 22)])
-        assert iset.runs == ((0, 8), (20, 22))
+        assert runs_in(iset) == ((0, 8), (20, 22))
 
     def test_json_round_trip(self):
         grid, iset = internal_set_from_json({"N": 100, "runs": [[0, 9], [20, 24]]})
         assert grid.N == 100
-        assert iset.runs == ((0, 9), (20, 24))
+        assert runs_in(iset) == ((0, 9), (20, 24))
 
     def test_json_validation(self):
         with pytest.raises(InputError):
@@ -88,66 +101,142 @@ class TestInternalSet:
             internal_set_from_json({"N": 100, "runs": runs})
         assert str(info.value) == message
 
+    def test_columns_may_be_arrays(self):
+        runs = ((0, 9), (20, 24), (30, 30))
+        B = InternalSet(array("q", (0, 20, 30)), array("q", (9, 24, 30)))
+        assert B.card == from_runs(runs).card == 16
+        for solve in (h_delta_s_greedy, h_delta_s_dp):
+            part = solve(B, Fraction(1, 8), 0.5, HyperGrid(40))
+            assert part == solve(from_runs(runs), Fraction(1, 8), 0.5, HyperGrid(40))._replace(
+                intervals=part.intervals
+            )
+            assert list(part.intervals) == [(0, 4), (5, 9), (20, 24), (30, 30)]
+        with pytest.raises(InputError, match="^run end 30 exceeds grid index 29$"):
+            B.validate_on(HyperGrid(29))
+
+    def test_columns_of_unequal_length_are_refused(self):
+        with pytest.raises(InputError, match="^starts and ends must have the same length$"):
+            InternalSet((0, 20), (9,))
+
+
+class TestTextReader:
+    def test_a_plain_text_gives_int64_columns(self):
+        text = '\r\n{ "N" :100,\t"runs":[ [0, 9] ,\n[20,24],[30, 30]\r\n] }\n'
+        grid, iset = internal_set_from_text(text, json.loads)
+        assert grid == HyperGrid(100)
+        assert type(iset.starts) is type(iset.ends) is array and iset.starts.typecode == "q"
+        assert runs_in(iset) == runs_in(internal_set_from_json(json.loads(text))[1])
+
+    @pytest.mark.parametrize("chunk", [1, 7, 8, 9, 1 << 15])
+    def test_every_piece_joins_the_array(self, chunk):
+        runs = [[k * 10, k * 10 + k % 7] for k in range(300)]
+        text = json.dumps({"N": 3000, "runs": runs})
+        with mock.patch.object(hypergrid, "_CHUNK", chunk):
+            _, iset = internal_set_from_text(text, json.loads)
+        assert runs_in(iset) == tuple(map(tuple, runs))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"N": 100, "runs": [[0, true]]}',
+            '{"N": 100, "runs": [[0, 1.0]]}',
+            '{"N": 100, "runs": [[0, 9223372036854775808]]}',
+            '{"N": 100, "runs": [[-9223372036854775809, 0]]}',
+            '{"runs": [[0, 9]], "N": 100}',
+            '{"N": 100, "N": 100, "runs": [[0, 9]]}',
+            '{"N": 100, "runs": [[0, 9]], "runs": [[0, 9]]}',
+            '{"N": 100, "runs": [[0, 9],]}',
+            '{"N": 100, "runs": [[0, 9],, [20, 24]]}',
+            '{"N": 100, "runs": []}',
+            '{"N": 100, "runs": [[0, [9]]]}',
+            '{"N": 100, "runs": [["],", 9]]}',
+            '{"N": 1e2, "runs": [[0, 9]]}',
+            '{"N": 100, "runs": [[0, 9]]}\x0b',
+            '{"N": 100, "runs": [[0, false]]}',
+            '{"N": 100, "runs": [[0, null]]}',
+            '{"N": 100, "runs": [[0, 9, 10]]}',
+            '{"N": 100, "runs": [[0, 9], [20]]}',
+            '{"N": 100, "runs": [[0, 9], {"a": 1, "b": 2}]}',
+            '{"N": 100, "runs": [[0, 9], "ab"]}',
+            '{"N": 100, "runs": [[0, 9], 20]}',
+        ],
+    )
+    def test_any_other_text_is_declined(self, text):
+        assert hypergrid._read_in_pieces(text) is None
+
+    def test_only_a_declined_text_is_decoded_whole(self):
+        decoded = []
+
+        def decode(text):
+            decoded.append(text)
+            return json.loads(text)
+
+        plain, reversed_keys = '{"N": 100, "runs": [[0, 9]]}', '{"runs": [[0, 9]], "N": 100}'
+        grid, iset = internal_set_from_text(plain, decode)
+        assert (decoded, type(iset.starts)) == ([], array)
+        assert internal_set_from_text(reversed_keys, decode) == (grid, InternalSet((0,), (9,)))
+        assert decoded == [reversed_keys]
+
 
 class TestGreedyPartition:
     def test_full_grid_example(self):
         # 101 points at capacity 10: ten full intervals and one singleton
         part = h_delta_s_greedy(
-            InternalSet(((0, 100),)), Fraction(1, 10), 1, HyperGrid(100)
+            from_runs(((0, 100),)), Fraction(1, 10), 1, HyperGrid(100)
         )
         assert part.cost == 1.01
         assert len(part.intervals) == 11
 
     def test_two_runs_half_power(self):
         part = h_delta_s_greedy(
-            InternalSet(((0, 4), (50, 54))), Fraction(1, 20), 0.5, HyperGrid(100)
+            from_runs(((0, 4), (50, 54))), Fraction(1, 20), 0.5, HyperGrid(100)
         )
         assert part.cost == pytest.approx(2 * (5 / 100) ** 0.5, abs=1e-12)
         assert len(part.intervals) == 2
 
     def test_single_point(self):
         grid = HyperGrid(64)
-        part = h_delta_s_greedy(InternalSet(((7, 7),)), Fraction(1, 4), 0.5, grid)
+        part = h_delta_s_greedy(from_runs(((7, 7),)), Fraction(1, 4), 0.5, grid)
         assert part.cost == pytest.approx((1 / 64) ** 0.5, abs=1e-15)
 
     def test_intervals_partition_the_set(self):
-        B = InternalSet(((0, 30), (40, 45)))
+        B = from_runs(((0, 30), (40, 45)))
         part = h_delta_s_greedy(B, Fraction(1, 16), 0.7, HyperGrid(100))
         covered = sorted(
             i for a, b in part.intervals for i in range(a, b + 1)
         )
         assert covered == sorted(
-            i for a, b in B.runs for i in range(a, b + 1)
+            i for a, b in runs_in(B) for i in range(a, b + 1)
         )
         D = 100 // 16  # floor(delta*N)
         assert all(b - a + 1 <= D for a, b in part.intervals)
 
     def test_infeasible_delta(self):
         with pytest.raises(InfeasibleDeltaError):
-            h_delta_s_greedy(InternalSet(((0, 3),)), Fraction(1, 200), 1, HyperGrid(100))
+            h_delta_s_greedy(from_runs(((0, 3),)), Fraction(1, 200), 1, HyperGrid(100))
 
     def test_count_without_len(self):
-        small = InternalSet(((0, 30), (40, 45)))
+        small = from_runs(((0, 30), (40, 45)))
         for solve in (h_delta_s_greedy, h_delta_s_dp):
             part = solve(small, Fraction(1, 16), 0.7, HyperGrid(100))
             assert part.count == len(part.intervals) == 7
         # more intervals than sys.maxsize: len() of them overflows, the count does not
         N = 10**20
-        part = h_delta_s_greedy(InternalSet(((0, N),)), Fraction(1, N), 0.5, HyperGrid(N))
+        part = h_delta_s_greedy(from_runs(((0, N),)), Fraction(1, N), 0.5, HyperGrid(N))
         assert part.count == N + 1
 
     def test_s_validation(self):
         with pytest.raises(InputError):
-            h_delta_s_greedy(InternalSet(((0, 3),)), Fraction(1, 10), 0, HyperGrid(100))
+            h_delta_s_greedy(from_runs(((0, 3),)), Fraction(1, 10), 0, HyperGrid(100))
 
 
 class TestDpOracle:
     def test_reproduces_greedy_examples(self):
         grid = HyperGrid(100)
         cases = [
-            (InternalSet(((0, 100),)), Fraction(1, 10), 1),
-            (InternalSet(((0, 4), (50, 54))), Fraction(1, 20), 0.5),
-            (InternalSet(((7, 7),)), Fraction(1, 4), 0.3),
+            (from_runs(((0, 100),)), Fraction(1, 10), 1),
+            (from_runs(((0, 4), (50, 54))), Fraction(1, 20), 0.5),
+            (from_runs(((7, 7),)), Fraction(1, 4), 0.3),
         ]
         for B, delta, s in cases:
             greedy = h_delta_s_greedy(B, delta, s, grid)
@@ -158,7 +247,7 @@ class TestDpOracle:
         # exhaustive check on a small run: every composition of 6 points
         # into parts of size <= 3 costs at least the DP optimum
         grid = HyperGrid(30)
-        B = InternalSet(((4, 9),))
+        B = from_runs(((4, 9),))
         s = 0.5
         dp = h_delta_s_dp(B, Fraction(1, 10), s, grid)
 
@@ -182,7 +271,7 @@ class TestLongRunsAndBudget:
         N = 10**9
         tracemalloc.start()
         try:
-            part = h_delta_s_greedy(InternalSet(((0, N - 1),)), Fraction(1, N), 0.5, HyperGrid(N))
+            part = h_delta_s_greedy(from_runs(((0, N - 1),)), Fraction(1, N), 0.5, HyperGrid(N))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -198,7 +287,7 @@ class TestLongRunsAndBudget:
         n = 20_000
         tracemalloc.start()
         try:
-            part = h_delta_s_dp(InternalSet(((0, n - 1),)), Fraction(1, n), 0.5, HyperGrid(n))
+            part = h_delta_s_dp(from_runs(((0, n - 1),)), Fraction(1, n), 0.5, HyperGrid(n))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -209,13 +298,13 @@ class TestLongRunsAndBudget:
         # one run of 20,001 points at D = 1000 needs 20,001,000 cell updates
         grid = HyperGrid(40_000)
         with pytest.raises(BudgetExceededError):
-            h_delta_s_dp(InternalSet(((0, 20_000),)), Fraction(1000, 40_000), 0.5, grid)
+            h_delta_s_dp(from_runs(((0, 20_000),)), Fraction(1000, 40_000), 0.5, grid)
 
     def test_dp_budget_counts_short_runs_by_their_length(self):
         # L*D would be 10**10 here; L*min(L, D) is 10**6
         runs = tuple((300 * k, 300 * k + 99) for k in range(100))
         grid = HyperGrid(10**6)
-        B = InternalSet(runs)
+        B = from_runs(runs)
         dp = h_delta_s_dp(B, Fraction(1), 0.5, grid)
         assert dp.cost == h_delta_s_greedy(B, Fraction(1), 0.5, grid).cost
 
@@ -224,7 +313,7 @@ class TestLongRunsAndBudget:
         # serves them all, where filling one per run would need 3 * 10**7
         runs = tuple((2000 * k, 2000 * k + 999) for k in range(30))
         grid = HyperGrid(60_000)
-        B = InternalSet(runs)
+        B = from_runs(runs)
         dp = h_delta_s_dp(B, Fraction(1000, 60_000), 0.5, grid)
         assert dp.count == 30
         assert dp.cost == h_delta_s_greedy(B, Fraction(1000, 60_000), 0.5, grid).cost
@@ -235,14 +324,14 @@ class TestLongRunsAndBudget:
         runs = tuple((2 * 10**7 * k, 2 * 10**7 * k + 10**7 - 1) for k in range(10))
         grid = HyperGrid(2 * 10**8)
         with pytest.raises(BudgetExceededError, match="100000000"):
-            h_delta_s_dp(InternalSet(runs), Fraction(1, 2 * 10**8), 0.5, grid)
+            h_delta_s_dp(from_runs(runs), Fraction(1, 2 * 10**8), 0.5, grid)
 
 
 def _reference_dp(B, D, s, N):
     """The exact DP run afresh over each run; the cost summed exactly and rounded once."""
     w = [0.0] + [(c / N) ** float(s) for c in range(1, D + 1)]
     intervals = []
-    for i, j in B.runs:
+    for i, j in runs_in(B):
         length = j - i + 1
         dp, choice = [0.0] * (length + 1), [0] * (length + 1)
         for t in range(1, length + 1):
@@ -275,7 +364,7 @@ def test_dp_one_table_matches_per_run_reference(gaps_lengths, d, s):
         runs.append((pos, pos + length - 1))
         pos += length
     grid = HyperGrid(pos + 1)
-    B = InternalSet(tuple(runs))
+    B = from_runs(runs)
     part = h_delta_s_dp(B, Fraction(d, grid.N), s, grid)
     intervals, cost = _reference_dp(B, d, s, grid.N)
     assert list(part.intervals) == intervals
@@ -286,7 +375,7 @@ def _list_index_dp(B, delta, s, grid):
     """The one-table DP as first written: each row's candidate list, min() and index()."""
     D = hypergrid._capacity(delta, grid)
     N = grid.N
-    lengths = [j - i + 1 for i, j in B.runs]
+    lengths = [j - i + 1 for i, j in runs_in(B)]
     longest = max(lengths, default=0)
     work = max(longest * min(longest, D), sum(lengths))
     if work > hypergrid._DP_BUDGET:
@@ -303,7 +392,7 @@ def _list_index_dp(B, delta, s, grid):
         dp[t] = best
         choice[t] = k - cands.index(best)
     intervals = []
-    for (i, _), length in zip(B.runs, lengths):
+    for (i, _), length in zip(runs_in(B), lengths):
         parts = []
         t = length
         while t > 0:
@@ -330,7 +419,7 @@ def dp_inputs(draw):
     grid = HyperGrid(pos + draw(st.integers(0, 50)))
     d = draw(st.one_of(st.integers(1, max(lengths) + 5), st.integers(1, grid.N)))
     s = draw(st.one_of(st.sampled_from([1, Fraction(1, 2), Fraction(3, 10)]), st.floats(0.01, 1.0)))
-    return grid, InternalSet(tuple(runs)), Fraction(d, grid.N), s
+    return grid, from_runs(runs), Fraction(d, grid.N), s
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -352,7 +441,7 @@ def _no_cell_update(*args):
 def test_dp_budget_refuses_what_it_refused_before_any_work(inputs, over):
     # the budget set just below or at each input's work, as the list/index DP counted it
     grid, B, delta, s = inputs
-    lengths = [j - i + 1 for i, j in B.runs]
+    lengths = [j - i + 1 for i, j in runs_in(B)]
     D = hypergrid._capacity(delta, grid)
     work = max(max(lengths) * min(max(lengths), D), sum(lengths))
     with mock.patch.object(hypergrid, "_DP_BUDGET", work - over):
@@ -371,11 +460,11 @@ def test_dp_budget_refuses_what_it_refused_before_any_work(inputs, over):
 class TestTraceSuperset:
     def test_unit_interval_full_grid(self):
         iset = trace_superset([(0, 1)], HyperGrid(100))
-        assert iset.runs == ((0, 100),)
+        assert runs_in(iset) == ((0, 100),)
 
     def test_enlargement_and_clamping(self):
         iset = trace_superset([(Fraction(1, 4), Fraction(1, 2))], HyperGrid(8))
-        assert iset.runs == ((1, 5),)  # trace 2..4 widened one index each side
+        assert runs_in(iset) == ((1, 5),)  # trace 2..4 widened one index each side
 
     @pytest.mark.parametrize("interval", [(Fraction(1, 2), Fraction(1, 4)), (0, 2), (-1, 0)])
     def test_rejects_intervals_outside_the_unit_interval(self, interval):
@@ -385,10 +474,10 @@ class TestTraceSuperset:
     def test_cantor_stage_runs(self):
         m, N = 2, 3**4
         iset = trace_superset(cantor_stage(m), HyperGrid(N))
-        assert len(iset.runs) == 2**m
+        assert len(runs_in(iset)) == 2**m
         # interior runs widen by one index per side; the two boundary runs
         # clamp at the grid edge and only widen inward
-        lengths = [b - a + 1 for a, b in iset.runs]
+        lengths = [b - a + 1 for a, b in runs_in(iset)]
         base = N // 3**m + 1
         assert lengths == [base + 1] + [base + 2] * (2**m - 2) + [base + 1]
 
@@ -409,7 +498,7 @@ class TestTraceSuperset:
 def test_merge_runs_is_the_runs_of_the_union(pairs):
     # pairs come unsorted, reversed, overlapping and touching
     points = {k for i, j in pairs for k in range(min(i, j), max(i, j) + 1)}
-    assert merge_runs(pairs).runs == runs_of(points)
+    assert runs_in(merge_runs(pairs)) == runs_of(points)
 
 
 _RATIONAL = st.integers(1, 50).flatmap(lambda q: st.integers(0, q).map(lambda p: Fraction(p, q)))
@@ -424,7 +513,7 @@ def test_trace_superset_matches_a_grid_scan(N, intervals):
     # every grid point in the set, widened by _ENLARGE and clamped to [0, N]
     inside = [i for i in range(N + 1) if any(a <= Fraction(i, N) <= b for a, b in intervals)]
     widened = {k for i in inside for k in range(max(0, i - _ENLARGE), min(N, i + _ENLARGE) + 1)}
-    assert trace_superset(intervals, HyperGrid(N)).runs == runs_of(widened)
+    assert runs_in(trace_superset(intervals, HyperGrid(N))) == runs_of(widened)
 
 
 class TestOuterHMeasure:
@@ -498,7 +587,7 @@ def grid_and_set(draw):
         runs.append((a, b))
     if not runs:
         runs = [(0, 0)]
-    return HyperGrid(N), InternalSet(tuple(runs))
+    return HyperGrid(N), from_runs(runs)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -532,7 +621,7 @@ def test_additive_over_separated_runs(gs, d, s):
     delta = Fraction(d, grid.N)
     total = h_delta_s_greedy(B, delta, s, grid).cost
     parts = math.fsum(
-        h_delta_s_greedy(InternalSet((run,)), delta, s, grid).cost for run in B.runs
+        h_delta_s_greedy(from_runs((run,)), delta, s, grid).cost for run in runs_in(B)
     )
     assert total == pytest.approx(parts, rel=1e-12, abs=1e-15)
 
@@ -558,7 +647,7 @@ def test_greedy_equals_dp(gs, d, s):
 def explicit_greedy(B, D):
     """Reference: the greedy intervals written out one by one."""
     intervals = []
-    for i, j in B.runs:
+    for i, j in runs_in(B):
         q, r = divmod(j - i + 1, D)
         pos = i
         for _ in range(q):
@@ -572,7 +661,7 @@ def explicit_greedy(B, D):
 def scalar_dp(B, D, s, N):
     """Reference: the DP with one scalar comparison per candidate, largest c on ties."""
     intervals = []
-    for i, j in B.runs:
+    for i, j in runs_in(B):
         length = j - i + 1
         dp, choice = [0.0] * (length + 1), [0] * (length + 1)
         for t in range(1, length + 1):
@@ -602,7 +691,7 @@ def wide_grid_and_set(draw):
         b = min(draw(st.integers(a, N)), nxt - 2)
         if b >= a:
             runs.append((a, b))
-    return HyperGrid(N), InternalSet(tuple(runs) or ((0, 0),))
+    return HyperGrid(N), from_runs(runs or [(0, 0)])
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)

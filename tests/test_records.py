@@ -69,7 +69,7 @@ SAMPLES = {
     CriticalExponent: dict(d=1.0, lo=0.9, hi=1.1, degenerate=False),
     ClosureCheckReport: dict(equal=True, sample_cells=3, reference_cells=3),
     HyperGrid: dict(N=10),
-    InternalSet: dict(runs=((0, 2), (4, 5))),
+    InternalSet: dict(starts=(0, 4), ends=(2, 5)),
     DeltaPartition: dict(intervals=((0, 1), (2, 2)), cost=0.75, count=2),
     PieceRule: dict(name="cantor", pieces=2, scale=3, ambient_dim=1),
     IfsRatios: dict(ratios=(0.5, 0.25), counts=(2, 1)),
@@ -114,7 +114,7 @@ CHANGED = {
     CriticalExponent: dict(hi=1.2),
     ClosureCheckReport: dict(reference_cells=4),
     HyperGrid: dict(N=11),
-    InternalSet: dict(runs=((0, 3),)),
+    InternalSet: dict(starts=(0,), ends=(3,)),
     DeltaPartition: dict(cost=0.5),
     PieceRule: dict(pieces=3),
     IfsRatios: dict(counts=(1, 1)),
@@ -154,10 +154,10 @@ INVALID = [
     (CountSeries, dict(entries=(ENTRIES[0], CountEntry(2, Fraction(1, 2), 4)))),
     (CountSeries, dict(entries=(CountEntry(1, Fraction(1, 2), -1),))),
     (HyperGrid, dict(N=1)),
-    (InternalSet, dict(runs=((-1, 2),))),
-    (InternalSet, dict(runs=((3, 2),))),
-    (InternalSet, dict(runs=((0, 2), (3, 4)))),
-    (InternalSet, dict(runs=((4, 5), (0, 1)))),
+    (InternalSet, dict(starts=(-1,), ends=(2,))),
+    (InternalSet, dict(starts=(3,), ends=(2,))),
+    (InternalSet, dict(starts=(0, 3), ends=(2, 4))),
+    (InternalSet, dict(starts=(4, 0), ends=(5, 1))),
     (PieceRule, dict(name="x", pieces=0, scale=3, ambient_dim=1)),
     (PieceRule, dict(name="x", pieces=2, scale=1, ambient_dim=1)),
     (IfsRatios, dict(ratios=())),
@@ -168,6 +168,7 @@ INVALID = [
     (IfsRatios, dict(ratios=(0.5,), counts=(True,))),
     (IfsRatios, dict(ratios=(0.5,), counts=(2.0,))),
     (IfsRatios, dict(ratios=(0.5,), counts=(10**400,))),
+    (InternalSet, dict(starts=(0, 4), ends=(2,))),
 ]
 
 
@@ -187,7 +188,7 @@ def test_invalid_fields_are_refused_at_construction(cls, fields):
         lambda: BlockSchedule(3, 2, SPEC, None, 0),
         lambda: CountSeries(ENTRIES[::-1], 1),
         lambda: HyperGrid(1),
-        lambda: InternalSet(((3, 2),)),
+        lambda: InternalSet((3,), (2,)),
         lambda: PieceRule("x", 2, 1, 1),
         lambda: IfsRatios((0.5, 0.25), (1,)),
     ],
@@ -203,7 +204,7 @@ REPLACED = [
     (BlockSchedule(3, 2, SPEC), dict(alphabet=4)),
     (CountSeries(ENTRIES), dict(entries=ENTRIES[::-1])),
     (HyperGrid(10), dict(N=1)),
-    (InternalSet(((0, 2),)), dict(runs=((3, 2),))),
+    (InternalSet((0,), (2,)), dict(starts=(3,))),
     (PieceRule("x", 2, 3, 1), dict(scale=1)),
     (IfsRatios((0.5,)), dict(ratios=(2.0,))),
 ]

@@ -13,6 +13,9 @@ prints one line per operation:
 Then it runs a fixed set of ``critical-d`` and ``hyper-hsd`` inputs that take
 the readers' error and line-splitting paths (a bad byte past the first 8 KiB,
 a bad row before a bad byte, CRLF and U+2028 line breaks, a missing file),
+internal sets that the ``hyper-hsd`` text reader leaves to the whole-document
+decoder (a bool endpoint, an endpoint past 2**63, keys in reverse order, a
+trailing comma, an empty ``runs``) and one set written with CRLF whitespace,
 and ``fractal NAME --m-max 300`` for every geometry catalog name and alias,
 so the ``koch`` perimeter's closed-form column, which differs from its
 recurrence, is hashed too, and ``fractal cantor --m-max 3``, which exits 4,
@@ -95,20 +98,30 @@ def input_ops(work: Path) -> list[tuple[str, list[str]]]:
     rows = [f"{m},1/{3**m},{8**m}" for m in range(1, 400)]
     csv = "\n".join(["m,delta,n_cells", *rows, ""]).encode()
     runs = [[i, i + 9] for i in range(0, 900_000, 30)]
-    setspec = json.dumps({"N": 10**6, "runs": runs}).encode()
+    setspec = json.dumps({"N": 10**6, "runs": runs})
+    # texts the hyper-hsd reader declines and decodes whole, and one with CRLF whitespace
+    sets = {
+        "set_bool.json": setspec.replace("[30, 39]", "[30, true]"),
+        "set_past_int64.json": json.dumps({"N": 10**20, "runs": [*runs, [2**63, 2**63 + 5]]}),
+        "set_reversed_keys.json": json.dumps({"runs": runs, "N": 10**6}),
+        "set_trailing_comma.json": setspec.replace("]]}", "],]}"),
+        "set_crlf.json": json.dumps({"N": 10**6, "runs": runs}, indent=1).replace("\n", "\r\n"),
+        "set_empty_runs.json": json.dumps({"N": 10**6, "runs": []}),
+    }
     breaks = "".join(row + ("\r\n" if m % 2 else "\u2028") for m, row in enumerate(rows))
     files = {
         "late_byte.csv": csv[:20_000] + b"\xff" + csv[20_000:],
         "row_then_byte.csv": csv[:24] + b"2,x,4\n" + csv[24:] + b"\xff\n",
         "line_breaks.csv": ("m,delta,n_cells\r\n" + breaks).encode(),
-        "late_byte.json": setspec[:20_000] + b"\xff" + setspec[20_000:],
+        "late_byte.json": setspec[:20_000].encode() + b"\xff" + setspec[20_000:].encode(),
+        **{name: text.encode() for name, text in sets.items()},
     }
     for name, data in files.items():
         (work / name).write_bytes(data)
     csvs = ("late_byte.csv", "row_then_byte.csv", "line_breaks.csv", "missing.csv")
     ops = [(name, ["critical-d", name]) for name in csvs]
     ops += [(name, ["hyper-hsd", name, "--delta", "1/100", "--s", "1/2"])
-            for name in ("late_byte.json", "missing.json")]
+            for name in ("late_byte.json", "missing.json", *sets)]
     ops += [(f"fractal_{name}", ["fractal", name, "--m-max", "300"])
             for name in ("koch", "quadratic_koch", "sierpinski_gasket", "sierpinski_carpet",
                          "menger_sponge", "menger_standard", "carpet", "gasket", "menger")]
