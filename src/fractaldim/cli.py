@@ -16,7 +16,7 @@ import math
 import sys
 from fractions import Fraction
 from itertools import chain, islice
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import blockset, boxdim, hypergrid, selfsimilar, seqgen
 from ._digits import _digits_exceed, _power_digits_exceed, _power_exceeds, fraction_column
@@ -75,13 +75,30 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_json(path: str, text: str | None = None):
+def _load_json(path: str):
     try:
-        return json.loads(_read(path) if text is None else text)  # text: the file's, if read
+        return json.loads(_read(path))
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
     except ValueError as exc:  # an integer over the interpreter's int() digit limit
         raise InputError(f"cannot read a number in {path}: {exc}") from exc
+
+
+def _read_file(path: str, read: Callable):
+    """``read`` of the file at ``path`` opened as UTF-8 text, failing as a whole read would."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return read(fh)
+    except (OSError, UnicodeDecodeError, InputError):
+        # as a whole read fails: a bad byte's offset in the file, not a piece, before bad text
+        _read(path)
+        raise
+
+
+def _read_set(path: str) -> tuple[hypergrid.HyperGrid, hypergrid.InternalSet]:
+    """The set file at ``path`` read in pieces, or, where the reader declines it, whole."""
+    return _read_file(path, lambda fh: hypergrid.internal_set_from_text(
+        iter(lambda: fh.read(hypergrid._CHUNK), ""), lambda _: _load_json(path)))
 
 
 def _write_lines(fh, lines: Iterable[str]) -> None:
@@ -257,14 +274,7 @@ def _check_printable_power(base: int, q: int) -> None:
 
 
 def cmd_critical_d(args) -> Iterable[str]:
-    try:
-        with open(args.counts, "r", encoding="utf-8") as fh:
-            series = boxdim.count_series_from_csv(fh)
-    except (OSError, UnicodeDecodeError, InputError):
-        # a file that cannot be read or decoded says so as a whole read would,
-        # with the byte's offset, before any error in its rows
-        _read(args.counts)
-        raise
+    series = _read_file(args.counts, boxdim.count_series_from_csv)
     result = boxdim.critical_d(series, tol=args.tol, d_max=args.d_max)
     lines = [f"critical_d,{_fmt(result.d, args.precision)}"]
     lines.append(f"bracket,{_fmt(result.lo, args.precision)},{_fmt(result.hi, args.precision)}")
@@ -274,9 +284,7 @@ def cmd_critical_d(args) -> Iterable[str]:
 
 
 def cmd_hyper_hsd(args) -> Iterable[str]:
-    grid, iset = hypergrid.internal_set_from_text(
-        _read(args.setspec), lambda text: _load_json(args.setspec, text)
-    )
+    grid, iset = _read_set(args.setspec)
     delta = _fr(args.delta)
     s = _fr(args.s)
     part = hypergrid.h_delta_s_greedy(iset, delta, s, grid)

@@ -15,13 +15,13 @@ so the sum over a partition with the fewest, most unequal parts is minimal
 subadditivity).  The cost depends only on the multiset {point count:
 multiplicity} of the intervals, so the greedy partition is costed from
 {D: total full intervals, r: runs with remainder r} in time linear in the
-number of runs.  An exact dynamic program within a fixed work budget, about
-40 bytes per point, is the independent oracle for that claim.  Both solvers
-build their intervals only when iterated.
+number of runs, with no list per run.  An exact dynamic program within a
+fixed work budget, about 40 bytes per point, is the independent oracle for
+that claim.  Both solvers build their intervals only when iterated.
 
 A set is held as two int columns, its run starts and ends.  The JSON text
-reader decodes a runs array in pieces of about 32 KiB into two ``array('q')``,
-and leaves any other text to the whole-document decoder, which builds tuples.
+reader takes a text, or a file's reads, about 32 KiB at a time into two
+``array('q')``, and leaves any other text to the whole-document decoder.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, islice, repeat
-from operator import add, floordiv, gt, itemgetter, mod, sub
+from operator import add, gt, itemgetter, mod, mul, sub
 from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._fsum import copies
@@ -178,10 +178,11 @@ def h_delta_s_greedy(B: InternalSet, delta, s, grid: HyperGrid) -> DeltaPartitio
     _check_s(s)
     B.validate_on(grid)
     D = _capacity(delta, grid)
-    lengths = list(map(sub, B.ends, map(sub, B.starts, repeat(1))))  # end - start + 1 points
-    counts = Counter(map(mod, lengths, repeat(D)))
+    # a run of L = end - start + 1 points splits into L // D full intervals and one of L % D
+    counts = Counter(map(mod, map(sub, B.ends, map(sub, B.starts, repeat(1))), repeat(D)))
+    full = (B.card - sum(map(mul, counts, counts.values()))) // D  # the points of no remainder
     del counts[0]  # runs that split into full intervals only
-    if full := sum(map(floordiv, lengths, repeat(D))):  # else D/N need not fit a float
+    if full:  # else D/N need not fit a float
         counts[D] = full
     total = counts.total()
     # sizes L, L - D, .. clipped to D: q full intervals, then the remainder
@@ -205,11 +206,11 @@ def h_delta_s_dp(B: InternalSet, delta, s, grid: HyperGrid) -> DeltaPartition:
     B.validate_on(grid)
     D = _capacity(delta, grid)
     N = grid.N
-    lengths = list(map(sub, B.ends, map(sub, B.starts, repeat(1))))
-    longest = max(lengths, default=0)
+    runs = Counter(map(sub, B.ends, map(sub, B.starts, repeat(1))))  # {length: runs}
+    longest = max(runs, default=0)
     # iterating the intervals builds between card/D and card of them; both
     # terms are at most the sum of L*min(L, D) over the runs, one table per run
-    work = max(longest * min(longest, D), sum(lengths))
+    work = max(longest * min(longest, D), sum(map(mul, runs, runs.values())))  # card
     if work > _DP_BUDGET:
         raise BudgetExceededError(
             f"DP oracle needs {work} cell updates, over the budget of {_DP_BUDGET}"
@@ -243,9 +244,9 @@ def h_delta_s_dp(B: InternalSet, delta, s, grid: HyperGrid) -> DeltaPartition:
 
     # runs of equal length split alike, so each length is traced once
     sizes: Counter[int] = Counter()
-    for length, runs in Counter(lengths).items():
+    for length, k in runs.items():
         for c in trace(length):
-            sizes[c] += runs
+            sizes[c] += k
     total = sizes.total()
     intervals = _Intervals(B, lambda L: reversed([*trace(L)]), total)
     return DeltaPartition(intervals, _partition_cost(sizes, s, N), total)
@@ -334,8 +335,9 @@ def internal_set_from_json(obj: dict) -> tuple[HyperGrid, InternalSet]:
     return grid, iset
 
 
-def internal_set_from_text(text: str, decode: Callable) -> tuple[HyperGrid, InternalSet]:
-    """The grid and set of a JSON set text: read in pieces if plain, else decoded by ``decode``."""
+def internal_set_from_text(text: str | Iterable[str],
+                           decode: Callable) -> tuple[HyperGrid, InternalSet]:
+    """The grid and set of a JSON set text or its pieces: read in pieces if plain, else decoded."""
     if read := _read_in_pieces(text):
         return read
     obj = decode(text)
@@ -343,40 +345,52 @@ def internal_set_from_text(text: str, decode: Callable) -> tuple[HyperGrid, Inte
     return internal_set_from_json(obj)
 
 
-def _read_in_pieces(text: str) -> tuple[HyperGrid, InternalSet] | None:
-    """The grid and set of a plain internal-set text, or None for any other text.
+def _read_in_pieces(text: str | Iterable[str]) -> tuple[HyperGrid, InternalSet] | None:
+    """The grid and set of a plain internal-set text or its pieces, or None for any other.
 
-    The runs array is cut about every ``_CHUNK`` characters, after a ``]`` that a
-    comma follows.  Where each piece decodes to a non-empty list of two-item lists
-    whose items ``array('q')`` takes (64-bit ints, or bools, which a piece holding
-    no t or f lacks), the pieces are the whole array.
+    A str is taken ``_CHUNK`` characters at a time.  The runs read so far are cut after
+    the last ``]`` that a comma follows, the rest (at most 4 KiB) carried; each cut must
+    decode to a non-empty list of pairs that ``array('q')`` takes, with no t or f (bools).
     """
     import json
     import re
     from array import array
 
+    pieces = text if not isinstance(text, str) else (
+        text[i:i + _CHUNK] for i in range(0, len(text), _CHUNK))
     ws = "[ \t\n\r]*"  # JSON's whitespace
-    head = re.match(f'{ws}{{{ws}"N"{ws}:{ws}(-?(?:0|[1-9][0-9]*)){ws},{ws}"runs"{ws}:{ws}\\[', text)
-    tail = re.compile(f"]{ws}}}{ws}\\Z").search(text, len(text) - 256)
-    if not head or not tail:
-        return None
-    cut = re.compile(f"]{ws},")
+    head = re.compile(f'{ws}{{{ws}"N"{ws}:{ws}(-?(?:0|[1-9][0-9]*)){ws},{ws}"runs"{ws}:{ws}\\[')
+    cut = re.compile(f"(?s:.*)]{ws},")  # the greedy prefix makes it the last cut
     starts, ends = array("q"), array("q")
-    pos, stop = head.end(), tail.start()
+
+    def add(piece: str) -> None:
+        runs = json.loads(f"[{piece}]")
+        if set(map(len, runs)) != {2} or "t" in piece or "f" in piece:  # {2}: and not empty
+            raise ValueError("not a list of integer pairs")
+        starts.fromlist(list(map(_START, runs)))  # TypeError or KeyError: not an int
+        ends.fromlist(list(map(_END, runs)))
+
+    carry, scan, opening = "", 0, None
     try:
-        while True:
-            after = cut.search(text, min(pos + _CHUNK, stop), stop)
-            piece = text[pos:after.start() + 1 if after else stop]
-            runs = json.loads(f"[{piece}]")
-            if set(map(len, runs)) != {2} or "t" in piece or "f" in piece:  # {2}: and not empty
+        for piece in pieces:
+            carry += piece
+            if not opening and "[" in piece:  # the head ends at the first "["
+                if not (opening := head.match(carry)):
+                    return None
+                carry, scan = carry[opening.end():], 0
+            # a cut starts at or after scan, the last "]" carried
+            if opening and (after := cut.match(carry, scan)):
+                add(carry[:after.end() - 1])
+                carry, scan = carry[after.end():], 0
+            scan = last if (last := carry.rfind("]", scan)) >= 0 else len(carry)
+            if len(carry) > 4096:  # a pair, or a gap, that long: decoded whole
                 return None
-            starts.fromlist(list(map(_START, runs)))  # TypeError or KeyError: not an int
-            ends.fromlist(list(map(_END, runs)))
-            if not after:
-                grid, iset = HyperGrid(int(head[1])), InternalSet(starts, ends)
-                iset.validate_on(grid)
-                return grid, iset
-            pos = after.end()
-    # ValueError: not JSON, or past int()'s digit limit; OverflowError: past 64 bits
+        if not opening or not re.compile(f"]{ws}}}{ws}\\Z").match(carry, scan):
+            return None
+        add(carry[:scan])
+        grid, iset = HyperGrid(int(opening[1])), InternalSet(starts, ends)
+        iset.validate_on(grid)
+        return grid, iset
+    # ValueError: not JSON or pairs, a bad byte, past int()'s digit limit; OverflowError: 64 bits
     except (ValueError, RecursionError, TypeError, KeyError, OverflowError):
         return None

@@ -204,7 +204,8 @@ def _moran_estimate(ratios: IfsRatios):
     if min(cs) == 0.0:  # a Fraction below the float range has no logarithm
         return None
     logs = list(map(math.log, cs))
-    ks = list(map(float, ratios.counts))
+    # one float per distinct count, shared by its maps
+    ks = list(map({k: float(k) for k in set(ratios.counts)}.__getitem__, ratios.counts))
     s, ws = 0.0, ks  # each map's term k * c**s, at s = 0
     for _ in range(8):
         f = sum(ws)
@@ -217,6 +218,7 @@ def _moran_estimate(ratios: IfsRatios):
         s -= g / slope
         if g <= 1e-7:  # the step just taken leaves ln f near g**2
             break
+        del ws  # the last terms are freed before the next are built
         ws = list(map(mul, ks, map(pow, cs, repeat(s))))
     return (s, slope) if math.isfinite(s) else None
 
@@ -224,11 +226,11 @@ def _moran_estimate(ratios: IfsRatios):
 def moran_solve(ratios: IfsRatios, tol: float = 1e-12) -> MoranRoot:
     """Unique root of f(s) = sum(C_i**s) = 1 by bracketed bisection.
 
-    f is strictly decreasing from the number of maps n at s=0, so the root
-    lies in [0, log(n)/log(1/max C_i)].  A single map makes the equation
-    C**s = 1, whose only root is s = 0; that case is flagged degenerate.
-    A ratio of multiplicity k adds O(log k) exact terms per step (see
-    ``copies``), so f(s) is bit-identical to summing every map's term.
+    f is strictly decreasing from the number of maps n at s=0, so the root lies in
+    [0, log(n)/log(1/max C_i)].  A single map makes the equation C**s = 1, whose
+    only root is s = 0; that case is flagged degenerate.  A ratio of multiplicity
+    k adds O(log k) exact terms per step (see ``copies``), so f(s) is bit-identical
+    to summing every map's term.  Per map, only its ratio, count and term are held.
 
     Most steps are decided without computing f, from a certified bracket:
     where the computed f exceeds 1 + 1e-12 (is below 1 - 1e-12), it
@@ -249,9 +251,8 @@ def moran_solve(ratios: IfsRatios, tol: float = 1e-12) -> MoranRoot:
     top = float(max(ratios.ratios))  # a Fraction ratio may round to 0 or 1
     if not 0.0 < top < 1.0:
         raise InputError(f"the largest ratio is {top} as a float; it must lie strictly in (0, 1)")
-    pairs = list(zip(ratios.ratios, ratios.counts))
-    singles = [c for c, k in pairs if k == 1]
-    repeated = [(c, k) for c, k in pairs if k > 1]
+    singles = [c for c, k in zip(ratios.ratios, ratios.counts) if k == 1]
+    repeated = [(c, k) for c, k in zip(ratios.ratios, ratios.counts) if k > 1]
     hi = math.log(n) / -math.log(top) + 1e-9
     above, below = -math.inf, math.inf  # f > 1 at s <= above, f <= 1 at s >= below
     estimate = _moran_estimate(ratios)

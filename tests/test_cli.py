@@ -8,6 +8,7 @@ import inspect
 import json
 import math
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -1487,18 +1488,27 @@ def _set_outcome(read):
     return grid, tuple(iset.starts), tuple(iset.ends)
 
 
+def _accepted(read):
+    """Whether ``read()`` gives a set or an error, rather than declining with None."""
+    try:
+        return read() is not None
+    except FractalDimError:
+        return True
+
+
 @settings(FUZZ, max_examples=400)
 @given(text=internal_set_texts())
 def test_set_text_reader_agrees_with_the_whole_document(capsys, tmp_path, text):
-    def decode(text):
-        return cli._load_json("s.json", text)
-
-    whole = _set_outcome(lambda: hypergrid.internal_set_from_json(decode(text)))
-    for chunk in range(1, len(text) + 2):  # a cut at each "]" that a comma follows, then none
-        with mock.patch.object(hypergrid, "_CHUNK", chunk):
-            assert _set_outcome(lambda: hypergrid.internal_set_from_text(text, decode)) == whole
     path = tmp_path / "s.json"
     path.write_bytes(text.encode())
+    whole = _set_outcome(lambda: hypergrid.internal_set_from_json(cli._load_json(str(path))))
+    plain = _accepted(lambda: hypergrid._read_in_pieces(text))
+    for chunk in range(1, len(text) + 2):  # a cut at each "]" that a comma follows, then none
+        with mock.patch.object(hypergrid, "_CHUNK", chunk):
+            assert _set_outcome(lambda: cli._read_set(str(path))) == whole
+        # the file's reads, newlines translated, are declined where the text is
+        with open(path, encoding="utf-8") as fh:
+            assert _accepted(lambda: hypergrid._read_in_pieces(iter(lambda: fh.read(chunk), ""))) == plain
     argv = ["hyper-hsd", str(path), "--delta", "1/4", "--s", "1/2", "--oracle"]
     pieces = run_cli(capsys, *argv)
     with mock.patch.object(hypergrid, "_read_in_pieces", lambda text: None):
@@ -1623,6 +1633,73 @@ class TestStreamedInput:
                                             "--delta", "1/100", "--s", "1")
         assert (code, out, err) == (0, "cost,0.333333333333\nintervals,100000\n", "")
         assert peak < 6e6
+
+    @staticmethod
+    def _set_file(tmp_path, case):
+        """A set file of 30,000 runs, spoiled as ``case`` names, and its whole text's error."""
+        text = json.dumps({"N": 10**6, "runs": [[i, i + 9] for i in range(0, 900_000, 30)]})
+        path = tmp_path / "s.json"
+        if case == "late_byte":
+            data = text[:100_000].encode() + b"\xff" + text[100_000:].encode()
+            assert "position 100000" in _decode_error(data)
+            message = f"cannot read {path}: {_decode_error(data)}"
+        else:
+            data = (b"\xef\xbb\xbf" + text.encode()) if case == "bom" else text[:-2].encode()
+            try:
+                json.loads(data.decode())
+            except json.JSONDecodeError as exc:
+                message = f"malformed JSON in {path}: {exc}"
+        path.write_bytes(data)
+        return path, message
+
+    @pytest.mark.parametrize("case", ["late_byte", "bom", "cut_short"])
+    def test_a_set_file_fails_as_a_whole_read_does(self, capsys, tmp_path, case):
+        path, message = self._set_file(tmp_path, case)
+        argv = ["hyper-hsd", str(path), "--delta", "1/100", "--s", "1/2"]
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+        with mock.patch.object(hypergrid, "_read_in_pieces", lambda text: None):
+            assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("after", [1, 2, 3])
+    def test_a_cut_straddling_two_reads(self, capsys, tmp_path, after):
+        # the first read ends after "]", "] " or "] ,": the cut is found across the reads
+        text = '{"N": 1000, "runs": [' + " , ".join(f"[{k}, {k + 4}]" for k in range(0, 990, 9)) + "]}"
+        path = tmp_path / "s.json"
+        path.write_text(text)
+        chunk = text.index("] ,", 500) + after
+        argv = ["hyper-hsd", str(path), "--delta", "1/100", "--s", "1/2", "--oracle"]
+        with open(path, encoding="utf-8") as fh:
+            _, iset = hypergrid._read_in_pieces(iter(lambda: fh.read(chunk), ""))
+        assert list(zip(iset.starts, iset.ends)) == [(k, k + 4) for k in range(0, 990, 9)]
+        with mock.patch.object(hypergrid, "_read_in_pieces", lambda text: None):
+            whole = run_cli(capsys, *argv)
+        with mock.patch.object(hypergrid, "_CHUNK", chunk):
+            assert run_cli(capsys, *argv) == whole
+        assert whole[0] == 0
+
+    def test_a_set_file_is_never_held_whole(self, capsys, tmp_path):
+        # the whole 2 MB text was read before it was cut into pieces, and the greedy
+        # solver listed every run length: a peak of 4.3 MB; the columns alone are 1.6 MB
+        path = tmp_path / "short.json"
+        runs = [[i, i + 9] for i in range(0, 2_800_000, 28)]  # 10**5 runs
+        path.write_text(json.dumps({"N": 3_000_000, "runs": runs}))
+        del runs
+        code, out, err, peak = run_cli_peak(capsys, "hyper-hsd", str(path),
+                                            "--delta", "1/100", "--s", "1")
+        assert (code, out, err) == (0, "cost,0.333333333333\nintervals,100000\n", "")
+        assert peak < 2.4e6
+
+    def test_the_moran_solver_holds_no_tuple_per_map(self, capsys, tmp_path):
+        # a 2-tuple per map and a float per map's count: a peak of 7.5 MB
+        rng = random.Random(7)
+        ratios = [round(rng.uniform(0.0005, 0.02), 8) for _ in range(30_000)]
+        ratios[rng.randrange(len(ratios))] = 0.02
+        path = tmp_path / "random.json"
+        path.write_text(json.dumps({"ratios": ratios}))
+        code, out, err, peak = run_cli_peak(capsys, "dim-ifs", str(path))
+        assert (code, err) == (0, "")
+        assert out == f"dimension,{selfsimilar.moran_solve(selfsimilar.IfsRatios(tuple(ratios))).s:.12f}\n"
+        assert peak < 5.5e6
 
     def test_the_runs_of_a_decoded_set_are_emptied(self):
         obj = {"N": 100, "runs": [[0, 9], [20, 24], [30, 30]]}

@@ -13,9 +13,11 @@ prints one line per operation:
 Then it runs a fixed set of ``critical-d`` and ``hyper-hsd`` inputs that take
 the readers' error and line-splitting paths (a bad byte past the first 8 KiB,
 a bad row before a bad byte, CRLF and U+2028 line breaks, a missing file),
-internal sets that the ``hyper-hsd`` text reader leaves to the whole-document
+internal sets that the ``hyper-hsd`` file reader leaves to the whole-document
 decoder (a bool endpoint, an endpoint past 2**63, keys in reverse order, a
-trailing comma, an empty ``runs``) and one set written with CRLF whitespace,
+trailing comma, an empty ``runs``, a bad byte past the first 100,000, a UTF-8
+BOM, a text that ends before its ``]}``), one set written with CRLF whitespace
+and one whose ``] ,`` straddles the reader's first 32 KiB piece,
 and ``fractal NAME --m-max 300`` for every geometry catalog name and alias,
 so the ``koch`` perimeter's closed-form column, which differs from its
 recurrence, is hashed too, and ``fractal cantor --m-max 3``, which exits 4,
@@ -108,12 +110,18 @@ def input_ops(work: Path) -> list[tuple[str, list[str]]]:
         "set_crlf.json": json.dumps({"N": 10**6, "runs": runs}, indent=1).replace("\n", "\r\n"),
         "set_empty_runs.json": json.dumps({"N": 10**6, "runs": []}),
     }
+    # a text whose "] ," straddles the first 32 KiB read: "]" ends it
+    spaced = json.dumps({"N": 10**6, "runs": runs}, separators=(" , ", ": "))
+    sets["set_straddled_cut.json"] = " " * (32_767 - spaced.rfind("] ,", 0, 32_768)) + spaced
+    sets["set_bom.json"] = "\ufeff" + setspec
+    sets["set_cut_short.json"] = setspec[:-2]
     breaks = "".join(row + ("\r\n" if m % 2 else "\u2028") for m, row in enumerate(rows))
     files = {
         "late_byte.csv": csv[:20_000] + b"\xff" + csv[20_000:],
         "row_then_byte.csv": csv[:24] + b"2,x,4\n" + csv[24:] + b"\xff\n",
         "line_breaks.csv": ("m,delta,n_cells\r\n" + breaks).encode(),
         "late_byte.json": setspec[:20_000].encode() + b"\xff" + setspec[20_000:].encode(),
+        "later_byte.json": setspec[:100_000].encode() + b"\xff" + setspec[100_000:].encode(),
         **{name: text.encode() for name, text in sets.items()},
     }
     for name, data in files.items():
@@ -121,7 +129,7 @@ def input_ops(work: Path) -> list[tuple[str, list[str]]]:
     csvs = ("late_byte.csv", "row_then_byte.csv", "line_breaks.csv", "missing.csv")
     ops = [(name, ["critical-d", name]) for name in csvs]
     ops += [(name, ["hyper-hsd", name, "--delta", "1/100", "--s", "1/2"])
-            for name in ("late_byte.json", "missing.json", *sets)]
+            for name in ("late_byte.json", "later_byte.json", "missing.json", *sets)]
     ops += [(f"fractal_{name}", ["fractal", name, "--m-max", "300"])
             for name in ("koch", "quadratic_koch", "sierpinski_gasket", "sierpinski_carpet",
                          "menger_sponge", "menger_standard", "carpet", "gasket", "menger")]
