@@ -142,6 +142,16 @@ def _block_iter(schedule: BlockSchedule) -> Iterator[int]:
     )
 
 
+def _check_block_count(blocks: int) -> None:
+    """Refuse a walk of more than ``_BLOCK_BUDGET`` blocks."""
+    if blocks > sys.maxsize:
+        raise InputError(f"block count must be <= {sys.maxsize}")
+    if blocks > _BLOCK_BUDGET:
+        raise BudgetExceededError(
+            f"block walk asks for {blocks} blocks, over the budget of {_BLOCK_BUDGET}"
+        )
+
+
 class _BlockTable:
     """Cumulative block boundaries of one schedule, grown lazily by one walk.
 
@@ -166,12 +176,7 @@ class _BlockTable:
             return
         if self._error is not None:
             raise self._error
-        if blocks > sys.maxsize:
-            raise InputError(f"block count must be <= {sys.maxsize}")
-        if blocks > _BLOCK_BUDGET:
-            raise BudgetExceededError(
-                f"block walk asks for {blocks} blocks, over the budget of {_BLOCK_BUDGET}"
-            )
+        _check_block_count(blocks)
         lengths: list[int] = []
         try:
             lengths.extend(islice(self._walk, blocks - j))

@@ -17,10 +17,10 @@ from abc import ABC, abstractmethod
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain, islice, repeat
-from operator import add, gt, lt, mul, sub
+from operator import add, ge, gt, lt, mul, sub
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from ._digits import ColumnReader, _within_budget, decimal_column, fraction_column
+from ._digits import ColumnReader, _within_budget, decimal_column
 from .errors import DegenerateGridError, InputError
 
 DIVERGES = "diverges"
@@ -54,43 +54,48 @@ def _powers(base: int, exponents: Iterable[int]) -> Iterator[int]:
         yield power
 
 
-class CountEntry(NamedTuple):
-    m: int
-    delta: Fraction
-    n_cells: int
-
-
 class _CountSeries(NamedTuple):
-    entries: tuple[CountEntry, ...]
+    levels: tuple[int, ...]
+    nums: tuple[int, ...]
+    dens: tuple[int, ...]
+    counts: tuple[int, ...]
     ambient_dim: int | None = None
 
 
 class CountSeries(_CountSeries):
-    """Pairs of grid scale and exact cover count; levels rise and scales fall strictly."""
+    """Levels m, scales delta = nums[i]/dens[i] in lowest terms with dens[i] > 0, and exact
+    cover counts, in int columns; levels rise and scales fall strictly."""
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
     # no __slots__: the cached property is stored in the instance __dict__
     def __new__(cls, *args, **kw):
         self = super().__new__(cls, *args, **kw)
-        if not self.entries:
+        levels, nums, dens, counts, _ = self
+        if not levels:
             raise InputError("count series must be nonempty")
-        levels = [e.m for e in self.entries]
-        if any(b <= a for a, b in zip(levels, levels[1:])):
+        if not len(levels) == len(nums) == len(dens) == len(counts):
+            raise InputError("count series columns must have the same length")
+        if any(map(ge, levels, islice(levels, 1, None))):
             raise InputError("levels must be strictly increasing")
-        deltas = [e.delta for e in self.entries]
-        if any(b >= a for a, b in zip(deltas, deltas[1:])):
+        if min(dens) < 1 or set(map(math.gcd, nums, dens)) != {1}:
+            raise InputError("deltas must be fractions in lowest terms with positive denominators")
+        # delta falls from p/q to p'/q' when p'*q < p*q'
+        later_nums, later_dens = islice(nums, 1, None), islice(dens, 1, None)
+        if any(map(ge, map(mul, later_nums, dens), map(mul, nums, later_dens))):
             raise InputError("deltas must be strictly decreasing")
-        if any(e.n_cells < 0 for e in self.entries):
+        if min(counts) < 0:
             raise InputError("cell counts must be >= 0")
         return self
 
     @cached_property
     def _tail_logs(self) -> tuple[list[float], list[float]]:
         """log(count) and log(delta) over the window ``classify_d`` reads, taken once."""
-        window = self.entries[-_default_tail(len(self.entries)):]
-        if any(e.n_cells < 1 for e in window):
+        tail = -_default_tail(len(self.levels))
+        counts = self.counts[tail:]
+        if min(counts) < 1:
             raise InputError("classification needs counts >= 1")
-        return [math.log(e.n_cells) for e in window], [_log_fraction(e.delta) for e in window]
+        log, nums, dens = math.log, self.nums[tail:], self.dens[tail:]
+        return list(map(log, counts)), list(map(sub, map(log, nums), map(log, dens)))
 
 
 class TwoGridResult(NamedTuple):
@@ -176,28 +181,24 @@ def count_series(source: CellSource, levels: Sequence[int]) -> CountSeries:
     """Exact (delta, count) pairs for the given strictly increasing levels, each column budgeted."""
     if not levels:
         raise InputError("levels must be nonempty")
-    if any(b <= a for a, b in zip(levels, levels[1:])):
+    if any(map(ge, levels, islice(levels, 1, None))):
         raise InputError("levels must be strictly increasing")
     if levels[0] < 0:
         raise InputError("levels must be >= 0")
-    # deltas first: their denominators grow at every level, so they bound the levels counted
-    deltas = _within_budget(map(Fraction, repeat(1), _powers(source.base, levels)), levels, "deltas")
+    # deltas 1/beta**m first: their denominators grow at every level, so they bound the
+    # levels counted; an int s is charged s.bit_length() + 1, as the Fraction 1/s would be
+    dens = _within_budget(_powers(source.base, levels), levels, "deltas")
     counts = _within_budget(source.level_counts(levels), levels, "cell counts")
-    entries = tuple(map(CountEntry, levels, deltas, counts))
-    return CountSeries(entries, ambient_dim=source.ambient_dim)
-
-
-def _entry_slope(entry: CountEntry) -> float:
-    if entry.n_cells <= 1:
-        return 0.0
-    return math.log(entry.n_cells) / -_log_fraction(entry.delta)
+    nums = (1,) * len(dens)
+    return CountSeries(tuple(levels), nums, tuple(dens), tuple(counts), source.ambient_dim)
 
 
 def slope_dim(series: CountSeries, tail: int) -> tuple[float, float]:
     """Min/max of log(count)/log(1/delta) over the last ``tail`` entries."""
-    if tail < 2 or len(series.entries) < tail:
+    if tail < 2 or len(series.levels) < tail:
         raise InputError("need series length >= tail >= 2")
-    slopes = [_entry_slope(e) for e in series.entries[-tail:]]
+    window = zip(series.counts[-tail:], series.nums[-tail:], series.dens[-tail:])
+    slopes = [math.log(n) / (math.log(q) - math.log(p)) if n > 1 else 0.0 for n, p, q in window]
     return (min(slopes), max(slopes))
 
 
@@ -303,7 +304,7 @@ def classify_d(series: CountSeries, d: float) -> str:
     per-step tolerance absorbs float rounding so that series sitting exactly
     at their critical exponent classify as bounded.
     """
-    if len(series.entries) < 3:
+    if len(series.levels) < 3:
         raise InputError("classification needs at least 3 entries")
     # g(m) = log(count) - d*log(1/delta): increasing means count*delta**d blows up
     log_counts, log_deltas = series._tail_logs
@@ -336,12 +337,11 @@ def critical_d(
         raise InputError("tol must be finite")
     if d_max is not None and not math.isfinite(d_max):
         raise InputError(f"d_max must be finite, got {d_max}")
-    if len(series.entries) < 3:
+    if len(series.levels) < 3:
         raise InputError("critical exponent needs at least 3 entries")
-    tail = _default_tail(len(series.entries))
-    window = series.entries[-tail:]
-    counts = [e.n_cells for e in window]
-    if any(b <= a for a, b in zip(counts, counts[1:])):
+    tail = _default_tail(len(series.levels))
+    counts = series.counts[-tail:]
+    if any(map(ge, counts, islice(counts, 1, None))):
         lower, _ = slope_dim(series, tail)
         return CriticalExponent(d=lower, lo=lower, hi=lower, degenerate=True)
     if counts[0] < 1:
@@ -432,12 +432,9 @@ def closure_count_check(
 
 def count_series_to_csv(series: CountSeries) -> Iterator[str]:
     """The CSV lines (m, delta, n_cells) of ``series``, formatted one at a time."""
-    entries = series.entries
-    deltas = fraction_column([e.delta for e in entries])
-    counts = decimal_column(e.n_cells for e in entries)
     yield "m,delta,n_cells"
-    for e, delta, n in zip(entries, deltas, counts):
-        yield f"{e.m},{delta},{n}"
+    yield from map("{},{}/{},{}".format, series.levels, decimal_column(series.nums),
+                   decimal_column(series.dens), decimal_column(series.counts))
 
 
 def count_series_from_csv(text: str | Iterable[str]) -> CountSeries:
@@ -452,22 +449,26 @@ def count_series_from_csv(text: str | Iterable[str]) -> CountSeries:
     if next(lines, None) != "m,delta,n_cells":
         raise InputError("count series CSV must start with header m,delta,n_cells")
     # denominators and counts are read from the row above: see ColumnReader
-    dens, counts = ColumnReader(), ColumnReader()
-    entries = []
+    read_den, read_count = ColumnReader(), ColumnReader()
+    levels, nums, dens, counts = [], [], [], []
     for ln in lines:
         parts = ln.split(",")
         if len(parts) != 3:
             raise InputError(f"bad count series row: {ln!r}")
-        num, _, den = parts[1].partition("/")
+        p, _, q = parts[1].partition("/")
         try:
-            m = int(parts[0])
-            delta, n_cells = Fraction(int(num), dens(den or "1")), counts(parts[2])
-        except (ValueError, ZeroDivisionError):
+            m, p, q, n = int(parts[0]), int(p), read_den(q or "1"), read_count(parts[2])
+            if not q:
+                raise ValueError("zero denominator")
+        except ValueError:
             raise InputError(f"bad count series row: {ln!r}") from None
-        if delta.numerator <= 0:  # a Fraction keeps its sign in the numerator
+        # lowest terms with q > 0, as a Fraction holds them
+        g = math.gcd(p, q) if q > 0 else -math.gcd(p, q)
+        p, q = p // g, q // g
+        if p <= 0:
             raise InputError(f"delta must be positive in row {ln!r}")
-        entries.append(CountEntry(m=m, delta=delta, n_cells=n_cells))
-    return CountSeries(tuple(entries))
+        levels.append(m), nums.append(p), dens.append(q), counts.append(n)
+    return CountSeries(*map(tuple, (levels, nums, dens, counts)))
 
 
 def two_grid_result_to_json(result: TwoGridResult, precision: int = 12) -> dict:

@@ -96,9 +96,10 @@ def _read_file(path: str, read: Callable):
 
 
 def _read_set(path: str) -> tuple[hypergrid.HyperGrid, hypergrid.InternalSet]:
-    """The set file at ``path`` read in pieces, or, where the reader declines it, whole."""
-    return _read_file(path, lambda fh: hypergrid.internal_set_from_text(
-        iter(lambda: fh.read(hypergrid._CHUNK), ""), lambda _: _load_json(path)))
+    """The set file at ``path`` read in pieces, or, where the reader declines it, once whole."""
+    read = _read_file(path, lambda fh: hypergrid._read_in_pieces(
+        iter(lambda: fh.read(hypergrid._CHUNK), "")))
+    return read or hypergrid.internal_set_from_json(_load_json(path))
 
 
 def _write_lines(fh, lines: Iterable[str]) -> None:
@@ -175,14 +176,15 @@ def _parse_ratios(obj) -> selfsimilar.IfsRatios:
     raise InputError('ratio spec needs "ratios" or {"ratio", "count"}')
 
 
-def _table_schedule(kind: str, param: int, n_max: int) -> blockset.BlockSchedule:
-    if kind == "geometric":
-        spec = seqgen.SequenceSpec.geometric(1, param, horizon=n_max + 1)
+def _table_estimate(family: str, param: int, n: int) -> Fraction:
+    """``blockset.hausdorff_dim`` at pair n of blocks 1, r, r**2, .. or 1, 1 + d, 1 + 2d, ..,
+    zeros and frees alike: S/(2S + t_n), S the sum of the first n lengths, t_n the next."""
+    if family == "geometric":
+        t = param**n
+        s = (t - 1) // (param - 1) if param > 1 else n
     else:
-        spec = seqgen.SequenceSpec.arithmetic(1, param, horizon=n_max + 1)
-    # with alphabet == base the estimate X/m is the same for every sigma
-    sigma = _TABLE_SIGMAS[0]
-    return blockset.BlockSchedule(base=sigma, alphabet=sigma, zeros=spec)
+        t, s = 1 + param * n, n + param * n * (n - 1) // 2
+    return Fraction(s, 2 * s + t)
 
 
 def cmd_tables_ch6(args) -> Iterable[str]:
@@ -191,22 +193,25 @@ def cmd_tables_ch6(args) -> Iterable[str]:
     The dim column is the family's limiting value (1/(n+1) for ratio-n
     blocks, 1/2 for arithmetic blocks) and hs is sigma**(-dim); the
     estimate columns show the exact cut value at the requested horizon
-    converging toward the limit from below; it does not depend on sigma,
-    so each family row is walked once.
+    converging toward the limit from below.  With alphabet == base the
+    estimate does not depend on sigma, and it is computed in closed form.
     """
     n_max = args.n_max
+    if n_max < 2:  # the refusals of the walk the estimate stands for, to pair n_max + 1
+        raise InputError("horizon must be >= 0" if n_max < -1 else "dim_bounds needs n_max >= 2")
+    blockset._check_block_count(2 * n_max + 2)
     lines = ["family,param,sigma,dim,dim_estimate,dim_estimate_decimal,hs"]
     rows = [("geometric", n) for n in _GEOM_TABLE_RATIOS]
     rows += [("arithmetic", d) for d in _ARITH_TABLE_STEPS]
     for family, param in rows:
         limit = Fraction(1, param + 1) if family == "geometric" else Fraction(1, 2)
-        estimate = blockset.hausdorff_dim(_table_schedule(family, param, n_max), n_max)
+        estimate = _table_estimate(family, param, n_max)
+        exact, decimal = _fmt_fraction(estimate), _fmt(estimate, args.precision)
         for sigma in _TABLE_SIGMAS:
             hs = float(sigma) ** float(-limit)
             lines.append(
                 f"{family},{param},{sigma},{_fmt_fraction(limit)},"
-                f"{_fmt_fraction(estimate)},{_fmt(estimate, args.precision)},"
-                f"{_fmt(hs, args.precision)}"
+                f"{exact},{decimal},{_fmt(hs, args.precision)}"
             )
     return lines
 
@@ -238,8 +243,8 @@ def cmd_counts(args) -> Iterable[str]:
     if not args.schedule and lo >= 0 and _power_exceeds(top, hi, _PRINTED_DIGITS):
         raise BudgetExceededError(too_long)
     series = boxdim.count_series(source, range(lo, hi + 1))
-    last = series.entries[-1]  # these sources grow with the level: its numbers are the longest
-    if _digits_exceed(max(last.n_cells, last.delta.denominator), _PRINTED_DIGITS):
+    # these sources grow with the level: the last row's numbers are the longest
+    if _digits_exceed(max(series.counts[-1], series.dens[-1]), _PRINTED_DIGITS):
         raise BudgetExceededError(too_long)
     return boxdim.count_series_to_csv(series)
 

@@ -30,7 +30,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, islice, repeat
-from operator import add, gt, itemgetter, mod, mul, sub
+from operator import add, gt, itemgetter, mul, sub
 from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._fsum import copies
@@ -173,18 +173,28 @@ def _partition_cost(counts: Mapping[int, int], s, N: int) -> float:
     return math.fsum(chain.from_iterable(copies((c / N) ** s, k) for c, k in counts.items()))
 
 
+def _run_lengths(B: InternalSet) -> tuple[Counter[int], int]:
+    """{L - 1: runs of L points} over B's runs, counted in one C-level pass, and B's card."""
+    spans = Counter(map(sub, B.ends, B.starts))
+    return spans, sum(map(mul, spans, spans.values())) + len(B.starts)
+
+
 def h_delta_s_greedy(B: InternalSet, delta, s, grid: HyperGrid) -> DeltaPartition:
     """Minimal-cost partition of B into delta-intervals (greedy, provably optimal)."""
     _check_s(s)
     B.validate_on(grid)
     D = _capacity(delta, grid)
-    # a run of L = end - start + 1 points splits into L // D full intervals and one of L % D
-    counts = Counter(map(mod, map(sub, B.ends, map(sub, B.starts, repeat(1))), repeat(D)))
-    full = (B.card - sum(map(mul, counts, counts.values()))) // D  # the points of no remainder
-    del counts[0]  # runs that split into full intervals only
+    spans, card = _run_lengths(B)
+    # a run of L points splits into L // D full intervals and one of L % D
+    counts: dict[int, int] = {}  # a dict's get is cheaper than a Counter's __missing__
+    for span, k in spans.items():
+        r = (span + 1) % D
+        counts[r] = counts.get(r, 0) + k
+    full = (card - sum(map(mul, counts, counts.values()))) // D  # the points of no remainder
+    counts.pop(0, None)  # runs that split into full intervals only
     if full:  # else D/N need not fit a float
         counts[D] = full
-    total = counts.total()
+    total = sum(counts.values())
     # sizes L, L - D, .. clipped to D: q full intervals, then the remainder
     intervals = _Intervals(B, lambda L: map(min, repeat(D), range(L, 0, -D)), total)
     return DeltaPartition(intervals, _partition_cost(counts, s, grid.N), total)
@@ -206,11 +216,11 @@ def h_delta_s_dp(B: InternalSet, delta, s, grid: HyperGrid) -> DeltaPartition:
     B.validate_on(grid)
     D = _capacity(delta, grid)
     N = grid.N
-    runs = Counter(map(sub, B.ends, map(sub, B.starts, repeat(1))))  # {length: runs}
-    longest = max(runs, default=0)
+    spans, card = _run_lengths(B)
+    longest = max(spans, default=-1) + 1
     # iterating the intervals builds between card/D and card of them; both
     # terms are at most the sum of L*min(L, D) over the runs, one table per run
-    work = max(longest * min(longest, D), sum(map(mul, runs, runs.values())))  # card
+    work = max(longest * min(longest, D), card)
     if work > _DP_BUDGET:
         raise BudgetExceededError(
             f"DP oracle needs {work} cell updates, over the budget of {_DP_BUDGET}"
@@ -244,8 +254,8 @@ def h_delta_s_dp(B: InternalSet, delta, s, grid: HyperGrid) -> DeltaPartition:
 
     # runs of equal length split alike, so each length is traced once
     sizes: Counter[int] = Counter()
-    for length, k in runs.items():
-        for c in trace(length):
+    for span, k in spans.items():
+        for c in trace(span + 1):
             sizes[c] += k
     total = sizes.total()
     intervals = _Intervals(B, lambda L: reversed([*trace(L)]), total)
@@ -333,16 +343,6 @@ def internal_set_from_json(obj: dict) -> tuple[HyperGrid, InternalSet]:
     runs.clear()
     iset.validate_on(grid)
     return grid, iset
-
-
-def internal_set_from_text(text: str | Iterable[str],
-                           decode: Callable) -> tuple[HyperGrid, InternalSet]:
-    """The grid and set of a JSON set text or its pieces: read in pieces if plain, else decoded."""
-    if read := _read_in_pieces(text):
-        return read
-    obj = decode(text)
-    del text  # freed before the decoded pairs become columns
-    return internal_set_from_json(obj)
 
 
 def _read_in_pieces(text: str | Iterable[str]) -> tuple[HyperGrid, InternalSet] | None:

@@ -18,7 +18,6 @@ from fractaldim.boxdim import (
     BOUNDED,
     DIVERGES,
     VANISHES,
-    CountEntry,
     CountSeries,
     ExplicitSource,
     IntervalSource,
@@ -60,8 +59,8 @@ class TestCountSeries:
     def test_unit_interval(self):
         src = IntervalSource(0, 1, base=2)
         series = count_series(src, [1, 5, 10])
-        assert [e.n_cells for e in series.entries] == [2, 32, 1024]
-        assert series.entries[-1].delta == Fraction(1, 1024)
+        assert series.counts == (2, 32, 1024)
+        assert (series.nums[-1], series.dens[-1]) == (1, 1024)
 
     @settings(max_examples=120, derandomize=True, deadline=None)
     @given(levels=st.lists(st.integers(0, 60), min_size=1, max_size=8),
@@ -120,8 +119,8 @@ class TestCountSeries:
 
     def test_carpet_rule_counts(self):
         series = count_series(RuleSource(rule("carpet")), [1, 2, 3])
-        assert [e.n_cells for e in series.entries] == [8, 64, 512]
-        assert series.entries[1].n_cells == len(carpet_cells_oracle(2))
+        assert series.counts == (8, 64, 512)
+        assert series.counts[1] == len(carpet_cells_oracle(2))
 
     def test_subinterval_counts_by_index_arithmetic(self):
         src = IntervalSource(Fraction(1, 4), Fraction(1, 2), base=2)
@@ -148,7 +147,7 @@ class TestCountSeries:
         series = count_series(RuleSource(rule("cantor")), [1, 2, 5])
         lines = list(count_series_to_csv(series))
         back = count_series_from_csv(lines)
-        assert back.entries == series.entries
+        assert back == series._replace(ambient_dim=None)
         assert lines[:2] == ["m,delta,n_cells", "1,1/3,2"]
         # rows past 2,000 bits, read from the row above where they are multiples of it
         schedule = blockset.BlockSchedule(base=10, alphabet=10, zeros=SequenceSpec.geometric(1, 2))
@@ -158,7 +157,25 @@ class TestCountSeries:
             (blockset.BlockCellSource(schedule), range(1, 2501)),  # runs of equal counts
         ):
             series = count_series(source, list(levels))
-            assert count_series_from_csv(count_series_to_csv(series)).entries == series.entries
+            assert count_series_from_csv(count_series_to_csv(series)) == series._replace(ambient_dim=None)
+
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(kind=st.sampled_from(["rule", "interval", "schedule"]), base=st.integers(2, 12),
+           levels=st.sets(st.integers(0, 400), min_size=1, max_size=40).map(sorted),
+           a=st.fractions(0, 1), b=st.fractions(0, 1), ratio=st.integers(1, 4))
+    def test_csv_round_trip_of_every_source(self, kind, base, levels, a, b, ratio):
+        # the CSV holds no ambient dimension
+        source = {
+            "rule": lambda: RuleSource(selfsimilar.PieceRule("r", base + 1, base, 2)),
+            "interval": lambda: IntervalSource(min(a, b), max(a, b), base=base),
+            "schedule": lambda: blockset.BlockCellSource(blockset.BlockSchedule(
+                base=base, alphabet=base, zeros=SequenceSpec.geometric(1, ratio, horizon=400))),
+        }[kind]()
+        series = count_series(source, levels)
+        back = count_series_from_csv(count_series_to_csv(series))
+        assert back == series._replace(ambient_dim=None)
+        assert back.nums == (1,) * len(levels) and back.dens == tuple(base**m for m in levels)
 
 
 class TestSlopeDim:
@@ -187,9 +204,7 @@ class TestSlopeDim:
         assert lo == pytest.approx(1 / 3, abs=1e-3)
 
     def test_degenerate_all_ones(self):
-        series = CountSeries(
-            tuple(CountEntry(m, Fraction(1, 2**m), 1) for m in (1, 2, 3))
-        )
+        series = CountSeries((1, 2, 3), (1, 1, 1), (2, 4, 8), (1, 1, 1))
         assert slope_dim(series, 3) == (0.0, 0.0)
 
     def test_tail_validation(self):
@@ -330,9 +345,7 @@ class TestCriticalD:
             assert abs(result.d - lower) < 2e-8
 
     def test_degenerate_flat_counts(self):
-        series = CountSeries(
-            tuple(CountEntry(m, Fraction(1, 2**m), 5) for m in (1, 2, 3, 4))
-        )
+        series = CountSeries((1, 2, 3, 4), (1,) * 4, (2, 4, 8, 16), (5,) * 4)
         result = critical_d(series, tol=1e-6)
         assert result.degenerate
         assert result.d == pytest.approx(math.log(5) / math.log(16), abs=1e-12)
@@ -488,11 +501,11 @@ def test_classify_monotone_around_critical(d_offset, sign):
 
 def _reference_critical_d(series, tol: float) -> float:
     """The bisection of critical_d with every log taken afresh on each step."""
-    window = series.entries[-max(3, len(series.entries) - len(series.entries) // 3):]
+    n = len(series.levels)
+    window = list(zip(series.counts, series.nums, series.dens))[-max(3, n - n // 3):]
 
     def verdict(d):
-        g = [math.log(e.n_cells) + d * (math.log(e.delta.numerator) - math.log(e.delta.denominator))
-             for e in window]
+        g = [math.log(count) + d * (math.log(num) - math.log(den)) for count, num, den in window]
         bound = 1e-12 * max(1.0, max(abs(v) for v in g))
         diffs = [b - a for a, b in zip(g, g[1:])]
         if all(x > bound for x in diffs):
@@ -537,13 +550,14 @@ def test_critical_d_matches_per_step_logs(name, first, length, tol):
 def test_critical_d_top_from_per_step_slopes(source):
     # without an ambient dimension the bracket's top is the largest step slope plus 1
     series = count_series_from_csv(count_series_to_csv(count_series(source, list(range(1, 300)))))
-    window = series.entries[-max(3, len(series.entries) - len(series.entries) // 3):]
+    n = len(series.levels)
+    window = list(zip(series.counts, series.nums, series.dens))[-max(3, n - n // 3):]
 
     def log(f):
         return math.log(f.numerator) - math.log(f.denominator)
 
     steps = [
-        log(Fraction(b.n_cells, a.n_cells)) / (log(a.delta) - log(b.delta))
+        log(Fraction(b[0], a[0])) / (log(Fraction(*a[1:])) - log(Fraction(*b[1:])))
         for a, b in zip(window, window[1:])
     ]
     assert critical_d(series, tol=1e-9) == critical_d(series, tol=1e-9, d_max=max(steps) + 1.0)

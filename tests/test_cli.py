@@ -20,7 +20,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import fractaldim
 from fractaldim import _digits, blockset, boxdim, cli, hypergrid, selfsimilar
@@ -187,7 +187,8 @@ class TestTables:
         assert first == second
 
     def test_one_estimate_per_family_row(self, capsys, monkeypatch):
-        # with alphabet == base the estimate X/m is the same for all four sigma
+        # with alphabet == base the estimate X/m is the same for all four sigma; it comes
+        # from the closed form, which walks no block, and equals the walk's cut
         from fractaldim import blockset
 
         real, calls = blockset.hausdorff_dim, []
@@ -199,7 +200,7 @@ class TestTables:
         monkeypatch.setattr(blockset, "hausdorff_dim", counting)
         code, out, _ = run_cli(capsys, "tables-ch6", "--n-max", "20")
         assert code == 0 and len(out.splitlines()) == 41
-        assert len(calls) == 10
+        assert calls == []
         # each row's estimate is the exact X/m of its own schedule at every sigma
         for line in out.splitlines()[1:]:
             family, param, sigma, _, estimate, _, _ = line.split(",")
@@ -209,6 +210,51 @@ class TestTables:
                 {"base": int(sigma), "alphabet": int(sigma), "zeros": spec}
             )
             value = real(sch, 20)
+            assert estimate == f"{value.numerator}/{value.denominator}"
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(family=st.sampled_from(["geometric", "arithmetic"]), param=st.integers(0, 7),
+           n=st.integers(2, 60), sigma=st.integers(2, 6))
+    def test_closed_form_is_the_walks_cut(self, family, param, n, sigma):
+        assume(family == "arithmetic" or param >= 1)
+        key = "ratio" if family == "geometric" else "step"
+        spec = {"kind": family, "first": 1, key: param, "horizon": n + 1}
+        schedule = blockset.schedule_from_json({"base": sigma, "alphabet": sigma, "zeros": spec})
+        assert cli._table_estimate(family, param, n) == blockset.hausdorff_dim(schedule, n)
+
+    @pytest.mark.parametrize(
+        "n_max, code, err",
+        [(-2, 2, "horizon must be >= 0"), (-1, 2, "dim_bounds needs n_max >= 2"),
+         (1, 2, "dim_bounds needs n_max >= 2"),
+         (500_000, 3, "block walk asks for 1000002 blocks, over the budget of 1000000"),
+         (10**19, 2, f"block count must be <= {sys.maxsize}")],
+    )
+    def test_refusals_of_the_walk_are_kept(self, capsys, n_max, code, err):
+        assert run_cli(capsys, "tables-ch6", "--n-max", str(n_max)) == (code, "", f"error: {err}\n")
+
+    @pytest.mark.parametrize("n_max", [40_000, 100_000])
+    def test_long_horizons_print_the_closed_form(self, n_max):
+        # the walk held every block end: a MemoryError traceback at 40,000 under 1 GiB,
+        # and killed at 100,000
+        limit = 800_000 * 2**10
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+        start = time.perf_counter()
+        proc = run_module("tables-ch6", "--n-max", str(n_max), timeout=30, preexec_fn=cap_memory)
+        assert time.perf_counter() - start < 10
+        assert (proc.returncode, proc.stderr) == (0, "")
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 41
+        for line in lines[1:]:
+            family, param, _, _, estimate, _, _ = line.split(",")
+            r = int(param)
+            if family == "geometric":  # S = 1 + r + .. + r**(n-1), then r**n
+                s, t = ((r**n_max - 1) // (r - 1), r**n_max) if r > 1 else (n_max, 1)
+            else:  # S = n + r*n*(n-1)/2, then 1 + r*n
+                s, t = n_max + r * n_max * (n_max - 1) // 2, 1 + r * n_max
+            value = Fraction(s, 2 * s + t)
             assert estimate == f"{value.numerator}/{value.denominator}"
 
 
@@ -254,8 +300,8 @@ class TestCounts:
         source = blockset.BlockCellSource(blockset.schedule_from_json(spec))
         series = boxdim.count_series(source, range(3, 1501))
         # both columns run past the size above which values are formatted from their predecessor
-        assert min(10**1500, series.entries[-1].n_cells) > 2**DECIMAL_BASE_BITS
-        rows = [f"{e.m},1/{10**e.m},{e.n_cells}" for e in series.entries]
+        assert min(10**1500, series.counts[-1]) > 2**DECIMAL_BASE_BITS
+        rows = [f"{m},1/{10**m},{n}" for m, n in zip(series.levels, series.counts)]
         assert out == "\n".join(["m,delta,n_cells", *rows, ""])
 
     @pytest.mark.parametrize(
@@ -375,6 +421,43 @@ class TestCriticalD:
         assert code == 0
         assert "degenerate" not in out
         assert abs(float(out.splitlines()[0].split(",")[1]) - 1) < 1e-6
+
+    THIRD = "critical_d,0.407732438393\nbracket,0.315464876133,0.630929753785\n"  # delta 1/3
+
+    @pytest.mark.parametrize(
+        "row, code, out",
+        [
+            ("2,2/6,4", 0, THIRD),
+            ("2,-1/-3,4", 0, THIRD),
+            ("2, 1 / 3,4", 0, THIRD),
+            ("2,+1/3,4", 0, THIRD),
+            ("2,1/\u0663,4", 0, THIRD),
+            ("2,1/-3,4", 2, "error: delta must be positive in row '2,1/-3,4'\n"),
+            ("2,0/5,4", 2, "error: delta must be positive in row '2,0/5,4'\n"),
+            ("2,1/0,4", 2, "error: bad count series row: '2,1/0,4'\n"),
+            ("2,0/0,4", 2, "error: bad count series row: '2,0/0,4'\n"),
+            ("2,1,4", 2, "error: deltas must be strictly decreasing\n"),
+            ("2,1/3_0,4", 2, "error: deltas must be strictly decreasing\n"),
+            ("2,1/,4", 2, "error: deltas must be strictly decreasing\n"),
+            ("2,1/9,-4", 2, "error: cell counts must be >= 0\n"),
+            ("1,1,-4", 2, "error: levels must be strictly increasing\n"),
+            ("2,1,-4", 2, "error: deltas must be strictly decreasing\n"),
+            ("2,x,4", 2, "error: bad count series row: '2,x,4'\n"),
+            ("2,1/9", 2, "error: bad count series row: '2,1/9'\n"),
+            ("2,1/9,4,5", 2, "error: bad count series row: '2,1/9,4,5'\n"),
+            ("2,1/9,4.0", 2, "error: bad count series row: '2,1/9,4.0'\n"),
+            ("x,1/9,4", 2, "error: bad count series row: 'x,1/9,4'\n"),
+            ("2,1/9/3,4", 2, "error: bad count series row: '2,1/9/3,4'\n"),
+            ("2,/9,4", 2, "error: bad count series row: '2,/9,4'\n"),
+            ("2,1/9,", 2, "error: bad count series row: '2,1/9,'\n"),
+        ],
+    )
+    def test_second_rows_read_as_before(self, capsys, tmp_path, row, code, out):
+        # each outcome is the one a reader building a Fraction per row printed
+        path = tmp_path / "counts.csv"
+        path.write_text(f"m,delta,n_cells\n1,1/2,2\n{row}\n3,1/27,8\n4,1/81,16\n5,1/243,32\n")
+        result = run_cli(capsys, "critical-d", str(path))
+        assert result == ((code, out, "") if code == 0 else (code, "", out))
 
     @pytest.mark.parametrize(
         "option, code",
@@ -1564,7 +1647,7 @@ class TestStreamedInput:
             assert (code, out, err, read) == (2, "", f"error: {exc}\n", [])
         else:
             assert (code, err) == (0, "")
-            assert read[0].entries == expected.entries
+            assert read[0] == expected
 
     def test_a_bad_byte_past_the_first_read_chunk(self, capsys, tmp_path):
         data = _sponge_csv(400).encode()
@@ -1659,6 +1742,22 @@ class TestStreamedInput:
         assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
         with mock.patch.object(hypergrid, "_read_in_pieces", lambda text: None):
             assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("case", ["late_byte", "bom", "cut_short", "bad_run"])
+    def test_a_declined_set_file_is_read_at_most_twice(self, capsys, monkeypatch, tmp_path, case):
+        # the pieces, the whole text, then the whole text again for the message: three reads
+        if case == "bad_run":
+            path = tmp_path / "s.json"
+            path.write_text(json.dumps({"runs": [[5, 2]], "N": 10}))
+            message = "bad run [5, 2]"
+        else:
+            path, message = self._set_file(tmp_path, case)
+        opened = []
+        monkeypatch.setattr(cli, "open", lambda *a, **k: opened.append(a[0]) or open(*a, **k),
+                            raising=False)
+        argv = ["hyper-hsd", str(path), "--delta", "1/100", "--s", "1/2"]
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+        assert opened == [str(path)] * 2
 
     @pytest.mark.parametrize("after", [1, 2, 3])
     def test_a_cut_straddling_two_reads(self, capsys, tmp_path, after):

@@ -19,7 +19,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fractaldim import hypergrid
+from fractaldim import cli, hypergrid
 from fractaldim.errors import BudgetExceededError, InfeasibleDeltaError, InputError
 from fractaldim.hypergrid import (
     _ENLARGE,
@@ -29,7 +29,6 @@ from fractaldim.hypergrid import (
     h_delta_s_dp,
     h_delta_s_greedy,
     internal_set_from_json,
-    internal_set_from_text,
     merge_runs,
     outer_h_measure,
     trace_superset,
@@ -122,7 +121,7 @@ class TestInternalSet:
 class TestTextReader:
     def test_a_plain_text_gives_int64_columns(self):
         text = '\r\n{ "N" :100,\t"runs":[ [0, 9] ,\n[20,24],[30, 30]\r\n] }\n'
-        grid, iset = internal_set_from_text(text, json.loads)
+        grid, iset = hypergrid._read_in_pieces(text)
         assert grid == HyperGrid(100)
         assert type(iset.starts) is type(iset.ends) is array and iset.starts.typecode == "q"
         assert runs_in(iset) == runs_in(internal_set_from_json(json.loads(text))[1])
@@ -132,7 +131,7 @@ class TestTextReader:
         runs = [[k * 10, k * 10 + k % 7] for k in range(300)]
         text = json.dumps({"N": 3000, "runs": runs})
         with mock.patch.object(hypergrid, "_CHUNK", chunk):
-            _, iset = internal_set_from_text(text, json.loads)
+            _, iset = hypergrid._read_in_pieces(text)
         assert runs_in(iset) == tuple(map(tuple, runs))
 
     @pytest.mark.parametrize(
@@ -164,18 +163,16 @@ class TestTextReader:
     def test_any_other_text_is_declined(self, text):
         assert hypergrid._read_in_pieces(text) is None
 
-    def test_only_a_declined_text_is_decoded_whole(self):
-        decoded = []
-
-        def decode(text):
-            decoded.append(text)
-            return json.loads(text)
-
-        plain, reversed_keys = '{"N": 100, "runs": [[0, 9]]}', '{"runs": [[0, 9]], "N": 100}'
-        grid, iset = internal_set_from_text(plain, decode)
+    def test_only_a_declined_text_is_decoded_whole(self, tmp_path, monkeypatch):
+        decoded, load = [], cli._load_json
+        monkeypatch.setattr(cli, "_load_json", lambda path: decoded.append(path) or load(path))
+        plain, reversed_keys = tmp_path / "plain.json", tmp_path / "reversed.json"
+        plain.write_text('{"N": 100, "runs": [[0, 9]]}')
+        reversed_keys.write_text('{"runs": [[0, 9]], "N": 100}')
+        grid, iset = cli._read_set(str(plain))
         assert (decoded, type(iset.starts)) == ([], array)
-        assert internal_set_from_text(reversed_keys, decode) == (grid, InternalSet((0,), (9,)))
-        assert decoded == [reversed_keys]
+        assert cli._read_set(str(reversed_keys)) == (grid, InternalSet((0,), (9,)))
+        assert decoded == [str(reversed_keys)]
 
 
 class TestGreedyPartition:

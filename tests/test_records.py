@@ -23,7 +23,6 @@ import fractaldim
 from fractaldim.blockset import BlockSchedule, DimReport
 from fractaldim.boxdim import (
     ClosureCheckReport,
-    CountEntry,
     CountSeries,
     CriticalExponent,
     TwoGridResult,
@@ -44,7 +43,7 @@ from fractaldim.seqgen import GrowthVerdict, SequenceSpec
 SRC = Path(fractaldim.__file__).resolve().parent.parent
 
 SPEC = SequenceSpec.geometric(1, 2, horizon=10)
-ENTRIES = (CountEntry(1, Fraction(1, 2), 2), CountEntry(2, Fraction(1, 4), 4))
+COLUMNS = dict(levels=(1, 2), nums=(1, 1), dens=(2, 4), counts=(2, 4))
 
 
 def _step(k, prev):
@@ -63,8 +62,7 @@ SAMPLES = {
     BlockSchedule: dict(base=3, alphabet=2, zeros=SPEC, frees=SPEC, m_cap=100),
     DimReport: dict(cut_m=(1, 2), cut_x=(0, 1), scale=None, lower=Fraction(0),
                     upper=Fraction(1, 2), converged=False, spread=0.5, n_used=0),
-    CountEntry: dict(m=1, delta=Fraction(1, 3), n_cells=2),
-    CountSeries: dict(entries=ENTRIES, ambient_dim=1),
+    CountSeries: dict(**COLUMNS, ambient_dim=1),
     TwoGridResult: dict(h=Fraction(1, 9), k=Fraction(1, 3), n_h=4, n_k=2, d=0.63),
     CriticalExponent: dict(d=1.0, lo=0.9, hi=1.1, degenerate=False),
     ClosureCheckReport: dict(equal=True, sample_cells=3, reference_cells=3),
@@ -108,8 +106,7 @@ CHANGED = {
     GrowthVerdict: dict(witness_index=5),
     BlockSchedule: dict(base=4),
     DimReport: dict(converged=True),
-    CountEntry: dict(n_cells=3),
-    CountSeries: dict(entries=ENTRIES[1:]),
+    CountSeries: dict(counts=(2, 5)),
     TwoGridResult: dict(d=0.64),
     CriticalExponent: dict(hi=1.2),
     ClosureCheckReport: dict(reference_cells=4),
@@ -149,10 +146,10 @@ INVALID = [
     (BlockSchedule, dict(base=3, alphabet=4, zeros=SPEC)),
     (BlockSchedule, dict(base=3, alphabet=1, zeros=SPEC)),
     (BlockSchedule, dict(base=3, alphabet=2, zeros=SPEC, m_cap=0)),
-    (CountSeries, dict(entries=())),
-    (CountSeries, dict(entries=ENTRIES[::-1])),
-    (CountSeries, dict(entries=(ENTRIES[0], CountEntry(2, Fraction(1, 2), 4)))),
-    (CountSeries, dict(entries=(CountEntry(1, Fraction(1, 2), -1),))),
+    (CountSeries, dict(levels=(), nums=(), dens=(), counts=())),
+    (CountSeries, dict(levels=(2, 1), nums=(1, 1), dens=(4, 2), counts=(4, 2))),
+    (CountSeries, dict(levels=(1, 2), nums=(1, 1), dens=(2, 2), counts=(2, 4))),
+    (CountSeries, dict(levels=(1,), nums=(1,), dens=(2,), counts=(-1,))),
     (HyperGrid, dict(N=1)),
     (InternalSet, dict(starts=(-1,), ends=(2,))),
     (InternalSet, dict(starts=(3,), ends=(2,))),
@@ -169,6 +166,10 @@ INVALID = [
     (IfsRatios, dict(ratios=(0.5,), counts=(2.0,))),
     (IfsRatios, dict(ratios=(0.5,), counts=(10**400,))),
     (InternalSet, dict(starts=(0, 4), ends=(2,))),
+    (CountSeries, dict(COLUMNS, counts=(2,))),
+    (CountSeries, dict(COLUMNS, nums=(1, 2), dens=(2, 8))),  # 2/8 is not in lowest terms
+    (CountSeries, dict(COLUMNS, nums=(-1, 1), dens=(-2, 4))),
+    (CountSeries, dict(COLUMNS, nums=(1, 0), dens=(2, 0))),
 ]
 
 
@@ -186,7 +187,7 @@ def test_invalid_fields_are_refused_at_construction(cls, fields):
         lambda: SequenceSpec("arithmetic", 64, 10, 0, 1),
         lambda: BlockSchedule(3, 4, SPEC),
         lambda: BlockSchedule(3, 2, SPEC, None, 0),
-        lambda: CountSeries(ENTRIES[::-1], 1),
+        lambda: CountSeries((2, 1), (1, 1), (4, 2), (4, 2), 1),
         lambda: HyperGrid(1),
         lambda: InternalSet((3,), (2,)),
         lambda: PieceRule("x", 2, 1, 1),
@@ -202,7 +203,7 @@ def test_invalid_positional_fields_are_refused(make):
 REPLACED = [
     (SequenceSpec.arithmetic(1, 1), dict(horizon=-1)),
     (BlockSchedule(3, 2, SPEC), dict(alphabet=4)),
-    (CountSeries(ENTRIES), dict(entries=ENTRIES[::-1])),
+    (CountSeries(**COLUMNS), dict(levels=(2, 1))),
     (HyperGrid(10), dict(N=1)),
     (InternalSet((0,), (2,)), dict(starts=(3,))),
     (PieceRule("x", 2, 3, 1), dict(scale=1)),
@@ -246,7 +247,7 @@ def test_sequence_spec_defaults():
 
 
 def test_count_series_tail_logs_computed_once(monkeypatch):
-    series = CountSeries(ENTRIES)
+    series = CountSeries(**COLUMNS)
     calls = []
     log = math.log
     monkeypatch.setattr(math, "log", lambda x: calls.append(x) or log(x))
@@ -264,7 +265,8 @@ def test_dim_report_samples_built_once():
 
 
 def test_records_unpack_and_compare_like_tuples():
-    series = CountSeries(tuple(CountEntry(m, Fraction(1, 3**m), 2**m) for m in range(1, 30)))
+    levels = range(1, 30)
+    series = CountSeries(tuple(levels), (1,) * 29, tuple(3**m for m in levels), tuple(2**m for m in levels))
     d, lo, hi, degenerate = critical_d(series, 1e-9)
     assert lo <= d <= hi and not degenerate
     assert CriticalExponent(1.0, 0.5, 1.5) == (1.0, 0.5, 1.5, False)

@@ -22,7 +22,11 @@ and ``fractal NAME --m-max 300`` for every geometry catalog name and alias,
 so the ``koch`` perimeter's closed-form column, which differs from its
 recurrence, is hashed too, and ``fractal cantor --m-max 3``, which exits 4,
 and ``counts`` over 1,501 levels of a rule and of an interval, the two
-sources the benchmark's ``counts --schedule`` runs do not reach; these are
+sources the benchmark's ``counts --schedule`` runs do not reach, and
+``critical-d`` over count CSVs whose second row's delta is not reduced, has
+a sign, a zero, no slash, spaces or an underscore, or whose rows repeat a
+level, raise a delta or hold a negative count, and ``tables-ch6`` at
+``--n-max`` values from -2 to 10**19, past both of its budgets; these are
 printed as ``inputs - OP ...``.  Last come the
 argument parser's paths, as ``inputs - argv_NAME ...``: the top-level help
 and each command's, no command and an unknown one, an unrecognized argument
@@ -124,9 +128,20 @@ def input_ops(work: Path) -> list[tuple[str, list[str]]]:
         "later_byte.json": setspec[:100_000].encode() + b"\xff" + setspec[100_000:].encode(),
         **{name: text.encode() for name, text in sets.items()},
     }
+    # a second row's delta the count reader normalises, refuses or reads as int() does
+    tail = "3,1/27,8\n4,1/81,16\n5,1/243,32\n"
+    deltas = ("2/6", "1/-3", "0/5", "1/0", "1", " 1 / 3", "+1/3", "1/3_0")
+    for i, delta in enumerate(deltas):
+        files[f"delta_{i}.csv"] = f"m,delta,n_cells\n1,1/2,2\n2,{delta},4\n{tail}".encode()
+    files["negative_count.csv"] = f"m,delta,n_cells\n1,1/2,2\n2,1/9,-4\n{tail}".encode()
+    # a repeated level, a rising delta and a negative count: the levels' error comes first
+    files["repeated_level.csv"] = f"m,delta,n_cells\n1,1/2,2\n1,1,-4\n{tail}".encode()
+    files["rising_delta.csv"] = f"m,delta,n_cells\n1,1/2,2\n2,1,-4\n{tail}".encode()
     for name, data in files.items():
         (work / name).write_bytes(data)
-    csvs = ("late_byte.csv", "row_then_byte.csv", "line_breaks.csv", "missing.csv")
+    csvs = ("late_byte.csv", "row_then_byte.csv", "line_breaks.csv", "missing.csv",
+            *(f"delta_{i}.csv" for i in range(len(deltas))),
+            "negative_count.csv", "repeated_level.csv", "rising_delta.csv")
     ops = [(name, ["critical-d", name]) for name in csvs]
     ops += [(name, ["hyper-hsd", name, "--delta", "1/100", "--s", "1/2"])
             for name in ("late_byte.json", "later_byte.json", "missing.json", *sets)]
@@ -137,6 +152,8 @@ def input_ops(work: Path) -> list[tuple[str, list[str]]]:
     ops += [("counts_rule", ["counts", "--rule", "menger_sponge", "--levels", "0", "1500"]),
             ("counts_interval",
              ["counts", "--interval", "1/3", "2/3", "--base", "3", "--levels", "0", "1500"])]
+    ops += [(f"tables_ch6_{n}", ["tables-ch6", "--n-max", str(n)])
+            for n in (-2, -1, 1, 2, 3, 1000, 20_000, 500_000, 10**19)]
     ops += [("argv_help", ["--help"]), ("argv_none", []), ("argv_unknown", ["nope"])]
     for command, required in REQUIRED.items():
         ops += [(f"argv_{command}_help", [command, "--help"]),
