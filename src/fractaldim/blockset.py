@@ -8,9 +8,9 @@ from ``frees``).  Level-m grid cells are half-open [i*beta**-m,
 respects every forced zero, so cover counts are the exact integers
 sigma**X(m) with X(m) the number of free positions among the first m digits.
 
-Counts, digit roles and the cut table come from one lazily grown table
-of cumulative block boundaries, so a count series over many levels costs
-one walk of the block sequences.
+Counts, digit roles and the cut table each come from one forward walk of
+the block sequences per call, so a count series over many levels costs
+one walk.
 
 Dimensions are reported as exact rationals X/m whenever sigma == beta;
 floats appear only at the reporting boundary.
@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, cycle, islice, pairwise
+from itertools import accumulate, cycle, islice
 from typing import Iterable, Iterator, NamedTuple
 
 from . import seqgen
@@ -44,7 +43,7 @@ FREE = "free"
 
 DEFAULT_M_CAP = 10_000_000
 
-# cap on the blocks one table walks; each block holds two table entries
+# cap on the blocks one walk draws
 _BLOCK_BUDGET = 10**6
 
 
@@ -152,66 +151,29 @@ def _check_block_count(blocks: int) -> None:
         )
 
 
-class _BlockTable:
-    """Cumulative block boundaries of one schedule, grown lazily by one walk.
+def _x_counts(schedule: BlockSchedule, levels: Iterable[int]) -> Iterator[int]:
+    """X(m) for each of the nondecreasing ``levels``, from one forward walk of the blocks.
 
-    ``ends[j]`` is the last digit position of block j (zero blocks at even j,
-    free blocks at odd j) and ``frees[j]`` the number of free positions among
-    1..ends[j].  A walk error is kept and raised by every later growth.
+    A block is drawn only when a level lies past the digits walked so far;
+    a level past the first ``_BLOCK_BUDGET`` blocks is refused.
     """
-
-    def __init__(self, schedule: BlockSchedule):
-        self.ends: list[int] = []
-        self.frees: list[int] = []
-        self._walk = _block_iter(schedule)
-        self._error: HorizonExceededError | BudgetExceededError | None = None
-
-    def grow(self, blocks: int) -> None:
-        """Extend the table to at least ``blocks`` blocks, in one batch.
-
-        More than ``_BLOCK_BUDGET`` blocks are refused before any is drawn.
-        """
-        j = len(self.ends)
-        if j >= blocks:
-            return
-        if self._error is not None:
-            raise self._error
-        _check_block_count(blocks)
-        lengths: list[int] = []
-        try:
-            lengths.extend(islice(self._walk, blocks - j))
-        except (HorizonExceededError, BudgetExceededError) as exc:
-            self._error = exc  # the finished walk would raise StopIteration next
-            raise
-        finally:
-            # the blocks walked before an error stay in the table
-            end, free = (self.ends[-1], self.frees[-1]) if j else (0, 0)
-            self.ends += islice(accumulate(lengths, initial=end), 1, None)
-            # zero blocks sit at even table positions and add no free digit
-            lengths[j % 2::2] = [0] * len(range(j % 2, len(lengths), 2))
-            self.frees += islice(accumulate(lengths, initial=free), 1, None)
-
-    def block(self, m: int) -> int:
-        """Index of the first block ending at or after digit position ``m``.
-
-        Each growth at most doubles the table and adds no more blocks than
-        digits are missing, as every block is at least one digit long.
-        """
-        ends = self.ends
-        while not ends or ends[-1] < m:
-            try:
-                self.grow(len(ends) + (min(len(ends), m - ends[-1]) if ends else 1))
-            except HorizonExceededError:
-                if not ends or ends[-1] < m:
-                    raise
-        return bisect_left(ends, m)
-
-    def x_count(self, m: int) -> int:
-        if m == 0:
-            return 0
-        j = self.block(m)
-        # a free block holding m still has ends[j] - m positions to come
-        return self.frees[j] - (self.ends[j] - m if j % 2 else 0)
+    blocks = enumerate(islice(_block_iter(schedule), _BLOCK_BUDGET))
+    # the walk has drawn blocks 0..j, which end at digit position end and hold free
+    # free digits; before any is drawn, j = 0 stands for an empty zero block
+    j = end = free = last = 0
+    for m in levels:
+        _check_position(schedule, m, 0)
+        if m < last:  # X(m) may equal the X before it, which _powers would pass
+            raise InputError(f"level {m} after {last}: levels must be nondecreasing from 0")
+        last = m
+        while end < m:
+            j, length = next(blocks, (-1, 0))
+            if j < 0:
+                _check_block_count(_BLOCK_BUDGET + 1)
+            end += length
+            free += length if j % 2 else 0  # zero blocks sit at even j
+        # a free block holding m still has end - m positions to come
+        yield free - (end - m) if j % 2 else free
 
 
 def _check_position(schedule: BlockSchedule, m: int, first: int) -> None:
@@ -222,13 +184,13 @@ def _check_position(schedule: BlockSchedule, m: int, first: int) -> None:
 def digit_role(schedule: BlockSchedule, m: int) -> str:
     """Role of 1-indexed digit position ``m``: forced zero or free."""
     _check_position(schedule, m, 1)
-    return FREE if _BlockTable(schedule).block(m) % 2 else FORCED_ZERO
+    before, upto = _x_counts(schedule, (m - 1, m))
+    return FREE if upto > before else FORCED_ZERO
 
 
 def x_count(schedule: BlockSchedule, m: int) -> int:
     """Number of free digit positions among the first ``m``."""
-    _check_position(schedule, m, 0)
-    return _BlockTable(schedule).x_count(m)
+    return next(_x_counts(schedule, (m,)))
 
 
 # ---------------------------------------------------------------------------
@@ -266,17 +228,21 @@ def dim_bounds(schedule: BlockSchedule, n_max: int, tol: float = 1e-6) -> DimRep
         raise InputError("tol must be finite")
     if n_max < 2:
         raise InputError("dim_bounds needs n_max >= 2")
-    table = _BlockTable(schedule)
     n = min(n_max, schedule.horizon)
+    _check_block_count(2 * n + 2)
+    lengths: list[int] = []
     try:
-        table.grow(2 * n + 2)
+        lengths.extend(islice(_block_iter(schedule), 2 * n + 2))
     except HorizonExceededError:
         # stop at the last block pair walked before the digit cap
-        n = len(table.ends) // 2 - 1
+        n = len(lengths) // 2 - 1
         if n < 0:
             raise
     cuts = 2 * n + 2
-    cut_m, cut_x = tuple(table.ends[:cuts]), tuple(table.frees[:cuts])
+    del lengths[cuts:]
+    cut_m = tuple(accumulate(lengths))
+    lengths[::2] = [0] * (n + 1)  # zero blocks add no free digit
+    cut_x = tuple(accumulate(lengths))
     scale = _scale(schedule)
 
     def as_float(j):  # float of cut j's sample, without reducing X/m
@@ -312,24 +278,16 @@ def hausdorff_dim(schedule: BlockSchedule, n_max: int):
 
 
 class BlockCellSource(CellSource):
-    """Level-m cell counting adapter; its one block table serves every level."""
+    """Level-m cell counting adapter; each call walks the blocks forward once."""
 
     def __init__(self, schedule: BlockSchedule):
         self.schedule = schedule
         self.base = schedule.base
         self.ambient_dim = 1
-        self._table = _BlockTable(schedule)
 
     def level_counts(self, levels: Iterable[int]) -> Iterator[int]:
         # X never decreases, so a later level's count is a multiple of an earlier one's
-        yield from _powers(self.schedule.alphabet, self._x_counts(levels))
-
-    def _x_counts(self, levels: Iterable[int]) -> Iterator[int]:
-        for last, m in pairwise(chain([0], levels)):
-            _check_position(self.schedule, m, 0)
-            if m < last:  # X(m) may equal the X before it, which _powers would pass
-                raise InputError(f"level {m} after {last}: levels must be nondecreasing from 0")
-            yield self._table.x_count(m)
+        yield from _powers(self.schedule.alphabet, _x_counts(self.schedule, levels))
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from bisect import bisect_left
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain, islice, repeat
 from operator import add, ge, gt, lt, mul, sub
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from ._digits import ColumnReader, _within_budget, decimal_column
+from ._digits import (_SERIES_DIGITS, ColumnReader, _power_exceeds, _series_budget_error,
+                      _within_budget, decimal_column)
 from .errors import DegenerateGridError, InputError
 
 DIVERGES = "diverges"
@@ -187,7 +189,13 @@ def count_series(source: CellSource, levels: Sequence[int]) -> CountSeries:
         raise InputError("levels must be >= 0")
     # deltas 1/beta**m first: their denominators grow at every level, so they bound the
     # levels counted; an int s is charged s.bit_length() + 1, as the Fraction 1/s would be
-    dens = _within_budget(_powers(source.base, levels), levels, "deltas")
+    # no delta is built from the first level whose power alone is surely past the budget on,
+    # where charging would stop at the latest; powers of a base below 2 do not grow
+    base = source.base
+    top = bisect_left(levels, True, key=lambda m: base > 1 and _power_exceeds(base, m, _SERIES_DIGITS))
+    dens = _within_budget(_powers(base, levels[:top]), levels, "deltas")
+    if top < len(levels):
+        raise _series_budget_error("deltas", levels[top])
     counts = _within_budget(source.level_counts(levels), levels, "cell counts")
     nums = (1,) * len(dens)
     return CountSeries(tuple(levels), nums, tuple(dens), tuple(counts), source.ambient_dim)

@@ -23,7 +23,7 @@ DELETED = {
     "seqgen": ("prefix_sums", "lemma_inequality_check"),
     "blockset": (
         "sample_points", "hs_measure_estimate", "HsEstimate", "DIVERGING", "VANISHING",
-        "STABLE", "local_dim", "cut_points", "CutPoint", "_CELL_BUDGET",
+        "STABLE", "local_dim", "cut_points", "CutPoint", "_CELL_BUDGET", "_BlockTable",
     ),
     "selfsimilar": ("hausdorff_measure_at", "geometry_series"),
     "hypergrid": ("discrete_lebesgue", "lebesgue_bounds", "measure_table_csv", "_GreedyIntervals"),
@@ -61,7 +61,6 @@ def test_deleted_cell_enumeration_and_fields_stay_deleted():
 
     assert not hasattr(boxdim.CellSource, "enumerate_cells")
     assert not hasattr(blockset.BlockCellSource, "enumerate_cells")
-    assert not hasattr(blockset._BlockTable, "free_positions")
     assert "precondition_failed" not in boxdim.ClosureCheckReport._fields
     assert not hasattr(BudgetExceededError("budget"), "level")
 

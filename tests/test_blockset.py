@@ -447,6 +447,28 @@ def test_table_lookups_match_naive_expansion(base, sigma, zeros, frees):
         assert [s[1:3] for s in rep.lower_samples] == want_lower
 
 
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    base=st.integers(2, 3),
+    sigma=st.integers(2, 3),
+    zeros=_table_spec_strategy,
+    frees=st.one_of(st.none(), _table_spec_strategy),
+    data=st.data(),
+)
+def test_one_walk_counts_every_level(base, sigma, zeros, frees, data):
+    sch = BlockSchedule(base=max(base, sigma), alphabet=sigma, zeros=zeros, frees=frees)
+    roles = naive_roles(sch, min(sch.horizon + 1, 4))
+    ends = [i + 1 for i in range(len(roles)) if i + 1 == len(roles) or roles[i] != roles[i + 1]]
+    # 0, every block end and every position, each possibly repeated
+    positions = st.one_of(st.just(0), st.sampled_from(ends), st.integers(0, len(roles)))
+    levels = sorted(data.draw(st.lists(positions, max_size=12)))
+    got = list(BlockCellSource(sch).level_counts(levels))
+    assert got == [cover_count(sch, m) for m in levels]
+    assert got == [sigma ** roles[:m].count(FREE) for m in levels]
+    small = [m for m in levels if m <= 6]
+    assert got[: len(small)] == [brute_force_cover(sch, m) for m in small]
+
+
 class TestBlockTable:
     def test_horizon_error_repeats(self):
         sch = BlockSchedule(
@@ -464,11 +486,34 @@ class TestBlockTable:
     def test_term_budget_error_repeats(self):
         # under a cap of 10**400 digits, term 3 = 300**(300**3) is past the term budget
         spec = SequenceSpec.double_exponential(300, digit_cap=10**400)
-        table = blockset._BlockTable(BlockSchedule(base=2, alphabet=2, zeros=spec))
+        sch = BlockSchedule(base=2, alphabet=2, zeros=spec, m_cap=10**300_000)
+        past = 2 * (300 + 300**300 + 300**90_000) + 1  # the first position after block 5
         for _ in range(2):
             with pytest.raises(BudgetExceededError, match="term 3 has over 1000000"):
-                table.grow(8)
-        assert len(table.ends) == 6  # the three block pairs walked before it
+                x_count(sch, past)
+        with pytest.raises(BudgetExceededError, match="term 3 has over 1000000"):
+            dim_bounds(sch, 4)
+        # the three block pairs before it are walked
+        assert x_count(sch, past - 1) == 300 + 300**300 + 300**90_000
+
+    def test_a_level_draws_no_block_past_its_own(self):
+        # position 600 + 2*300**300 + 3 lies in block 4; a walk that drew blocks 5 and 6
+        # ahead of it would fail on term 3 = 300**(300**3)
+        spec = SequenceSpec.double_exponential(300, digit_cap=10**400)
+        sch = BlockSchedule(base=2, alphabet=2, zeros=spec, m_cap=10**800)
+        assert x_count(sch, 600 + 2 * 300**300 + 3) == 300 + 300**300
+        assert digit_role(sch, 600 + 2 * 300**300 + 3) == FORCED_ZERO
+
+    def test_a_level_walk_past_the_budget_names_its_block(self):
+        sch = BlockSchedule(base=2, alphabet=2, m_cap=10**8,
+                            zeros=SequenceSpec.arithmetic(1, 0, horizon=10**8))
+        assert x_count(sch, 10**6) == 5 * 10**5  # the last position of block 10**6 - 1
+        for m in (10**6 + 1, 2 * 10**7):
+            with pytest.raises(BudgetExceededError) as exc:
+                x_count(sch, m)
+            assert str(exc.value) == (
+                "block walk asks for 1000001 blocks, over the budget of 1000000"
+            )
 
     def test_first_digit_cap_error_in_walk_order(self):
         # zero and free blocks are walked in turn, so the free sequence's
@@ -480,7 +525,7 @@ class TestBlockTable:
             frees=SequenceSpec.explicit([1, 10**4], digit_cap=3),
         )
         with pytest.raises(HorizonExceededError) as exc:
-            blockset._BlockTable(sch).grow(10)  # the blocks of pairs 0..4
+            x_count(sch, 4)  # in block 3, the free block of pair 1
         assert exc.value.index == 1
         assert str(exc.value) == "term 1 exceeds the digit cap of 3 decimal digits"
         rep = dim_bounds(sch, 4)

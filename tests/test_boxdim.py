@@ -62,6 +62,17 @@ class TestCountSeries:
         assert series.counts == (2, 32, 1024)
         assert (series.nums[-1], series.dens[-1]) == (1, 1024)
 
+    @pytest.mark.parametrize("base, err", [
+        (1, "deltas must be strictly decreasing"),
+        (0, "deltas must be fractions in lowest terms with positive denominators"),
+        (-2, "deltas must be fractions in lowest terms with positive denominators"),
+    ])
+    def test_a_base_below_two_gives_the_series_error(self, base, err):
+        # the budget's check on the deltas' powers takes a logarithm of the base
+        with pytest.raises(InputError) as exc:
+            count_series(ExplicitSource({1: 2, 2: 4}, base=base), [1, 2])
+        assert str(exc.value) == err
+
     @settings(max_examples=120, derandomize=True, deadline=None)
     @given(levels=st.lists(st.integers(0, 60), min_size=1, max_size=8),
            base=st.integers(2, 10), a=st.fractions(0, 1), b=st.fractions(0, 1),

@@ -51,15 +51,23 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_module(*argv, timeout, preexec_fn=None):
-    """``python -m fractaldim.cli ARGV`` in a fresh interpreter, killed after ``timeout`` s."""
+def run_module(*argv, timeout, address_space=None):
+    """``python -m fractaldim.cli ARGV`` in a fresh interpreter, killed after ``timeout`` s.
+
+    ``address_space`` caps the interpreter's ``RLIMIT_AS`` at that many bytes.
+    """
+
+    def cap_memory():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, hard))
+
     return subprocess.run(
         [sys.executable, "-m", "fractaldim.cli", *argv],
         env=dict(os.environ, PYTHONPATH=str(Path(fractaldim.__file__).resolve().parent.parent)),
         capture_output=True,
         text=True,
         timeout=timeout,
-        preexec_fn=preexec_fn,
+        preexec_fn=None if address_space is None else cap_memory,
     )
 
 
@@ -237,12 +245,8 @@ class TestTables:
         # the walk held every block end: a MemoryError traceback at 40,000 under 1 GiB,
         # and killed at 100,000
         limit = 800_000 * 2**10
-
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
-
         start = time.perf_counter()
-        proc = run_module("tables-ch6", "--n-max", str(n_max), timeout=30, preexec_fn=cap_memory)
+        proc = run_module("tables-ch6", "--n-max", str(n_max), timeout=30, address_space=limit)
         assert time.perf_counter() - start < 10
         assert (proc.returncode, proc.stderr) == (0, "")
         lines = proc.stdout.splitlines()
@@ -345,10 +349,6 @@ class TestCounts:
         # every count and scale through 999999 was held: about 86 MB at 2*10**4 levels
         limit = 800_000 * 2**10
 
-        def cap_memory():
-            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-            resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
-
         (tmp_path / "flat.json").write_text(json.dumps({
             "base": 2,
             "zeros": {"kind": "geometric", "first": 1, "ratio": 1000, "horizon": 5},
@@ -357,10 +357,26 @@ class TestCounts:
         source = [str(tmp_path / a) if a.endswith(".json") else a for a in source]
         start = time.perf_counter()
         proc = run_module("counts", *source, "--levels", "0", str(hi), timeout=10,
-                          preexec_fn=cap_memory)
+                          address_space=limit)
         assert time.perf_counter() - start < 2
         assert (proc.returncode, proc.stdout) == (3, "")
         assert proc.stderr == f"error: {err} pass the budget of 25000000 digits\n"
+
+    @pytest.mark.parametrize("base, level", [(2, 10**10), (10, 10**11)])
+    def test_a_schedule_level_past_the_budget_is_refused_unbuilt(self, tmp_path, base, level):
+        # base**level was built before it was charged: a MemoryError traceback under the
+        # cap at 2**(10**10), and over 30 s at 10**(10**11)
+        path = tmp_path / "ones.json"
+        path.write_text(json.dumps({"base": base, "zeros": {"kind": "arithmetic", "first": 1,
+                                                             "step": 0}}))
+        start = time.perf_counter()
+        proc = run_module("counts", "--schedule", str(path), "--levels", str(level), str(level),
+                          timeout=10, address_space=800_000 * 2**10)
+        assert time.perf_counter() - start < 2
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == (
+            f"error: deltas through m = {level} pass the budget of 25000000 digits\n"
+        )
 
     def test_long_columns_within_the_budget_print(self, capsys):
         code, out, _ = run_cli(capsys, "counts", "--rule", "cantor", "--levels", "0", "10000")
@@ -631,12 +647,8 @@ class TestFractal:
         # had no budget: ran for over 15 s under a 1.5 GB address-space limit
         limit = 1500 * 2**20
 
-        def cap_memory():
-            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-            resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
-
         proc = run_module("fractal", "sierpinski_carpet", "--m-max", "100000000", timeout=120,
-                          preexec_fn=cap_memory)
+                          address_space=limit)
         assert (proc.returncode, proc.stdout) == (3, "")
         assert proc.stderr == (
             "error: sierpinski_carpet perimeter values through m = 6019 "
@@ -746,15 +758,11 @@ class TestSeqCheck:
         # held every term: a MemoryError traceback under an 800 MB address-space limit
         limit = 800_000 * 2**10
 
-        def cap_memory():
-            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-            resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
-
         path = tmp_path / "seq.json"
         path.write_text(json.dumps({"kind": "geometric", "first": 1, "ratio": 10**300,
                                     "horizon": 5000, "digit_cap": 10**400}))
         proc = run_module("seq-check", str(path), "--squared-sum", "5000", timeout=120,
-                          preexec_fn=cap_memory)
+                          address_space=limit)
         assert (proc.returncode, proc.stdout) == (3, "")
         assert proc.stderr == (
             "error: term 3334 has over 1000000 decimal digits, the budget of any one term\n"

@@ -25,7 +25,11 @@ and ``counts`` over 1,501 levels of a rule and of an interval, the two
 sources the benchmark's ``counts --schedule`` runs do not reach, and
 ``critical-d`` over count CSVs whose second row's delta is not reduced, has
 a sign, a zero, no slash, spaces or an underscore, or whose rows repeat a
-level, raise a delta or hold a negative count, and ``tables-ch6`` at
+level, raise a delta or hold a negative count, and ``counts --schedule``
+on schedules whose block walk stops (past the explicit blocks, past
+``m_cap``, at a term over the per-term budget, past 10**6 one-digit
+blocks), ``dim-block`` on one whose digit cap cuts the report short, and
+``tables-ch6`` at
 ``--n-max`` values from -2 to 10**19, past both of its budgets; these are
 printed as ``inputs - OP ...``.  Last come the
 argument parser's paths, as ``inputs - argv_NAME ...``: the top-level help
@@ -137,6 +141,23 @@ def input_ops(work: Path) -> list[tuple[str, list[str]]]:
     # a repeated level, a rising delta and a negative count: the levels' error comes first
     files["repeated_level.csv"] = f"m,delta,n_cells\n1,1/2,2\n1,1,-4\n{tail}".encode()
     files["rising_delta.csv"] = f"m,delta,n_cells\n1,1/2,2\n2,1,-4\n{tail}".encode()
+    # schedules whose block walk stops: past the explicit blocks, past m_cap, at a term
+    # over the per-term budget, at a digit cap mid-report, and past 10**6 one-digit blocks
+    ones = {"kind": "arithmetic", "first": 1, "step": 0}
+    walks = {
+        "walk_horizon.json": {"base": 3, "zeros": {"kind": "explicit", "terms": [1, 2, 3, 4]},
+                              "frees": {"kind": "explicit", "terms": [1, 1]}},
+        "walk_m_cap.json": {"base": 2, "zeros": {"kind": "arithmetic", "first": 1, "step": 1},
+                            "m_cap": 50},
+        "walk_term_budget.json": {"base": 2, "zeros": {"kind": "double_exponential",
+                                                       "base": 10**6, "digit_cap": 10**400}},
+        "walk_digit_cap.json": {"base": 2, "zeros": {"kind": "explicit", "terms": [1, 2, 3, 10**5],
+                                                     "digit_cap": 3},
+                                "frees": {"kind": "arithmetic", "first": 1, "step": 1}},
+        "walk_long.json": {"base": 2, "zeros": {**ones, "horizon": 10**8}, "m_cap": "10^8"},
+    }
+    for name, schedule in walks.items():
+        files[name] = json.dumps(schedule).encode()
     for name, data in files.items():
         (work / name).write_bytes(data)
     csvs = ("late_byte.csv", "row_then_byte.csv", "line_breaks.csv", "missing.csv",
@@ -152,6 +173,12 @@ def input_ops(work: Path) -> list[tuple[str, list[str]]]:
     ops += [("counts_rule", ["counts", "--rule", "menger_sponge", "--levels", "0", "1500"]),
             ("counts_interval",
              ["counts", "--interval", "1/3", "2/3", "--base", "3", "--levels", "0", "1500"])]
+    ops += [(f"counts_{name[:-5]}", ["counts", "--schedule", name, "--levels", *levels])
+            for name, levels in (("walk_horizon.json", ("0", "20")),
+                                 ("walk_m_cap.json", ("40", "60")),
+                                 ("walk_term_budget.json", ("1999999", "2000001")),
+                                 ("walk_long.json", ("20000000", "20000000")))]
+    ops += [("dim_block_walk_digit_cap", ["dim-block", "walk_digit_cap.json", "--n-max", "4"])]
     ops += [(f"tables_ch6_{n}", ["tables-ch6", "--n-max", str(n)])
             for n in (-2, -1, 1, 2, 3, 1000, 20_000, 500_000, 10**19)]
     ops += [("argv_help", ["--help"]), ("argv_none", []), ("argv_unknown", ["nope"])]
