@@ -33,6 +33,8 @@ from .errors import (
     HorizonExceededError,
     InputError,
     OutOfRangeError,
+    check_object,
+    check_tol,
 )
 from .seqgen import SequenceSpec
 
@@ -222,10 +224,7 @@ def dim_bounds(schedule: BlockSchedule, n_max: int, tol: float = 1e-6) -> DimRep
     If the horizon or digit cap runs out first, the report uses whatever cuts
     exist and ``converged`` is False.
     """
-    if not tol > 0:  # also rejects NaN, which would make every report unconverged
-        raise InputError("tol must be positive")
-    if tol == math.inf:  # would make every report converged
-        raise InputError("tol must be finite")
+    check_tol(tol)
     if n_max < 2:
         raise InputError("dim_bounds needs n_max >= 2")
     n = min(n_max, schedule.horizon)
@@ -346,12 +345,7 @@ def _parse_big_nat(value) -> int:
 
 
 def schedule_from_json(obj: dict) -> BlockSchedule:
-    if not isinstance(obj, dict):
-        raise InputError("block schedule must be a JSON object")
-    allowed = {"base", "alphabet", "zeros", "frees", "m_cap"}
-    unknown = set(obj) - allowed
-    if unknown:
-        raise InputError(f"unknown keys in block schedule: {sorted(unknown)}")
+    check_object(obj, "block schedule", ("base", "alphabet", "zeros", "frees", "m_cap"))
     if "base" not in obj or "zeros" not in obj:
         raise InputError("block schedule needs at least base and zeros")
     zeros = seqgen.spec_from_json(obj["zeros"])

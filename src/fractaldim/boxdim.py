@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._digits import (_SERIES_DIGITS, ColumnReader, _power_exceeds, _series_budget_error,
                       _within_budget, decimal_column)
-from .errors import DegenerateGridError, InputError
+from .errors import BudgetExceededError, DegenerateGridError, InputError, check_tol
 
 DIVERGES = "diverges"
 VANISHES = "vanishes"
@@ -97,7 +97,10 @@ class CountSeries(_CountSeries):
         if min(counts) < 1:
             raise InputError("classification needs counts >= 1")
         log, nums, dens = math.log, self.nums[tail:], self.dens[tail:]
-        return list(map(log, counts)), list(map(sub, map(log, nums), map(log, dens)))
+        log_deltas = list(map(sub, map(log, nums), map(log, dens)))
+        if any(map(ge, islice(log_deltas, 1, None), log_deltas)):  # no d separates a tied step
+            raise InputError("deltas must have strictly decreasing float logarithms")
+        return list(map(log, counts)), log_deltas
 
 
 class TwoGridResult(NamedTuple):
@@ -206,7 +209,11 @@ def slope_dim(series: CountSeries, tail: int) -> tuple[float, float]:
     if tail < 2 or len(series.levels) < tail:
         raise InputError("need series length >= tail >= 2")
     window = zip(series.counts[-tail:], series.nums[-tail:], series.dens[-tail:])
-    slopes = [math.log(n) / (math.log(q) - math.log(p)) if n > 1 else 0.0 for n, p, q in window]
+    log = math.log
+    try:
+        slopes = [log(n) / (log(q) - log(p)) if n > 1 else 0.0 for n, p, q in window]
+    except ZeroDivisionError:
+        raise InputError("a row of over one cell needs log(1/delta) != 0 as a float") from None
     return (min(slopes), max(slopes))
 
 
@@ -214,18 +221,26 @@ def slope_dim(series: CountSeries, tail: int) -> tuple[float, float]:
 # two-grid dimension
 
 
+# cap on the common-root search: a root of a b-bit integer is charged b**2, its division cost
+_ROOT_BUDGET = 2 * 10**12
+
+
 def _iroot(n: int, k: int) -> int:
-    """Floor of the integer k-th root (Newton iteration on exact ints)."""
-    if n < 0 or k < 1:
-        raise InputError("iroot needs n >= 0, k >= 1")
-    if n < 2 or k == 1:
-        return n
-    x = 1 << ((n.bit_length() + k - 1) // k)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
+    """Floor of the integer k-th root of n >= 0, for k >= 1, by Newton steps on exact ints.
+
+    The seed is the float root below 2**64, else the root of n's top bits found the same way.
+    One step from any x > 0 lands at or above the floor root (AM-GM); steps then fall to it.
+    """
+    def root(n: int) -> int:
+        e = math.log2(n) / k
+        s = int(e) // 2 if e >= 64 else 0
+        step = lambda x: ((k - 1) * x + n // x ** (k - 1)) // k
+        x = step((root(n >> k * s) + 1) << s if s else int(2**e) + 1)
+        while (y := step(x)) < x:
+            x = y
+        return x
+
+    return n if n < 2 or k == 1 else root(n)
 
 
 def _primes_below(n: int) -> list[int]:
@@ -238,15 +253,18 @@ def _primes_below(n: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
-def _perfect_roots(xs: list[int], p: int) -> list[int] | None:
-    """The p-th roots of xs if every one is a perfect p-th power, else None."""
+def _perfect_roots(xs: list[int], p: int, budget: int) -> tuple[list[int] | None, int]:
+    """The p-th roots of xs if every one is a perfect p-th power, else None, and the budget
+    left after charging each root taken."""
     roots = []
     for x in xs:
+        if (budget := budget - x.bit_length() ** 2) < 0:
+            raise BudgetExceededError(f"the common-root search passes {_ROOT_BUDGET} squared bits")
         r = _iroot(x, p)
         if r**p != x:
-            return None
+            return None, budget
         roots.append(r)
-    return roots
+    return roots, budget
 
 
 def _reduced_log_ratio(num: Fraction, den: Fraction) -> float:
@@ -261,9 +279,12 @@ def _reduced_log_ratio(num: Fraction, den: Fraction) -> float:
     smallest integer bounds p and rejects most primes cheaply.
     """
     xs = sorted(x for f in (num, den) for x in (f.numerator, f.denominator) if x > 1)
-    g = 1
+    g, budget = 1, _ROOT_BUDGET
     for p in _primes_below(xs[0].bit_length()):
-        while p < xs[0].bit_length() and (roots := _perfect_roots(xs, p)):
+        while p < xs[0].bit_length():
+            roots, budget = _perfect_roots(xs, p, budget)
+            if roots is None:
+                break
             xs, g = roots, g * p
 
     def root(f: Fraction) -> Fraction:
@@ -339,10 +360,7 @@ def critical_d(
     first seen to vanish (or ``d_max``), each within ``tol`` (or one ulp) of
     the edge of the bounded band.
     """
-    if not tol > 0:  # also rejects NaN, which would skip the bisection
-        raise InputError("tol must be positive")
-    if tol == math.inf:  # would skip it too
-        raise InputError("tol must be finite")
+    check_tol(tol)
     if d_max is not None and not math.isfinite(d_max):
         raise InputError(f"d_max must be finite, got {d_max}")
     if len(series.levels) < 3:
@@ -352,8 +370,6 @@ def critical_d(
     if any(map(ge, counts, islice(counts, 1, None))):
         lower, _ = slope_dim(series, tail)
         return CriticalExponent(d=lower, lo=lower, hi=lower, degenerate=True)
-    if counts[0] < 1:
-        raise InputError("classification needs counts >= 1")
     if d_max is None:
         if series.ambient_dim is not None:
             d_max = float(series.ambient_dim)
@@ -477,13 +493,3 @@ def count_series_from_csv(text: str | Iterable[str]) -> CountSeries:
             raise InputError(f"delta must be positive in row {ln!r}")
         levels.append(m), nums.append(p), dens.append(q), counts.append(n)
     return CountSeries(*map(tuple, (levels, nums, dens, counts)))
-
-
-def two_grid_result_to_json(result: TwoGridResult, precision: int = 12) -> dict:
-    return {
-        "h": f"{result.h.numerator}/{result.h.denominator}",
-        "k": f"{result.k.numerator}/{result.k.denominator}",
-        "n_h": result.n_h,
-        "n_k": result.n_k,
-        "d": round(result.d, precision),
-    }

@@ -20,7 +20,8 @@ from typing import Callable, Iterable
 
 from . import blockset, boxdim, hypergrid, selfsimilar, seqgen
 from ._digits import _digits_exceed, _power_digits_exceed, _power_exceeds, fraction_column
-from .errors import BudgetExceededError, FractalDimError, HorizonExceededError, InputError
+from .errors import (BudgetExceededError, FractalDimError, HorizonExceededError, InputError,
+                     check_object)
 
 # digits a printed integer may have; main raises the interpreter's limit to at least this
 _PRINTED_DIGITS = 2_000_000
@@ -154,12 +155,9 @@ def cmd_dim_ifs(args) -> Iterable[str]:
 
 
 def _parse_ratios(obj) -> selfsimilar.IfsRatios:
-    if not isinstance(obj, dict):
-        raise InputError("ratio spec must be a JSON object")
+    check_object(obj, "ratio spec")
     if "ratios" in obj:
-        unknown = set(obj) - {"ratios"}
-        if unknown:
-            raise InputError(f"unknown keys in ratio spec: {sorted(unknown)}")
+        check_object(obj, "ratio spec", ("ratios",))
         values = obj["ratios"]
         if not isinstance(values, list):
             raise InputError("ratios must be a list")
@@ -169,9 +167,7 @@ def _parse_ratios(obj) -> selfsimilar.IfsRatios:
             return selfsimilar.IfsRatios(tuple(values))
         return selfsimilar.IfsRatios(tuple(_ratio(v) for v in values))
     if "ratio" in obj and "count" in obj:
-        unknown = set(obj) - {"ratio", "count"}
-        if unknown:
-            raise InputError(f"unknown keys in ratio spec: {sorted(unknown)}")
+        check_object(obj, "ratio spec", ("ratio", "count"))
         return selfsimilar.IfsRatios((_ratio(obj["ratio"]),), (obj["count"],))
     raise InputError('ratio spec needs "ratios" or {"ratio", "count"}')
 
@@ -268,7 +264,8 @@ def cmd_two_grid(args) -> Iterable[str]:
         if args.n_h is None or args.n_k is None or args.h is None or args.k is None:
             raise InputError("need --rule with --levels, or all of --n-h --n-k --h --k")
         result = boxdim.two_grid_dim(args.n_h, args.n_k, _fr(args.h), _fr(args.k))
-    payload = boxdim.two_grid_result_to_json(result, args.precision)
+    payload = {"h": _fmt_fraction(result.h), "k": _fmt_fraction(result.k), "n_h": result.n_h,
+               "n_k": result.n_k, "d": round(result.d, args.precision)}
     return [json.dumps(payload, sort_keys=True)]
 
 

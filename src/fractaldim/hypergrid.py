@@ -33,9 +33,8 @@ from itertools import chain, islice, repeat
 from operator import add, gt, itemgetter, mul, sub
 from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from ._fsum import copies
-from .errors import BudgetExceededError, InfeasibleDeltaError, InputError
-from .selfsimilar import fat_cantor
+from .errors import BudgetExceededError, InfeasibleDeltaError, InputError, check_object
+from .selfsimilar import _copies, fat_cantor
 
 # cap on the DP oracle's cell updates, L * min(L, D) for the longest run L
 _DP_BUDGET = 2 * 10**7
@@ -164,13 +163,13 @@ def _partition_cost(counts: Mapping[int, int], s, N: int) -> float:
     cost bit-identically regardless of how they were found.  fsum is
     correctly rounded, so its result depends neither on the order of the
     terms nor on whether k equal terms come as k copies or as the exact
-    pieces of ``copies``.  s = 1 takes an exact rational path, making the
+    pieces of ``_copies``.  s = 1 takes an exact rational path, making the
     cost exactly card/N.
     """
     if s == 1:
         return float(Fraction(sum(c * k for c, k in counts.items()), N))
     s = float(s)
-    return math.fsum(chain.from_iterable(copies((c / N) ** s, k) for c, k in counts.items()))
+    return math.fsum(chain.from_iterable(_copies((c / N) ** s, k) for c, k in counts.items()))
 
 
 def _run_lengths(B: InternalSet) -> tuple[Counter[int], int]:
@@ -321,11 +320,7 @@ def outer_h_measure(
 
 def internal_set_from_json(obj: dict) -> tuple[HyperGrid, InternalSet]:
     """The grid and set of ``{"N": N, "runs": [[i, j], ...]}``; ``obj["runs"]`` is emptied."""
-    if not isinstance(obj, dict):
-        raise InputError("internal set must be a JSON object")
-    unknown = set(obj) - {"N", "runs"}
-    if unknown:
-        raise InputError(f"unknown keys in internal set: {sorted(unknown)}")
+    check_object(obj, "internal set", ("N", "runs"))
     if "N" not in obj or "runs" not in obj:
         raise InputError("internal set needs N and runs")
     N = obj["N"]

@@ -27,8 +27,7 @@ from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 from ._digits import _within_budget
-from ._fsum import copies
-from .errors import InputError, UnknownCatalogError
+from .errors import InputError, UnknownCatalogError, check_tol
 
 QUANT_PERIMETER = "perimeter"
 QUANT_AREA = "area"
@@ -192,9 +191,20 @@ _MORAN_MARGIN = 1e-12  # a computed f this far from 1 certifies a side of the ro
 _MORAN_REACH = 16  # sums spent stepping right of a Newton estimate that stopped short
 
 
+def _copies(x: float, k: int) -> list[float]:
+    """k copies of x as the exact pieces x * 2**b over the set bits b of k.
+
+    math.fsum returns the correctly rounded exact sum of its terms, so in any
+    fsum these pieces give the same float as k separate copies of x, from
+    O(log k) terms.  Each piece is exact as long as k*x stays below the float
+    range limit.
+    """
+    return [math.ldexp(x, b) for b in range(k.bit_length()) if k >> b & 1]
+
+
 def _moran_sum(singles: list, repeated: list, s: float) -> float:
     """f(s) = sum(C_i**s), correctly rounded from the pow value of each map."""
-    many = chain.from_iterable(copies(c**s, k) for c, k in repeated)
+    many = chain.from_iterable(_copies(c**s, k) for c, k in repeated)
     return math.fsum(chain(map(pow, singles, repeat(s)), many))
 
 
@@ -229,7 +239,7 @@ def moran_solve(ratios: IfsRatios, tol: float = 1e-12) -> MoranRoot:
     f is strictly decreasing from the number of maps n at s=0, so the root lies in
     [0, log(n)/log(1/max C_i)].  A single map makes the equation C**s = 1, whose
     only root is s = 0; that case is flagged degenerate.  A ratio of multiplicity
-    k adds O(log k) exact terms per step (see ``copies``), so f(s) is bit-identical
+    k adds O(log k) exact terms per step (see ``_copies``), so f(s) is bit-identical
     to summing every map's term.  Per map, only its ratio, count and term are held.
 
     Most steps are decided without computing f, from a certified bracket:
@@ -241,10 +251,7 @@ def moran_solve(ratios: IfsRatios, tol: float = 1e-12) -> MoranRoot:
     step inside the bracket computes f.  So the steps and the result are
     the plain bisection's; ``iterations`` still counts its steps, not sums.
     """
-    if not tol > 0:  # also rejects NaN, which would skip the bisection
-        raise InputError("tol must be positive")
-    if tol == math.inf:  # would skip it too
-        raise InputError("tol must be finite")
+    check_tol(tol)
     n = ratios.total
     if n == 1:
         return MoranRoot(s=0.0, width=0.0, degenerate=True)

@@ -20,7 +20,7 @@ from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
 from ._digits import _digits_exceed, _power_exceeds
-from .errors import BudgetExceededError, HorizonExceededError, InputError
+from .errors import BudgetExceededError, HorizonExceededError, InputError, check_object
 
 # each kind's parameter fields, in the order errors name them, and their least values
 _KIND_KEYS = {
@@ -333,15 +333,12 @@ def squared_sum_check(spec: SequenceSpec, n: int) -> list[tuple[int, bool]]:
 
 
 def spec_from_json(obj: dict) -> SequenceSpec:
-    if not isinstance(obj, dict):
-        raise InputError("sequence spec must be a JSON object")
+    check_object(obj, "sequence spec")
     kind = obj.get("kind")
     if kind not in KINDS:
         raise InputError(f"unknown sequence kind {kind!r}")
     allowed = ("horizon", "digit_cap", *_KIND_KEYS[kind])
-    unknown = set(obj) - {"kind", *allowed}
-    if unknown:
-        raise InputError(f"unknown keys in sequence spec: {sorted(unknown)}")
+    check_object(obj, "sequence spec", ("kind", *allowed))
     kw = {}
     for key in allowed:
         if key not in obj:

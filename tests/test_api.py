@@ -25,6 +25,7 @@ DELETED = {
         "sample_points", "hs_measure_estimate", "HsEstimate", "DIVERGING", "VANISHING",
         "STABLE", "local_dim", "cut_points", "CutPoint", "_CELL_BUDGET", "_BlockTable",
     ),
+    "boxdim": ("two_grid_result_to_json",),
     "selfsimilar": ("hausdorff_measure_at", "geometry_series"),
     "hypergrid": ("discrete_lebesgue", "lebesgue_bounds", "measure_table_csv", "_GreedyIntervals"),
 }
@@ -53,6 +54,11 @@ def test_deleted_names_stay_deleted(layer):
     names = DELETED[layer]
     assert [name for name in names if hasattr(fractaldim, name)] == []
     assert [name for name in names if hasattr(module, name)] == []
+
+
+def test_deleted_modules_stay_deleted():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("fractaldim._fsum")
 
 
 def test_deleted_cell_enumeration_and_fields_stay_deleted():

@@ -31,7 +31,6 @@ from fractaldim.boxdim import (
     occupied_cells,
     slope_dim,
     two_grid_dim,
-    two_grid_result_to_json,
 )
 from fractaldim.errors import (
     DegenerateGridError,
@@ -304,17 +303,18 @@ class TestTwoGrid:
         assert len(calls) <= 560
         assert res.d == pytest.approx(math.log(n_h) / math.log(H // 2), rel=1e-12)
 
-    def test_json_fields(self):
-        res = two_grid_dim(64, 8, Fraction(1, 9), Fraction(1, 3))
-        payload = two_grid_result_to_json(res)
-        assert set(payload) == {"h", "k", "n_h", "n_k", "d"}
-        assert payload["h"] == "1/9" and payload["n_h"] == 64
-
 
 class TestClassify:
     @pytest.fixture()
     def cantor_series(self):
         return count_series(RuleSource(rule("cantor")), list(range(1, 21)))
+
+    def test_deltas_tied_as_float_logarithms(self):
+        # distinct rationals, one float log(delta): no exponent separates their steps
+        series = CountSeries((1, 2, 3), (1, 1, 1), (3, 10**20, 10**20 + 1), (2, 4, 8))
+        assert math.log(series.dens[1]) == math.log(series.dens[2])
+        with pytest.raises(InputError, match="strictly decreasing float logarithms"):
+            classify_d(series, 1.0)
 
     def test_below_diverges(self, cantor_series):
         assert classify_d(cantor_series, 0.5) == DIVERGES
@@ -459,6 +459,28 @@ def test_two_grid_cancels_common_roots_exactly(num_base, den_base, common, e_num
     k = Fraction(1, k_inv)
     res = two_grid_dim(num.numerator, num.denominator, k / den, k)
     assert res.d == _reference_two_grid_d(num, den)  # bitwise
+
+
+def _bisected_root(n: int, k: int) -> int:
+    lo, hi = 0, 1 << (n.bit_length() // k + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if mid**k <= n else (lo, mid - 1)
+    return lo
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    k=st.integers(1, 40) | st.sampled_from([2, 1009, 5003]),
+    offset=st.sampled_from([-1, 0, 1]),
+    data=st.data(),
+)
+def test_iroot_is_the_floor_root(k, offset, data):
+    # exact powers and their neighbours, where a seed or a Newton step off by one would show;
+    # roots past 2**64 take the seed from the root of their top bits
+    root = data.draw(st.integers(0, 2 ** (6000 // k + 1)))
+    n = max(0, root**k + offset)
+    assert boxdim._iroot(n, k) == (math.isqrt(n) if k == 2 else _bisected_root(n, k))
 
 
 @settings(max_examples=120, derandomize=True, deadline=None)

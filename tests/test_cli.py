@@ -397,6 +397,7 @@ class TestTwoGrid:
         code, out, _ = run_cli(capsys, "two-grid", "--rule", "carpet", "--levels", "2", "5")
         assert code == 0
         payload = json.loads(out)
+        assert set(payload) == {"h", "k", "n_h", "n_k", "d"}
         assert payload["n_h"] == 8**5 and payload["n_k"] == 8**2
         assert payload["h"] == "1/243" and payload["k"] == "1/9"
         assert payload["d"] == round(math.log(8) / math.log(3), 12)
@@ -414,6 +415,15 @@ class TestTwoGrid:
     def test_missing_args_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "two-grid", "--n-h", "4")
         assert code == 2
+
+    @pytest.mark.parametrize("name, q", [("cantor", "50000"), ("cantor5", "1000001")])
+    def test_common_root_search_is_bounded(self, name, q):
+        # spans 49,999 (prime) and 1,000,000: each searched roots for over 20 s with no budget
+        proc = run_module("two-grid", "--rule", name, "--levels", "1", q, timeout=15,
+                          address_space=800_000 * 2**10)
+        if proc.returncode:
+            assert (proc.returncode, proc.stdout) == (3, "")
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 class TestCriticalD:
@@ -474,6 +484,23 @@ class TestCriticalD:
         path.write_text(f"m,delta,n_cells\n1,1/2,2\n{row}\n3,1/27,8\n4,1/81,16\n5,1/243,32\n")
         result = run_cli(capsys, "critical-d", str(path))
         assert result == ((code, out, "") if code == 0 else (code, "", out))
+
+    TIED = "m,delta,n_cells\n1,1/3,2\n2,1/100000000000000000000,4\n3,1/100000000000000000001,8\n"
+
+    @pytest.mark.parametrize(
+        "text, option, err",
+        [(TIED, (), "deltas must have strictly decreasing float logarithms"),
+         (TIED, ("--d-max", "5"), "deltas must have strictly decreasing float logarithms"),
+         ("m,delta,n_cells\n0,1/1,2\n1,1/2,2\n2,1/4,2\n", (),
+          "a row of over one cell needs log(1/delta) != 0 as a float")],
+        ids=["tied", "tied-d-max", "unit-delta"],
+    )
+    def test_float_logarithms_that_cannot_give_a_slope(self, tmp_path, text, option, err):
+        # a ZeroDivisionError traceback, and with --d-max 5 a bracket of 0.0154..5 for d 2.5
+        path = tmp_path / "counts.csv"
+        path.write_text(text)
+        proc = run_module("critical-d", str(path), *option, timeout=10)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {err}\n")
 
     @pytest.mark.parametrize(
         "option, code",
@@ -1194,6 +1221,41 @@ class TestRejectedInput:
         path = tmp_path / "ratios.json"
         path.write_text(json.dumps({"ratio": 0.5, "count": 10**400}))
         assert_rejected(*run_cli(capsys, "dim-ifs", str(path)))
+
+    ARITHMETIC = {"kind": "arithmetic", "first": 1, "step": 0}
+    # each command's arguments after its input file
+    ARGS = {"dim-block": ["--n-max", "3"], "hyper-hsd": ["--delta", "1/2", "--s", "1"]}
+
+    @pytest.mark.parametrize(
+        "command, tol, text, err",
+        [*((command, tol, text, err) for command, text in (
+             ("dim-block", json.dumps({"base": 2, "zeros": ARITHMETIC})),
+             ("dim-ifs", json.dumps({"ratios": [0.5, 0.25]})),
+             ("critical-d", "m,delta,n_cells\n1,1/3,2\n2,1/9,4\n3,1/27,8\n"))
+           for tol, err in (("nan", "tol must be positive"), ("inf", "tol must be finite"),
+                            ("0", "tol must be positive"), ("-1", "tol must be positive"))),
+         *((command, None, json.dumps(obj), err) for command, obj, err in (
+             ("dim-ifs", [0.5], "ratio spec must be a JSON object"),
+             ("dim-ifs", {"ratios": [0.5], "n": 2}, "unknown keys in ratio spec: ['n']"),
+             ("dim-ifs", {"ratio": 0.5, "count": 2, "n": 2}, "unknown keys in ratio spec: ['n']"),
+             ("dim-block", [2], "block schedule must be a JSON object"),
+             ("dim-block", {"base": 2, "zeros": ARITHMETIC, "n": 2},
+              "unknown keys in block schedule: ['n']"),
+             ("dim-block", {"base": 2, "zeros": [1]}, "sequence spec must be a JSON object"),
+             ("dim-block", {"base": 2, "zeros": {**ARITHMETIC, "n": 2}},
+              "unknown keys in sequence spec: ['n']"),
+             ("seq-check", None, "sequence spec must be a JSON object"),
+             ("seq-check", {**ARITHMETIC, "n": 2}, "unknown keys in sequence spec: ['n']"),
+             ("hyper-hsd", [[0, 1]], "internal set must be a JSON object"),
+             ("hyper-hsd", {"N": 4, "runs": [], "n": 2}, "unknown keys in internal set: ['n']"),
+         ))],
+    )
+    def test_shared_refusals(self, capsys, tmp_path, command, tol, text, err):
+        # the solvers' tolerance and the JSON readers' object refusals, one text each
+        path = tmp_path / "input"
+        path.write_text(text)
+        argv = [command, str(path), *self.ARGS.get(command, []), *(["--tol", tol] if tol else [])]
+        assert run_cli(capsys, *argv) == (2, "", f"error: {err}\n")
 
     def test_dim_ifs_nan_tol(self, capsys, tmp_path):
         path = tmp_path / "ratios.json"

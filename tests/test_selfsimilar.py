@@ -15,13 +15,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fractaldim import selfsimilar
-from fractaldim._fsum import copies
 from fractaldim.errors import InputError, UnknownCatalogError
 from fractaldim.selfsimilar import (
     RULES,
     IfsRatios,
     MoranRoot,
     PieceRule,
+    _copies,
     closed_form_check,
     dim_from_rule,
     fat_cantor,
@@ -338,7 +338,7 @@ def _reference_bisection(ratios: IfsRatios, tol: float) -> MoranRoot:
     repeated = [(c, k) for c, k in pairs if k > 1]
 
     def f(s):
-        many = chain.from_iterable(copies(c**s, k) for c, k in repeated)
+        many = chain.from_iterable(_copies(c**s, k) for c, k in repeated)
         return math.fsum(chain(map(pow, singles, repeat(s)), many))
 
     hi = math.log(n) / -math.log(max(ratios.ratios)) + 1e-9

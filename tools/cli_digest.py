@@ -29,7 +29,13 @@ level, raise a delta or hold a negative count, and ``counts --schedule``
 on schedules whose block walk stops (past the explicit blocks, past
 ``m_cap``, at a term over the per-term budget, past 10**6 one-digit
 blocks), ``dim-block`` on one whose digit cap cuts the report short, and
-``tables-ch6`` at
+each JSON reader (ratio spec in both shapes, block schedule, sequence
+spec in a schedule and for ``seq-check``, internal set) on a value that is
+not an object and on one with an unknown key, ``--tol nan|inf|0`` on
+``dim-block``, ``dim-ifs`` and ``critical-d``, ``critical-d`` on deltas
+whose float logarithms tie and on a delta of 1, ``two-grid --rule NAME
+--levels 1 7`` for every catalog name and alias, with ``--precision 3``,
+and over the prime level span 20,011, and ``tables-ch6`` at
 ``--n-max`` values from -2 to 10**19, past both of its budgets; these are
 printed as ``inputs - OP ...``.  Last come the
 argument parser's paths, as ``inputs - argv_NAME ...``: the top-level help
@@ -158,6 +164,29 @@ def input_ops(work: Path) -> list[tuple[str, list[str]]]:
     }
     for name, schedule in walks.items():
         files[name] = json.dumps(schedule).encode()
+    # each JSON reader's non-object and unknown-key refusals, and valid inputs for --tol
+    readers = {
+        "ratio_list.json": [0.5, 0.5],
+        "ratio_extra.json": {"ratios": [0.5, 0.5], "scale": 2},
+        "ratio_count_extra.json": {"ratio": 0.5, "count": 2, "scale": 2},
+        "ratio_ok.json": {"ratios": [0.5, 0.25]},
+        "schedule_list.json": [2],
+        "schedule_extra.json": {"base": 2, "zeros": ones, "bogus": 1},
+        "schedule_zeros_list.json": {"base": 2, "zeros": [1, 2]},
+        "schedule_zeros_extra.json": {"base": 2, "zeros": {**ones, "bogus": 1}},
+        "schedule_ok.json": {"base": 2, "zeros": ones, "frees": ones},
+        "spec_list.json": [1, 2],
+        "spec_extra.json": {**ones, "bogus": 1},
+        "set_list.json": [[0, 1]],
+        "set_extra.json": {"N": 10, "runs": [[0, 1]], "bogus": 1},
+    }
+    for name, obj in readers.items():
+        files[name] = json.dumps(obj).encode()
+    files["cantor.csv"] = f"m,delta,n_cells\n1,1/3,2\n2,1/9,4\n{tail}".encode()
+    # two deltas that are distinct rationals but equal as float logarithms, and a delta of 1
+    files["tied_deltas.csv"] = (b"m,delta,n_cells\n1,1/3,2\n2,1/100000000000000000000,4\n"
+                                b"3,1/100000000000000000001,8\n")
+    files["unit_delta.csv"] = b"m,delta,n_cells\n0,1/1,2\n1,1/2,2\n2,1/4,2\n"
     for name, data in files.items():
         (work / name).write_bytes(data)
     csvs = ("late_byte.csv", "row_then_byte.csv", "line_breaks.csv", "missing.csv",
@@ -179,6 +208,32 @@ def input_ops(work: Path) -> list[tuple[str, list[str]]]:
                                  ("walk_term_budget.json", ("1999999", "2000001")),
                                  ("walk_long.json", ("20000000", "20000000")))]
     ops += [("dim_block_walk_digit_cap", ["dim-block", "walk_digit_cap.json", "--n-max", "4"])]
+    ops += [(f"reader_{name[:-5]}", argv) for name, argv in (
+        ("ratio_list.json", ["dim-ifs", "ratio_list.json"]),
+        ("ratio_extra.json", ["dim-ifs", "ratio_extra.json"]),
+        ("ratio_count_extra.json", ["dim-ifs", "ratio_count_extra.json"]),
+        *((name, ["dim-block", name, "--n-max", "3"])
+          for name in ("schedule_list.json", "schedule_extra.json", "schedule_zeros_list.json",
+                       "schedule_zeros_extra.json")),
+        *((name, ["seq-check", name]) for name in ("spec_list.json", "spec_extra.json")),
+        *((name, ["hyper-hsd", name, "--delta", "1/2", "--s", "1"])
+          for name in ("set_list.json", "set_extra.json")))]
+    for tol in ("nan", "inf", "0"):
+        ops += [(f"tol_{tol}_dim_block", ["dim-block", "schedule_ok.json", "--n-max", "3",
+                                          "--tol", tol]),
+                (f"tol_{tol}_dim_ifs", ["dim-ifs", "ratio_ok.json", "--tol", tol]),
+                (f"tol_{tol}_critical_d", ["critical-d", "cantor.csv", "--tol", tol])]
+    ops += [("critical_d_tied_deltas", ["critical-d", "tied_deltas.csv"]),
+            ("critical_d_tied_deltas_d_max", ["critical-d", "tied_deltas.csv", "--d-max", "5"]),
+            ("critical_d_unit_delta", ["critical-d", "unit_delta.csv"])]
+    names = ("cantor", "cantor5", "koch", "quadratic_koch", "sierpinski_gasket",
+             "sierpinski_carpet", "menger_sponge", "menger_standard", "hyperpyramid",
+             "carpet", "gasket", "menger")
+    ops += [(f"two_grid_{name}", ["two-grid", "--rule", name, "--levels", "1", "7"])
+            for name in names]
+    ops += [("two_grid_precision", ["two-grid", "--rule", "cantor", "--levels", "2", "5",
+                                    "--precision", "3"]),
+            ("two_grid_prime_span", ["two-grid", "--rule", "cantor", "--levels", "1", "20012"])]
     ops += [(f"tables_ch6_{n}", ["tables-ch6", "--n-max", str(n)])
             for n in (-2, -1, 1, 2, 3, 1000, 20_000, 500_000, 10**19)]
     ops += [("argv_help", ["--help"]), ("argv_none", []), ("argv_unknown", ["nope"])]
