@@ -201,8 +201,8 @@ def _power_digits_exceed(base: int, exponent: int, digits: int) -> bool:
     return _power_exceeds(base, exponent, digits) or _digits_exceed(base**exponent, digits)
 
 
-def _series_budget_error(name: str, m: int) -> BudgetExceededError:
-    return BudgetExceededError(f"{name} through m = {m} pass the budget of {_SERIES_DIGITS} digits")
+def _series_budget_error(what: str) -> BudgetExceededError:
+    return BudgetExceededError(f"{what} pass the budget of {_SERIES_DIGITS} digits")
 
 
 def _within_budget(values: Iterable[int | Fraction], levels: Iterable[int], name: str) -> list:
@@ -211,6 +211,6 @@ def _within_budget(values: Iterable[int | Fraction], levels: Iterable[int], name
     for m, value in zip(levels, values):
         bits += value.numerator.bit_length() + value.denominator.bit_length()
         if bits > _SERIES_BITS:
-            raise _series_budget_error(name, m)
+            raise _series_budget_error(f"{name} through m = {m}")
         out.append(value)
     return out

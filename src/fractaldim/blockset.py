@@ -8,9 +8,10 @@ from ``frees``).  Level-m grid cells are half-open [i*beta**-m,
 respects every forced zero, so cover counts are the exact integers
 sigma**X(m) with X(m) the number of free positions among the first m digits.
 
-Counts, digit roles and the cut table each come from one forward walk of
-the block sequences per call, so a count series over many levels costs
-one walk.
+Counts and digit roles come from one forward walk of the block sequences
+per call, so a count series over many levels costs one walk.  The cut
+report holds no table: its tail values, its rows and its samples each walk
+the block pairs anew.
 
 Dimensions are reported as exact rationals X/m whenever sigma == beta;
 floats appear only at the reporting boundary.
@@ -20,13 +21,13 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import deque
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate, cycle, islice
 from typing import Iterable, Iterator, NamedTuple
 
 from . import seqgen
-from ._digits import _int_max_str_digits, _power_digits_exceed
+from ._digits import _SERIES_BITS, _int_max_str_digits, _power_digits_exceed, _series_budget_error
 from .boxdim import CellSource, _powers
 from .errors import (
     BudgetExceededError,
@@ -82,8 +83,7 @@ class BlockSchedule(_BlockSchedule):
 
 
 class _DimReport(NamedTuple):
-    cut_m: tuple[int, ...]
-    cut_x: tuple[int, ...]
+    schedule: BlockSchedule
     scale: float | None
     lower: object
     upper: object
@@ -95,34 +95,30 @@ class _DimReport(NamedTuple):
 class DimReport(_DimReport):
     """Cut-family dimension samples and their tail values.
 
-    ``cut_m[j]`` and ``cut_x[j]`` are the digit position and free-digit
-    count X of cut j = 0..2n+1: after the zero block of pair j // 2 at even
-    j, after its free block at odd j.  ``scale`` is log(sigma)/log(beta), or
-    None when alphabet == base and the values are exact Fractions X/m.
-    ``lower`` is the tail value along the after-zeros cuts, ``upper`` the
-    tail along the after-frees cuts.  Coverings cut after a zero block are
-    the efficient ones, so the lower family is what gets reported as the
-    Hausdorff dimension.  ``converged`` holds when the last two samples of
-    each family differ by less than the requested tolerance; ``spread`` is
-    the larger of the two achieved gaps.  The per-family sample tuples
-    (n, m, x_count, value) are built on first access.
+    The cuts are those of block pairs 0..n_used of ``schedule``: one after
+    the pair's zero block and one after its free block.  ``scale`` is
+    log(sigma)/log(beta), or None when alphabet == base and the values are
+    exact Fractions X/m.  ``lower`` is the tail value along the after-zeros
+    cuts, ``upper`` the tail along the after-frees cuts.  Coverings cut
+    after a zero block are the efficient ones, so the lower family is what
+    gets reported as the Hausdorff dimension.  ``converged`` holds when the
+    last two samples of each family differ by less than the requested
+    tolerance; ``spread`` is the larger of the two achieved gaps.  The
+    per-family sample tuples (n, m, x_count, value) come from a new walk of
+    the blocks on each access.
     """
 
-    # no __slots__: the cached properties are stored in the instance __dict__
-    def _samples(self, first: int) -> tuple[tuple[int, int, int, object], ...]:
-        m, x, scale = self.cut_m, self.cut_x, self.scale
+    __slots__ = ()
+
+    def _samples(self, side: int) -> tuple[tuple[int, int, int, object], ...]:
+        scale = self.scale
         return tuple(
-            (j // 2, m[j], x[j], _dim_value(x[j], m[j], scale))
-            for j in range(first, len(m), 2)
+            (n, cut[side], cut[side + 1], _dim_value(cut[side + 1], cut[side], scale))
+            for n, cut in enumerate(_cuts(self.schedule, self.n_used))
         )
 
-    @cached_property
-    def lower_samples(self) -> tuple[tuple[int, int, int, object], ...]:
-        return self._samples(0)
-
-    @cached_property
-    def upper_samples(self) -> tuple[tuple[int, int, int, object], ...]:
-        return self._samples(1)
+    lower_samples = property(lambda self: self._samples(0))
+    upper_samples = property(lambda self: self._samples(2))
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +137,17 @@ def _block_iter(schedule: BlockSchedule) -> Iterator[int]:
         f"digit position walk ran past horizon {schedule.horizon}",
         index=schedule.horizon,
     )
+
+
+def _cuts(schedule: BlockSchedule, n: int) -> Iterator[tuple[int, int, int, int]]:
+    """(m, X) after the zero block and after the free block of block pairs 0..n, a pair yielded
+    once both its blocks are drawn, so a walk error leaves every pair before it whole."""
+    ends = zip(accumulate(seqgen._iter_terms(schedule.zeros)),
+               accumulate(seqgen._iter_terms(schedule.frees)))
+    free = 0
+    for zeros, frees in islice(ends, n + 1):
+        yield zeros + free, free, zeros + frees, frees
+        free = frees
 
 
 def _check_block_count(blocks: int) -> None:
@@ -218,45 +225,38 @@ def _dim_value(x: int, m: int, scale: float | None):
 
 
 def dim_bounds(schedule: BlockSchedule, n_max: int, tol: float = 1e-6) -> DimReport:
-    """Lower/upper dimension from the two cut families through block n_max.
+    """Lower/upper dimension from the two cut families through block pair n_max.
 
     The tail value is the last computed sample; no extrapolation is applied.
-    If the horizon or digit cap runs out first, the report uses whatever cuts
-    exist and ``converged`` is False.
+    If the horizon or digit cap runs out first, the report uses whatever
+    pairs exist and ``converged`` is False.  A report whose rows would print
+    more than the series digit budget is refused.
     """
     check_tol(tol)
     if n_max < 2:
         raise InputError("dim_bounds needs n_max >= 2")
     n = min(n_max, schedule.horizon)
     _check_block_count(2 * n + 2)
-    lengths: list[int] = []
+    last = deque(maxlen=2)  # (n, cuts) of the last two block pairs walked
     try:
-        lengths.extend(islice(_block_iter(schedule), 2 * n + 2))
+        last.extend(enumerate(_cuts(schedule, n)))
     except HorizonExceededError:
-        # stop at the last block pair walked before the digit cap
-        n = len(lengths) // 2 - 1
-        if n < 0:
+        if not last:  # not one block pair before the digit cap
             raise
-    cuts = 2 * n + 2
-    del lengths[cuts:]
-    cut_m = tuple(accumulate(lengths))
-    lengths[::2] = [0] * (n + 1)  # zero blocks add no free digit
-    cut_x = tuple(accumulate(lengths))
+    n, (m_lo, x_lo, m_hi, x_hi) = last[-1]
+    # m and X never fall along the walk, so the last cut's m bounds every row's numbers
+    if (2 * n + 2) * m_hi.bit_length() > _SERIES_BITS:
+        raise _series_budget_error(f"cut rows through block pair {n}")
     scale = _scale(schedule)
-
-    def as_float(j):  # float of cut j's sample, without reducing X/m
-        return cut_x[j] / cut_m[j] * (1.0 if scale is None else scale)
-
-    def gap(j):  # between the last two samples of the family of cut j
-        return abs(as_float(j) - as_float(j - 2)) if j >= 2 else math.inf
-
-    spread = max(gap(cuts - 2), gap(cuts - 1))
+    factor, spread = 1.0 if scale is None else scale, math.inf
+    if n:  # the larger gap between the last two samples of a family, X/m unreduced
+        (_, a), (_, b) = last
+        spread = max(abs(b[i + 1] / b[i] * factor - a[i + 1] / a[i] * factor) for i in (0, 2))
     return DimReport(
-        cut_m=cut_m,
-        cut_x=cut_x,
+        schedule=schedule,
         scale=scale,
-        lower=_dim_value(cut_x[cuts - 2], cut_m[cuts - 2], scale),
-        upper=_dim_value(cut_x[cuts - 1], cut_m[cuts - 1], scale),
+        lower=_dim_value(x_lo, m_lo, scale),
+        upper=_dim_value(x_hi, m_hi, scale),
         converged=n == n_max and spread < tol,
         spread=spread,
         n_used=n,
@@ -296,26 +296,24 @@ class BlockCellSource(CellSource):
 def dim_report_csv(report: DimReport, precision: int = 12) -> Iterator[str]:
     """CSV lines (kind, n, m, x_count, local_dim) with exact-rational values, one at a time.
 
-    Rows follow the cut table, which is already ordered by position m.
+    The rows come from a new walk of the report's block pairs, two per pair,
+    ordered by position m.
     """
     yield "kind,n,m,x_count,local_dim,local_dim_decimal"
-    kinds, scale = (AFTER_ZEROS, AFTER_FREES), report.scale
-    # the last two cuts are the tail values, already reduced: on long blocks
-    # the gcd of the last cut costs as much as all the others together
-    tail = len(report.cut_m) - 2
-    for j, (m, x) in enumerate(zip(report.cut_m, report.cut_x)):
-        head = f"{kinds[j % 2]},{j // 2},{m},{x}"
-        if scale is not None:
-            value = _dim_value(x, m, scale)
-            yield f"{head},{value!r},{value:.{precision}f}"
-            continue
-        if j < tail:
-            g = math.gcd(x, m)
-            num, den = x // g, m // g
-        else:
-            value = (report.lower, report.upper)[j - tail]
-            num, den = value.numerator, value.denominator
-        yield f"{head},{num}/{den},{x / m:.{precision}f}"
+    scale, last, gcd = report.scale, report.n_used, math.gcd
+    for n, (m_lo, x_lo, m_hi, x_hi) in enumerate(_cuts(report.schedule, last)):
+        lo, hi = x_lo / m_lo, x_hi / m_hi
+        if scale is not None:  # as _dim_value scales X/m
+            lo, hi = lo * scale, hi * scale
+            lo_text, hi_text = repr(lo), repr(hi)
+        elif n < last:
+            g, h = gcd(x_lo, m_lo), gcd(x_hi, m_hi)
+            lo_text, hi_text = f"{x_lo // g}/{m_lo // g}", f"{x_hi // h}/{m_hi // h}"
+        else:  # the tail values, already reduced: the last gcd costs the most
+            tail = (report.lower, report.upper)
+            lo_text, hi_text = (f"{v.numerator}/{v.denominator}" for v in tail)
+        yield f"{AFTER_ZEROS},{n},{m_lo},{x_lo},{lo_text},{lo:.{precision}f}"
+        yield f"{AFTER_FREES},{n},{m_hi},{x_hi},{hi_text},{hi:.{precision}f}"
 
 
 _SAME = "same_as_zeros"

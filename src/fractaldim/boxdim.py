@@ -85,6 +85,8 @@ class CountSeries(_CountSeries):
         later_nums, later_dens = islice(nums, 1, None), islice(dens, 1, None)
         if any(map(ge, map(mul, later_nums, dens), map(mul, nums, later_dens))):
             raise InputError("deltas must be strictly decreasing")
+        if nums[0] > dens[0]:  # the deltas fall, so the first is the largest
+            raise InputError("deltas must be at most 1")
         if min(counts) < 0:
             raise InputError("cell counts must be >= 0")
         return self
@@ -198,7 +200,7 @@ def count_series(source: CellSource, levels: Sequence[int]) -> CountSeries:
     top = bisect_left(levels, True, key=lambda m: base > 1 and _power_exceeds(base, m, _SERIES_DIGITS))
     dens = _within_budget(_powers(base, levels[:top]), levels, "deltas")
     if top < len(levels):
-        raise _series_budget_error("deltas", levels[top])
+        raise _series_budget_error(f"deltas through m = {levels[top]}")
     counts = _within_budget(source.level_counts(levels), levels, "cell counts")
     nums = (1,) * len(dens)
     return CountSeries(tuple(levels), nums, tuple(dens), tuple(counts), source.ambient_dim)

@@ -36,7 +36,8 @@ from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple
 from .errors import BudgetExceededError, InfeasibleDeltaError, InputError, check_object
 from .selfsimilar import _copies, fat_cantor
 
-# cap on the DP oracle's cell updates, L * min(L, D) for the longest run L
+# cap on the DP oracle's cell updates, L * (min(L, D) + 32) for the longest run L: a row is
+# charged as 32 cells (CPython 3.11, Xeon core: 1.2 us a row at D = 1, 40 ns a cell at D >= 100)
 _DP_BUDGET = 2 * 10**7
 # indices a traced run is widened by at each end
 _ENLARGE = 1
@@ -218,8 +219,8 @@ def h_delta_s_dp(B: InternalSet, delta, s, grid: HyperGrid) -> DeltaPartition:
     spans, card = _run_lengths(B)
     longest = max(spans, default=-1) + 1
     # iterating the intervals builds between card/D and card of them; both
-    # terms are at most the sum of L*min(L, D) over the runs, one table per run
-    work = max(longest * min(longest, D), card)
+    # terms are at most the sum of L*(min(L, D) + 32) over the runs, one table per run
+    work = max(longest * (min(longest, D) + 32), card)
     if work > _DP_BUDGET:
         raise BudgetExceededError(
             f"DP oracle needs {work} cell updates, over the budget of {_DP_BUDGET}"

@@ -55,10 +55,10 @@ def brute_force_cover(schedule: BlockSchedule, m: int) -> int:
 
 
 def cut_table(schedule: BlockSchedule, n_max: int) -> list[tuple[int, str, int, int]]:
-    """(n, kind, m, x_count) of each cut in the report's cut table, in table order."""
-    rep = dim_bounds(schedule, n_max)
-    kinds = (AFTER_ZEROS, AFTER_FREES)
-    return [(j // 2, kinds[j % 2], m, x) for j, (m, x) in enumerate(zip(rep.cut_m, rep.cut_x))]
+    """(n, kind, m, x_count) of each cut, read back from the report's CSV rows in row order."""
+    rows = [row.split(",") for row in dim_report_csv(dim_bounds(schedule, n_max))]
+    assert rows[0][:4] == ["kind", "n", "m", "x_count"]
+    return [(int(n), kind, int(m), int(x)) for kind, n, m, x, _, _ in rows[1:]]
 
 
 class TestDigitRole:
@@ -97,8 +97,8 @@ class TestCutPoints:
         assert frees == [2 ** (k + 2) - 2 for k in range(5)]  # 2, 6, 14, 30, 62
 
     def test_ordered_by_m(self):
-        ms = dim_bounds(doubling_schedule(), 5).cut_m
-        assert list(ms) == sorted(ms)
+        ms = [m for _, _, m, _ in cut_table(doubling_schedule(), 5)]
+        assert len(ms) == 12 and ms == sorted(ms)
 
     def test_first_block_pair(self):
         cuts = cut_table(doubling_schedule(), 2)

@@ -207,7 +207,9 @@ class TestSlopeDim:
         sch = blockset.BlockSchedule(
             base=2, alphabet=2, zeros=SequenceSpec.geometric(1, 2)
         )
-        levels = sorted(blockset.dim_bounds(sch, 10).cut_m)
+        rep = blockset.dim_bounds(sch, 10)
+        levels = sorted(m for _, m, _, _ in rep.lower_samples + rep.upper_samples)
+        assert len(levels) == 22
         series = count_series(blockset.BlockCellSource(sch), levels)
         lo, hi = slope_dim(series, 8)
         assert hi == pytest.approx(0.5, abs=1e-12)

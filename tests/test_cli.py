@@ -4,6 +4,7 @@ import argparse
 import copy
 import errno
 import gc
+import hashlib
 import inspect
 import json
 import math
@@ -20,13 +21,13 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import fractaldim
-from fractaldim import _digits, blockset, boxdim, cli, hypergrid, selfsimilar
+from fractaldim import _digits, blockset, boxdim, cli, hypergrid, selfsimilar, seqgen
 from fractaldim._digits import _READ_BASE_BITS, DECIMAL_BASE_BITS
 from fractaldim.cli import main
-from fractaldim.errors import BudgetExceededError, FractalDimError, InputError
+from fractaldim.errors import BudgetExceededError, FractalDimError, HorizonExceededError, InputError
 
 DOUBLING = {
     "base": 2,
@@ -138,6 +139,122 @@ class TestDimBlock:
         path.write_text(json.dumps(spec))
         code, _, _ = run_cli(capsys, "dim-block", str(path), "--n-max", "3")
         assert code == 2
+
+    def test_rows_past_the_digit_budget_are_refused_before_any(self, tmp_path):
+        # 60,002 rows of numbers up to 30,002 bits: ran 93 s, peaked at 331 MB and exited 0
+        path = tmp_path / "geometric.json"
+        path.write_text(json.dumps(LONG_GEOMETRIC_BLOCKS))
+        proc = run_module("dim-block", str(path), "--n-max", "30000",
+                          timeout=10, address_space=800_000 * 2**10)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == (
+            "error: cut rows through block pair 30000 pass the budget of 25000000 digits\n"
+        )
+
+    def test_rows_are_written_as_they_are_walked(self, capsys, tmp_path):
+        # the held cut columns peaked at 9.5 MB traced; 22,980,119 bytes of rows
+        path, target = tmp_path / "geometric.json", tmp_path / "out.csv"
+        path.write_text(json.dumps(LONG_GEOMETRIC_BLOCKS))
+        code, out, err, peak = run_cli_peak(capsys, "dim-block", str(path), "--n-max", "5000",
+                                            "--out", str(target))
+        assert (code, out, err) == (0, "", "")
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+            "92ae91dc943b2588fb84928bbf43e914bbffd729b429a4d449c028fb2b0afffe"
+        )
+        assert peak < 2 * 10**6
+
+
+LONG_GEOMETRIC_BLOCKS = {
+    "base": 2,
+    "alphabet": 2,
+    "zeros": {"kind": "geometric", "first": 1, "ratio": 2, "horizon": 100000},
+    "frees": "same_as_zeros",
+}
+
+
+def _prefix_sums(spec: seqgen.SequenceSpec, count: int) -> list[int]:
+    """Sums of the longest run of the first ``count`` terms ``seqgen.terms`` draws whole."""
+    for k in range(count, 0, -1):
+        try:
+            terms = seqgen.terms(spec, k)
+        except HorizonExceededError:  # a term past the digit cap
+            continue
+        return [sum(terms[: i + 1]) for i in range(k)]
+    return []
+
+
+def _dim_block_reference(schedule: dict, n_max: int, tol: float, precision: int) -> str | None:
+    """dim-block's text from prefix sums of the block lengths, or None when no pair is whole."""
+    sch = blockset.schedule_from_json(schedule)
+    zeros, frees = _prefix_sums(sch.zeros, n_max + 1), _prefix_sums(sch.frees, n_max + 1)
+    n = min(len(zeros), len(frees)) - 1
+    if n < 0:
+        return None
+    scale = math.log(sch.alphabet) / math.log(sch.base)
+
+    def value(x, m):
+        return Fraction(x, m) if sch.alphabet == sch.base else float(Fraction(x, m)) * scale
+
+    families = {"after_zeros": [], "after_frees": []}
+    lines = ["kind,n,m,x_count,local_dim,local_dim_decimal"]
+    for k in range(n + 1):
+        before = frees[k - 1] if k else 0
+        for kind, m, x in (("after_zeros", zeros[k] + before, before),
+                           ("after_frees", zeros[k] + frees[k], frees[k])):
+            v = value(x, m)
+            families[kind].append(v)
+            exact = f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else repr(v)
+            lines.append(f"{kind},{k},{m},{x},{exact},{float(v):.{precision}f}")
+    lower, upper = families["after_zeros"][-1], families["after_frees"][-1]
+    spread = max(abs(float(f[-1]) - float(f[-2])) if n else math.inf for f in families.values())
+    lines.append("summary,value,decimal")
+    for label, v in (("lower", lower), ("upper", upper), ("hausdorff_dim", lower)):
+        exact = f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else ""
+        lines.append(f"{label},{exact},{float(v):.{precision}f}")
+    converged = n == n_max and spread < tol
+    lines.append(f"converged,{str(converged).lower()},{spread:.{precision}f}")
+    return "".join(line + "\n" for line in lines)
+
+
+_block_spec = st.builds(
+    lambda kind, first, growth, cap: {"kind": kind, "first": first, "digit_cap": cap,
+                                      ("step" if kind == "arithmetic" else "ratio"): growth},
+    st.sampled_from(["arithmetic", "geometric"]),
+    st.integers(1, 12),
+    st.integers(1, 4),
+    st.sampled_from([1, 2, 3, 40]),
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    beta=st.integers(2, 7),
+    sigma=st.integers(2, 7),
+    zeros=_block_spec,
+    frees=st.one_of(st.just("same_as_zeros"), _block_spec),
+    n_max=st.integers(2, 40),
+    tol=st.sampled_from([1e-6, 0.05, 1.0]),
+    precision=st.integers(1, 20),
+)
+# alphabet < base; a digit cap that ends the frees at pair 5 of 12
+@example(beta=5, sigma=3, zeros={"kind": "arithmetic", "first": 2, "step": 3, "digit_cap": 40},
+         frees="same_as_zeros", n_max=12, tol=1e-6, precision=12)
+@example(beta=2, sigma=2, zeros={"kind": "arithmetic", "first": 1, "step": 1, "digit_cap": 40},
+         frees={"kind": "geometric", "first": 3, "ratio": 3, "digit_cap": 3}, n_max=12,
+         tol=1e-6, precision=12)
+def test_dim_block_matches_a_prefix_sum_reference(capsys, tmp_path, beta, sigma, zeros, frees,
+                                                  n_max, tol, precision):
+    schedule = {"base": max(beta, sigma), "alphabet": sigma, "zeros": zeros, "frees": frees}
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps(schedule))
+    code, out, err = run_cli(capsys, "dim-block", str(path), "--n-max", str(n_max),
+                             "--tol", repr(tol), "--precision", str(precision))
+    want = _dim_block_reference(schedule, n_max, tol, precision)
+    if want is None:  # the digit cap ends the first block pair
+        assert (code, out) == (3, "") and err.startswith("error: term ")
+    else:
+        assert (code, out, err) == (0, want, "")
 
 
 class TestDimIfs:
@@ -503,6 +620,30 @@ class TestCriticalD:
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {err}\n")
 
     @pytest.mark.parametrize(
+        "rows",
+        ["0,4/1,2\n1,2/1,2\n2,1/2,2\n", "0,8/1,2\n1,4/1,4\n2,2/1,8\n3,3/2,16\n"],
+        ids=["degenerate", "bracketed"],
+    )
+    def test_deltas_above_one_are_refused(self, capsys, tmp_path, rows):
+        # printed critical_d,-1.000000000000 and critical_d,1.704710419827, though no box
+        # count has a scale above the unit cell
+        path = tmp_path / "counts.csv"
+        path.write_text("m,delta,n_cells\n" + rows)
+        assert run_cli(capsys, "critical-d", str(path)) == (
+            2, "", "error: deltas must be at most 1\n"
+        )
+
+    def test_a_delta_of_one_is_kept(self, capsys, tmp_path):
+        # counts from level 0 write the unit cell's row
+        path = tmp_path / "counts.csv"
+        code, _, _ = run_cli(capsys, "counts", "--rule", "cantor", "--levels", "0", "12",
+                             "--out", str(path))
+        assert code == 0 and path.read_text().splitlines()[1] == "0,1/1,1"
+        assert run_cli(capsys, "critical-d", str(path)) == (
+            0, "critical_d,0.630929753405\nbracket,0.630929753025,0.630929753785\n", ""
+        )
+
+    @pytest.mark.parametrize(
         "option, code",
         [(("--tol", "1e-16"), 0), (("--tol", "1e-17"), 0), (("--tol", "1e-300"), 0),
          (("--d-max", "1e308"), 2)],
@@ -572,7 +713,7 @@ class TestHyperHsd:
 
     def test_oracle_many_long_runs_over_budget_exit_3(self, capsys, tmp_path):
         # each run is within the table budget at D = 1; their 10**8 intervals are not
-        runs = [[2 * 10**7 * k, 2 * 10**7 * k + 10**7 - 1] for k in range(10)]
+        runs = [[2 * 10**5 * k, 2 * 10**5 * k + 10**5 - 1] for k in range(1000)]
         path = tmp_path / "set.json"
         path.write_text(json.dumps({"N": 2 * 10**8, "runs": runs}))
         code, out, err = run_cli(
@@ -581,6 +722,17 @@ class TestHyperHsd:
         assert (code, out) == (3, "")
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_oracle_charges_each_row_of_its_table(self, tmp_path):
+        # charged 10**7 cell updates, within the budget: about 15 s and 1 GB of table
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps({"N": 10**7, "runs": [[0, 10**7 - 1]]}))
+        proc = run_module("hyper-hsd", str(path), "--delta", "1/10000000", "--s", "1/2",
+                          "--oracle", timeout=5, address_space=800_000 * 2**10)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == (
+            "error: DP oracle needs 330000000 cell updates, over the budget of 20000000\n"
+        )
 
     def test_interval_count_above_index_size(self, capsys, tmp_path):
         path = tmp_path / "set.json"

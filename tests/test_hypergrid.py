@@ -292,13 +292,13 @@ class TestLongRunsAndBudget:
         assert len(part.intervals) == part.count == n
 
     def test_dp_over_budget_raises_before_work(self):
-        # one run of 20,001 points at D = 1000 needs 20,001,000 cell updates
+        # one run of 20,001 points at D = 1000 is charged 20,001 * 1,032 = 20,641,032 cell updates
         grid = HyperGrid(40_000)
         with pytest.raises(BudgetExceededError):
             h_delta_s_dp(from_runs(((0, 20_000),)), Fraction(1000, 40_000), 0.5, grid)
 
     def test_dp_budget_counts_short_runs_by_their_length(self):
-        # L*D would be 10**10 here; L*min(L, D) is 10**6
+        # L*D would be 10**8 here; L*(min(L, D) + 32) is 13,200
         runs = tuple((300 * k, 300 * k + 99) for k in range(100))
         grid = HyperGrid(10**6)
         B = from_runs(runs)
@@ -306,8 +306,8 @@ class TestLongRunsAndBudget:
         assert dp.cost == h_delta_s_greedy(B, Fraction(1), 0.5, grid).cost
 
     def test_dp_budget_charges_one_table_for_all_runs(self):
-        # 30 runs of 1,000 points at D = 1000: one table of 10**6 cell updates
-        # serves them all, where filling one per run would need 3 * 10**7
+        # 30 runs of 1,000 points at D = 1000: one table charged 1,032,000 cell
+        # updates serves them all, where filling one per run would need 30,960,000
         runs = tuple((2000 * k, 2000 * k + 999) for k in range(30))
         grid = HyperGrid(60_000)
         B = from_runs(runs)
@@ -316,9 +316,9 @@ class TestLongRunsAndBudget:
         assert dp.cost == h_delta_s_greedy(B, Fraction(1000, 60_000), 0.5, grid).cost
 
     def test_dp_budget_charges_the_traceback(self):
-        # ten runs of 10**7 points at D = 1: the table needs 10**7 cell
-        # updates, but the traceback would build 10**8 intervals
-        runs = tuple((2 * 10**7 * k, 2 * 10**7 * k + 10**7 - 1) for k in range(10))
+        # 1,000 runs of 10**5 points at D = 1: the table is charged 3.3 * 10**6
+        # cell updates, but the traceback would build 10**8 intervals
+        runs = tuple((2 * 10**5 * k, 2 * 10**5 * k + 10**5 - 1) for k in range(1000))
         grid = HyperGrid(2 * 10**8)
         with pytest.raises(BudgetExceededError, match="100000000"):
             h_delta_s_dp(from_runs(runs), Fraction(1, 2 * 10**8), 0.5, grid)
@@ -374,7 +374,7 @@ def _list_index_dp(B, delta, s, grid):
     N = grid.N
     lengths = [j - i + 1 for i, j in runs_in(B)]
     longest = max(lengths, default=0)
-    work = max(longest * min(longest, D), sum(lengths))
+    work = max(longest * (min(longest, D) + 32), sum(lengths))
     if work > hypergrid._DP_BUDGET:
         raise BudgetExceededError(
             f"DP oracle needs {work} cell updates, over the budget of {hypergrid._DP_BUDGET}"
@@ -440,7 +440,7 @@ def test_dp_budget_refuses_what_it_refused_before_any_work(inputs, over):
     grid, B, delta, s = inputs
     lengths = [j - i + 1 for i, j in runs_in(B)]
     D = hypergrid._capacity(delta, grid)
-    work = max(max(lengths) * min(max(lengths), D), sum(lengths))
+    work = max(max(lengths) * (min(max(lengths), D) + 32), sum(lengths))
     with mock.patch.object(hypergrid, "_DP_BUDGET", work - over):
         if over:
             with pytest.raises(BudgetExceededError) as expected:

@@ -60,8 +60,9 @@ SAMPLES = {
                        ratio=None, base=None, seed=None, terms=None),
     GrowthVerdict: dict(status="satisfied", witness_index=4, margin=Fraction(3, 2)),
     BlockSchedule: dict(base=3, alphabet=2, zeros=SPEC, frees=SPEC, m_cap=100),
-    DimReport: dict(cut_m=(1, 2), cut_x=(0, 1), scale=None, lower=Fraction(0),
-                    upper=Fraction(1, 2), converged=False, spread=0.5, n_used=0),
+    DimReport: dict(schedule=BlockSchedule(2, 2, SequenceSpec.arithmetic(1, 0)), scale=None,
+                    lower=Fraction(0), upper=Fraction(1, 2), converged=False, spread=0.5,
+                    n_used=0),
     CountSeries: dict(**COLUMNS, ambient_dim=1),
     TwoGridResult: dict(h=Fraction(1, 9), k=Fraction(1, 3), n_h=4, n_k=2, d=0.63),
     CriticalExponent: dict(d=1.0, lo=0.9, hi=1.1, degenerate=False),
@@ -170,6 +171,7 @@ INVALID = [
     (CountSeries, dict(COLUMNS, nums=(1, 2), dens=(2, 8))),  # 2/8 is not in lowest terms
     (CountSeries, dict(COLUMNS, nums=(-1, 1), dens=(-2, 4))),
     (CountSeries, dict(COLUMNS, nums=(1, 0), dens=(2, 0))),
+    (CountSeries, dict(COLUMNS, nums=(3, 1), dens=(2, 4))),  # a delta above 1
 ]
 
 
@@ -258,10 +260,13 @@ def test_count_series_tail_logs_computed_once(monkeypatch):
     assert len(calls) == taken
 
 
-def test_dim_report_samples_built_once():
+def test_dim_report_samples_equal_on_repeated_access():
+    # the samples are walked anew on each access, so they hold no state to go stale
     report = DimReport(**SAMPLES[DimReport])
-    assert report.lower_samples is report.lower_samples
-    assert report.upper_samples == ((0, 2, 1, Fraction(1, 2)),)
+    assert report.lower_samples == report.lower_samples == ((0, 1, 0, Fraction(0)),)
+    assert report.upper_samples == report.upper_samples == ((0, 2, 1, Fraction(1, 2)),)
+    assert report._replace(n_used=1).upper_samples == ((0, 2, 1, Fraction(1, 2)),
+                                                       (1, 4, 2, Fraction(1, 2)))
 
 
 def test_records_unpack_and_compare_like_tuples():

@@ -28,12 +28,16 @@ a sign, a zero, no slash, spaces or an underscore, or whose rows repeat a
 level, raise a delta or hold a negative count, and ``counts --schedule``
 on schedules whose block walk stops (past the explicit blocks, past
 ``m_cap``, at a term over the per-term budget, past 10**6 one-digit
-blocks), ``dim-block`` on one whose digit cap cuts the report short, and
+blocks), ``dim-block`` on one whose digit cap cuts the report short, on
+ratio-2 geometric blocks at ``--n-max`` 2000 and 30000 (past the printed
+digits' budget) and on an alphabet smaller than its base, and
 each JSON reader (ratio spec in both shapes, block schedule, sequence
 spec in a schedule and for ``seq-check``, internal set) on a value that is
 not an object and on one with an unknown key, ``--tol nan|inf|0`` on
 ``dim-block``, ``dim-ifs`` and ``critical-d``, ``critical-d`` on deltas
-whose float logarithms tie and on a delta of 1, ``two-grid --rule NAME
+whose float logarithms tie, on a delta of 1 and on two series with deltas
+above 1, ``hyper-hsd --oracle`` on one run of 10**6 points at D = 1 (past
+the table's row charge), ``two-grid --rule NAME
 --levels 1 7`` for every catalog name and alias, with ``--precision 3``,
 and over the prime level span 20,011, and ``tables-ch6`` at
 ``--n-max`` values from -2 to 10**19, past both of its budgets; these are
@@ -162,6 +166,12 @@ def input_ops(work: Path) -> list[tuple[str, list[str]]]:
                                 "frees": {"kind": "arithmetic", "first": 1, "step": 1}},
         "walk_long.json": {"base": 2, "zeros": {**ones, "horizon": 10**8}, "m_cap": "10^8"},
     }
+    # cut reports: geometric blocks, short and past the printed digits, and alphabet < base
+    walks["geometric.json"] = {"base": 2, "zeros": {"kind": "geometric", "first": 1, "ratio": 2,
+                                                    "horizon": 100_000}}
+    walks["alphabet_below_base.json"] = {
+        "base": 5, "alphabet": 3, "zeros": {"kind": "geometric", "first": 2, "ratio": 3},
+        "frees": {"kind": "arithmetic", "first": 1, "step": 2}}
     for name, schedule in walks.items():
         files[name] = json.dumps(schedule).encode()
     # each JSON reader's non-object and unknown-key refusals, and valid inputs for --tol
@@ -187,6 +197,10 @@ def input_ops(work: Path) -> list[tuple[str, list[str]]]:
     files["tied_deltas.csv"] = (b"m,delta,n_cells\n1,1/3,2\n2,1/100000000000000000000,4\n"
                                 b"3,1/100000000000000000001,8\n")
     files["unit_delta.csv"] = b"m,delta,n_cells\n0,1/1,2\n1,1/2,2\n2,1/4,2\n"
+    files["deltas_above_one.csv"] = b"m,delta,n_cells\n0,4/1,2\n1,2/1,2\n2,1/2,2\n"
+    files["deltas_above_one_bracketed.csv"] = (b"m,delta,n_cells\n0,8/1,2\n1,4/1,4\n2,2/1,8\n"
+                                               b"3,3/2,16\n")
+    files["dp_rows.json"] = json.dumps({"N": 10**6, "runs": [[0, 10**6 - 1]]}).encode()
     for name, data in files.items():
         (work / name).write_bytes(data)
     csvs = ("late_byte.csv", "row_then_byte.csv", "line_breaks.csv", "missing.csv",
@@ -207,7 +221,12 @@ def input_ops(work: Path) -> list[tuple[str, list[str]]]:
                                  ("walk_m_cap.json", ("40", "60")),
                                  ("walk_term_budget.json", ("1999999", "2000001")),
                                  ("walk_long.json", ("20000000", "20000000")))]
-    ops += [("dim_block_walk_digit_cap", ["dim-block", "walk_digit_cap.json", "--n-max", "4"])]
+    ops += [("dim_block_walk_digit_cap", ["dim-block", "walk_digit_cap.json", "--n-max", "4"]),
+            ("dim_block_geometric", ["dim-block", "geometric.json", "--n-max", "2000"]),
+            ("dim_block_geometric_past_budget",
+             ["dim-block", "geometric.json", "--n-max", "30000"]),
+            ("dim_block_alphabet_below_base",
+             ["dim-block", "alphabet_below_base.json", "--n-max", "60", "--precision", "17"])]
     ops += [(f"reader_{name[:-5]}", argv) for name, argv in (
         ("ratio_list.json", ["dim-ifs", "ratio_list.json"]),
         ("ratio_extra.json", ["dim-ifs", "ratio_extra.json"]),
@@ -225,7 +244,12 @@ def input_ops(work: Path) -> list[tuple[str, list[str]]]:
                 (f"tol_{tol}_critical_d", ["critical-d", "cantor.csv", "--tol", tol])]
     ops += [("critical_d_tied_deltas", ["critical-d", "tied_deltas.csv"]),
             ("critical_d_tied_deltas_d_max", ["critical-d", "tied_deltas.csv", "--d-max", "5"]),
-            ("critical_d_unit_delta", ["critical-d", "unit_delta.csv"])]
+            ("critical_d_unit_delta", ["critical-d", "unit_delta.csv"]),
+            ("critical_d_deltas_above_one", ["critical-d", "deltas_above_one.csv"]),
+            ("critical_d_deltas_above_one_bracketed",
+             ["critical-d", "deltas_above_one_bracketed.csv"]),
+            ("hyper_hsd_oracle_rows", ["hyper-hsd", "dp_rows.json", "--delta", "1/1000000",
+                                       "--s", "1/2", "--oracle"])]
     names = ("cantor", "cantor5", "koch", "quadratic_koch", "sierpinski_gasket",
              "sierpinski_carpet", "menger_sponge", "menger_standard", "hyperpyramid",
              "carpet", "gasket", "menger")
