@@ -90,6 +90,7 @@ class _DimReport(NamedTuple):
     converged: bool
     spread: float
     n_used: int
+    m_used: int
 
 
 class DimReport(_DimReport):
@@ -105,7 +106,8 @@ class DimReport(_DimReport):
     last two samples of each family differ by less than the requested
     tolerance; ``spread`` is the larger of the two achieved gaps.  The
     per-family sample tuples (n, m, x_count, value) come from a new walk of
-    the blocks on each access.
+    the blocks on each access.  ``m_used`` is the position of the last cut,
+    after pair n_used's free block.
     """
 
     __slots__ = ()
@@ -229,8 +231,8 @@ def dim_bounds(schedule: BlockSchedule, n_max: int, tol: float = 1e-6) -> DimRep
 
     The tail value is the last computed sample; no extrapolation is applied.
     If the horizon or digit cap runs out first, the report uses whatever
-    pairs exist and ``converged`` is False.  A report whose rows would print
-    more than the series digit budget is refused.
+    pairs exist and ``converged`` is False.  Only the walk is budgeted here:
+    dim_report_csv charges the digits its rows would print.
     """
     check_tol(tol)
     if n_max < 2:
@@ -244,9 +246,6 @@ def dim_bounds(schedule: BlockSchedule, n_max: int, tol: float = 1e-6) -> DimRep
         if not last:  # not one block pair before the digit cap
             raise
     n, (m_lo, x_lo, m_hi, x_hi) = last[-1]
-    # m and X never fall along the walk, so the last cut's m bounds every row's numbers
-    if (2 * n + 2) * m_hi.bit_length() > _SERIES_BITS:
-        raise _series_budget_error(f"cut rows through block pair {n}")
     scale = _scale(schedule)
     factor, spread = 1.0 if scale is None else scale, math.inf
     if n:  # the larger gap between the last two samples of a family, X/m unreduced
@@ -260,6 +259,7 @@ def dim_bounds(schedule: BlockSchedule, n_max: int, tol: float = 1e-6) -> DimRep
         converged=n == n_max and spread < tol,
         spread=spread,
         n_used=n,
+        m_used=m_hi,
     )
 
 
@@ -267,7 +267,8 @@ def hausdorff_dim(schedule: BlockSchedule, n_max: int):
     """Tail value along the after-zeros cuts, reported as the Hausdorff dimension.
 
     The after-zeros scales are where the efficient covers of a digit-block
-    set live; both cut families remain available through dim_bounds.
+    set live; both cut families remain available through dim_bounds.  It
+    prints no rows, so only the block walk's budget applies.
     """
     return dim_bounds(schedule, n_max).lower
 
@@ -297,23 +298,30 @@ def dim_report_csv(report: DimReport, precision: int = 12) -> Iterator[str]:
     """CSV lines (kind, n, m, x_count, local_dim) with exact-rational values, one at a time.
 
     The rows come from a new walk of the report's block pairs, two per pair,
-    ordered by position m.
+    ordered by position m, each one ``%`` of its kind's template.  Rows that
+    would print more than the series digit budget are refused before any.
     """
-    yield "kind,n,m,x_count,local_dim,local_dim_decimal"
     scale, last, gcd = report.scale, report.n_used, math.gcd
+    # m and X never fall along the walk, so the last cut's m bounds every row's numbers
+    if (2 * last + 2) * report.m_used.bit_length() > _SERIES_BITS:
+        raise _series_budget_error(f"cut rows through block pair {last}")
+    yield "kind,n,m,x_count,local_dim,local_dim_decimal"
+    exact = "%d/%d" if scale is None else "%r"  # X/m reduced, or the scaled float's repr
+    lo_row, hi_row = (f"{kind},%d,%d,%d,{exact},%.{precision}f" for kind in (AFTER_ZEROS, AFTER_FREES))
     for n, (m_lo, x_lo, m_hi, x_hi) in enumerate(_cuts(report.schedule, last)):
         lo, hi = x_lo / m_lo, x_hi / m_hi
         if scale is not None:  # as _dim_value scales X/m
             lo, hi = lo * scale, hi * scale
-            lo_text, hi_text = repr(lo), repr(hi)
+            yield lo_row % (n, m_lo, x_lo, lo, lo)
+            yield hi_row % (n, m_hi, x_hi, hi, hi)
         elif n < last:
             g, h = gcd(x_lo, m_lo), gcd(x_hi, m_hi)
-            lo_text, hi_text = f"{x_lo // g}/{m_lo // g}", f"{x_hi // h}/{m_hi // h}"
+            yield lo_row % (n, m_lo, x_lo, x_lo // g, m_lo // g, lo)
+            yield hi_row % (n, m_hi, x_hi, x_hi // h, m_hi // h, hi)
         else:  # the tail values, already reduced: the last gcd costs the most
-            tail = (report.lower, report.upper)
-            lo_text, hi_text = (f"{v.numerator}/{v.denominator}" for v in tail)
-        yield f"{AFTER_ZEROS},{n},{m_lo},{x_lo},{lo_text},{lo:.{precision}f}"
-        yield f"{AFTER_FREES},{n},{m_hi},{x_hi},{hi_text},{hi:.{precision}f}"
+            a, b = report.lower, report.upper
+            yield lo_row % (n, m_lo, x_lo, a.numerator, a.denominator, lo)
+            yield hi_row % (n, m_hi, x_hi, b.numerator, b.denominator, hi)
 
 
 _SAME = "same_as_zeros"

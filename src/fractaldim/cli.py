@@ -129,6 +129,9 @@ def cmd_dim_block(args) -> Iterable[str]:
             index=schedule.horizon,
         )
     report = blockset.dim_bounds(schedule, args.n_max, tol=args.tol)
+    rows = blockset.dim_report_csv(report, args.precision)
+    # the header is drawn here, so rows past the digit budget are refused before --out is opened
+    head = [next(rows)]
     summary = ["summary,value,decimal"]
     for label, value in (
         ("lower", report.lower),
@@ -138,7 +141,7 @@ def cmd_dim_block(args) -> Iterable[str]:
         exact = _fmt_fraction(value) if isinstance(value, Fraction) else ""
         summary.append(f"{label},{exact},{_fmt(value, args.precision)}")
     summary.append(f"converged,{str(report.converged).lower()},{_fmt(report.spread, args.precision)}")
-    return chain(blockset.dim_report_csv(report, args.precision), summary)
+    return chain(head, rows, summary)
 
 
 def cmd_dim_ifs(args) -> Iterable[str]:

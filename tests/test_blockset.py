@@ -222,6 +222,27 @@ class TestDimBounds:
         assert lines[1].startswith("after_zeros,0,1,0,0/1,")
         assert len(lines) == 9
 
+    @pytest.mark.parametrize("precision", [1, 12, 50])
+    @pytest.mark.parametrize("alphabet", [2, 3])
+    def test_report_csv_yields_one_line_per_item(self, alphabet, precision):
+        # the CLI's writer and cut_table join and split the items as lines
+        sch = BlockSchedule(base=5, alphabet=alphabet, zeros=SequenceSpec.geometric(1, 2),
+                            frees=SequenceSpec.arithmetic(1, 2))
+        rep = dim_bounds(sch, 30)
+        lines = list(dim_report_csv(rep, precision))
+        assert len(lines) == 2 * (rep.n_used + 1) + 1
+        assert not any("\n" in line for line in lines)
+
+    def test_only_printed_rows_are_charged_to_the_digit_budget(self):
+        # 14,002 rows of numbers up to 7,002 bits would pass the digit budget; hausdorff_dim
+        # prints none of them
+        sch = BlockSchedule(base=2, alphabet=2, zeros=SequenceSpec.geometric(1, 2, horizon=100000))
+        assert abs(hausdorff_dim(sch, 7000) - Fraction(1, 3)) < 1e-9
+        rows = dim_report_csv(dim_bounds(sch, 7000))
+        with pytest.raises(BudgetExceededError,
+                           match="^cut rows through block pair 7000 pass the budget of 25000000"):
+            next(rows)
+
 
 class TestCellSource:
     def test_counts_delegate(self):

@@ -151,6 +151,15 @@ class TestDimBlock:
             "error: cut rows through block pair 30000 pass the budget of 25000000 digits\n"
         )
 
+    def test_rows_past_the_digit_budget_open_no_out_file(self, capsys, tmp_path):
+        path, target = tmp_path / "geometric.json", tmp_path / "out.csv"
+        path.write_text(json.dumps(LONG_GEOMETRIC_BLOCKS))
+        code, out, err = run_cli(capsys, "dim-block", str(path), "--n-max", "30000",
+                                 "--out", str(target))
+        assert (code, out) == (3, "")
+        assert err == "error: cut rows through block pair 30000 pass the budget of 25000000 digits\n"
+        assert not target.exists()
+
     def test_rows_are_written_as_they_are_walked(self, capsys, tmp_path):
         # the held cut columns peaked at 9.5 MB traced; 22,980,119 bytes of rows
         path, target = tmp_path / "geometric.json", tmp_path / "out.csv"
@@ -235,11 +244,17 @@ _block_spec = st.builds(
     frees=st.one_of(st.just("same_as_zeros"), _block_spec),
     n_max=st.integers(2, 40),
     tol=st.sampled_from([1e-6, 0.05, 1.0]),
-    precision=st.integers(1, 20),
+    precision=st.integers(1, 50),
 )
-# alphabet < base; a digit cap that ends the frees at pair 5 of 12
+# alphabet < base, at the ends of the precision range too; a digit cap that ends the frees
+# at pair 5 of 12
 @example(beta=5, sigma=3, zeros={"kind": "arithmetic", "first": 2, "step": 3, "digit_cap": 40},
          frees="same_as_zeros", n_max=12, tol=1e-6, precision=12)
+@example(beta=5, sigma=3, zeros={"kind": "arithmetic", "first": 2, "step": 3, "digit_cap": 40},
+         frees="same_as_zeros", n_max=12, tol=1e-6, precision=1)
+@example(beta=7, sigma=2, zeros={"kind": "geometric", "first": 1, "ratio": 2, "digit_cap": 40},
+         frees={"kind": "arithmetic", "first": 3, "step": 1, "digit_cap": 40}, n_max=40,
+         tol=1e-6, precision=50)
 @example(beta=2, sigma=2, zeros={"kind": "arithmetic", "first": 1, "step": 1, "digit_cap": 40},
          frees={"kind": "geometric", "first": 3, "ratio": 3, "digit_cap": 3}, n_max=12,
          tol=1e-6, precision=12)

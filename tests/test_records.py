@@ -62,7 +62,7 @@ SAMPLES = {
     BlockSchedule: dict(base=3, alphabet=2, zeros=SPEC, frees=SPEC, m_cap=100),
     DimReport: dict(schedule=BlockSchedule(2, 2, SequenceSpec.arithmetic(1, 0)), scale=None,
                     lower=Fraction(0), upper=Fraction(1, 2), converged=False, spread=0.5,
-                    n_used=0),
+                    n_used=0, m_used=2),
     CountSeries: dict(**COLUMNS, ambient_dim=1),
     TwoGridResult: dict(h=Fraction(1, 9), k=Fraction(1, 3), n_h=4, n_k=2, d=0.63),
     CriticalExponent: dict(d=1.0, lo=0.9, hi=1.1, degenerate=False),

@@ -30,7 +30,9 @@ on schedules whose block walk stops (past the explicit blocks, past
 ``m_cap``, at a term over the per-term budget, past 10**6 one-digit
 blocks), ``dim-block`` on one whose digit cap cuts the report short, on
 ratio-2 geometric blocks at ``--n-max`` 2000 and 30000 (past the printed
-digits' budget) and on an alphabet smaller than its base, and
+digits' budget), on an alphabet smaller than its base at ``--precision`` 1,
+17 and 50, and on the benchmark's constant blocks (four digits per block
+pair, ``--n-max`` 20000) for bases 2 to 5 at ``--precision`` 1, 12 and 50, and
 each JSON reader (ratio spec in both shapes, block schedule, sequence
 spec in a schedule and for ``seq-check``, internal set) on a value that is
 not an object and on one with an unknown key, ``--tol nan|inf|0`` on
@@ -172,6 +174,13 @@ def input_ops(work: Path) -> list[tuple[str, list[str]]]:
     walks["alphabet_below_base.json"] = {
         "base": 5, "alphabet": 3, "zeros": {"kind": "geometric", "first": 2, "ratio": 3},
         "frees": {"kind": "arithmetic", "first": 1, "step": 2}}
+    # the benchmark's constant blocks, four digits per pair, one zero/free split per base
+    splits = {base: (base - 2) % 3 + 1 for base in range(2, 6)}
+    for base, zero_len in splits.items():
+        walks[f"constant_{base}.json"] = {
+            "base": base, "alphabet": base, "m_cap": "10^7",
+            "zeros": {"kind": "arithmetic", "first": zero_len, "step": 0, "horizon": 30_000},
+            "frees": {"kind": "arithmetic", "first": 4 - zero_len, "step": 0, "horizon": 30_000}}
     for name, schedule in walks.items():
         files[name] = json.dumps(schedule).encode()
     # each JSON reader's non-object and unknown-key refusals, and valid inputs for --tol
@@ -227,6 +236,12 @@ def input_ops(work: Path) -> list[tuple[str, list[str]]]:
              ["dim-block", "geometric.json", "--n-max", "30000"]),
             ("dim_block_alphabet_below_base",
              ["dim-block", "alphabet_below_base.json", "--n-max", "60", "--precision", "17"])]
+    ops += [(f"dim_block_alphabet_below_base_{precision}",
+             ["dim-block", "alphabet_below_base.json", "--n-max", "60", "--precision", precision])
+            for precision in ("1", "50")]
+    ops += [(f"dim_block_constant_{base}_{precision}",
+             ["dim-block", f"constant_{base}.json", "--n-max", "20000", "--precision", precision])
+            for base in splits for precision in ("1", "12", "50")]
     ops += [(f"reader_{name[:-5]}", argv) for name, argv in (
         ("ratio_list.json", ["dim-ifs", "ratio_list.json"]),
         ("ratio_extra.json", ["dim-ifs", "ratio_extra.json"]),
