@@ -17,9 +17,12 @@ from .errors import BudgetExceededError
 DECIMAL_BASE_BITS = 2000
 # ColumnReader tries the value above as a divisor when it is longer than this.
 # Per row of a column of multiples, on CPython 3.11.7 and an Intel Xeon server
-# core (timeit, best of 25), reading by quotient and multiply against int():
-# q = 8: 6.2 vs 5.1 us at 2,000 bits, 6.9 vs 8.5 at 2,600, 7.5 vs 11.2 at 3,200;
-# q = 3**20: 7.6 vs 5.3 us at 2,000 bits, 5.8 vs 5.2 at 2,600, 6.7 vs 7.3 at 3,200.
+# core (timeit, best of 25), read by the quotient kept from the row above, by
+# the leading-digit search for it, and by int():
+# q = 8: 2.8, 3.7, 2.7 us at 2,000 bits; 3.1, 3.9, 4.0 at 2,600; 3.7, 4.5, 6.1 at 3,200;
+# q = 3**20: 3.0, 3.8, 2.6 us at 2,000 bits; 3.2, 4.1, 4.2 at 2,600; 3.8, 4.8, 6.3 at 3,200.
+# The first row past this length, and every row whose quotient changes, pays the
+# search, which breaks even with int() here.
 _READ_BASE_BITS = 2600
 
 # a quotient at most this many bits long is multiplied in libmpdec
@@ -96,25 +99,33 @@ class ColumnReader:
     str-to-int conversion is quadratic in the number of digits.  Here a text
     equal to the one above returns the value above, and a text t of a
     multiple p*q of the value p above, with p positive and longer than
-    ``_READ_BASE_BITS`` and q below 2**64, is read in linear time: q is
-    the quotient of t's and p's leading digits, whose remainder must be
-    below q, t's last digits must match those of p*q, and then the Decimal
-    of p times q must print exactly as t.  That Decimal comes from p's text the first time, when that text is
-    plain ASCII digits, and from the last product after that.  Every other
-    text, including one longer than the interpreter's int-to-str digit
-    limit, goes through int(), so values and exceptions are int()'s.
+    ``_READ_BASE_BITS`` and q below 2**64, is read in linear time.  q is
+    taken when t's last digits match those of p*q and the Decimal of p
+    times q prints exactly as t.  The quotient the row above was read by,
+    if any, is tried first; then the quotient of t's and p's leading
+    digits, whose remainder must be below q.  That Decimal comes from p's
+    text the first time, when that text is plain ASCII digits, and from the
+    last product after that.  So a column of powers pays one multiply and
+    one str() per row, and a column whose quotient changes pays the
+    leading-digit search as well, and one more multiply where the values
+    end in so many zeros that the last digits fit either quotient.
+    Every other text, including one longer than the interpreter's
+    int-to-str digit limit, goes through int(), so values and exceptions
+    are int()'s; a row read by int() keeps no quotient for the next.
 
     Exactness: q only proposes a value.  A text accepted here is the str()
     of an integral Decimal computed exactly in ``_EXACT``, so it is the
     canonical decimal text of p*q, and int() of it would be p*q.
     """
 
-    __slots__ = ("_value", "_text", "_base")
+    __slots__ = ("_value", "_text", "_base", "_q", "_tail")
 
     def __init__(self) -> None:
         self._value: int | None = None
         self._text: str | None = None
         self._base: Decimal | None = None
+        self._q: int | None = None  # the quotient of the row above, if read by one
+        self._tail = 0  # ... and the integer of its last _TAIL_DIGITS digits
 
     def __call__(self, text: str) -> int:
         p, above = self._value, self._text
@@ -133,34 +144,47 @@ class ColumnReader:
                 self._value, self._text = v, text
                 return v
         v = int(text)
-        self._value, self._text, self._base = v, text, None
+        self._value, self._text, self._base, self._q = v, text, None, None
         return v
 
     def _quotient(self, above: str, text: str) -> int | None:
         """q with ``text`` the decimal text of q times the value above, or None."""
-        # Cut the last s digits off p's text: p = P*10**s + x with x < 10**s.
-        # If text is p*q, the same cut of it leaves q*P + q*x // 10**s, and
-        # q*x // 10**s < q; as P >= 10**23 > 2**64 > q, divmod gives q.
-        lead = len(text) - len(above) + _LEAD_DIGITS
+        kept = self._q
         try:
-            q, r = divmod(int(text[:lead]), int(above[:_LEAD_DIGITS]))
-            if not r < q < 1 << _QUOTIENT_BITS or (
-                int(above[-_TAIL_DIGITS:]) * q - int(text[-_TAIL_DIGITS:])
-            ) % _TAIL_MOD:
-                return None
-        except (ValueError, ZeroDivisionError):  # texts int() may or may not read
+            tail = int(text[-_TAIL_DIGITS:])
+            above_tail = int(above[-_TAIL_DIGITS:]) if kept is None else self._tail
+        except ValueError:  # texts int() may or may not read
             return None
+        # last digits that are all zeros fit any quotient, so a kept one may still fail the proof
+        if kept is None or (above_tail * kept - tail) % _TAIL_MOD or not self._proves(above, text, kept):
+            # Cut the last s digits off p's text: p = P*10**s + x with x < 10**s.
+            # If text is p*q, the same cut of it leaves q*P + q*x // 10**s, and
+            # q*x // 10**s < q; as P >= 10**23 > 2**64 > q, divmod gives q.
+            lead = len(text) - len(above) + _LEAD_DIGITS
+            try:
+                q, r = divmod(int(text[:lead]), int(above[:_LEAD_DIGITS]))
+            except (ValueError, ZeroDivisionError):
+                return None
+            if (not r < q < 1 << _QUOTIENT_BITS or (above_tail * q - tail) % _TAIL_MOD
+                    or not self._proves(above, text, q)):
+                return None
+            self._q = q
+        self._tail = tail
+        return self._q
+
+    def _proves(self, above: str, text: str, q: int) -> bool:
+        """Whether ``text`` is the str() of the exact Decimal of q times the value above."""
         base = self._base
         if base is None:
             # ASCII digits only (str.isdigit also takes other scripts' digits)
             if not (above.isascii() and above.encode().isdigit()):
-                return None
+                return False
             base = Decimal(above)
         base = _EXACT.multiply(base, q)
         if str(base) != text:
-            return None
+            return False
         self._base = base
-        return q
+        return True
 
 
 def _int_max_str_digits() -> int:

@@ -18,8 +18,8 @@ from bisect import bisect_left
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain, islice, repeat
-from operator import add, ge, gt, lt, mul, sub
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from operator import add, ge, gt, lt, mul, sub, truediv
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._digits import (_SERIES_DIGITS, ColumnReader, _power_exceeds, _series_budget_error,
                       _within_budget, decimal_column)
@@ -361,6 +361,14 @@ def critical_d(
     of it, so ``lo`` is the last point seen to diverge (or 0) and ``hi`` the
     first seen to vanish (or ``d_max``), each within ``tol`` (or one ulp) of
     the edge of the bounded band.
+
+    Most steps are decided without ``classify_d``, from a certified bracket:
+    at 0 <= d <= d_max below (above) every tail step's slope, less (plus) a
+    margin of 16 * 2**-53 of max|log count| + d_max * max|log delta| and
+    the tail tolerance, each computed step of log count - d * log(1/delta)
+    rises (falls) by more than that tolerance, so ``classify_d`` would read
+    diverges (vanishes).  A step inside the bracket calls ``classify_d``.
+    So the steps and the result are the plain bisection's.
     """
     check_tol(tol)
     if d_max is not None and not math.isfinite(d_max):
@@ -385,31 +393,56 @@ def critical_d(
     lo, hi = 0.0, float(d_max)
     if not math.isfinite(hi * max(map(abs, series._tail_logs[1]))):
         raise InputError(f"d_max={d_max} overflows d*log(delta) on this series")
-    if classify_d(series, hi) == DIVERGES:
+    classify = _certified_classify(series, hi)
+    if classify(hi) == DIVERGES:
         raise InputError(f"series still diverges at d_max={d_max}")
     width = math.inf
     while tol < hi - lo < width:  # a bracket one ulp wide stops shrinking
         width = hi - lo
         mid = 0.5 * (lo + hi)
-        verdict = classify_d(series, mid)
+        verdict = classify(mid)
         if verdict == DIVERGES:
             lo = mid
         elif verdict == VANISHES:
             hi = mid
         else:
-            lo = _band_edge(series, lo, mid, DIVERGES, tol)
-            hi = _band_edge(series, hi, mid, VANISHES, tol)
+            lo = _band_edge(classify, lo, mid, DIVERGES, tol)
+            hi = _band_edge(classify, hi, mid, VANISHES, tol)
             return CriticalExponent(d=mid, lo=lo, hi=hi)
     return CriticalExponent(d=0.5 * (lo + hi), lo=lo, hi=hi)
 
 
-def _band_edge(series: CountSeries, outer: float, inner: float, verdict: str, tol: float) -> float:
+def _certified_classify(series: CountSeries, top: float) -> Callable[[float], str]:
+    """``classify_d`` on ``series``, decided without it for 0 <= d <= top outside a bracket."""
+    # lc, ld: the tail logs; A_i = lc[i+1] - lc[i], B_i = ld[i] - ld[i+1] > 0; u = 2**-53.
+    # For 0 <= d <= top, S = max|lc| + top * max|ld| >= |lc_i| + d * |ld_i|, so classify_d's g_i
+    # errs by < 2.0001 u S, its diffs_i by < 6.01 u S from A_i - d * B_i, and its tol is at most
+    # 1e-12 * max(1, S) * (1 + 3u).  A_i, B_i in floats cost 2 u S more: with m = 16 u S + that
+    # bound, diffs exceed tol below min (A_i - m) / B_i and are below -tol above max (A_i + m) /
+    # B_i.  Both quotients round by about 2u, so each is widened by 1e-12 relative.
+    d_a, d_b = 0.0, top  # nothing is certified when top <= 0
+    if top > 0.0:
+        lc, ld = series._tail_logs
+        scale = max(map(abs, lc)) + top * max(map(abs, ld))
+        margin = 1e-12 * max(1.0, scale) * (1.0 + 1e-9) + 16 * 2.0**-53 * scale
+        rises, drops = list(map(sub, islice(lc, 1, None), lc)), list(map(sub, ld, islice(ld, 1, None)))
+        d_a = min(map(truediv, map(sub, rises, repeat(margin)), drops))
+        d_b = max(map(truediv, map(add, rises, repeat(margin)), drops))
+        d_a, d_b = d_a - 1e-12 * abs(d_a), d_b + 1e-12 * abs(d_b)
+    def classify(d: float) -> str:
+        if 0.0 <= d <= top and not d_a <= d <= d_b:
+            return DIVERGES if d < d_a else VANISHES
+        return classify_d(series, d)
+    return classify
+
+
+def _band_edge(classify: Callable, outer: float, inner: float, verdict: str, tol: float) -> float:
     """Bisect from ``outer`` toward ``inner``, not classified ``verdict``, to the last point that is."""
     width = math.inf
     while tol < abs(inner - outer) < width:  # a bracket one ulp wide stops shrinking
         width = abs(inner - outer)
         mid = 0.5 * (outer + inner)
-        if classify_d(series, mid) == verdict:
+        if classify(mid) == verdict:
             outer = mid
         else:
             inner = mid
@@ -478,19 +511,18 @@ def count_series_from_csv(text: str | Iterable[str]) -> CountSeries:
     read_den, read_count = ColumnReader(), ColumnReader()
     levels, nums, dens, counts = [], [], [], []
     for ln in lines:
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise InputError(f"bad count series row: {ln!r}")
-        p, _, q = parts[1].partition("/")
         try:
-            m, p, q, n = int(parts[0]), int(p), read_den(q or "1"), read_count(parts[2])
+            m, delta, n = ln.split(",")
+            p, _, q = delta.partition("/")
+            m, p, q, n = int(m), int(p), read_den(q or "1"), read_count(n)
             if not q:
                 raise ValueError("zero denominator")
         except ValueError:
             raise InputError(f"bad count series row: {ln!r}") from None
         # lowest terms with q > 0, as a Fraction holds them
         g = math.gcd(p, q) if q > 0 else -math.gcd(p, q)
-        p, q = p // g, q // g
+        if g != 1:
+            p, q = p // g, q // g
         if p <= 0:
             raise InputError(f"delta must be positive in row {ln!r}")
         levels.append(m), nums.append(p), dens.append(q), counts.append(n)

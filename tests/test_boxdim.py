@@ -5,10 +5,12 @@ arithmetic, carpet stage cells by explicit geometric enumeration, two-grid
 values by plain float evaluation of the defining quotient.
 """
 
+import inspect
 import math
 import random
 from fractions import Fraction
 from itertools import product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -596,6 +598,122 @@ def test_critical_d_top_from_per_step_slopes(source):
         for a, b in zip(window, window[1:])
     ]
     assert critical_d(series, tol=1e-9) == critical_d(series, tol=1e-9, d_max=max(steps) + 1.0)
+
+
+@st.composite
+def _tail_series(draw):
+    """A catalog rule read back from CSV, counts with +-1 offsets, mixed ratios or huge counts."""
+    kind = draw(st.sampled_from(("rule", "offsets", "mixed", "huge")))
+    first = draw(st.integers(1, 30))
+    levels = list(range(first, first + draw(st.integers(3, 80))))
+    if kind == "rule":
+        name = draw(st.sampled_from(sorted(selfsimilar.RULES)))
+        return count_series_from_csv(count_series_to_csv(count_series(RuleSource(rule(name)), levels)))
+    if kind == "mixed":  # each step divides delta by r and multiplies the count by p
+        steps = draw(st.lists(st.tuples(st.sampled_from((2, 3, 5, 7)), st.integers(1, 40)),
+                              min_size=len(levels), max_size=len(levels)))
+        dens, counts, den, count = [], [], 1, 1
+        for r, p in steps:
+            den, count = den * r, count * p
+            dens.append(den), counts.append(count)
+        return CountSeries(tuple(levels), (1,) * len(levels), tuple(dens), tuple(counts))
+    pieces, scale = draw(st.integers(2, 30)), draw(st.integers(2, 5))
+    offsets = draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=len(levels), max_size=len(levels)))
+    lift = 20**1500 if kind == "huge" else 1  # counts near 20**1500: a large tail tolerance
+    counts = tuple(lift * pieces**m + e for m, e in zip(levels, offsets))
+    return CountSeries(tuple(levels), (1,) * len(levels), tuple(scale**m for m in levels), counts)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(series=_tail_series(), top=st.floats(0.0, 60.0), data=st.data())
+def test_certified_bracket_agrees_with_classify_d(series, top, data):
+    # wherever the bracket decides a verdict without classify_d, it is classify_d's
+    classify = boxdim._certified_classify(series, top)
+    bracket = inspect.getclosurevars(classify).nonlocals
+    points = [0.0, top, *data.draw(st.lists(st.floats(0.0, top), min_size=10, max_size=10))]
+    for edge in (bracket["d_a"], bracket["d_b"]):  # a few ulps either side of each edge
+        below = above = edge
+        for _ in range(4):
+            below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+            points += [below, above]
+    with patch.object(boxdim, "classify_d", lambda series, d: None):
+        decided = [(d, classify(d)) for d in points]
+    for d, verdict in decided:
+        if verdict is not None:
+            assert 0.0 <= d <= top
+            assert verdict == classify_d(series, d), d
+
+
+def _reference_bracket(series, tol: float, d_max=None) -> tuple[float, float, float]:
+    """(d, lo, hi) of critical_d's bisection, with classify_d called on every step."""
+    n = len(series.levels)
+    window = list(zip(series.counts, series.nums, series.dens))[-max(3, n - n // 3):]
+
+    def log(f):
+        return math.log(f.numerator) - math.log(f.denominator)
+
+    if d_max is None:
+        d_max = max(log(Fraction(b[0], a[0])) / (log(Fraction(*a[1:])) - log(Fraction(*b[1:])))
+                    for a, b in zip(window, window[1:])) + 1.0
+
+    def edge(outer, inner, verdict):
+        width = math.inf
+        while tol < abs(inner - outer) < width:
+            width = abs(inner - outer)
+            mid = 0.5 * (outer + inner)
+            if classify_d(series, mid) == verdict:
+                outer = mid
+            else:
+                inner = mid
+        return outer
+
+    lo, hi = 0.0, float(d_max)
+    if classify_d(series, hi) == DIVERGES:
+        raise InputError(f"series still diverges at d_max={d_max}")
+    width = math.inf
+    while tol < hi - lo < width:
+        width = hi - lo
+        mid = 0.5 * (lo + hi)
+        verdict = classify_d(series, mid)
+        if verdict == DIVERGES:
+            lo = mid
+        elif verdict == VANISHES:
+            hi = mid
+        else:
+            return mid, edge(lo, mid, DIVERGES), edge(hi, mid, VANISHES)
+    return 0.5 * (lo + hi), lo, hi
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-9, 1e-12, 1e-17])
+@pytest.mark.parametrize("with_d_max", [False, True])
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(
+    source=st.one_of(
+        st.sampled_from(sorted(selfsimilar.RULES)).map(lambda name: RuleSource(rule(name))),
+        st.tuples(st.integers(0, 6), st.integers(1, 7), st.integers(2, 5)).map(
+            lambda t: IntervalSource(Fraction(t[0], 14), Fraction(t[0] + t[1], 14), base=t[2])),
+    ),
+    first=st.integers(1, 30),
+    length=st.integers(3, 100),
+    given_d_max=st.sampled_from([0.5, 1.7, 3.5, 40.0]),  # 0.5 is below most of them
+)
+def test_critical_d_bracket_matches_a_per_step_bisection(
+    source, first, length, given_d_max, with_d_max, tol
+):
+    d_max = given_d_max if with_d_max else None
+    levels = list(range(first, first + length))
+    series = count_series_from_csv(count_series_to_csv(count_series(source, levels)))
+    tail = series.counts[-max(3, length - length // 3):]
+    assume(all(a < b for a, b in zip(tail, tail[1:])))  # else the slope is returned, flagged
+    try:
+        expected = _reference_bracket(series, tol, d_max)
+    except InputError as exc:
+        with pytest.raises(InputError) as caught:
+            critical_d(series, tol=tol, d_max=d_max)
+        assert str(caught.value) == str(exc)
+        return
+    result = critical_d(series, tol=tol, d_max=d_max)
+    assert (result.d, result.lo, result.hi, result.degenerate) == (*expected, False)  # bitwise
 
 
 @pytest.mark.parametrize(

@@ -157,3 +157,63 @@ def test_column_reader_on_chains_across_both_thresholds(q):
         texts = [str(v) for v in values]
         read = ColumnReader()
         assert [read(t) for t in texts] == [int(t) for t in texts] == values
+
+
+# quotients below 2**64, small and large, and one past it, which int() reads
+QUOTIENTS = st.one_of(st.integers(2, 40), st.integers(41, 2**64 - 1), st.just(2**70))
+# each edit changes one row's digit: k places from the end (k <= 18), or in the middle
+DIGIT_EDITS = st.tuples(st.one_of(st.integers(1, 18), st.just(None)), st.integers(1, 9))
+
+
+def _edit_digit(text, place, shift):
+    i = len(text) // 2 if place is None else len(text) - place
+    return text[:i] + str((int(text[i]) + shift) % 10) + text[i + 1 :]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    bits=st.integers(R - 300, R + 100),
+    seed=st.integers(0, 2**64),
+    zeros=st.sampled_from([1, 10**20]),  # last digits that fit any quotient
+    pattern=st.one_of(st.tuples(QUOTIENTS), st.tuples(QUOTIENTS, QUOTIENTS)),  # kept, alternating
+    switch=st.tuples(st.integers(0, 25), QUOTIENTS),  # from this row on, one more quotient
+    edits=st.lists(st.tuples(st.integers(0, 25), DIGIT_EDITS), max_size=3),
+    limit=LIMITS,
+)
+def test_column_reader_keeps_the_quotient_above(bits, seed, pattern, switch, zeros, edits, limit):
+    # columns that keep, alternate or switch quotients across the 2,600-bit threshold
+    at, after = switch
+    value = (2 ** (bits - 1) + seed % 2 ** (bits - 1)) * zeros
+    with _int_max_str_digits(0):
+        texts = [str(value)]
+        for i in range(25):
+            value *= after if i >= at else pattern[i % len(pattern)]
+            texts.append(str(value))
+        for i, (place, shift) in edits:
+            texts[i] = _edit_digit(texts[i], place, shift)
+    read = ColumnReader()
+    with _int_max_str_digits(limit):
+        assert [_outcome(read, t) for t in texts] == [_outcome(int, t) for t in texts]
+
+
+def test_a_row_read_by_int_drops_the_kept_quotient():
+    with _int_max_str_digits(0):
+        values = [2**R * 8**k for k in range(1, 6)]
+        texts = [str(v) for v in values]
+        odd = str(values[-1] + 1)  # no multiple of the row above
+        read = ColumnReader()
+        assert [read(t) for t in texts] == values
+        assert read._q == 8  # each row past the first was read by the quotient above
+        assert read(odd) == values[-1] + 1
+        assert read._q is None  # read by int(), so no quotient is kept
+        after = (values[-1] + 1) * 8
+        assert read(str(after)) == after and read._q == 8
+
+
+def test_a_kept_quotient_whose_product_differs_gives_way_to_the_search():
+    # every value ends in 900 zeros, so the last digits fit both quotients
+    values = [10**900 * 2 ** (k - k // 2) * 5 ** (k // 2) for k in range(1, 40)]
+    read = ColumnReader()
+    for k, v in enumerate(values):
+        assert read(str(v)) == v
+        assert read._q == (None if k == 0 else 5 if k % 2 else 2)  # none read by int()

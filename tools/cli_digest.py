@@ -38,7 +38,16 @@ spec in a schedule and for ``seq-check``, internal set) on a value that is
 not an object and on one with an unknown key, ``--tol nan|inf|0`` on
 ``dim-block``, ``dim-ifs`` and ``critical-d``, ``critical-d`` on deltas
 whose float logarithms tie, on a delta of 1 and on two series with deltas
-above 1, ``hyper-hsd --oracle`` on one run of 10**6 points at D = 1 (past
+above 1, on the benchmark's carpet (8**m, 1/3**m) and sponge (20**m,
+1/3**m) shapes at levels 1 to 600, on ``counts --interval 1/3 2/3 --levels 1
+30`` read back (its first midpoint is bounded), on a series of mixed ratios
+with a wide bounded band, and on the carpet with ``--d-max`` -1, 0, 1.5, 50
+and 1e200 and with ``--tol`` 1e-17 and 0.3, on count and denominator
+columns past the reader's 2,600 bits whose quotient alternates x2 and x3,
+switches once from x20 to x8, is 2**70, or is kept but a middle digit of
+one row differs, with one row equal to the row above, with deltas 2/6 and
+-1/-8 scaled past 2,600 bits, and on a small series with a -1/-8 delta,
+``hyper-hsd --oracle`` on one run of 10**6 points at D = 1 (past
 the table's row charge), ``two-grid --rule NAME
 --levels 1 7`` for every catalog name and alias, with ``--precision 3``,
 and over the prime level span 20,011, and ``tables-ch6`` at
@@ -146,7 +155,7 @@ def input_ops(work: Path) -> list[tuple[str, list[str]]]:
     }
     # a second row's delta the count reader normalises, refuses or reads as int() does
     tail = "3,1/27,8\n4,1/81,16\n5,1/243,32\n"
-    deltas = ("2/6", "1/-3", "0/5", "1/0", "1", " 1 / 3", "+1/3", "1/3_0")
+    deltas = ("2/6", "1/-3", "0/5", "1/0", "1", " 1 / 3", "+1/3", "1/3_0", "-1/-8")
     for i, delta in enumerate(deltas):
         files[f"delta_{i}.csv"] = f"m,delta,n_cells\n1,1/2,2\n2,{delta},4\n{tail}".encode()
     files["negative_count.csv"] = f"m,delta,n_cells\n1,1/2,2\n2,1/9,-4\n{tail}".encode()
@@ -209,6 +218,40 @@ def input_ops(work: Path) -> list[tuple[str, list[str]]]:
     files["deltas_above_one.csv"] = b"m,delta,n_cells\n0,4/1,2\n1,2/1,2\n2,1/2,2\n"
     files["deltas_above_one_bracketed.csv"] = (b"m,delta,n_cells\n0,8/1,2\n1,4/1,4\n2,2/1,8\n"
                                                b"3,3/2,16\n")
+    # the benchmark's critical-d shapes, an interval's counts and a wide bounded band
+    for name, pieces in (("carpet", 8), ("sponge", 20)):
+        shape = "".join(f"{m},1/{3**m},{pieces**m}\n" for m in range(1, 601))
+        files[f"{name}_600.csv"] = f"m,delta,n_cells\n{shape}".encode()
+    third = "".join(f"{m},1/{2**m},{(2**(m + 1)) // 3 - 2**m // 3 + 1}\n" for m in range(1, 31))
+    files["interval_third.csv"] = f"m,delta,n_cells\n{third}".encode()
+    # steps alternate delta / 2 with count * 3 and delta / 3 with count * 2: slopes 1.58 and 0.63
+    mixed = ["m,delta,n_cells"]
+    den, count = 1, 1
+    for m in range(1, 201):
+        den, count = (den * 2, count * 3) if m % 2 else (den * 3, count * 2)
+        mixed.append(f"{m},1/{den},{count}")
+    files["mixed_ratios.csv"] = "\n".join([*mixed, ""]).encode()
+    # columns past the reader's 2,600 bits: denominators 2**2700 * 3**m, counts from 2**2700
+    # times an alternating, switching, kept or 2**70 quotient
+    big = 2**2700
+    quotients = {"alternating": lambda m: 2 if m % 2 else 3, "switch": lambda m: 20 if m < 75 else 8,
+                 "kept": lambda m: 8, "q2_70": lambda m: 2**70}
+    for name, quotient in quotients.items():
+        rows, count = ["m,delta,n_cells"], big
+        for m in range(1, 151):
+            count *= quotient(m)
+            rows.append(f"{m},1/{big * 3**m},{count}")
+        if name == "kept":
+            rows[30] = f"{rows[30].rsplit(',', 1)[0]},{rows[29].rsplit(',', 1)[1]}"  # as above
+            # row 60 keeps its last 18 digits and the quotient's, but one middle digit moves
+            m, delta, n = rows[60].split(",")
+            mid = len(n) // 2
+            rows[60] = f"{m},{delta},{n[:mid]}{(int(n[mid]) + 1) % 10}{n[mid + 1:]}"
+            m, _, n = rows[70].split(",")
+            rows[70] = f"{m},2/{2 * big * 3**70},{n}"  # not reduced
+            m, _, n = rows[71].split(",")
+            rows[71] = f"{m},-1/-{big * 3**71},{n}"
+        files[f"reader_{name}.csv"] = "\n".join([*rows, ""]).encode()
     files["dp_rows.json"] = json.dumps({"N": 10**6, "runs": [[0, 10**6 - 1]]}).encode()
     for name, data in files.items():
         (work / name).write_bytes(data)
@@ -263,6 +306,15 @@ def input_ops(work: Path) -> list[tuple[str, list[str]]]:
             ("critical_d_deltas_above_one", ["critical-d", "deltas_above_one.csv"]),
             ("critical_d_deltas_above_one_bracketed",
              ["critical-d", "deltas_above_one_bracketed.csv"]),
+            *((f"critical_d_{name[:-4]}", ["critical-d", name])
+              for name in ("carpet_600.csv", "sponge_600.csv", "interval_third.csv",
+                           "mixed_ratios.csv", *(f"reader_{name}.csv" for name in quotients))),
+            ("critical_d_carpet_600_tol_1e-9", ["critical-d", "carpet_600.csv", "--tol", "1e-9"]),
+            *((f"critical_d_carpet_600_{option[2:]}_{value}",
+               ["critical-d", "carpet_600.csv", option, value])
+              for option, values in (("--d-max", ("-1", "0", "1.5", "50", "1e200")),
+                                     ("--tol", ("1e-17", "0.3")))
+              for value in values),
             ("hyper_hsd_oracle_rows", ["hyper-hsd", "dp_rows.json", "--delta", "1/1000000",
                                        "--s", "1/2", "--oracle"])]
     names = ("cantor", "cantor5", "koch", "quadratic_koch", "sierpinski_gasket",
