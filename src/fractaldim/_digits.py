@@ -187,9 +187,8 @@ class ColumnReader:
         return True
 
 
-def _int_max_str_digits() -> int:
-    """The interpreter's limit on digits for int() of a text; 0 for none."""
-    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+# int()'s digit limit on a text, read per call as it can change; 0 (none) before Python 3.10.7
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 _LOG10_2 = 0.30102999566398120

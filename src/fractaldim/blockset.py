@@ -8,10 +8,10 @@ from ``frees``).  Level-m grid cells are half-open [i*beta**-m,
 respects every forced zero, so cover counts are the exact integers
 sigma**X(m) with X(m) the number of free positions among the first m digits.
 
-Counts and digit roles come from one forward walk of the block sequences
-per call, so a count series over many levels costs one walk.  The cut
-report holds no table: its tail values, its rows and its samples each walk
-the block pairs anew.
+Every walk draws from one pair of running sums of the block lengths: counts
+and digit roles draw a block at a time, once per call, so a count series
+over many levels costs one walk.  The cut report holds no table: its tail
+values, its rows and its samples each walk the block pairs anew.
 
 Dimensions are reported as exact rationals X/m whenever sigma == beta;
 floats appear only at the reporting boundary.
@@ -23,7 +23,7 @@ import math
 import sys
 from collections import deque
 from fractions import Fraction
-from itertools import accumulate, cycle, islice
+from itertools import accumulate, islice
 from typing import Iterable, Iterator, NamedTuple
 
 from . import seqgen
@@ -127,27 +127,18 @@ class DimReport(_DimReport):
 # block boundaries
 
 
-def _block_iter(schedule: BlockSchedule) -> Iterator[int]:
-    """Block lengths, zero and free blocks alternating, horizon-guarded."""
-    zit = seqgen._iter_terms(schedule.zeros)
-    fit = seqgen._iter_terms(schedule.frees)
-    # one next() per block, so a zero block is still yielded when its free
-    # block fails; neither term iterator ever stops, they raise.  No walk
-    # draws sys.maxsize blocks, so that cap on a huge horizon changes nothing.
-    yield from islice(map(next, cycle((zit, fit))), min(2 * schedule.horizon + 2, sys.maxsize))
-    raise HorizonExceededError(
-        f"digit position walk ran past horizon {schedule.horizon}",
-        index=schedule.horizon,
-    )
+def _sums(schedule: BlockSchedule) -> tuple[Iterator[int], Iterator[int]]:
+    """Running sums of the zero-block and of the free-block lengths; past a horizon, they raise."""
+    return (accumulate(seqgen._iter_terms(schedule.zeros)),
+            accumulate(seqgen._iter_terms(schedule.frees)))
 
 
 def _cuts(schedule: BlockSchedule, n: int) -> Iterator[tuple[int, int, int, int]]:
-    """(m, X) after the zero block and after the free block of block pairs 0..n, a pair yielded
-    once both its blocks are drawn, so a walk error leaves every pair before it whole."""
-    ends = zip(accumulate(seqgen._iter_terms(schedule.zeros)),
-               accumulate(seqgen._iter_terms(schedule.frees)))
+    """(m, X) after the zero block and after the free block of block pairs 0..n, from the zipped
+    ``_sums``: a pair is yielded once both its blocks are drawn, so a walk error leaves every
+    pair before it whole."""
     free = 0
-    for zeros, frees in islice(ends, n + 1):
+    for zeros, frees in islice(zip(*_sums(schedule)), n + 1):
         yield zeros + free, free, zeros + frees, frees
         free = frees
 
@@ -165,26 +156,31 @@ def _check_block_count(blocks: int) -> None:
 def _x_counts(schedule: BlockSchedule, levels: Iterable[int]) -> Iterator[int]:
     """X(m) for each of the nondecreasing ``levels``, from one forward walk of the blocks.
 
-    A block is drawn only when a level lies past the digits walked so far;
-    a level past the first ``_BLOCK_BUDGET`` blocks is refused.
+    Blocks are drawn from ``_sums`` one at a time, a zero block and then a free
+    block, when a level lies past the z zero and f free digits drawn so far:
+    after a zero block X(m) = f, and inside a free block X(m) = m - z.  The walk
+    stops after 2 * horizon + 2 blocks, or at the first ``_BLOCK_BUDGET``.
     """
-    blocks = enumerate(islice(_block_iter(schedule), _BLOCK_BUDGET))
-    # the walk has drawn blocks 0..j, which end at digit position end and hold free
-    # free digits; before any is drawn, j = 0 stands for an empty zero block
-    j = end = free = last = 0
+    zeros, frees = _sums(schedule)
+    limit = min(_BLOCK_BUDGET, 2 * schedule.horizon + 2)
+    blocks = z = f = last = 0  # blocks drawn: an odd count ends in a zero block
     for m in levels:
         _check_position(schedule, m, 0)
         if m < last:  # X(m) may equal the X before it, which _powers would pass
             raise InputError(f"level {m} after {last}: levels must be nondecreasing from 0")
         last = m
-        while end < m:
-            j, length = next(blocks, (-1, 0))
-            if j < 0:
-                _check_block_count(_BLOCK_BUDGET + 1)
-            end += length
-            free += length if j % 2 else 0  # zero blocks sit at even j
-        # a free block holding m still has end - m positions to come
-        yield free - (end - m) if j % 2 else free
+        while z + f < m:
+            if blocks == limit:  # the budget's error if it stopped the walk, else the horizon's
+                _check_block_count(blocks + 1)
+                horizon = schedule.horizon
+                raise HorizonExceededError(f"digit position walk ran past horizon {horizon}",
+                                           index=horizon)
+            blocks += 1
+            if blocks % 2:
+                z = next(zeros)
+            else:
+                f = next(frees)
+        yield f if blocks % 2 else m - z
 
 
 def _check_position(schedule: BlockSchedule, m: int, first: int) -> None:

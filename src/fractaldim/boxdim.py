@@ -61,18 +61,18 @@ class _CountSeries(NamedTuple):
     nums: tuple[int, ...]
     dens: tuple[int, ...]
     counts: tuple[int, ...]
-    ambient_dim: int | None = None
 
 
 class CountSeries(_CountSeries):
     """Levels m, scales delta = nums[i]/dens[i] in lowest terms with dens[i] > 0, and exact
-    cover counts, in int columns; levels rise and scales fall strictly."""
+    cover counts, in int columns; levels rise and scales fall strictly.  These four columns
+    are all that the CSV holds, so a series equals its CSV read back."""
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
     # no __slots__: the cached property is stored in the instance __dict__
     def __new__(cls, *args, **kw):
         self = super().__new__(cls, *args, **kw)
-        levels, nums, dens, counts, _ = self
+        levels, nums, dens, counts = self
         if not levels:
             raise InputError("count series must be nonempty")
         if not len(levels) == len(nums) == len(dens) == len(counts):
@@ -203,7 +203,7 @@ def count_series(source: CellSource, levels: Sequence[int]) -> CountSeries:
         raise _series_budget_error(f"deltas through m = {levels[top]}")
     counts = _within_budget(source.level_counts(levels), levels, "cell counts")
     nums = (1,) * len(dens)
-    return CountSeries(tuple(levels), nums, tuple(dens), tuple(counts), source.ambient_dim)
+    return CountSeries(tuple(levels), nums, tuple(dens), tuple(counts))
 
 
 def slope_dim(series: CountSeries, tail: int) -> tuple[float, float]:
@@ -360,7 +360,8 @@ def critical_d(
     classified ``bounded``, if any; the bisection then goes on either side
     of it, so ``lo`` is the last point seen to diverge (or 0) and ``hi`` the
     first seen to vanish (or ``d_max``), each within ``tol`` (or one ulp) of
-    the edge of the bounded band.
+    the edge of the bounded band.  Without ``d_max`` the top is the largest
+    step slope over the window plus 1, so a series and its CSV agree.
 
     Most steps are decided without ``classify_d``, from a certified bracket:
     at 0 <= d <= d_max below (above) every tail step's slope, less (plus) a
@@ -380,16 +381,10 @@ def critical_d(
     if any(map(ge, counts, islice(counts, 1, None))):
         lower, _ = slope_dim(series, tail)
         return CriticalExponent(d=lower, lo=lower, hi=lower, degenerate=True)
-    if d_max is None:
-        if series.ambient_dim is not None:
-            d_max = float(series.ambient_dim)
-        else:
-            _, log_deltas = series._tail_logs
-            steps = [
-                _log_count_ratio(a, b) / (x - y)
-                for a, b, x, y in zip(counts, counts[1:], log_deltas, log_deltas[1:])
-            ]
-            d_max = max(steps) + 1.0
+    if d_max is None:  # the largest step slope over the window, plus 1
+        _, log_deltas = series._tail_logs
+        steps = zip(counts, counts[1:], log_deltas, log_deltas[1:])
+        d_max = max(_log_count_ratio(a, b) / (x - y) for a, b, x, y in steps) + 1.0
     lo, hi = 0.0, float(d_max)
     if not math.isfinite(hi * max(map(abs, series._tail_logs[1]))):
         raise InputError(f"d_max={d_max} overflows d*log(delta) on this series")

@@ -536,6 +536,25 @@ class TestBlockTable:
                 "block walk asks for 1000001 blocks, over the budget of 1000000"
             )
 
+    def test_the_walk_stops_at_the_budget_or_the_horizon(self):
+        # one-digit blocks: at horizon 499,999 the walk's 2 * horizon + 2 blocks are the
+        # budget's 10**6, and the budget's error is raised; at 499,998 the horizon's is
+        def ones(horizon):
+            spec = SequenceSpec.arithmetic(1, 0, horizon=horizon)
+            return BlockSchedule(base=2, alphabet=2, zeros=spec, m_cap=10**7)
+
+        counts = blockset._x_counts(ones(499_999), (10**6, 10**6 + 1))
+        assert next(counts) == 5 * 10**5
+        with pytest.raises(BudgetExceededError) as exc:
+            next(counts)
+        assert str(exc.value) == "block walk asks for 1000001 blocks, over the budget of 1000000"
+        counts = blockset._x_counts(ones(499_998), (999_998, 999_999))
+        assert next(counts) == 499_999
+        with pytest.raises(HorizonExceededError) as exc:
+            next(counts)
+        assert (str(exc.value), exc.value.index) == (
+            "digit position walk ran past horizon 499998", 499_998)
+
     def test_first_digit_cap_error_in_walk_order(self):
         # zero and free blocks are walked in turn, so the free sequence's
         # failure at index 1 comes before the zero sequence's at index 3

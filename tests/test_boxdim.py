@@ -159,7 +159,7 @@ class TestCountSeries:
         series = count_series(RuleSource(rule("cantor")), [1, 2, 5])
         lines = list(count_series_to_csv(series))
         back = count_series_from_csv(lines)
-        assert back == series._replace(ambient_dim=None)
+        assert back == series
         assert lines[:2] == ["m,delta,n_cells", "1,1/3,2"]
         # rows past 2,000 bits, read from the row above where they are multiples of it
         schedule = blockset.BlockSchedule(base=10, alphabet=10, zeros=SequenceSpec.geometric(1, 2))
@@ -169,7 +169,7 @@ class TestCountSeries:
             (blockset.BlockCellSource(schedule), range(1, 2501)),  # runs of equal counts
         ):
             series = count_series(source, list(levels))
-            assert count_series_from_csv(count_series_to_csv(series)) == series._replace(ambient_dim=None)
+            assert count_series_from_csv(count_series_to_csv(series)) == series
 
 
     @settings(max_examples=100, derandomize=True, deadline=None)
@@ -177,7 +177,7 @@ class TestCountSeries:
            levels=st.sets(st.integers(0, 400), min_size=1, max_size=40).map(sorted),
            a=st.fractions(0, 1), b=st.fractions(0, 1), ratio=st.integers(1, 4))
     def test_csv_round_trip_of_every_source(self, kind, base, levels, a, b, ratio):
-        # the CSV holds no ambient dimension
+        # the CSV holds every column of the series
         source = {
             "rule": lambda: RuleSource(selfsimilar.PieceRule("r", base + 1, base, 2)),
             "interval": lambda: IntervalSource(min(a, b), max(a, b), base=base),
@@ -186,7 +186,7 @@ class TestCountSeries:
         }[kind]()
         series = count_series(source, levels)
         back = count_series_from_csv(count_series_to_csv(series))
-        assert back == series._replace(ambient_dim=None)
+        assert back == series
         assert back.nums == (1,) * len(levels) and back.dens == tuple(base**m for m in levels)
 
 
@@ -411,6 +411,19 @@ class TestClosureCheck:
         # the point 1 belongs to the last cell of the unit grid
         assert occupied_cells([Fraction(1)], 2, 3) == {(7,)}
 
+    @pytest.mark.parametrize(
+        "good, point, reference, ambient",
+        [
+            (Fraction(0), (Fraction(1, 2), Fraction(1, 4)), IntervalSource(0, 1), 1),
+            ((0, 0), Fraction(1, 2), RuleSource(rule("carpet")), 2),
+        ],
+    )
+    def test_a_point_of_the_wrong_arity_is_refused(self, good, point, reference, ambient):
+        # the reference source's ambient dimension sets each point's arity
+        with pytest.raises(InputError) as exc:
+            closure_count_check([good, point], reference, 3)
+        assert str(exc.value) == f"point {point!r} has wrong arity for ambient {ambient}"
+
 
 # ---------------------------------------------------------------------------
 # properties
@@ -536,8 +549,8 @@ def test_classify_monotone_around_critical(d_offset, sign):
     assert verdict == (VANISHES if sign > 0 else DIVERGES)
 
 
-def _reference_critical_d(series, tol: float) -> float:
-    """The bisection of critical_d with every log taken afresh on each step."""
+def _reference_critical_d(series, tol: float, top: float) -> float:
+    """The bisection of critical_d over [0, top] with every log taken afresh on each step."""
     n = len(series.levels)
     window = list(zip(series.counts, series.nums, series.dens))[-max(3, n - n // 3):]
 
@@ -551,7 +564,7 @@ def _reference_critical_d(series, tol: float) -> float:
             return VANISHES
         return BOUNDED
 
-    lo, hi = 0.0, float(series.ambient_dim)
+    lo, hi = 0.0, top
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         v = verdict(mid)
@@ -573,7 +586,8 @@ def _reference_critical_d(series, tol: float) -> float:
 )
 def test_critical_d_matches_per_step_logs(name, first, length, tol):
     series = count_series(RuleSource(rule(name)), list(range(first, first + length)))
-    assert critical_d(series, tol=tol).d == _reference_critical_d(series, tol)  # bitwise
+    top = float(rule(name).ambient_dim)
+    assert critical_d(series, tol=tol, d_max=top).d == _reference_critical_d(series, tol, top)  # bitwise
 
 
 @pytest.mark.parametrize(
@@ -585,7 +599,7 @@ def test_critical_d_matches_per_step_logs(name, first, length, tol):
     ],
 )
 def test_critical_d_top_from_per_step_slopes(source):
-    # without an ambient dimension the bracket's top is the largest step slope plus 1
+    # without d_max the bracket's top is the largest step slope plus 1
     series = count_series_from_csv(count_series_to_csv(count_series(source, list(range(1, 300)))))
     n = len(series.levels)
     window = list(zip(series.counts, series.nums, series.dens))[-max(3, n - n // 3):]
@@ -598,6 +612,33 @@ def test_critical_d_top_from_per_step_slopes(source):
         for a, b in zip(window, window[1:])
     ]
     assert critical_d(series, tol=1e-9) == critical_d(series, tol=1e-9, d_max=max(steps) + 1.0)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    source=st.one_of(
+        st.sampled_from(sorted(selfsimilar.RULES)).map(lambda name: RuleSource(rule(name))),
+        st.tuples(st.integers(0, 14), st.integers(0, 14), st.integers(2, 5)).map(
+            lambda t: IntervalSource(Fraction(min(t[:2]), 14), Fraction(max(t[:2]), 14), base=t[2])),
+        st.tuples(st.integers(2, 5), st.integers(0, 3), st.integers(1, 3), st.integers(1, 3)).map(
+            lambda t: blockset.BlockCellSource(blockset.BlockSchedule(
+                base=t[0], alphabet=t[0] - t[1] % (t[0] - 1), zeros=SequenceSpec.geometric(t[2], t[3])))),
+    ),
+    first=st.integers(0, 30),
+    length=st.integers(1, 90),
+)
+def test_a_series_and_its_csv_agree(source, first, length):
+    # the CSV holds the whole series, so both give the same critical exponent or refusal
+    series = count_series(source, list(range(first, first + length)))
+    back = count_series_from_csv(count_series_to_csv(series))
+    assert back == series
+    outcomes = []
+    for each in (series, back):
+        try:
+            outcomes.append(critical_d(each, 1e-9))
+        except InputError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 @st.composite
@@ -726,7 +767,7 @@ def test_critical_d_bracket_matches_a_per_step_bisection(
 def test_critical_d_brackets_the_interval_dimension(a, b, first_bounded):
     # d stays the first midpoint classified bounded, below the true value 1;
     # the band between diverges and vanishes around it must contain 1
-    result = critical_d(count_series(IntervalSource(a, b), list(range(1, 31))), tol=1e-9)
+    result = critical_d(count_series(IntervalSource(a, b), list(range(1, 31))), tol=1e-9, d_max=1.0)
     assert result.d == first_bounded
     assert result.lo <= result.d <= result.hi
     assert result.lo <= 1.0 <= result.hi

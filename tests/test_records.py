@@ -63,7 +63,7 @@ SAMPLES = {
     DimReport: dict(schedule=BlockSchedule(2, 2, SequenceSpec.arithmetic(1, 0)), scale=None,
                     lower=Fraction(0), upper=Fraction(1, 2), converged=False, spread=0.5,
                     n_used=0, m_used=2),
-    CountSeries: dict(**COLUMNS, ambient_dim=1),
+    CountSeries: dict(**COLUMNS),
     TwoGridResult: dict(h=Fraction(1, 9), k=Fraction(1, 3), n_h=4, n_k=2, d=0.63),
     CriticalExponent: dict(d=1.0, lo=0.9, hi=1.1, degenerate=False),
     ClosureCheckReport: dict(equal=True, sample_cells=3, reference_cells=3),
@@ -189,7 +189,7 @@ def test_invalid_fields_are_refused_at_construction(cls, fields):
         lambda: SequenceSpec("arithmetic", 64, 10, 0, 1),
         lambda: BlockSchedule(3, 4, SPEC),
         lambda: BlockSchedule(3, 2, SPEC, None, 0),
-        lambda: CountSeries((2, 1), (1, 1), (4, 2), (4, 2), 1),
+        lambda: CountSeries((2, 1), (1, 1), (4, 2), (4, 2)),
         lambda: HyperGrid(1),
         lambda: InternalSet((3,), (2,)),
         lambda: PieceRule("x", 2, 1, 1),

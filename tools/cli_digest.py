@@ -28,7 +28,10 @@ a sign, a zero, no slash, spaces or an underscore, or whose rows repeat a
 level, raise a delta or hold a negative count, and ``counts --schedule``
 on schedules whose block walk stops (past the explicit blocks, past
 ``m_cap``, at a term over the per-term budget, past 10**6 one-digit
-blocks), ``dim-block`` on one whose digit cap cuts the report short, on
+blocks, and at both of its stopping points on one-digit blocks: horizon
+499,999, where 2 * horizon + 2 blocks is the 10**6 budget and the
+budget's error is raised, and horizon 499,998, where the horizon's is),
+``dim-block`` on one whose digit cap cuts the report short, on
 ratio-2 geometric blocks at ``--n-max`` 2000 and 30000 (past the printed
 digits' budget), on an alphabet smaller than its base at ``--precision`` 1,
 17 and 50, and on the benchmark's constant blocks (four digits per block
@@ -163,7 +166,8 @@ def input_ops(work: Path) -> list[tuple[str, list[str]]]:
     files["repeated_level.csv"] = f"m,delta,n_cells\n1,1/2,2\n1,1,-4\n{tail}".encode()
     files["rising_delta.csv"] = f"m,delta,n_cells\n1,1/2,2\n2,1,-4\n{tail}".encode()
     # schedules whose block walk stops: past the explicit blocks, past m_cap, at a term
-    # over the per-term budget, at a digit cap mid-report, and past 10**6 one-digit blocks
+    # over the per-term budget, at a digit cap mid-report, past 10**6 one-digit blocks, and
+    # where 2 * horizon + 2 one-digit blocks is the budget of 10**6 blocks and two below it
     ones = {"kind": "arithmetic", "first": 1, "step": 0}
     walks = {
         "walk_horizon.json": {"base": 3, "zeros": {"kind": "explicit", "terms": [1, 2, 3, 4]},
@@ -176,6 +180,10 @@ def input_ops(work: Path) -> list[tuple[str, list[str]]]:
                                                      "digit_cap": 3},
                                 "frees": {"kind": "arithmetic", "first": 1, "step": 1}},
         "walk_long.json": {"base": 2, "zeros": {**ones, "horizon": 10**8}, "m_cap": "10^8"},
+        "walk_budget_edge.json": {"base": 2, "zeros": {**ones, "horizon": 499_999},
+                                  "frees": {**ones, "horizon": 499_999}, "m_cap": "10^7"},
+        "walk_horizon_edge.json": {"base": 2, "zeros": {**ones, "horizon": 499_998},
+                                   "frees": {**ones, "horizon": 499_998}, "m_cap": "10^7"},
     }
     # cut reports: geometric blocks, short and past the printed digits, and alphabet < base
     walks["geometric.json"] = {"base": 2, "zeros": {"kind": "geometric", "first": 1, "ratio": 2,
@@ -272,7 +280,9 @@ def input_ops(work: Path) -> list[tuple[str, list[str]]]:
             for name, levels in (("walk_horizon.json", ("0", "20")),
                                  ("walk_m_cap.json", ("40", "60")),
                                  ("walk_term_budget.json", ("1999999", "2000001")),
-                                 ("walk_long.json", ("20000000", "20000000")))]
+                                 ("walk_long.json", ("20000000", "20000000")),
+                                 ("walk_budget_edge.json", ("1000000", "1000001")),
+                                 ("walk_horizon_edge.json", ("999998", "999999")))]
     ops += [("dim_block_walk_digit_cap", ["dim-block", "walk_digit_cap.json", "--n-max", "4"]),
             ("dim_block_geometric", ["dim-block", "geometric.json", "--n-max", "2000"]),
             ("dim_block_geometric_past_budget",
