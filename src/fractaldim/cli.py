@@ -5,17 +5,19 @@ Exit codes: 0 success, 2 rejected input, 3 horizon or budget exceeded,
 precision and "\\n" newlines, so identical inputs give byte-identical
 output.  A command does all of its computation and checks before it returns
 its lines, which ``main`` writes in batches: a failing command writes nothing.
+A well-formed argv is parsed from the command table; argparse is imported and
+built only for help, usage, errors and the spellings the table parse declines.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import math
 import sys
 from fractions import Fraction
 from itertools import chain, islice
+from types import SimpleNamespace
 from typing import Callable, Iterable
 
 from . import blockset, boxdim, hypergrid, selfsimilar, seqgen
@@ -342,8 +344,9 @@ def cmd_seq_check(args) -> Iterable[str]:
 # parser
 
 
-# name: (help, handler, {argument: add_argument keywords}); every command
-# takes --out and --precision before its own arguments
+# name: (help, handler, {argument: add_argument keywords}); _parse_table reads the
+# keywords used here as argparse does: type, default, required, action="store_true"
+# with default=False, nargs=2 on an option and nargs="?" on the one positional
 _COMMANDS = {
     "dim-block": ("cut-family dimensions of a digit-block set", cmd_dim_block, {
         "schedule": dict(help="block schedule JSON path"),
@@ -376,7 +379,7 @@ _COMMANDS = {
         "setspec": dict(help="internal set JSON path"),
         "--delta": dict(required=True),
         "--s": dict(required=True),
-        "--oracle": dict(action="store_true", help="cross-check greedy against the DP")}),
+        "--oracle": dict(action="store_true", default=False, help="cross-check greedy against the DP")}),
     "fractal": ("catalog geometry series and checks", cmd_fractal, {
         "name": {},
         "--m-max": dict(type=int, required=True)}),
@@ -388,29 +391,58 @@ _COMMANDS = {
         "--tail-k": dict(type=int, default=None, metavar="K"),
         "--eps": dict(default="0")}),
 }
+# every command takes --out and --precision before its own arguments
+_COMMON = {"--out": dict(help="write output to this path instead of stdout"),
+           "--precision": dict(type=int, default=12, help="decimal digits")}
+_COMMANDS = {name: (help_text, func, {**_COMMON, **arguments})
+             for name, (help_text, func, arguments) in _COMMANDS.items()}
 
 
-def _build_parser(argv) -> argparse.ArgumentParser:
-    """The parser for ``argv``, with only its command's subparser when ``argv[0]`` names one.
+def _parse_table(argv: list[str]) -> SimpleNamespace | None:
+    """argparse's namespace for a command and its arguments in any order: each at most once,
+    spelled exactly, of its type and not beginning with "-" unless a flag, and every required
+    one given; else None."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, arguments = _COMMANDS[argv[0]]
+    positional = next((name for name in arguments if name[0] != "-"), None)
+    given, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        name, values = (token, []) if token[:1] == "-" else (positional, [token])
+        keywords = arguments.get(name)
+        if keywords is None or name in given:
+            return None
+        if not values:  # an option, followed by its values
+            n = 0 if keywords.get("action") == "store_true" else keywords.get("nargs", 1)
+            values = list(islice(tokens, n))
+            if len(values) < n or any(value[:1] == "-" for value in values):
+                return None
+        try:
+            values = [keywords.get("type", str)(value) for value in values]
+        except (TypeError, ValueError):
+            return None
+        given[name] = values if keywords.get("nargs") == 2 else values[0] if values else True
+    namespace = SimpleNamespace(command=argv[0], func=func)
+    for name, keywords in arguments.items():
+        required = keywords.get("required") or name == positional and "nargs" not in keywords
+        if required and name not in given:
+            return None
+        setattr(namespace, name.lstrip("-").replace("-", "_"), given.get(name, keywords.get("default")))
+    return namespace
 
-    Any other ``argv`` (help, no command, an unknown name) gets every
-    subparser.  Help, usage and error text are the same either way.
-    """
+
+def _build_parser():
+    """The argparse parser of every command, for the ``argv`` that ``_parse_table`` declines."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="fractaldim",
         description="Exact fractal-dimension toolkit: digit-block sets, "
         "box counting, Moran roots and grid measures.",
     )
-    names, metavar = _COMMANDS, None
-    if argv and argv[0] in _COMMANDS:
-        # the usage still lists every command; in the full build a metavar would reword errors
-        names, metavar = argv[:1], "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_text, func, arguments = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, func, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--out", help="write output to this path instead of stdout")
-        p.add_argument("--precision", type=int, default=12, help="decimal digits")
         for flag, keywords in arguments.items():
             p.add_argument(flag, **keywords)
         p.set_defaults(func=func)
@@ -428,7 +460,8 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        args = _build_parser(sys.argv[1:] if argv is None else argv).parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = _parse_table(argv) or _build_parser().parse_args(argv)
         if args.precision < 1 or args.precision > 50:
             print("error: --precision must be in [1, 50]", file=sys.stderr)
             return 2

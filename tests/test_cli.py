@@ -6,6 +6,7 @@ import errno
 import gc
 import hashlib
 import inspect
+import io
 import json
 import math
 import os
@@ -15,7 +16,9 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -28,6 +31,8 @@ from fractaldim import _digits, blockset, boxdim, cli, hypergrid, selfsimilar, s
 from fractaldim._digits import _READ_BASE_BITS, DECIMAL_BASE_BITS
 from fractaldim.cli import main
 from fractaldim.errors import BudgetExceededError, FractalDimError, HorizonExceededError, InputError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 DOUBLING = {
     "base": 2,
@@ -998,21 +1003,26 @@ class TestCollectorPause:
             (["dim-ifs", "--rule", "cantor"], 0),
             (["dim-ifs", "missing.json"], 2),
             (["counts", "--rule", "cantor", "--levels", "0", "100000000"], 3),
+            # argv the table parse declines, so the parser is built as well
+            (["dim-ifs", "--rule=cantor"], 0),
+            (["dim-ifs", "--", "missing.json"], 2),
         ],
     )
     @pytest.mark.parametrize("enabled", [True, False])
     def test_collector_state_is_restored(self, capsys, monkeypatch, tmp_path, argv, code, enabled):
         monkeypatch.chdir(tmp_path)
         seen = []
-        real = cli._build_parser
-        monkeypatch.setattr(cli, "_build_parser", lambda argv: seen.append(gc.isenabled()) or real(argv))
+        table, build = cli._parse_table, cli._build_parser
+        monkeypatch.setattr(cli, "_parse_table", lambda argv: seen.append(gc.isenabled()) or table(argv))
+        monkeypatch.setattr(cli, "_build_parser", lambda: seen.append(gc.isenabled()) or build())
         (gc.enable if enabled else gc.disable)()
         try:
             assert run_cli(capsys, *argv)[0] == code
             assert gc.isenabled() is enabled
         finally:
             gc.enable()
-        assert seen == [False]
+        # the table parse, then the parser only where the table parse declined
+        assert seen == [False] * (1 + (table(argv) is None))
 
     def test_collector_state_is_restored_after_a_usage_error(self, capsys):
         assert gc.isenabled()
@@ -1065,7 +1075,7 @@ def _parsed(capsys, parser, argv):
 
 
 class TestParserPerCommand:
-    """A call builds only its command's parser, and parses as the parser of every command does."""
+    """A well-formed call builds no parser, and every call parses as the parser of every command does."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -1079,15 +1089,18 @@ class TestParserPerCommand:
     )
     def test_same_outcome_as_the_full_parser(self, capsys, monkeypatch, argv):
         monkeypatch.setenv("COLUMNS", "80")
-        full = _parsed(capsys, cli._build_parser([]), argv)
-        assert _parsed(capsys, cli._build_parser(argv), argv) == full
+        full = _parsed(capsys, cli._build_parser(), argv)
+        parsed = cli._parse_table(argv)
+        assert (parsed is not None) == (argv in COMMAND_ARGV.values())
+        if parsed is not None:
+            assert (vars(parsed), "", "") == full
         if argv[-1:] == ["--bogus"]:  # the top-level usage, with every command
             assert full[0] == 2 and ALL_COMMANDS in full[2]
             assert full[2].endswith("fractaldim: error: unrecognized arguments: --bogus\n")
 
     def test_common_options_come_first(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
-        assert _parsed(capsys, cli._build_parser(["dim-ifs"]), ["dim-ifs", "--help"]) == (0, (
+        assert _parsed(capsys, cli._build_parser(), ["dim-ifs", "--help"]) == (0, (
             "usage: fractaldim dim-ifs [-h] [--out OUT] [--precision PRECISION]\n"
             "                          [--rule RULE] [--tol TOL]\n"
             "                          [ratios]\n"
@@ -1106,7 +1119,7 @@ class TestParserPerCommand:
 
     @pytest.mark.parametrize(
         "argv, code, built",
-        [(["dim-ifs", "--rule", "cantor"], 0, 2), (["--help"], 0, 10), (["nope"], 2, 10)],
+        [(["dim-ifs", "--rule", "cantor"], 0, 0), (["--help"], 0, 10), (["nope"], 2, 10)],
     )
     def test_parsers_built(self, capsys, monkeypatch, argv, code, built):
         inits = []
@@ -1118,6 +1131,137 @@ class TestParserPerCommand:
         except SystemExit as exc:
             assert exc.code == code
         assert len(inits) == built
+
+
+# values each type of argument takes, and values the table parse declines or a type refuses
+ARG_VALUES = {
+    int: ["3", "+3", "\u0663", "1_0", " 7", "12"],
+    float: ["3", "+3", "\u0663", "1_0", " 7", "nan", "1e400", "0.5", "1e-9"],
+    # a positional's own name too, which is a value and not an option
+    str: ["", "koch", "1/3", "s.json", "nan", "+3", "counts", "ratios", "name", "spec",
+          "schedule", "setspec"],
+}
+DECLINED_VALUES = ["-1", "-", "--", "--x=y", "x", "", "1e400"]
+
+
+@st.composite
+def command_argv(draw):
+    """A command and its arguments in any order, with at most one kind of flaw.  Without
+    it each required argument is given once and each other at most once, spelled
+    exactly, with as many values as it takes, each of its type."""
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    flaw = draw(st.sampled_from([None, None, "repeat", "drop", "spelling", "count", "value",
+                                 "stray"]))
+    groups = []
+    for flag, keywords in cli._COMMANDS[name][2].items():
+        values = st.sampled_from(ARG_VALUES[keywords.get("type", str)])
+        if flaw == "value":
+            values = st.one_of(values, st.sampled_from(DECLINED_VALUES))
+        required = keywords.get("required") or flag[0] != "-" and "nargs" not in keywords
+        repeats = {"repeat": [1, 2], "drop": [0, 1]}.get(flaw, [1] if required else [0, 1])
+        for _ in range(draw(st.sampled_from(repeats))):
+            if flag[0] != "-":
+                groups.append([draw(values)])
+                continue
+            n = 0 if keywords.get("action") == "store_true" else keywords.get("nargs", 1)
+            spelled = [flag] * 2 + ([flag[:-1], f"{flag}=3"] if flaw == "spelling" else [])
+            count = [n] * 2 + ([max(n - 1, 0), n + 1] if flaw == "count" else [])
+            spelled, count = draw(st.sampled_from(spelled)), draw(st.sampled_from(count))
+            groups.append([spelled, *(draw(values) for _ in range(count))])
+    stray = [draw(st.sampled_from(["-h", "--help", "--bogus", "extra"]))] if flaw == "stray" else []
+    return [name, *chain.from_iterable(draw(st.permutations(groups))), *stray]
+
+
+class _Parsed(Exception):
+    """Raised by a stub command with the namespace main passed it."""
+
+
+def _fields(namespace):
+    # repr, so that nan equals nan; the handler is named by "command"
+    return repr(sorted((k, v) for k, v in vars(namespace).items() if k != "func"))
+
+
+def _captured(call):
+    """What ``call`` returns, or ("exit", status) if it exits, with its stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            result = call()
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+def _stubbed_main(argv):
+    """main(argv) with every command replaced by one that raises _Parsed; the fields it saw."""
+    def stub(args):
+        raise _Parsed(args)
+
+    stubs = {name: (text, stub, arguments) for name, (text, _, arguments) in cli._COMMANDS.items()}
+    with mock.patch.dict(cli._COMMANDS, stubs):
+        try:
+            return main(argv)
+        except _Parsed as parsed:
+            return _fields(parsed.args[0])
+
+
+def _assert_same_outcome_as_argparse(argv):
+    reference, out, err = _captured(lambda: cli._build_parser().parse_args(argv))
+    parsed = cli._parse_table(argv)
+    if parsed is not None:
+        assert not isinstance(reference, tuple) and (out, err) == ("", "")
+        assert _fields(parsed) == _fields(reference) and parsed.func is reference.func
+    elif isinstance(reference, tuple):  # help, usage or an error: argparse's status and bytes
+        assert _captured(lambda: _stubbed_main(argv)) == (reference, out, err)
+    elif 1 <= reference.precision <= 50:  # the command runs with argparse's namespace
+        assert _captured(lambda: _stubbed_main(argv)) == (_fields(reference), "", "")
+    else:
+        assert _captured(lambda: _stubbed_main(argv)) == (
+            2, "", "error: --precision must be in [1, 50]\n")
+
+
+class TestTableParse:
+    """main reads a well-formed argv from the command table, and leaves every other to argparse."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(argv=command_argv())
+    def test_same_outcome_as_argparse(self, argv):
+        _assert_same_outcome_as_argparse(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["dim-ifs", "ratios"], ["dim-ifs", "ratios", "--tol", "1e-9"],
+         ["critical-d", "counts"], ["critical-d", "counts", "x.csv"],
+         ["fractal", "name", "--m-max", "3"], ["seq-check", "spec", "spec"]],
+        ids=" ".join,
+    )
+    def test_a_positional_spelled_as_its_own_name(self, argv):
+        _assert_same_outcome_as_argparse(argv)
+
+    @pytest.mark.parametrize("workload", ["block_walk", "bigint_exact", "partition_bisect"])
+    def test_benchmark_argv_takes_the_table_path(self, tmp_path, workload):
+        sys.path.insert(0, str(ROOT / "bench"))
+        try:
+            import workloads
+        finally:
+            sys.path.remove(str(ROOT / "bench"))
+        argvs = list(COMMAND_ARGV.values())
+        for seed in range(1, 9):
+            argvs += [op.argv for op in workloads.build(workload, seed, tmp_path)]
+        assert [argv for argv in argvs if cli._parse_table(argv) is None] == []
+
+    def test_a_command_imports_no_argparse(self, tmp_path):
+        probe = (
+            "import sys\n"
+            "from fractaldim import cli\n"
+            "code = cli.main(['tables-ch6', '--n-max', '5', '--out', 'tables.csv'])\n"
+            "print(code, [m for m in ('argparse', 'gettext') if m in sys.modules])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], cwd=tmp_path, capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(Path(fractaldim.__file__).resolve().parent.parent)),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 []\n", "")
 
 
 class TestOutputPolicy:

@@ -59,8 +59,13 @@ printed as ``inputs - OP ...``.  Last come the
 argument parser's paths, as ``inputs - argv_NAME ...``: the top-level help
 and each command's, no command and an unknown one, an unrecognized argument
 after each command's required ones, a missing required option, a bad
-integer and an abbreviated option.  Every run has ``COLUMNS=80`` in its
-environment, so help and usage text wrap the same on any terminal.
+integer and an abbreviated option, then ``--out=FILE``, a repeated
+``--precision``, ``--oracle`` given twice, a negative ``--levels`` value,
+a positional after an option, an Arabic-Indic digit as ``--n-max``, an
+empty positional and a lone ``--``, so that argv read from the command
+table and argv left to argparse are both hashed.  Every run has
+``COLUMNS=80`` in its environment, so help and usage text wrap the same
+on any terminal.
 
 The first hash covers the exit status, stdout and stderr of the plain run.
 The second covers the same of the ``--out`` run and the bytes of FILE, or a
@@ -261,6 +266,7 @@ def input_ops(work: Path) -> list[tuple[str, list[str]]]:
             rows[71] = f"{m},-1/-{big * 3**71},{n}"
         files[f"reader_{name}.csv"] = "\n".join([*rows, ""]).encode()
     files["dp_rows.json"] = json.dumps({"N": 10**6, "runs": [[0, 10**6 - 1]]}).encode()
+    files["small_set.json"] = json.dumps({"N": 100, "runs": [[0, 100]]}).encode()
     for name, data in files.items():
         (work / name).write_bytes(data)
     csvs = ("late_byte.csv", "row_then_byte.csv", "line_breaks.csv", "missing.csv",
@@ -345,6 +351,17 @@ def input_ops(work: Path) -> list[tuple[str, list[str]]]:
             ("argv_missing_m_max", ["fractal", "koch"]),
             ("argv_bad_int", ["tables-ch6", "--n-max", "x"]),
             ("argv_abbreviated", ["dim-block", "X", "--n-m", "5"])]
+    # spellings argparse takes and the table parse declines, and ones both take
+    ops += [("argv_out_equals", ["tables-ch6", "--n-max", "3", "--out=tables.csv"]),
+            ("argv_repeated_precision",
+             ["tables-ch6", "--n-max", "3", "--precision", "3", "--precision", "5"]),
+            ("argv_oracle_twice", ["hyper-hsd", "small_set.json", "--delta", "1/10", "--s", "1",
+                                   "--oracle", "--oracle"]),
+            ("argv_negative_level", ["counts", "--rule", "cantor", "--levels", "-1", "3"]),
+            ("argv_positional_after_option", ["dim-ifs", "--tol", "1e-9", "ratio_ok.json"]),
+            ("argv_arabic_indic_digit", ["tables-ch6", "--n-max", "\u0663"]),
+            ("argv_empty_positional", ["critical-d", ""]),
+            ("argv_lone_double_dash", ["dim-ifs", "--rule", "cantor", "--"])]
     return ops
 
 
