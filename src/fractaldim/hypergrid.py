@@ -16,8 +16,9 @@ subadditivity).  The cost depends only on the multiset {point count:
 multiplicity} of the intervals, so the greedy partition is costed from
 {D: total full intervals, r: runs with remainder r} in time linear in the
 number of runs, with no list per run.  An exact dynamic program within a
-fixed work budget, about 40 bytes per point, is the independent oracle for
-that claim.  Both solvers build their intervals only when iterated.
+fixed work budget, which assumes no concavity but skips sizes that a bound
+from one interval back rules out, is the independent oracle for that
+claim.  Both solvers build their intervals only when iterated.
 
 A set is held as two int columns, its run starts and ends.  The JSON text
 reader takes a text, or a file's reads, about 32 KiB at a time into two
@@ -30,15 +31,18 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, islice, repeat
-from operator import add, gt, itemgetter, mul, sub
+from operator import add, ge, gt, itemgetter, mul, sub
 from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import BudgetExceededError, InfeasibleDeltaError, InputError, check_object
 from .selfsimilar import _copies, fat_cantor
 
 # cap on the DP oracle's cell updates, L * (min(L, D) + 32) for the longest run L: a row is
-# charged as 32 cells (CPython 3.11, Xeon core: 1.2 us a row at D = 1, 40 ns a cell at D >= 100)
+# charged as 32 cells (CPython 3.11, shared Xeon: 1.5 us a row at D = 1, 70-90 ns a cell at
+# D >= 100; pruned, a run of 20 intervals 6-7.5 us a row at D = 256-400, and 1.2-2.5 whole rows
+# when blocks tie, as for s within about 2**-45 of 1 but not 1)
 _DP_BUDGET = 2 * 10**7
+_PRUNE_MIN = 256  # narrower table rows are filled whole: pruning's bookkeeping costs ~5 us a row
 # indices a traced run is widened by at each end
 _ENLARGE = 1
 
@@ -201,12 +205,14 @@ def h_delta_s_greedy(B: InternalSet, delta, s, grid: HyperGrid) -> DeltaPartitio
 
 
 def h_delta_s_dp(B: InternalSet, delta, s, grid: HyperGrid) -> DeltaPartition:
-    """Exact minimum by dynamic programming, O(L*min(L, D) + card) for the longest run L.
+    """Exact minimum by dynamic programming, O(L*min(L, D) + card) at worst for the longest run L.
 
     The optimal split of the first t points of a run depends on t alone, so
     one table filled up to the longest run serves every run, and runs of
     equal length are traced back once; the intervals are traced again only
-    when iterated.  Serves as the brute-force oracle for the greedy
+    when iterated.  Rows past 2*min(L, D) of ``_PRUNE_MIN`` cells or more evaluate only the
+    sizes ``_fill_pruned`` cannot rule out, for a float s below 1 (at 1 all sums tie) and
+    rising costs.  Serves as the brute-force oracle for the greedy
     construction; both report costs through the same canonical arithmetic.
     Raises BudgetExceededError, before any work, when the cell updates of
     that one table, or the points traced back through it (card, which
@@ -234,8 +240,11 @@ def h_delta_s_dp(B: InternalSet, delta, s, grid: HyperGrid) -> DeltaPartition:
     dp = [0.0] * (longest + 1)
     for t in range(1, K + 1):
         dp[t] = min(map(add, dp[:t], wr[K - t:]))
-    for t in range(K + 1, longest + 1):
-        dp[t] = min(map(add, dp[t - K:t], wr))
+    if K >= _PRUNE_MIN and longest > 2 * K and sf != 1.0 and all(map(ge, wr, wr[1:])):
+        _fill_pruned(dp, wr, K)
+    else:
+        for t in range(K + 1, longest + 1):
+            dp[t] = min(map(add, dp[t - K:t], wr))
     # choice[t] is the last interval's size in the best split of t points,
     # 0 until a traceback asks for it; each is found once, so finding them
     # costs at most the fill (a list: importing array costs every command)
@@ -260,6 +269,37 @@ def h_delta_s_dp(B: InternalSet, delta, s, grid: HyperGrid) -> DeltaPartition:
     total = sizes.total()
     intervals = _Intervals(B, lambda L: reversed([*trace(L)]), total)
     return DeltaPartition(intervals, _partition_cost(sizes, s, N), total)
+
+
+def _fill_pruned(dp: list[float], wr: list[float], K: int) -> None:
+    """dp's rows past K, bit for bit as whole rows, evaluating only some blocks of isqrt(K) sizes.
+
+    For any costs dp[t-c] + w[c] = (dp[t-K-c] + w[c]) + (dp[t-c] - dp[t-K-c]): a block's minimum
+    or bound at row t-K plus m - g (m: the least dp[x] - dp[x-K] so far) bounds its sums at row t.
+    Blocks go by bound, lowest first, until one reaches the best sum, dp[t].  As w rises, dp never
+    falls and a rounding at row t moves a value by at most uM, u = 2**-53, M = dp[t-1] + w[K].
+    Per K rows a block's sums rise by at least m - 3uM, its bound (kept less its slot's sum of
+    lifts) by at most m - g + 2uM; a kept minimum is at most uM above its sums, and a comparison
+    rounds by uM.  So g = 2**-48 M = 32uM covers all.
+    """
+    from array import array
+
+    B = math.isqrt(K)
+    wrs = [wr[j:j + B] for j in range(0, K, B)]
+    # ring[t % K][b] + lifts[t % K]: block b's minimum or bound at row t, from row t - K (or -inf)
+    ring = [array("d", [-math.inf]) * len(wrs) for _ in range(K)]
+    lifts, m = [0.0] * K, dp[K]
+    for t in range(K + 1, len(dp)):
+        lo, row, best = t - K, ring[t % K], math.inf
+        o = lifts[t % K] = lifts[t % K] + (m - (dp[t - 1] + wr[0]) * 2**-48)
+        for b in sorted(range(len(row)), key=row.__getitem__):
+            if row[b] + o >= best:
+                break
+            j = lo + b * B
+            v = min(map(add, dp[j:j + B], wrs[b]))
+            row[b], best = v - o, min(best, v)
+        dp[t] = best
+        m = min(m, best - dp[lo])
 
 
 def _check_s(s) -> None:

@@ -404,6 +404,13 @@ def _list_index_dp(B, delta, s, grid):
     return tuple(intervals), cost
 
 
+def _assert_list_index_dp(grid, B, delta, s):
+    part = h_delta_s_dp(B, delta, s, grid)
+    intervals, cost = _list_index_dp(B, delta, s, grid)
+    assert tuple(part.intervals) == intervals
+    assert part.cost.hex() == cost.hex() and part.count == len(intervals)
+
+
 @st.composite
 def dp_inputs(draw):
     """Runs with single points and repeated lengths, D from 1 to past the longest run, and s."""
@@ -422,11 +429,7 @@ def dp_inputs(draw):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(inputs=dp_inputs())
 def test_dp_matches_the_list_index_dp_bit_for_bit(inputs):
-    grid, B, delta, s = inputs
-    part = h_delta_s_dp(B, delta, s, grid)
-    intervals, cost = _list_index_dp(B, delta, s, grid)
-    assert tuple(part.intervals) == intervals
-    assert part.cost.hex() == cost.hex() and part.count == len(intervals)
+    _assert_list_index_dp(*inputs)
 
 
 def _no_cell_update(*args):
@@ -452,6 +455,54 @@ def test_dp_budget_refuses_what_it_refused_before_any_work(inputs, over):
         else:
             intervals = h_delta_s_dp(B, delta, s, grid).intervals
             assert tuple(intervals) == _list_index_dp(B, delta, s, grid)[0]
+
+
+@st.composite
+def pruned_dp_inputs(draw):
+    """1-4 runs at D from 256 to 1,000, the longest of 2D + 1 to 8D points (pruned past 2D)."""
+    d = draw(st.integers(256, 1000))
+    longest = draw(st.integers(2 * d + 1, 8 * d))
+    lengths = [longest, *draw(st.lists(st.integers(1, longest), max_size=3))]
+    runs, pos = [], 0
+    for length in draw(st.permutations(lengths)):
+        pos += draw(st.integers(1, 50))
+        runs.append((pos, pos + length - 1))
+        pos += length
+    grid = HyperGrid(pos + draw(st.integers(0, 4 * pos)))
+    # s near 1 ties blocks within rounding; a float 1.0 (as 1 - 10**-30 is) fills whole rows
+    s = draw(st.one_of(
+        st.floats(0.01, 1.0),
+        st.sampled_from([Fraction(1, 2), Fraction(9, 10), 1, 1 - Fraction(1, 10**30)]),
+        st.integers(30, 52).map(lambda k: 1 - 2.0**-k)))
+    return grid, from_runs(runs), Fraction(d, grid.N), s
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(inputs=pruned_dp_inputs())
+def test_pruned_rows_match_the_list_index_dp_bit_for_bit(inputs):
+    _assert_list_index_dp(*inputs)
+
+
+@pytest.mark.parametrize("d", [255, 256])  # rows of 255 cells are filled whole, of 256 pruned
+@pytest.mark.parametrize("s", [Fraction(7, 10), 1 - 2.0**-45])
+def test_rows_either_side_of_the_pruning_width_match_the_list_index_dp(d, s):
+    grid = HyperGrid(5000)
+    _assert_list_index_dp(grid, from_runs(((3, 2002), (2010, 2709))), Fraction(d, grid.N), s)
+
+
+def test_pruned_dp_memory_is_bounded():
+    # one run of 6,300 points at D = 3,000, about the widest the budget admits with rows past 2D:
+    # the ring holds 3,000 rows of 56 blocks as doubles, about 1.5 MB (5.6 MB as lists of floats)
+    n = 6300
+    grid = HyperGrid(20_000)
+    tracemalloc.start()
+    try:
+        part = h_delta_s_dp(from_runs(((0, n - 1),)), Fraction(3000, grid.N), 0.5, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_500_000
+    assert part.count == 3
 
 
 class TestTraceSuperset:

@@ -51,7 +51,9 @@ switches once from x20 to x8, is 2**70, or is kept but a middle digit of
 one row differs, with one row equal to the row above, with deltas 2/6 and
 -1/-8 scaled past 2,600 bits, and on a small series with a -1/-8 delta,
 ``hyper-hsd --oracle`` on one run of 10**6 points at D = 1 (past
-the table's row charge), ``two-grid --rule NAME
+the table's row charge), on one run of 6,000 points at D = 400 with s = 1/2,
+1 and 0.99999999999999999 (a float 1.0) and on four runs of 10,000 points
+at s = 7/10 (the table's pruned rows), ``two-grid --rule NAME
 --levels 1 7`` for every catalog name and alias, with ``--precision 3``,
 and over the prime level span 20,011, and ``tables-ch6`` at
 ``--n-max`` values from -2 to 10**19, past both of its budgets; these are
@@ -267,6 +269,9 @@ def input_ops(work: Path) -> list[tuple[str, list[str]]]:
         files[f"reader_{name}.csv"] = "\n".join([*rows, ""]).encode()
     files["dp_rows.json"] = json.dumps({"N": 10**6, "runs": [[0, 10**6 - 1]]}).encode()
     files["small_set.json"] = json.dumps({"N": 100, "runs": [[0, 100]]}).encode()
+    files["dp_pruned_run.json"] = json.dumps({"N": 20_000, "runs": [[0, 5999]]}).encode()
+    files["dp_pruned_runs.json"] = json.dumps(
+        {"N": 20_000, "runs": [[17, 1517], [1700, 7861], [8200, 9399], [9800, 10936]]}).encode()
     for name, data in files.items():
         (work / name).write_bytes(data)
     csvs = ("late_byte.csv", "row_then_byte.csv", "line_breaks.csv", "missing.csv",
@@ -332,7 +337,12 @@ def input_ops(work: Path) -> list[tuple[str, list[str]]]:
                                      ("--tol", ("1e-17", "0.3")))
               for value in values),
             ("hyper_hsd_oracle_rows", ["hyper-hsd", "dp_rows.json", "--delta", "1/1000000",
-                                       "--s", "1/2", "--oracle"])]
+                                       "--s", "1/2", "--oracle"]),
+            *((f"hyper_hsd_oracle_pruned_{name}", ["hyper-hsd", "dp_pruned_run.json", "--delta",
+                                                   "1/50", "--s", s, "--oracle"])
+              for name, s in (("half", "1/2"), ("one", "1"), ("float_one", "0.99999999999999999"))),
+            ("hyper_hsd_oracle_pruned_runs", ["hyper-hsd", "dp_pruned_runs.json", "--delta", "1/50",
+                                              "--s", "7/10", "--oracle"])]
     names = ("cantor", "cantor5", "koch", "quadratic_koch", "sierpinski_gasket",
              "sierpinski_carpet", "menger_sponge", "menger_standard", "hyperpyramid",
              "carpet", "gasket", "menger")
